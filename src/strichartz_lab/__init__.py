@@ -11,13 +11,14 @@ from .errors import (                                    # noqa: F401
     StrichartzLabError,
 )
 from .geometry import (                                  # noqa: F401
+    BandFlow,
     Field,
     FrequencyLattice,
     GeometrySpec,
     SpaceTimeField,
     SpectrumField,
     eta1,
-    flow_film,
+    flow_phase,
     forward_transform,
     fractional_symbol,
     frequency_lattice,

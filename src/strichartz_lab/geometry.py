@@ -48,8 +48,9 @@ __all__ = [
     "forward_transform",
     "inverse_transform",
     "fractional_symbol",
+    "flow_phase",
     "propagate",
-    "flow_film",
+    "BandFlow",
     "project_leq",
     "littlewood_paley",
 ]
@@ -375,6 +376,11 @@ def _frac_product(t: float, sym: np.ndarray) -> np.ndarray:
     return np.mod(np.mod(p, 1.0) + err, 1.0)
 
 
+def flow_phase(t: float, sym: np.ndarray) -> np.ndarray:
+    """The flow phase exp(2*pi*i*t*sym), with t*sym reduced mod 1 first."""
+    return np.exp(2j * np.pi * _frac_product(t, sym))
+
+
 def propagate(f: Field, t: float, theta: float) -> Field:
     """Apply the flow: multiply coefficients by exp(2*pi*i*t*phi(xi)).
 
@@ -389,7 +395,7 @@ def propagate(f: Field, t: float, theta: float) -> Field:
         return f
     sym = fractional_symbol(f.geometry, theta)
     s = forward_transform(f)
-    coef = s.coefficients * np.exp(2j * np.pi * _frac_product(t, sym))
+    coef = s.coefficients * flow_phase(t, sym)
     return inverse_transform(SpectrumField(coef, f.geometry))
 
 
@@ -422,19 +428,56 @@ def project_leq(f: Field, N: int) -> Field:
     return inverse_transform(SpectrumField(coef, f.geometry))
 
 
-def flow_film(f: Field, theta: float, interval, time_pts: int) -> SpaceTimeField:
-    """Time-sampled flow of a field over a uniform grid, batched in time."""
-    if time_pts < 2:
-        raise InvalidInputError("need at least two time samples")
-    times = np.linspace(float(interval[0]), float(interval[1]), time_pts)
-    sym = fractional_symbol(f.geometry, theta)
-    coef = forward_transform(f).coefficients
-    frames = np.empty((time_pts,) + f.geometry.grid_sizes, dtype=np.complex128)
-    for i, t in enumerate(times):
-        phase = np.exp(2j * np.pi * _frac_product(float(t), sym))
-        frames[i] = inverse_transform(
-            SpectrumField(coef * phase, f.geometry)).values
-    return SpaceTimeField(frames, times, f.geometry)
+class BandFlow:
+    """The band-limited flow U(t) P_{<=N} on coefficient vectors of the
+    sharp band [-N, N]^d (Nyquist rows excluded).
+
+    ``xi`` (B, d) and ``phi`` (B,) list the band in C order of the
+    centered lattice, the order of every coefficient row.  The setup maps
+    the band once into the unshifted FFT layout and folds the box-origin
+    sign and 1/cell_volume into one per-band factor, so a time step is a
+    phase, one scatter and one batched inverse FFT.
+    """
+
+    def __init__(self, geometry: GeometrySpec, N: int, theta: float):
+        mask = _band_multiplier(geometry, int(N)) == 1.0
+        self.geometry = geometry
+        self.xi = np.stack([m[mask] for m in frequency_lattice(geometry).mesh()],
+                           axis=-1)
+        self.phi = fractional_symbol(geometry, theta)[mask]
+        tag = np.full(geometry.grid_sizes, -1, dtype=np.int64)
+        tag[mask] = np.arange(self.size)
+        tag_u = np.fft.ifftshift(tag).ravel()
+        self._upos = np.flatnonzero(tag_u >= 0)
+        self._order = tag_u[self._upos]
+        self._phi_u = self.phi[self._order]
+        scale = np.full(geometry.grid_sizes, 1.0 / geometry.cell_volume)
+        offset = _offset_phase(geometry)
+        if offset is not None:
+            scale = scale * offset
+        self._scale_u = scale[mask][self._order]
+
+    @property
+    def size(self) -> int:
+        return len(self.phi)
+
+    def frames(self, rows: np.ndarray, times):
+        """Yield U(t) f_s, shape (S, *grid), for each t; row s of ``rows``
+        (S, B) holds the band coefficients of f_s.  One spectral buffer is
+        reused across the time steps."""
+        # rows permuted and scaled once, in unshifted order; Fortran layout
+        # keeps the per-step scatter a run of contiguous column copies
+        rows = np.asarray(rows)
+        S = rows.shape[0]
+        rows_u = np.empty((S, self.size), dtype=np.complex128, order="F")
+        np.multiply(rows[:, self._order], self._scale_u, out=rows_u)
+        grid = self.geometry.grid_sizes
+        flat = np.zeros((S, int(np.prod(grid))), dtype=np.complex128)
+        spec = flat.reshape((S,) + grid)
+        axes = tuple(range(1, len(grid) + 1))
+        for t in times:
+            flat[:, self._upos] = rows_u * flow_phase(float(t), self._phi_u)
+            yield np.fft.ifftn(spec, axes=axes)
 
 
 def littlewood_paley(f: Field, k: int) -> Field:

@@ -26,14 +26,9 @@ import numpy as np
 from . import __version__
 from .config import build_potential, geometry_from_echo, load_config, validate_config
 from .errors import ConfigError, NumericFailureError
-from .geometry import (
-    SpaceTimeField,
-    SpectrumField,
-    _band_multiplier,
-    inverse_transform,
-)
+from .geometry import BandFlow, SpaceTimeField
 from .hartree import DensityState, evolve, fixed_point_iterate, split_step
-from .kernels import dispersive_sup, vdc_integral_oracle
+from .kernels import _window_top, dispersive_sup, vdc_integral_oracle
 from .norms import fit_scaling, predict_sigma
 from .ons import OnsConfig, band_dimension, ons_estimate_ratio
 from .schatten import DiscreteOperator, duality_check, sobolev_schatten_norm
@@ -82,29 +77,12 @@ def _json_default(value):
 # shared helpers
 
 
-def _band_field(geometry, N, coefficients) -> Field:
-    mask = _band_multiplier(geometry, N) == 1.0
-    coef = np.zeros(geometry.grid_sizes, dtype=complex)
-    coef[mask] = coefficients
-    return inverse_transform(SpectrumField(coef, geometry))
-
-
-def _random_band_field(geometry, N, rng) -> Field:
-    dim = band_dimension(geometry, N)
-    coef = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return _band_field(geometry, N, coef)
-
-
 def _ons_density_state(geometry, M, band, theta, weights, seed) -> DensityState:
     from .ons import generate_ons
     fam = generate_ons("random-band", M, band, geometry, seed=seed)
-    mask = _band_multiplier(geometry, band) == 1.0
-    members = []
-    for row in fam.coefficients:
-        coef = np.zeros(geometry.grid_sizes, dtype=complex)
-        coef[mask] = row
-        members.append(inverse_transform(SpectrumField(coef, geometry)).values)
-    return DensityState(np.stack(members), np.asarray(weights, dtype=float),
+    members = next(BandFlow(geometry, band, theta).frames(fam.coefficients,
+                                                          [0.0]))
+    return DensityState(members, np.asarray(weights, dtype=float),
                         geometry, theta)
 
 
@@ -124,37 +102,18 @@ def _abs_pow(a, q):
 
 def _flow_ratios(geometry, N, coef_rows, theta, time_pts, p, q):
     """Strichartz quotients ||U(t) f_s||_{L^p_t L^q_x} / ||f_s||_2 for a
-    batch of band coefficient vectors, accumulated without materializing
-    the space-time films (the time grid can be very fine).
-
-    The band is mapped once into the unshifted FFT layout so the time
-    loop does no reordering of the large spectral block.
+    batch of band coefficient vectors, accumulated frame by frame without
+    materializing the space-time films (the time grid can be very fine).
     """
-    from .geometry import _frac_product, fractional_symbol
-    mask = _band_multiplier(geometry, N) == 1.0
-    B = int(np.count_nonzero(mask))
-    tag = np.full(geometry.grid_sizes, -1, dtype=np.int64)
-    tag[mask] = np.arange(B)
-    tag_u = np.fft.ifftshift(tag).ravel()
-    upos = np.where(tag_u >= 0)[0]
-    order = tag_u[upos]
-    phi = fractional_symbol(geometry, theta)[mask]
-
-    S = coef_rows.shape[0]
-    spec = np.zeros((S, int(np.prod(geometry.grid_sizes))),
-                    dtype=np.complex128)
-    axes = tuple(range(1, geometry.dim + 1))
     times = np.linspace(0.0, 1.0, time_pts)
     h = times[1] - times[0]
     vol = geometry.cell_volume
+    S = coef_rows.shape[0]
     acc = np.zeros(S)
     peak = np.zeros(S)
     space_axes = tuple(range(1, geometry.dim + 1))
-    for i, t in enumerate(times):
-        phase = np.exp(2j * np.pi * _frac_product(float(t), phi))
-        spec[:, upos] = (coef_rows * phase)[:, order]
-        u = np.fft.ifftn(spec.reshape((S,) + geometry.grid_sizes),
-                         axes=axes) / vol
+    frames = BandFlow(geometry, N, theta).frames(coef_rows, times)
+    for i, u in enumerate(frames):
         a = np.abs(u)
         if q == math.inf:
             g = a.max(axis=space_axes)
@@ -179,6 +138,19 @@ def _drv_kernel_sweep(echo):
               "window_hi", "sup_value", "argmax_t", "argmax_x", "samples",
               "refined", "group_ratio", "passed", "wall_time_ms"]
     cells = [{"theta": th, "N": n} for th in p["theta"] for n in p["N"]]
+    for th in p["theta"]:
+        for n in p["N"]:
+            if th < 2 or n < 0:
+                raise ConfigError(
+                    f"kernel sweep needs theta >= 2 and N >= 0, got "
+                    f"theta={th:g}, N={n}",
+                    field="params.theta" if th < 2 else "params.N")
+            top = _window_top(n, th)
+            if p["t_min"] >= top:
+                raise ConfigError(
+                    f"empty dispersive window at theta={th:g}, N={n}: "
+                    f"t_min = {p['t_min']:g} >= N^(1-theta) = {top:g}",
+                    field="params.t_min")
 
     def run_cell(cell, seed):
         rep = dispersive_sup(cell["N"], cell["theta"],
@@ -622,7 +594,9 @@ def run(config, out_dir: str, seed: int | None = None,
         "all_passed": all_passed,
         "numeric_failures": numeric_failures,
         "cells": [{"cell_index": r["cell_index"],
-                   "passed": bool(r.get("passed"))} for r in rows],
+                   "passed": bool(r.get("passed")),
+                   **({"note": r["note"]} if "note" in r else {})}
+                  for r in rows],
     }
     with open(os.path.join(out_dir, "manifest.json"), "w",
               encoding="utf-8") as fh:

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -37,6 +38,7 @@ from .geometry import (
     Field,
     GeometrySpec,
     SpaceTimeField,
+    flow_phase,
     forward_transform,
     fractional_symbol,
     frequency_lattice,
@@ -177,9 +179,13 @@ def convolve_potential(w: PotentialSpec, rho: Field) -> Field:
 # split-step evolution
 
 
+@lru_cache(maxsize=64)
 def _kinetic_phase(geometry: GeometrySpec, theta: float, dt: float) -> np.ndarray:
+    # exp(-i dt phi) is the package flow at the rescaled time -dt/(2 pi)
     sym = np.fft.ifftshift(fractional_symbol(geometry, theta))
-    return np.exp(-1j * dt * sym)
+    phase = flow_phase(-dt / (2.0 * np.pi), sym)
+    phase.setflags(write=False)
+    return phase
 
 
 def _conv_multiplier(w: PotentialSpec, geometry: GeometrySpec) -> np.ndarray:
@@ -332,11 +338,6 @@ class OperatorPath:
                      axis=0) / self.geometry.cell_volume
         return rho.reshape(self.geometry.grid_sizes)
 
-    def density_film(self) -> SpaceTimeField:
-        frames = np.stack([self.density(i).real
-                           for i in range(len(self.times))])
-        return SpaceTimeField(frames, self.times, self.geometry)
-
 
 def _conjugate_flow(mat: np.ndarray, t: float, geometry: GeometrySpec,
                     theta: float) -> np.ndarray:
@@ -365,10 +366,6 @@ def _truncate_hermitian(mat: np.ndarray, rank: int):
     return vals[keep], vecs[:, keep].T, float(np.sum(np.abs(vals[drop])))
 
 
-def _state_matrix(gamma0: DensityState) -> np.ndarray:
-    return gamma0.to_matrix()
-
-
 def duhamel_map(path: OperatorPath, rho: SpaceTimeField,
                 gamma0: DensityState, w: PotentialSpec,
                 rank: int) -> tuple[OperatorPath, SpaceTimeField]:
@@ -393,7 +390,7 @@ def duhamel_map(path: OperatorPath, rho: SpaceTimeField,
     h = times[1] - times[0]
     wmult = _conv_multiplier(w, geom)
 
-    gamma0_mat = _state_matrix(gamma0)
+    gamma0_mat = gamma0.to_matrix()
     integ = np.zeros_like(gamma0_mat)
     prev_w = None
     new_weights, new_members, new_mass = [], [], []

@@ -20,12 +20,10 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .geometry import (
+    BandFlow,
     GeometrySpec,
     SpaceTimeField,
     _band_multiplier,
-    _frac_product,
-    _offset_phase,
-    fractional_symbol,
     frequency_lattice,
 )
 from .norms import ScalingFit, SigmaPrediction, classify_pair, fit_scaling, mixed_norm, predict_sigma
@@ -169,20 +167,10 @@ def density_field(family: OrthonormalFamily, lam: LambdaSequence, theta: float,
     if len(lam.values) != family.size:
         raise InvalidInputError("coefficient count must match family size")
     geom = family.geometry
-    mask = _band_mask(geom, family.band)
-    idx = (slice(None),) + np.nonzero(mask)
-    phi = fractional_symbol(geom, theta)[mask]
     times = np.linspace(float(interval[0]), float(interval[1]), time_pts)
-    axes = tuple(range(1, geom.dim + 1))
-    offset = _offset_phase(geom)
-    spec = np.zeros((family.size,) + geom.grid_sizes, dtype=np.complex128)
     frames = np.empty((time_pts,) + geom.grid_sizes, dtype=float)
-    for i, t in enumerate(times):
-        spec[idx] = family.coefficients * \
-            np.exp(2j * np.pi * _frac_product(float(t), phi))
-        work = spec if offset is None else spec * offset[None]
-        fields = np.fft.ifftn(np.fft.ifftshift(work, axes=axes),
-                              axes=axes) / geom.cell_volume
+    flow = BandFlow(geom, family.band, theta)
+    for i, fields in enumerate(flow.frames(family.coefficients, times)):
         frames[i] = np.tensordot(lam.values, np.abs(fields) ** 2, axes=(0, 0))
     return SpaceTimeField(frames, times, geom)
 

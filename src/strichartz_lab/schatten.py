@@ -25,13 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import CapacityError, InvalidInputError, NumericFailureError
-from .geometry import (
-    GeometrySpec,
-    SpaceTimeField,
-    _band_multiplier,
-    fractional_symbol,
-    frequency_lattice,
-)
+from .geometry import BandFlow, GeometrySpec, SpaceTimeField, frequency_lattice
 
 __all__ = [
     "DiscreteOperator",
@@ -176,32 +170,25 @@ def build_extension_matrix(geometry: GeometrySpec, N: int, interval,
         raise InvalidInputError("empty time interval")
     times = np.linspace(t0, t1, time_pts)
 
-    mask = _band_multiplier(geometry, int(N)) == 1.0
-    lat = frequency_lattice(geometry)
-    mesh = lat.mesh()
-    xi = np.stack([m[mask] for m in mesh], axis=-1)          # (B, d)
-    phi = fractional_symbol(geometry, theta)[mask]           # (B,)
-    band = xi.shape[0]
+    flow = BandFlow(geometry, int(N), theta)
+    band = flow.size
     n_space = int(np.prod(geometry.grid_sizes))
     rows = time_pts * n_space
     if rows * band > cap:
         raise CapacityError(
             f"extension matrix {rows} x {band} exceeds cap {cap}")
 
-    coords = [geometry.axis_coordinates(ax) for ax in range(geometry.dim)]
-    xmesh = np.meshgrid(*coords, indexing="ij")
-    x = np.stack([m.ravel() for m in xmesh], axis=-1)        # (n_space, d)
-
-    # phase[(t,x), b] = x.xi + t*phi(xi)
-    space_phase = x @ xi.T                                   # (n_space, B)
-    phase = space_phase[None, :, :] + np.multiply.outer(times, phi)[:, None, :]
-    mat = np.exp(2j * np.pi * phase).reshape(rows, band)
-
+    # column b at time t is U(t) of the unit coefficient at xi_b, which is
+    # dual_cell * exp(2 pi i (x.xi_b + t phi_b)); the folds then give row
+    # factors sqrt(w_t * cell_volume) and the column factor sqrt(dual_cell)
     w_t = _trapezoid_weights(times)
-    row_fac = np.sqrt(np.repeat(w_t, n_space) * geometry.cell_volume)
-    col_fac = math.sqrt(geometry.dual_cell)
-    mat = row_fac[:, None] * mat * col_fac
-    return ExtensionMatrix(mat, xi, phi, times, geometry, int(N), float(theta))
+    col_fac = 1.0 / math.sqrt(geometry.dual_cell)
+    mat = np.empty((time_pts, n_space, band), dtype=np.complex128)
+    for i, u in enumerate(flow.frames(np.eye(band), times)):
+        row_fac = math.sqrt(w_t[i] * geometry.cell_volume) * col_fac
+        mat[i] = u.reshape(band, n_space).T * row_fac
+    return ExtensionMatrix(mat.reshape(rows, band), flow.xi, flow.phi, times,
+                           geometry, int(N), float(theta))
 
 
 # ---------------------------------------------------------------------------

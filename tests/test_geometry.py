@@ -3,8 +3,10 @@ import pytest
 
 from strichartz_lab.errors import InvalidInputError
 from strichartz_lab.geometry import (
+    BandFlow,
     Field,
     SpectrumField,
+    _band_multiplier,
     eta1,
     forward_transform,
     fractional_symbol,
@@ -208,6 +210,38 @@ class TestPropagate:
             a = project_leq(propagate(f, 0.4, 2.5), 4)
             b = propagate(project_leq(f, 4), 0.4, 2.5)
             assert np.max(np.abs(a.values - b.values)) < 1e-12 * max(1.0, np.max(np.abs(a.values)))
+
+
+class TestBandFlow:
+    @pytest.mark.parametrize("geom, N", [
+        (torus(64), 10),
+        (torus((16, 16)), 4),
+        (waveguide(32, 8, trunc_length=4.0), 4),
+    ], ids=["torus-1d", "torus-2d", "waveguide"])
+    def test_frames_match_slow_twin(self, geom, N):
+        # slow twin: scatter each row into the centered lattice, transform
+        # back, propagate; pointwise agreement sees the box-origin sign
+        # that norm and mass checks cannot
+        theta = 2.5
+        flow = BandFlow(geom, N, theta)
+        mask = _band_multiplier(geom, N) == 1.0
+        assert np.array_equal(flow.phi, fractional_symbol(geom, theta)[mask])
+        assert np.array_equal(flow.xi, np.stack(
+            [m[mask] for m in frequency_lattice(geom).mesh()], axis=-1))
+        rng = np.random.default_rng(17)
+        rows = rng.standard_normal((3, flow.size)) \
+            + 1j * rng.standard_normal((3, flow.size))
+        times = [0.0, 0.3, 1.7]
+        frames = list(flow.frames(rows, times))
+        assert len(frames) == len(times)
+        for t, frame in zip(times, frames):
+            assert frame.shape == (3,) + geom.grid_sizes
+            for row, u in zip(rows, frame):
+                coef = np.zeros(geom.grid_sizes, dtype=complex)
+                coef[mask] = row
+                slow = propagate(inverse_transform(SpectrumField(coef, geom)),
+                                 t, theta)
+                assert np.max(np.abs(u - slow.values)) < 1e-12
 
 
 class TestProjectors:

@@ -188,6 +188,8 @@ class TestRun:
         manifest = json.loads(read(tmp_path / "out" / "manifest.json"))
         assert manifest["numeric_failures"] == 1
         assert not manifest["all_passed"]
+        assert "note" not in manifest["cells"][0]
+        assert "stalled" in manifest["cells"][1]["note"]
 
 
 class TestDrivers:
@@ -308,6 +310,20 @@ class TestCli:
                         '{"t_min": "tiny"}}')
         out_dir = tmp_path / "out"
         code = cli_main(["kernel-sweep", "--config", str(path),
+                         "--out", str(out_dir)])
+        assert code == 2
+        assert not out_dir.exists()
+        assert "t_min" in capsys.readouterr().err
+
+    def test_empty_dispersive_window_exits_2_no_artifacts(self, tmp_path,
+                                                          capsys):
+        # 1024^(1-3) is below the default t_min = 1e-6
+        path = self.write_cfg(tmp_path, {
+            "experiment": "kernel-sweep",
+            "params": {"theta": [3.0], "N": [8, 1024], "t_grid_pts": 64,
+                       "x_grid_pts": 64}})
+        out_dir = tmp_path / "out"
+        code = cli_main(["kernel-sweep", "--config", path,
                          "--out", str(out_dir)])
         assert code == 2
         assert not out_dir.exists()

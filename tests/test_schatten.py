@@ -135,18 +135,28 @@ class TestSobolevSchatten:
 
 class TestExtensionMatrix:
     def test_delta_coefficient_gives_plane_wave(self):
-        geom = torus(16)
-        ext = build_extension_matrix(geom, 2, (0.0, 1.0), 5, 3.0)
-        j = int(np.argwhere((ext.xi[:, 0] == 1)).ravel()[0])
-        col = ext.matrix[:, j].reshape(5, 16)
-        x = geom.axis_coordinates(0)
-        t = ext.times
-        expected = np.exp(2j * np.pi * (x[None, :] + t[:, None] * 1.0))
-        w_t = np.full(5, t[1] - t[0])
-        w_t[0] *= 0.5
-        w_t[-1] *= 0.5
-        fold = np.sqrt(w_t[:, None] * geom.cell_volume)
-        assert np.max(np.abs(col - fold * expected)) < 1e-12
+        # on the waveguide the box coordinates x in [-L/2, L/2) and the
+        # dual cell both enter the column
+        cases = [(torus(16), [1.0], 1.0),
+                 (waveguide(16, 8, trunc_length=4.0), [0.75, -1.0],
+                  0.75 ** 3 + 1.0)]
+        for geom, target, phi in cases:
+            ext = build_extension_matrix(geom, 2, (0.0, 1.0), 5, 3.0)
+            j = int(np.argwhere(np.all(ext.xi == target, axis=1)).ravel()[0])
+            assert ext.phi[j] == pytest.approx(phi)
+            n_space = int(np.prod(geom.grid_sizes))
+            col = ext.matrix[:, j].reshape(5, n_space)
+            x = np.stack([m.ravel() for m in np.meshgrid(
+                *[geom.axis_coordinates(ax) for ax in range(geom.dim)],
+                indexing="ij")], axis=-1)
+            t = ext.times
+            expected = np.exp(2j * np.pi * ((x @ target)[None, :]
+                                            + t[:, None] * phi))
+            w_t = np.full(5, t[1] - t[0])
+            w_t[0] *= 0.5
+            w_t[-1] *= 0.5
+            fold = np.sqrt(w_t[:, None] * geom.cell_volume * geom.dual_cell)
+            assert np.max(np.abs(col - fold * expected)) < 1e-12
 
     def test_adjoint_is_restriction(self):
         # E* F, computed directly as the weighted conjugate pairing
