@@ -138,19 +138,29 @@ def _drv_kernel_sweep(echo):
               "window_hi", "sup_value", "argmax_t", "argmax_x", "samples",
               "refined", "group_ratio", "passed", "wall_time_ms"]
     cells = [{"theta": th, "N": n} for th in p["theta"] for n in p["N"]]
+
+    # preflight: every input dispersive_sup would reject is a config error
+    def reject(field, message):
+        raise ConfigError(f"{field}: {message}", field=field)
+
+    if not p["t_min"] > 0:
+        reject("params.t_min", f"must be positive, got {p['t_min']:g}")
+    for key in ("t_grid_pts", "x_grid_pts"):
+        if p[key] < 64:
+            reject(f"params.{key}", f"sweep grids need at least 64 points "
+                                    f"per axis, got {p[key]}")
     for th in p["theta"]:
         for n in p["N"]:
-            if th < 2 or n < 0:
-                raise ConfigError(
-                    f"kernel sweep needs theta >= 2 and N >= 0, got "
-                    f"theta={th:g}, N={n}",
-                    field="params.theta" if th < 2 else "params.N")
+            if not th >= 2:
+                reject("params.theta", f"kernel sweep needs theta >= 2, "
+                                       f"got {th:g}")
+            if n < 0:
+                reject("params.N", f"kernel sweep needs N >= 0, got {n}")
             top = _window_top(n, th)
             if p["t_min"] >= top:
-                raise ConfigError(
-                    f"empty dispersive window at theta={th:g}, N={n}: "
-                    f"t_min = {p['t_min']:g} >= N^(1-theta) = {top:g}",
-                    field="params.t_min")
+                reject("params.t_min",
+                       f"empty dispersive window at theta={th:g}, N={n}: "
+                       f"t_min = {p['t_min']:g} >= N^(1-theta) = {top:g}")
 
     def run_cell(cell, seed):
         rep = dispersive_sup(cell["N"], cell["theta"],

@@ -168,7 +168,8 @@ class TestRun:
         cfg = {"experiment": "kernel-sweep",
                "params": {"theta": [3.0], "N": [32], "t_grid_pts": 64,
                           "x_grid_pts": 64}}
-        relaxed = run(cfg, str(tmp_path / "ok"))
+        with pytest.warns(UserWarning, match="refining once more"):
+            relaxed = run(cfg, str(tmp_path / "ok"))
         assert relaxed.exit_code == 0
         assert relaxed.rows[0]["refined"]
         strict = run(cfg, str(tmp_path / "strict"), strict=True)
@@ -315,19 +316,34 @@ class TestCli:
         assert not out_dir.exists()
         assert "t_min" in capsys.readouterr().err
 
-    def test_empty_dispersive_window_exits_2_no_artifacts(self, tmp_path,
-                                                          capsys):
+    @pytest.mark.parametrize("params, field", [
         # 1024^(1-3) is below the default t_min = 1e-6
+        pytest.param({"N": [8, 1024]}, "params.t_min", id="empty-window"),
+        pytest.param({"N": [8], "t_min": 0.0}, "params.t_min",
+                     id="t_min-zero"),
+        pytest.param({"N": [8], "t_min": -1e-3}, "params.t_min",
+                     id="t_min-negative"),
+        pytest.param({"N": [8], "t_grid_pts": 32}, "params.t_grid_pts",
+                     id="t_grid-small"),
+        pytest.param({"N": [8], "x_grid_pts": 0}, "params.x_grid_pts",
+                     id="x_grid-zero"),
+        pytest.param({"N": [8], "theta": [1.5]}, "params.theta",
+                     id="theta-below-2"),
+        pytest.param({"N": [8, -1]}, "params.N", id="N-negative"),
+    ])
+    def test_empty_dispersive_window_exits_2_no_artifacts(self, tmp_path,
+                                                          capsys, params,
+                                                          field):
         path = self.write_cfg(tmp_path, {
             "experiment": "kernel-sweep",
-            "params": {"theta": [3.0], "N": [8, 1024], "t_grid_pts": 64,
-                       "x_grid_pts": 64}})
+            "params": {"theta": [3.0], "t_grid_pts": 64, "x_grid_pts": 64,
+                       **params}})
         out_dir = tmp_path / "out"
         code = cli_main(["kernel-sweep", "--config", path,
                          "--out", str(out_dir)])
         assert code == 2
         assert not out_dir.exists()
-        assert "t_min" in capsys.readouterr().err
+        assert field in capsys.readouterr().err
 
     def test_subcommand_mismatch(self, tmp_path, capsys):
         path = self.write_cfg(tmp_path, SMALL_KERNEL)

@@ -5,6 +5,7 @@ from strichartz_lab.errors import InvalidInputError, NumericFailureError
 from strichartz_lab.geometry import eta1, torus, waveguide
 from strichartz_lab.kernels import (
     KernelQuery,
+    _scaled_kernel_max,
     dispersive_sup,
     kernel_exp_sum,
     vdc_integral_oracle,
@@ -95,6 +96,27 @@ class TestDispersiveSup:
         k = kernel_exp_sum(KernelQuery(4, 2.5, t_star, x_star))
         assert abs(t_star) ** (1 / 2.5) * abs(k) == pytest.approx(
             r_coarse.sup_value, rel=1e-12)
+
+    @pytest.mark.parametrize("N, nx", [(0, 64), (8, 64), (40, 64),
+                                       (128, 64), (16, 128)])
+    def test_fft_sweep_matches_pairwise_oracle(self, N, nx):
+        # 2N+1 > nx folds several frequencies into one DFT bin (N = 40, 128)
+        theta = 3.0
+        ts = np.linspace(1e-6, max(N, 1) ** (1 - theta), 7)
+        xs = np.arange(nx) / nx
+        if N == 0:
+            ks = np.ones((len(ts), nx))
+        else:
+            ks = np.array([[abs(kernel_exp_sum(KernelQuery(N, theta, t, x)))
+                            for x in xs] for t in ts])
+        scaled = ts[:, None] ** (1 / theta) * ks
+        i, j = np.unravel_index(np.argmax(scaled), scaled.shape)
+        sup, (t_star, x_star) = _scaled_kernel_max(N, theta, ts, xs)
+        assert sup == pytest.approx(scaled[i, j], rel=1e-12)
+        # |K_N(t, x)| = |K_N(t, -x)|: a mirrored argmax is the same point
+        # up to roundoff, so the x-index may be j or its mirror
+        assert t_star == ts[i]
+        assert x_star in (xs[j], xs[-j % nx])
 
     def test_empty_window_rejected(self):
         with pytest.raises(InvalidInputError):
