@@ -51,6 +51,7 @@ __all__ = [
     "flow_phase",
     "propagate",
     "BandFlow",
+    "GridMultiplier",
     "project_leq",
     "littlewood_paley",
 ]
@@ -478,6 +479,36 @@ class BandFlow:
         for t in times:
             flat[:, self._upos] = rows_u * flow_phase(float(t), self._phi_u)
             yield np.fft.ifftn(spec, axes=axes)
+
+
+class GridMultiplier:
+    """The Fourier multiplier m(D) acting on grid samples.
+
+    ``centered`` holds m(xi) on the centered lattice; it is stored once in
+    the unshifted FFT layout.  The transform scalings and the box-origin
+    sign cancel in the round trip, so m(D) f is ``ifftn(m * fftn(f))``.
+    """
+
+    def __init__(self, geometry: GeometrySpec, centered: np.ndarray):
+        self.geometry = geometry
+        self.m = np.fft.ifftshift(centered)
+        self.m.setflags(write=False)
+        self._axes = tuple(range(-geometry.dim, 0))
+
+    def __call__(self, values: np.ndarray) -> np.ndarray:
+        """m(D) over the trailing grid axes; leading axes are a batch."""
+        return np.fft.ifftn(self.m * np.fft.fftn(values, axes=self._axes),
+                            axes=self._axes)
+
+    def sandwich(self, A: np.ndarray) -> np.ndarray:
+        """m(D) A m(D)* for an (n, n) matrix on flattened grid vectors."""
+        n = A.shape[0]
+        shape = (n,) + self.geometry.grid_sizes
+
+        def on_rows(X):  # X m(D)^T: m(D) applied to each row of X
+            return self(X.reshape(shape)).reshape(n, n)
+
+        return on_rows(on_rows(A.conj()).conj().T).T
 
 
 def littlewood_paley(f: Field, k: int) -> Field:

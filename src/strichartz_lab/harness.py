@@ -30,7 +30,8 @@ from .geometry import BandFlow, SpaceTimeField
 from .hartree import DensityState, evolve, fixed_point_iterate, split_step
 from .kernels import _window_top, dispersive_sup, vdc_integral_oracle
 from .norms import fit_scaling, predict_sigma
-from .ons import OnsConfig, band_dimension, ons_estimate_ratio
+from .ons import (OnsConfig, _prediction_setting, band_dimension,
+                  ons_estimate_ratio)
 from .schatten import DiscreteOperator, duality_check, sobolev_schatten_norm
 from .seeding import derive_cell_seed, derive_cell_seeds
 
@@ -132,6 +133,27 @@ def _flow_ratios(geometry, N, coef_rows, theta, time_pts, p, q):
 # drivers: each returns (header, cells, run_cell, finalize)
 
 
+def _reject(field, message):
+    raise ConfigError(f"{field}: {message}", field=field)
+
+
+def _check_family(p, geom):
+    """Preflight of the mean-field drivers: the orbital family must fit in
+    its band and carry one nonnegative nonincreasing weight per member."""
+    dim = band_dimension(geom, p["band"])
+    if not 1 <= p["members"] <= dim:
+        _reject("params.members", f"need 1 <= members <= {dim}, the "
+                                  f"dimension of band {p['band']}, got "
+                                  f"{p['members']}")
+    w = np.asarray(p["weights"], dtype=float)
+    if len(w) != p["members"]:
+        _reject("params.weights", f"one weight per member required, got "
+                                  f"{len(w)} for {p['members']} members")
+    if not (np.all(w >= 0) and np.all(np.diff(w) <= 1e-15)):
+        _reject("params.weights", "weights must be nonnegative and "
+                                  "nonincreasing")
+
+
 def _drv_kernel_sweep(echo):
     p = echo["params"]
     header = ["experiment_id", "cell_index", "theta", "N", "window_lo",
@@ -140,27 +162,24 @@ def _drv_kernel_sweep(echo):
     cells = [{"theta": th, "N": n} for th in p["theta"] for n in p["N"]]
 
     # preflight: every input dispersive_sup would reject is a config error
-    def reject(field, message):
-        raise ConfigError(f"{field}: {message}", field=field)
-
     if not p["t_min"] > 0:
-        reject("params.t_min", f"must be positive, got {p['t_min']:g}")
+        _reject("params.t_min", f"must be positive, got {p['t_min']:g}")
     for key in ("t_grid_pts", "x_grid_pts"):
         if p[key] < 64:
-            reject(f"params.{key}", f"sweep grids need at least 64 points "
-                                    f"per axis, got {p[key]}")
+            _reject(f"params.{key}", f"sweep grids need at least 64 points "
+                                     f"per axis, got {p[key]}")
     for th in p["theta"]:
         for n in p["N"]:
             if not th >= 2:
-                reject("params.theta", f"kernel sweep needs theta >= 2, "
-                                       f"got {th:g}")
+                _reject("params.theta", f"kernel sweep needs theta >= 2, "
+                                        f"got {th:g}")
             if n < 0:
-                reject("params.N", f"kernel sweep needs N >= 0, got {n}")
+                _reject("params.N", f"kernel sweep needs N >= 0, got {n}")
             top = _window_top(n, th)
             if p["t_min"] >= top:
-                reject("params.t_min",
-                       f"empty dispersive window at theta={th:g}, N={n}: "
-                       f"t_min = {p['t_min']:g} >= N^(1-theta) = {top:g}")
+                _reject("params.t_min",
+                        f"empty dispersive window at theta={th:g}, N={n}: "
+                        f"t_min = {p['t_min']:g} >= N^(1-theta) = {top:g}")
 
     def run_cell(cell, seed):
         rep = dispersive_sup(cell["N"], cell["theta"],
@@ -234,20 +253,11 @@ def _drv_strichartz_fit(echo):
               "wall_time_ms"]
     cells = [{"N": n} for n in p["N"]]
 
-    def predicted_sigma():
-        setting = {"estimate": p["estimate"], "p": p["p"], "q": p["q"],
-                   "theta": p["theta"], "manifold": geom.kind}
-        if geom.kind == "waveguide":
-            setting.update(n=geom.n_free, m=geom.n_periodic)
-        else:
-            setting["d"] = geom.dim
-        pred = predict_sigma(setting)
-        if not pred.applicable:
-            raise ConfigError(f"estimate not applicable: {pred.note}",
-                              field="params.estimate")
-        return pred.sigma
-
-    sigma = predicted_sigma()
+    pred = predict_sigma(_prediction_setting(p["estimate"], p["p"], p["q"],
+                                             p["theta"], geom))
+    if not pred.applicable:
+        _reject("params.estimate", f"estimate not applicable: {pred.note}")
+    sigma = pred.sigma
 
     def run_cell(cell, seed):
         N = cell["N"]
@@ -391,6 +401,7 @@ def _drv_duality_check(echo):
 def _drv_hartree_run(echo):
     p = echo["params"]
     geom = geometry_from_echo(echo)
+    _check_family(p, geom)
     potential = build_potential(p["potential"])
     w_besov = potential.besov_norm(geom)
     header = ["experiment_id", "cell_index", "theta", "dt", "steps",
@@ -443,6 +454,13 @@ def _drv_hartree_run(echo):
 def _drv_fixed_point(echo):
     p = echo["params"]
     geom = geometry_from_echo(echo)
+    _check_family(p, geom)
+    # the initial state is rescaled to Sobolev-Schatten norm target_norm
+    if not any(p["weights"]):
+        _reject("params.weights", "some weight must be positive")
+    if not p["target_norm"] > 0:
+        _reject("params.target_norm", "must be positive, got "
+                                      f"{p['target_norm']:g}")
     potential = build_potential(p["potential"])
     w_besov = potential.besov_norm(geom)
     header = ["experiment_id", "cell_index", "iteration", "residual",

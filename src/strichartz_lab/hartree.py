@@ -37,9 +37,9 @@ from .errors import CapacityError, InvalidInputError, NumericFailureError
 from .geometry import (
     Field,
     GeometrySpec,
+    GridMultiplier,
     SpaceTimeField,
     flow_phase,
-    forward_transform,
     fractional_symbol,
     frequency_lattice,
 )
@@ -165,14 +165,17 @@ class PotentialSpec:
         return besov_sup_norm(self.field(geometry), self.s, self.qprime)
 
 
+@lru_cache(maxsize=64)
+def _potential(w: PotentialSpec, geometry: GeometrySpec) -> GridMultiplier:
+    return GridMultiplier(geometry, w.multiplier(geometry))
+
+
 def convolve_potential(w: PotentialSpec, rho: Field) -> Field:
     """w * rho via the spectral product; input and output are real."""
     if np.max(np.abs(rho.values.imag)) > 1e-10:
         raise InvalidInputError("density must be real-valued")
-    geom = rho.geometry
-    mult = np.fft.ifftshift(w.multiplier(geom))
-    vals = np.fft.ifftn(mult * np.fft.fftn(rho.values.real))
-    return Field(vals.real, geom)
+    return Field(_potential(w, rho.geometry)(rho.values.real).real,
+                 rho.geometry)
 
 
 # ---------------------------------------------------------------------------
@@ -180,24 +183,20 @@ def convolve_potential(w: PotentialSpec, rho: Field) -> Field:
 
 
 @lru_cache(maxsize=64)
-def _kinetic_phase(geometry: GeometrySpec, theta: float, dt: float) -> np.ndarray:
-    # exp(-i dt phi) is the package flow at the rescaled time -dt/(2 pi)
-    sym = np.fft.ifftshift(fractional_symbol(geometry, theta))
-    phase = flow_phase(-dt / (2.0 * np.pi), sym)
-    phase.setflags(write=False)
-    return phase
+def _dispersion(geometry: GeometrySpec, theta: float) -> GridMultiplier:
+    return GridMultiplier(geometry, fractional_symbol(geometry, theta))
 
 
-def _conv_multiplier(w: PotentialSpec, geometry: GeometrySpec) -> np.ndarray:
-    return np.fft.ifftshift(w.multiplier(geometry))
+@lru_cache(maxsize=64)
+def _kinetic(geometry: GeometrySpec, theta: float, dt: float) -> GridMultiplier:
+    """exp(-i dt phi(D)): the package flow at the rescaled time -dt/(2 pi)."""
+    return GridMultiplier(geometry, flow_phase(
+        -dt / (2.0 * np.pi), fractional_symbol(geometry, theta)))
 
 
 def free_flight(state: DensityState, t: float) -> DensityState:
     """Uncoupled evolution: coefficients times exp(-i t phi(xi))."""
-    axes = tuple(range(1, state.members.ndim))
-    phase = _kinetic_phase(state.geometry, state.theta, t)
-    out = np.fft.ifftn(phase[None] * np.fft.fftn(state.members, axes=axes),
-                       axes=axes)
+    out = _kinetic(state.geometry, state.theta, t)(state.members)
     return DensityState(out, state.weights, state.geometry, state.theta)
 
 
@@ -212,30 +211,24 @@ def split_step(state: DensityState, dt: float, w: PotentialSpec) -> DensityState
     if dt == 0.0:
         return state
     geom = state.geometry
-    axes = tuple(range(1, state.members.ndim))
-    half = _kinetic_phase(geom, state.theta, 0.5 * dt)
-    wmult = _conv_multiplier(w, geom)
-    u = np.fft.ifftn(half[None] * np.fft.fftn(state.members, axes=axes),
-                     axes=axes)
+    half = _kinetic(geom, state.theta, 0.5 * dt)
+    u = half(state.members)
     rho = np.tensordot(state.weights, np.abs(u) ** 2, axes=(0, 0))
-    pot = np.fft.ifftn(wmult * np.fft.fftn(rho)).real
-    u = u * np.exp(-1j * dt * pot)[None]
-    u = np.fft.ifftn(half[None] * np.fft.fftn(u, axes=axes), axes=axes)
+    pot = _potential(w, geom)(rho).real
+    u = half(u * np.exp(-1j * dt * pot)[None])
     return DensityState(u, state.weights, geom, state.theta)
 
 
 def hartree_energy(state: DensityState, w: PotentialSpec) -> float:
     """E = sum_j lambda_j <u_j, phi(D) u_j> + (1/2) int (w * rho) rho."""
     geom = state.geometry
-    sym = fractional_symbol(geom, state.theta)
-    kinetic = 0.0
-    for j in range(state.size):
-        coef = forward_transform(Field(state.members[j], geom)).coefficients
-        kinetic += state.weights[j] * float(
-            np.sum(sym * np.abs(coef) ** 2) * geom.dual_cell)
+    u = state.members
+    phi_u = _dispersion(geom, state.theta)(u)
+    axes = tuple(range(1, u.ndim))
+    kinetic = float(state.weights @ np.sum(u.conj() * phi_u, axis=axes).real
+                    * geom.cell_volume)
     rho = state.density()
-    pot_field = convolve_potential(w, Field(rho.astype(complex), geom))
-    potential = 0.5 * float(np.sum(pot_field.values.real * rho)
+    potential = 0.5 * float(np.sum(_potential(w, geom)(rho).real * rho)
                             * geom.cell_volume)
     return kinetic + potential
 
@@ -339,25 +332,6 @@ class OperatorPath:
         return rho.reshape(self.geometry.grid_sizes)
 
 
-def _conjugate_flow(mat: np.ndarray, t: float, geometry: GeometrySpec,
-                    theta: float) -> np.ndarray:
-    """U(t) mat U(-t) with U(t) = exp(-i t phi(D))."""
-    if t == 0.0:
-        return mat
-    grid = geometry.grid_sizes
-    axes = tuple(range(geometry.dim))
-    phase = _kinetic_phase(geometry, theta, t)
-    n = mat.shape[0]
-
-    def apply_left(X):
-        Xg = X.reshape(grid + (n,))
-        Yg = np.fft.ifftn(phase[..., None] *
-                          np.fft.fftn(Xg, axes=axes), axes=axes)
-        return Yg.reshape(n, n)
-
-    return apply_left(apply_left(mat).conj().T).conj().T
-
-
 def _truncate_hermitian(mat: np.ndarray, rank: int):
     herm = 0.5 * (mat + mat.conj().T)
     vals, vecs = np.linalg.eigh(herm)
@@ -388,32 +362,30 @@ def duhamel_map(path: OperatorPath, rho: SpaceTimeField,
     times = path.times
     nt = len(times)
     h = times[1] - times[0]
-    wmult = _conv_multiplier(w, geom)
+    potential = _potential(w, geom)
 
     gamma0_mat = gamma0.to_matrix()
     integ = np.zeros_like(gamma0_mat)
     prev_w = None
     new_weights, new_members, new_mass = [], [], []
-    rho_out = np.empty((nt,) + geom.grid_sizes)
     for i in range(nt):
-        pot = np.fft.ifftn(wmult * np.fft.fftn(rho.values[i].real)).real.ravel()
+        pot = potential(rho.values[i].real).real.ravel()
         g_i = path.matrix(i)
         comm = pot[:, None] * g_i - g_i * pot[None, :]
-        w_i = _conjugate_flow(comm, -float(times[i] - times[0]), geom, theta)
+        t = float(times[i] - times[0])
+        # U(t) X U(-t) with U(t) = exp(-i t phi(D))
+        w_i = _kinetic(geom, theta, -t).sandwich(comm)
         if prev_w is not None:
             integ = integ + 0.5 * h * (prev_w + w_i)
         prev_w = w_i
-        phi_mat = _conjugate_flow(gamma0_mat - 1j * integ,
-                                  float(times[i] - times[0]), geom, theta)
+        phi_mat = _kinetic(geom, theta, t).sandwich(gamma0_mat - 1j * integ)
         vals, vecs, dropped = _truncate_hermitian(phi_mat, rank)
         new_weights.append(vals)
         new_members.append(vecs)
         new_mass.append(dropped)
-        rho_out[i] = np.real(np.diagonal(
-            (vecs.T * vals) @ vecs.conj())).reshape(geom.grid_sizes) \
-            / geom.cell_volume
     out_path = OperatorPath(times, new_weights, new_members, geom, theta,
                             np.array(new_mass))
+    rho_out = np.stack([out_path.density(i) for i in range(nt)])
     return out_path, SpaceTimeField(rho_out, times, geom)
 
 

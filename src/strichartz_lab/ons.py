@@ -223,15 +223,15 @@ class OnsRecord:
         return self.lhs_norm / self.lambda_norm
 
 
-def _prediction_setting(cfg: OnsConfig) -> dict:
-    geom = cfg.geometry
-    setting = {"estimate": cfg.estimate, "p": cfg.p, "q": cfg.q,
-               "theta": cfg.theta, "manifold": geom.kind}
-    if geom.kind == "waveguide":
-        setting["n"] = geom.n_free
-        setting["m"] = geom.n_periodic
+def _prediction_setting(estimate: str, p: float, q: float, theta: float,
+                        geometry: GeometrySpec) -> dict:
+    """The ``predict_sigma`` setting of an estimate on a geometry."""
+    setting = {"estimate": estimate, "p": p, "q": q, "theta": theta,
+               "manifold": geometry.kind}
+    if geometry.kind == "waveguide":
+        setting.update(n=geometry.n_free, m=geometry.n_periodic)
     else:
-        setting["d"] = geom.dim
+        setting["d"] = geometry.dim
     return setting
 
 
@@ -248,7 +248,8 @@ def ons_estimate_ratio(cfg: OnsConfig) -> OnsRecord:
             return OnsRecord(cfg, False,
                              note=f"pair is {pair.kinds or 'off every line'}, "
                                   f"needs {cfg.admissibility}")
-    prediction = predict_sigma(_prediction_setting(cfg))
+    prediction = predict_sigma(_prediction_setting(
+        cfg.estimate, cfg.p, cfg.q, cfg.theta, cfg.geometry))
     M = cfg.M if cfg.M is not None else band_dimension(cfg.geometry, cfg.N)
     lam = lambda_family(cfg.lambda_kind, M, cfg.alpha_prime)
     interval = cfg.resolved_interval()

@@ -25,7 +25,9 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import CapacityError, InvalidInputError, NumericFailureError
-from .geometry import BandFlow, GeometrySpec, SpaceTimeField, frequency_lattice
+from .geometry import (BandFlow, GeometrySpec, GridMultiplier, SpaceTimeField,
+                       frequency_lattice)
+from .ons import lambda_family
 
 __all__ = [
     "DiscreteOperator",
@@ -92,19 +94,10 @@ def schatten_norm(A, alpha: float) -> float:
 
 
 @lru_cache(maxsize=32)
-def _bessel_multiplier_matrix(geometry: GeometrySpec, s: float) -> np.ndarray:
-    """Dense matrix of the multiplier (1 + |xi|^2)^(s/2) on grid vectors."""
-    lat = frequency_lattice(geometry)
-    mesh = lat.mesh()
-    mult = (1.0 + sum(m ** 2 for m in mesh)) ** (s / 2.0)
-    mult = np.fft.ifftshift(mult)
-    n = int(np.prod(geometry.grid_sizes))
-    axes = tuple(range(1, geometry.dim + 1))
-    basis = np.eye(n).reshape((n,) + geometry.grid_sizes)
-    out = np.fft.ifftn(mult[None] * np.fft.fftn(basis, axes=axes), axes=axes)
-    out = out.reshape(n, n).T  # column j is the image of basis vector j
-    out.setflags(write=False)
-    return out
+def _bessel(geometry: GeometrySpec, s: float) -> GridMultiplier:
+    """The multiplier <D>^s = (1 + |xi|^2)^(s/2)."""
+    r2 = sum(m ** 2 for m in frequency_lattice(geometry).mesh())
+    return GridMultiplier(geometry, (1.0 + r2) ** (s / 2.0))
 
 
 def sobolev_schatten_norm(A: DiscreteOperator, alpha: float, s: float,
@@ -116,8 +109,8 @@ def sobolev_schatten_norm(A: DiscreteOperator, alpha: float, s: float,
             "operator must act on the spatial grid of the given geometry")
     if s == 0.0:
         return schatten_norm(A, alpha)
-    Ms = _bessel_multiplier_matrix(geometry, s)
-    return schatten_norm(DiscreteOperator(Ms @ A.matrix @ Ms), alpha)
+    return schatten_norm(
+        DiscreteOperator(_bessel(geometry, s).sandwich(A.matrix)), alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -215,26 +208,6 @@ def _conjugate(alpha: float) -> float:
     return alpha / (alpha - 1.0)
 
 
-def _lambda_values(kind: str, M: int, alpha_conj: float,
-                   rng: np.random.Generator) -> np.ndarray:
-    if kind == "flat":
-        lam = np.ones(M)
-    elif kind == "one-hot":
-        lam = np.zeros(M)
-        lam[0] = 1.0
-    else:  # power-law decay
-        lam = 1.0 / np.arange(1, M + 1, dtype=float)
-    if alpha_conj == math.inf:
-        return lam / lam.max()
-    return lam / np.sum(lam ** alpha_conj) ** (1.0 / alpha_conj)
-
-
-def _lambda_norm(lam: np.ndarray, alpha_conj: float) -> float:
-    if alpha_conj == math.inf:
-        return float(np.max(lam))
-    return float(np.sum(lam ** alpha_conj) ** (1.0 / alpha_conj))
-
-
 def duality_check(W1: SpaceTimeField, W2: SpaceTimeField, N: int,
                   alpha: float, geometry: GeometrySpec, sample_count: int,
                   theta: float = 2.0, seed: int = 0) -> DualityReport:
@@ -276,10 +249,11 @@ def duality_check(W1: SpaceTimeField, W2: SpaceTimeField, N: int,
         M = int(rng.integers(1, B + 1))
         raw = rng.standard_normal((B, M)) + 1j * rng.standard_normal((B, M))
         Q, _ = np.linalg.qr(raw)
-        lam = _lambda_values(kinds[i % 3], M, alpha_conj, rng)
+        lam = lambda_family(kinds[i % 3], M, alpha_conj)
         images = weighted_ext @ Q                    # (rows, M)
-        functional = float(np.sum(lam * np.sum(np.abs(images) ** 2, axis=0)))
-        best = max(best, functional / _lambda_norm(lam, alpha_conj))
+        functional = float(np.sum(lam.values
+                                  * np.sum(np.abs(images) ** 2, axis=0)))
+        best = max(best, functional / lam.norm)
 
     same = W1.values is W2.values or np.array_equal(W1.values, W2.values)
     dominance = bool(best <= lhs_op * (1 + 1e-8)) if same else None

@@ -5,6 +5,7 @@ from strichartz_lab.errors import InvalidInputError
 from strichartz_lab.geometry import (
     BandFlow,
     Field,
+    GridMultiplier,
     SpectrumField,
     _band_multiplier,
     eta1,
@@ -242,6 +243,36 @@ class TestBandFlow:
                 slow = propagate(inverse_transform(SpectrumField(coef, geom)),
                                  t, theta)
                 assert np.max(np.abs(u - slow.values)) < 1e-12
+
+
+class TestGridMultiplier:
+    @staticmethod
+    def slow_twin(m, values, geom):
+        coef = forward_transform(Field(values, geom)).coefficients
+        return inverse_transform(SpectrumField(m * coef, geom)).values
+
+    @pytest.mark.parametrize("geom", [
+        pytest.param(torus((4, 8)), id="torus-2d"),
+        pytest.param(waveguide(4, 8, trunc_length=2.0), id="waveguide"),
+    ])
+    def test_matches_transform_pair_on_two_axes(self, geom):
+        rng = np.random.default_rng(41)
+        shape = geom.grid_sizes
+        m = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        M = GridMultiplier(geom, m)
+
+        batch = rng.standard_normal((3,) + shape) \
+            + 1j * rng.standard_normal((3,) + shape)
+        fast = M(batch)
+        for f, got in zip(batch, fast):
+            assert np.max(np.abs(got - self.slow_twin(m, f, geom))) < 1e-12
+
+        n = int(np.prod(shape))
+        D = np.stack([self.slow_twin(m, e.reshape(shape), geom).ravel()
+                      for e in np.eye(n)], axis=1)
+        A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        want = D @ A @ D.conj().T
+        assert np.max(np.abs(M.sandwich(A) - want)) < 1e-12 * np.max(np.abs(want))
 
 
 class TestProjectors:

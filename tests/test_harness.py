@@ -345,6 +345,33 @@ class TestCli:
         assert not out_dir.exists()
         assert field in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind, params, field", [
+        pytest.param("hartree-run", {"members": 4, "band": 1},
+                     "params.members", id="hartree-members-above-band"),
+        pytest.param("hartree-run",
+                     {"members": 2, "weights": [0.5, 0.3, 0.2]},
+                     "params.weights", id="hartree-weight-count"),
+        pytest.param("fixed-point", {"members": 4, "band": 1},
+                     "params.members", id="fixed-point-members-above-band"),
+        pytest.param("fixed-point", {"members": 2, "weights": [0.2, 0.4]},
+                     "params.weights", id="fixed-point-weights-increasing"),
+        pytest.param("fixed-point", {"weights": [0, 0, 0, 0]},
+                     "params.weights", id="fixed-point-weights-zero"),
+        pytest.param("fixed-point", {"target_norm": -0.1},
+                     "params.target_norm", id="fixed-point-target-negative"),
+    ])
+    def test_bad_orbital_family_exits_2_no_artifacts(self, tmp_path, capsys,
+                                                     kind, params, field):
+        path = self.write_cfg(tmp_path, {
+            "experiment": kind,
+            "geometry": {"kind": "torus", "grid_sizes": [16]},
+            "params": params})
+        out_dir = tmp_path / "out"
+        code = cli_main([kind, "--config", path, "--out", str(out_dir)])
+        assert code == 2
+        assert not out_dir.exists()
+        assert field in capsys.readouterr().err
+
     def test_subcommand_mismatch(self, tmp_path, capsys):
         path = self.write_cfg(tmp_path, SMALL_KERNEL)
         code = cli_main(["vdc-oracle", "--config", path,
