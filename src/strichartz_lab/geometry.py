@@ -201,17 +201,12 @@ class Field:
 
     def norm_l2(self) -> float:
         """L2(M) norm with the grid cell volume."""
-        return float(np.sqrt(np.sum(np.abs(self.values) ** 2)
-                             * self.geometry.cell_volume))
+        return self.norm_lq(2)
 
     def norm_lq(self, q: float) -> float:
         """Lq(M) norm; q = inf is the grid max (a lower bound on the sup)."""
-        a = np.abs(self.values)
-        if np.isinf(q):
-            return float(a.max())
-        if q < 1:
-            raise InvalidInputError("Lebesgue exponent must be >= 1")
-        return float((np.sum(a ** q) * self.geometry.cell_volume) ** (1.0 / q))
+        from .norms import lq_norm
+        return float(lq_norm(self.values, q, self.geometry.cell_volume))
 
 
 @dataclass(frozen=True, eq=False)
@@ -231,8 +226,8 @@ class SpectrumField:
 
     def norm_l2(self) -> float:
         """Weighted little-l2 norm (dual cell measure on free axes)."""
-        return float(np.sqrt(np.sum(np.abs(self.coefficients) ** 2)
-                             * self.geometry.dual_cell))
+        from .norms import lq_norm
+        return float(lq_norm(self.coefficients, 2, self.geometry.dual_cell))
 
 
 @dataclass(frozen=True, eq=False)

@@ -29,7 +29,8 @@ from .errors import ConfigError, NumericFailureError
 from .geometry import BandFlow, SpaceTimeField
 from .hartree import DensityState, evolve, fixed_point_iterate, split_step
 from .kernels import _window_top, dispersive_sup, vdc_integral_oracle
-from .norms import fit_scaling, predict_sigma
+from .norms import (classify_pair, fit_scaling, frames_norm, lq_norm,
+                    predict_sigma)
 from .ons import (OnsConfig, _prediction_setting, band_dimension,
                   ons_estimate_ratio)
 from .schatten import DiscreteOperator, duality_check, sobolev_schatten_norm
@@ -87,46 +88,15 @@ def _ons_density_state(geometry, M, band, theta, weights, seed) -> DensityState:
                         geometry, theta)
 
 
-def _abs_pow(a, q):
-    # |a|^q with cheap squarings for the common even exponents
-    if q == 2.0:
-        return a * a
-    if q == 4.0:
-        b = a * a
-        return b * b
-    if q == 8.0:
-        b = a * a
-        b = b * b
-        return b * b
-    return a ** q
-
-
 def _flow_ratios(geometry, N, coef_rows, theta, time_pts, p, q):
     """Strichartz quotients ||U(t) f_s||_{L^p_t L^q_x} / ||f_s||_2 for a
-    batch of band coefficient vectors, accumulated frame by frame without
+    batch of band coefficient vectors, reduced frame by frame without
     materializing the space-time films (the time grid can be very fine).
     """
     times = np.linspace(0.0, 1.0, time_pts)
-    h = times[1] - times[0]
-    vol = geometry.cell_volume
-    S = coef_rows.shape[0]
-    acc = np.zeros(S)
-    peak = np.zeros(S)
-    space_axes = tuple(range(1, geometry.dim + 1))
     frames = BandFlow(geometry, N, theta).frames(coef_rows, times)
-    for i, u in enumerate(frames):
-        a = np.abs(u)
-        if q == math.inf:
-            g = a.max(axis=space_axes)
-        else:
-            g = (np.sum(_abs_pow(a, q), axis=space_axes) * vol) ** (1.0 / q)
-        peak = np.maximum(peak, g)
-        if p != math.inf:
-            w = 0.5 * h if i in (0, time_pts - 1) else h
-            acc += w * _abs_pow(g, p)
-    norms = peak if p == math.inf else acc ** (1.0 / p)
-    l2 = np.sqrt(np.sum(np.abs(coef_rows) ** 2, axis=1) * geometry.dual_cell)
-    return norms / l2
+    return (frames_norm(frames, times, p, q, geometry)
+            / lq_norm(coef_rows, 2, geometry.dual_cell, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -135,6 +105,15 @@ def _flow_ratios(geometry, N, coef_rows, theta, time_pts, p, q):
 
 def _reject(field, message):
     raise ConfigError(f"{field}: {message}", field=field)
+
+
+def _check_min(p, key, low, strict=False):
+    """Preflight: parameter ``key`` (a number, or each entry of a list) is
+    at least ``low``, or above it when ``strict``; NaN fails either way."""
+    for v in np.atleast_1d(p[key]):
+        if not (v > low if strict else v >= low):
+            _reject(f"params.{key}", f"need {key} {'>' if strict else '>='} "
+                                     f"{low:g}, got {v:g}")
 
 
 def _check_family(p, geom):
@@ -162,19 +141,13 @@ def _drv_kernel_sweep(echo):
     cells = [{"theta": th, "N": n} for th in p["theta"] for n in p["N"]]
 
     # preflight: every input dispersive_sup would reject is a config error
-    if not p["t_min"] > 0:
-        _reject("params.t_min", f"must be positive, got {p['t_min']:g}")
-    for key in ("t_grid_pts", "x_grid_pts"):
-        if p[key] < 64:
-            _reject(f"params.{key}", f"sweep grids need at least 64 points "
-                                     f"per axis, got {p[key]}")
+    _check_min(p, "t_min", 0, strict=True)
+    _check_min(p, "t_grid_pts", 64)
+    _check_min(p, "x_grid_pts", 64)
+    _check_min(p, "theta", 2)
+    _check_min(p, "N", 0)
     for th in p["theta"]:
         for n in p["N"]:
-            if not th >= 2:
-                _reject("params.theta", f"kernel sweep needs theta >= 2, "
-                                        f"got {th:g}")
-            if n < 0:
-                _reject("params.N", f"kernel sweep needs N >= 0, got {n}")
             top = _window_top(n, th)
             if p["t_min"] >= top:
                 _reject("params.t_min",
@@ -253,6 +226,14 @@ def _drv_strichartz_fit(echo):
               "wall_time_ms"]
     cells = [{"N": n} for n in p["N"]]
 
+    # preflight: inputs the flow, the norm reduction or the fit would reject
+    _check_min(p, "p", 1)
+    _check_min(p, "q", 1)
+    _check_min(p, "theta", 0, strict=True)
+    _check_min(p, "time_pts", 2)
+    _check_min(p, "N", 1)
+    if p["family"] == "random":
+        _check_min(p, "samples", 1)
     pred = predict_sigma(_prediction_setting(p["estimate"], p["p"], p["q"],
                                              p["theta"], geom))
     if not pred.applicable:
@@ -315,6 +296,7 @@ def _drv_ons_sweep(echo):
               "slope", "within_threshold", "passed", "wall_time_ms"]
     cells = [{"alpha_prime": a, "N": n}
              for a in p["alpha_prime"] for n in p["N"]]
+    _check_min(p, "time_pts", 2)
 
     def run_cell(cell, seed):
         cfg = OnsConfig(
@@ -371,6 +353,7 @@ def _drv_duality_check(echo):
               "max_sampled_ratio", "saturation", "dominance_ok", "samples",
               "passed", "wall_time_ms"]
     cells = [{"alpha": a} for a in p["alpha"]]
+    _check_min(p, "time_pts", 2)
 
     def run_cell(cell, seed):
         t0, t1 = p["interval"]
@@ -402,6 +385,14 @@ def _drv_hartree_run(echo):
     p = echo["params"]
     geom = geometry_from_echo(echo)
     _check_family(p, geom)
+    _check_min(p, "theta", 0, strict=True)
+    _check_min(p, "T", 0, strict=True)
+    for dt in p["dt"]:
+        # evolve takes round(T / dt) steps and needs at least one
+        if not (dt > 0 and p["T"] / dt > 0.5):
+            _reject("params.dt", f"need 0 < dt < 2T = {2 * p['T']:g}, "
+                                 f"got {dt:g}")
+    _check_min(p, "q_report", 1)
     potential = build_potential(p["potential"])
     w_besov = potential.besov_norm(geom)
     header = ["experiment_id", "cell_index", "theta", "dt", "steps",
@@ -458,9 +449,16 @@ def _drv_fixed_point(echo):
     # the initial state is rescaled to Sobolev-Schatten norm target_norm
     if not any(p["weights"]):
         _reject("params.weights", "some weight must be positive")
-    if not p["target_norm"] > 0:
-        _reject("params.target_norm", "must be positive, got "
-                                      f"{p['target_norm']:g}")
+    for key in ("target_norm", "theta", "T", "cross_check_dt"):
+        _check_min(p, key, 0, strict=True)
+    _check_min(p, "iterations", 2)
+    _check_min(p, "time_pts", 2)
+    _check_min(p, "p", 1)
+    _check_min(p, "q", 1)
+    if "density" not in classify_pair(geom.dim, p["p"], p["q"],
+                                      p["theta"]).kinds:
+        _reject("params.q", f"(p, q) = ({p['p']:g}, {p['q']:g}) is off the "
+                            f"density line 2/p + d/q = d, d = {geom.dim}")
     potential = build_potential(p["potential"])
     w_besov = potential.besov_norm(geom)
     header = ["experiment_id", "cell_index", "iteration", "residual",
@@ -492,8 +490,7 @@ def _drv_fixed_point(echo):
             for _ in range(sub):
                 cur = split_step(cur, dt, potential)
             diff = cur.density() - rho_fp.values[i].real
-            worst = max(worst, float(np.sqrt(np.sum(diff ** 2)
-                                             * geom.cell_volume)))
+            worst = max(worst, float(lq_norm(diff, 2, geom.cell_volume)))
         ratios = [it.ratio for it in result.iterates if it.ratio is not None]
         ok = (result.contractive and not result.diverged
               and all(r <= p["ratio_max"] for r in ratios)

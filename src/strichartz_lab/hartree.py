@@ -43,7 +43,7 @@ from .geometry import (
     fractional_symbol,
     frequency_lattice,
 )
-from .norms import mixed_norm
+from .norms import lq_norm, mixed_norm
 from .schatten import DiscreteOperator, sobolev_schatten_norm
 
 __all__ = [
@@ -279,12 +279,7 @@ def evolve(state: DensityState, T: float, dt: float, w: PotentialSpec,
         mass[i] = st.member_mass()
         gram_dev[i] = float(np.linalg.norm(st.gram() - gram0, ord=2))
         energy[i] = hartree_energy(st, w)
-        rho = st.density()
-        if q_report == math.inf:
-            rho_norm[i] = float(np.max(rho))
-        else:
-            rho_norm[i] = float((np.sum(rho ** q_report)
-                                 * geom.cell_volume) ** (1.0 / q_report))
+        rho_norm[i] = float(lq_norm(st.density(), q_report, geom.cell_volume))
 
     record(0, state)
     current = state

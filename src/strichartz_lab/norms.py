@@ -31,6 +31,9 @@ __all__ = [
     "AdmissiblePair",
     "SigmaPrediction",
     "ScalingFit",
+    "lq_norm",
+    "trapezoid_weights",
+    "frames_norm",
     "mixed_norm",
     "classify_pair",
     "predict_sigma",
@@ -56,27 +59,70 @@ def _check_exponent(p: float, name: str) -> float:
 
 
 # ---------------------------------------------------------------------------
-# mixed norms
+# Lebesgue and mixed norms
 
 
-def mixed_norm(F: SpaceTimeField, p: float, q: float) -> float:
-    """L^p_t L^q_x norm: Riemann sum in space, trapezoid in time.
+def _abs_pow(a, q):
+    # a^q for a >= 0, with cheap squarings for the common even exponents
+    if q == 2.0:
+        return a * a
+    if q == 4.0:
+        b = a * a
+        return b * b
+    if q == 8.0:
+        b = a * a
+        b = b * b
+        return b * b
+    return a ** q
 
-    Either exponent may be inf, realized as a grid max (a lower bound on
-    the true sup for band-limited frames).
+
+def _lebesgue(values, q, measure, axis):
+    # lq_norm with the exponent already checked, for use once per frame
+    a = np.abs(values)
+    if q == math.inf:
+        return a.max(axis=axis)
+    return (np.sum(_abs_pow(a, q), axis=axis) * measure) ** (1.0 / q)
+
+
+def lq_norm(values, q: float, measure: float = 1.0, axis=None):
+    """(sum |v|^q * measure)^(1/q) over ``axis`` (every axis by default);
+    q = inf is the max of |v| (a lower bound on the sup for grid samples).
+    """
+    return _lebesgue(values, _check_exponent(q, "q"), measure, axis)
+
+
+def trapezoid_weights(times) -> np.ndarray:
+    """Trapezoid weights of a uniform time grid."""
+    if len(times) < 2:
+        raise InvalidInputError("need at least two time samples")
+    w = np.full(len(times), times[1] - times[0])
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    return w
+
+
+def frames_norm(frames, times, p: float, q: float, geometry):
+    """L^p_t L^q_x norm of the frames u(t_i), each of shape (..., *grid),
+    reduced as they arrive: Riemann sum in space, trapezoid in time.
+
+    Leading frame axes are a batch; the result has their shape.  Either
+    exponent may be inf, realized as a grid max.
     """
     p = _check_exponent(p, "p")
     q = _check_exponent(q, "q")
-    a = np.abs(F.values)
-    vol = F.geometry.cell_volume
-    space_axes = tuple(range(1, a.ndim))
-    if q == math.inf:
-        g = a.max(axis=space_axes)
-    else:
-        g = (np.sum(a ** q, axis=space_axes) * vol) ** (1.0 / q)
-    if p == math.inf:
-        return float(g.max())
-    return float(np.trapezoid(g ** p, F.times) ** (1.0 / p))
+    weights = trapezoid_weights(times)
+    axes = tuple(range(-geometry.dim, 0))
+    vol = geometry.cell_volume
+    acc = 0.0
+    for w, u in zip(weights, frames):
+        g = _lebesgue(u, q, vol, axes)
+        acc = np.maximum(acc, g) if p == math.inf else acc + w * _abs_pow(g, p)
+    return acc if p == math.inf else acc ** (1.0 / p)
+
+
+def mixed_norm(F: SpaceTimeField, p: float, q: float) -> float:
+    """L^p_t L^q_x norm of a space-time field (see ``frames_norm``)."""
+    return float(frames_norm(F.values, F.times, p, q, F.geometry))
 
 
 # ---------------------------------------------------------------------------

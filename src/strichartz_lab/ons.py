@@ -26,7 +26,8 @@ from .geometry import (
     _band_multiplier,
     frequency_lattice,
 )
-from .norms import ScalingFit, SigmaPrediction, classify_pair, fit_scaling, mixed_norm, predict_sigma
+from .norms import (ScalingFit, SigmaPrediction, classify_pair, fit_scaling,
+                    lq_norm, mixed_norm, predict_sigma)
 from .seeding import derive_cell_seed
 
 __all__ = [
@@ -94,10 +95,9 @@ class LambdaSequence:
 
     @property
     def norm(self) -> float:
-        if self.alpha_prime == math.inf:
-            return float(np.max(self.values)) if len(self.values) else 0.0
-        return float(np.sum(self.values ** self.alpha_prime)
-                     ** (1.0 / self.alpha_prime))
+        if not len(self.values):
+            return 0.0
+        return float(lq_norm(self.values, self.alpha_prime))
 
 
 def _band_order(geometry: GeometrySpec, N: int) -> np.ndarray:
@@ -150,7 +150,7 @@ def lambda_family(kind: str, M: int, alpha_prime: float,
         vals[0] = 1.0
     elif kind == "power":
         vals = np.arange(1, M + 1, dtype=float) ** (-beta)
-        vals /= np.sum(vals ** alpha_prime) ** (1.0 / alpha_prime)
+        vals /= lq_norm(vals, alpha_prime)
     else:
         raise InvalidInputError(f"unknown coefficient family {kind!r}")
     return LambdaSequence(vals, alpha_prime)

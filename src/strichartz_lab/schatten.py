@@ -27,6 +27,7 @@ import numpy as np
 from .errors import CapacityError, InvalidInputError, NumericFailureError
 from .geometry import (BandFlow, GeometrySpec, GridMultiplier, SpaceTimeField,
                        frequency_lattice)
+from .norms import lq_norm, trapezoid_weights
 from .ons import lambda_family
 
 __all__ = [
@@ -88,9 +89,7 @@ def schatten_norm(A, alpha: float) -> float:
     s = singular_values(A)
     if len(s) == 0:
         return 0.0
-    if alpha == math.inf:
-        return float(s[0])
-    return float(np.sum(s ** alpha) ** (1.0 / alpha))
+    return float(lq_norm(s, alpha))
 
 
 @lru_cache(maxsize=32)
@@ -143,13 +142,6 @@ class ExtensionMatrix:
         return self.matrix.shape[1]
 
 
-def _trapezoid_weights(times: np.ndarray) -> np.ndarray:
-    w = np.full(len(times), times[1] - times[0])
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    return w
-
-
 def build_extension_matrix(geometry: GeometrySpec, N: int, interval,
                            time_pts: int, theta: float,
                            cap: int = MATRIX_CAP) -> ExtensionMatrix:
@@ -174,7 +166,7 @@ def build_extension_matrix(geometry: GeometrySpec, N: int, interval,
     # column b at time t is U(t) of the unit coefficient at xi_b, which is
     # dual_cell * exp(2 pi i (x.xi_b + t phi_b)); the folds then give row
     # factors sqrt(w_t * cell_volume) and the column factor sqrt(dual_cell)
-    w_t = _trapezoid_weights(times)
+    w_t = trapezoid_weights(times)
     col_fac = 1.0 / math.sqrt(geometry.dual_cell)
     mat = np.empty((time_pts, n_space, band), dtype=np.complex128)
     for i, u in enumerate(flow.frames(np.eye(band), times)):

@@ -3,6 +3,7 @@
 in a traceback.  hypothesis is an optional test dependency."""
 
 import json
+import math
 import os
 import tempfile
 import warnings
@@ -15,6 +16,27 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from strichartz_lab.cli import main as cli_main  # noqa: E402
 
 ARTIFACTS = ("results.csv", "summary.json", "manifest.json")
+
+
+def run_contract(cfg):
+    """Run ``cfg`` through the CLI and check the exit code and artifacts."""
+    kind = cfg["experiment"]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(cfg, fh)
+        out_dir = os.path.join(tmp, "out")
+        # refinement warnings are part of a normal run here
+        with warnings.catch_warnings(record=True):
+            warnings.simplefilter("always")
+            code = cli_main([kind, "--config", path, "--out", out_dir])
+        written = [os.path.exists(os.path.join(out_dir, name))
+                   for name in ARTIFACTS]
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert not any(written)
+    else:
+        assert all(written)
 
 
 # each strategy leans towards the valid part of its range, so that a fair
@@ -33,24 +55,31 @@ grid_pts = st.integers(64, 160) | st.integers(0, 160)
        check_refinement=st.booleans())
 def test_kernel_sweep_cli_contract(theta, N, t_grid_pts, x_grid_pts, t_min,
                                    check_refinement):
-    cfg = {"experiment": "kernel-sweep",
-           "params": {"theta": theta, "N": N, "t_grid_pts": t_grid_pts,
-                      "x_grid_pts": x_grid_pts, "t_min": t_min,
-                      "check_refinement": check_refinement}}
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "cfg.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(cfg, fh)
-        out_dir = os.path.join(tmp, "out")
-        # refinement warnings are part of a normal run here
-        with warnings.catch_warnings(record=True):
-            warnings.simplefilter("always")
-            code = cli_main(["kernel-sweep", "--config", path,
-                             "--out", out_dir])
-        written = [os.path.exists(os.path.join(out_dir, name))
-                   for name in ARTIFACTS]
-    assert code in (0, 1, 2)
-    if code == 2:
-        assert not any(written)
-    else:
-        assert all(written)
+    run_contract({"experiment": "kernel-sweep",
+                  "params": {"theta": theta, "N": N, "t_grid_pts": t_grid_pts,
+                             "x_grid_pts": x_grid_pts, "t_min": t_min,
+                             "check_refinement": check_refinement}})
+
+
+exponent = st.floats(2.0, 10.0) | st.floats(0.5, 10.0) | st.just(math.inf)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(grid=st.sampled_from([16, 32]),
+       family=st.sampled_from(["dirichlet", "random"]),
+       N=st.lists(st.integers(1, 6) | st.integers(0, 6),
+                  min_size=1, max_size=3),
+       time_pts=st.integers(2, 20) | st.integers(0, 20),
+       samples=st.integers(1, 3) | st.integers(0, 3),
+       p=exponent,
+       q=st.none() | exponent,
+       theta=st.floats(1.0, 4.0) | st.floats(-1.0, 4.0))
+def test_strichartz_fit_cli_contract(grid, family, N, time_pts, samples, p, q,
+                                     theta):
+    # q = None draws a diagonal pair, the only kind the default estimate
+    # accepts, so that some examples run end to end
+    run_contract({"experiment": "strichartz-fit",
+                  "geometry": {"kind": "torus", "grid_sizes": [grid]},
+                  "params": {"family": family, "N": N, "time_pts": time_pts,
+                             "samples": samples, "p": p,
+                             "q": p if q is None else q, "theta": theta}})

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -6,7 +7,11 @@ import pytest
 from strichartz_lab.cli import main as cli_main
 from strichartz_lab.config import load_config, schema_document, validate_config
 from strichartz_lab.errors import ConfigError
-from strichartz_lab.harness import run
+from strichartz_lab.geometry import (SpaceTimeField, SpectrumField,
+                                     _band_multiplier, inverse_transform,
+                                     propagate, torus, waveguide)
+from strichartz_lab.harness import _flow_ratios, run
+from strichartz_lab.norms import mixed_norm
 from strichartz_lab.seeding import derive_cell_seed, derive_cell_seeds
 
 
@@ -193,6 +198,35 @@ class TestRun:
         assert "stalled" in manifest["cells"][1]["note"]
 
 
+class TestFlowRatios:
+    @pytest.mark.parametrize("geom, N", [
+        (torus(64), 10),
+        (torus((16, 16)), 4),
+        (waveguide(32, 16, trunc_length=4.0), 4),
+    ], ids=["torus-1d", "torus-2d", "waveguide"])
+    @pytest.mark.parametrize("p, q", [(8, 8), (4, 4), (6, 2), (math.inf, 4),
+                                      (4, math.inf)])
+    def test_matches_materialized_film(self, geom, N, p, q):
+        # slow twin: scatter each row into the centered lattice, transform
+        # back, propagate to every time and reduce the stored film
+        theta, time_pts = 2.5, 9
+        mask = _band_multiplier(geom, N) == 1.0
+        rng = np.random.default_rng(29)
+        rows = rng.standard_normal((3, int(mask.sum()))) \
+            + 1j * rng.standard_normal((3, int(mask.sum())))
+        ratios = _flow_ratios(geom, N, rows, theta, time_pts, p, q)
+        times = np.linspace(0.0, 1.0, time_pts)
+        for row, ratio in zip(rows, ratios):
+            coef = np.zeros(geom.grid_sizes, dtype=complex)
+            coef[mask] = row
+            f = inverse_transform(SpectrumField(coef, geom))
+            film = SpaceTimeField(
+                np.stack([propagate(f, t, theta).values for t in times]),
+                times, geom)
+            assert ratio == pytest.approx(mixed_norm(film, p, q)
+                                          / f.norm_l2(), rel=1e-12)
+
+
 class TestDrivers:
     def test_vdc_oracle_run(self, tmp_path):
         cfg = {"experiment": "vdc-oracle",
@@ -362,6 +396,50 @@ class TestCli:
     ])
     def test_bad_orbital_family_exits_2_no_artifacts(self, tmp_path, capsys,
                                                      kind, params, field):
+        self.assert_rejected(tmp_path, capsys, kind, params, field)
+
+    @pytest.mark.parametrize("kind, params, field", [
+        pytest.param("strichartz-fit", {"family": "random", "time_pts": 1},
+                     "params.time_pts", id="fit-one-time"),
+        pytest.param("strichartz-fit", {"family": "random", "samples": 0},
+                     "params.samples", id="fit-no-samples"),
+        pytest.param("strichartz-fit", {"N": [0, 2, 4]}, "params.N",
+                     id="fit-N-zero"),
+        pytest.param("strichartz-fit", {"theta": 0}, "params.theta",
+                     id="fit-theta-zero"),
+        pytest.param("strichartz-fit", {"p": 0.5, "q": 0.5}, "params.p",
+                     id="fit-exponent-below-1"),
+        pytest.param("ons-sweep", {"time_pts": 1}, "params.time_pts",
+                     id="ons-one-time"),
+        pytest.param("duality-check", {"time_pts": 1}, "params.time_pts",
+                     id="duality-one-time"),
+        pytest.param("hartree-run", {"theta": [-1.0]}, "params.theta",
+                     id="hartree-theta-negative"),
+        pytest.param("hartree-run", {"T": 0.01, "dt": [0.05]}, "params.dt",
+                     id="hartree-dt-above-2T"),
+        pytest.param("hartree-run", {"T": 0}, "params.T",
+                     id="hartree-T-zero"),
+        pytest.param("hartree-run", {"q_report": 0.5}, "params.q_report",
+                     id="hartree-q_report-below-1"),
+        pytest.param("fixed-point", {"q": 3.0}, "params.q",
+                     id="fixed-point-off-density-line"),
+        pytest.param("fixed-point", {"time_pts": 1}, "params.time_pts",
+                     id="fixed-point-one-time"),
+        pytest.param("fixed-point", {"iterations": 1}, "params.iterations",
+                     id="fixed-point-one-iteration"),
+        pytest.param("fixed-point", {"theta": 0}, "params.theta",
+                     id="fixed-point-theta-zero"),
+        pytest.param("fixed-point", {"T": 0}, "params.T",
+                     id="fixed-point-T-zero"),
+        pytest.param("fixed-point", {"cross_check_dt": 0},
+                     "params.cross_check_dt",
+                     id="fixed-point-cross-check-dt-zero"),
+    ])
+    def test_bad_params_exit_2_no_artifacts(self, tmp_path, capsys, kind,
+                                            params, field):
+        self.assert_rejected(tmp_path, capsys, kind, params, field)
+
+    def assert_rejected(self, tmp_path, capsys, kind, params, field):
         path = self.write_cfg(tmp_path, {
             "experiment": kind,
             "geometry": {"kind": "torus", "grid_sizes": [16]},

@@ -14,6 +14,7 @@ from strichartz_lab.norms import (
     besov_sup_norm,
     classify_pair,
     fit_scaling,
+    lq_norm,
     mixed_norm,
     predict_sigma,
 )
@@ -81,6 +82,19 @@ class TestMixedNorm:
             lhs = mixed_norm(F, pt, qt)
             rhs = mixed_norm(F, p0, q0) ** (1 - tau) * mixed_norm(F, p1, q1) ** tau
             assert lhs <= rhs * (1 + 1e-10)
+
+    @pytest.mark.parametrize("q", [0.5, -INF])
+    @pytest.mark.parametrize("norm", [
+        pytest.param(lambda F, q: lq_norm(F.values, q), id="lq_norm"),
+        pytest.param(lambda F, q: mixed_norm(F, 2, q), id="mixed_norm"),
+        pytest.param(lambda F, q: Field(F.values[0], F.geometry).norm_lq(q),
+                     id="Field.norm_lq"),
+    ])
+    def test_rejects_exponent_below_one(self, norm, q):
+        geom = torus(16)
+        F = SpaceTimeField(np.ones((3, 16)), np.linspace(0.0, 1.0, 3), geom)
+        with pytest.raises(InvalidInputError):
+            norm(F, q)
 
     def test_time_refinement_stability(self):
         geom = torus(64)
