@@ -18,6 +18,7 @@ from typing import Any
 from .errors import ConfigError
 from .geometry import GeometrySpec
 from .hartree import PotentialSpec
+from .norms import SIGMA_SELECTORS
 
 __all__ = ["EXPERIMENT_KINDS", "validate_config", "load_config",
            "schema_document"]
@@ -29,8 +30,10 @@ class _Opt:
                                  # list-num | list-str | list-pair | obj
     default: Any = None
     required: bool = False
-    choices: tuple | None = None
+    choices: tuple | None = None  # for a list-pair: allowed pair names
 
+
+_ESTIMATES = tuple(SIGMA_SELECTORS)
 
 _GEOMETRY_SCHEMA = {
     "kind": _Opt("str", required=True, choices=("torus", "waveguide")),
@@ -77,7 +80,8 @@ _SCHEMAS: dict[str, dict[str, _Opt]] = {
         "samples": _Opt("int", 100),
         "time_pts": _Opt("int", 257),
         "time_pts_scale": _Opt("num", 4.0),
-        "estimate": _Opt("str", "diagonal-schrodinger-cutoff"),
+        "estimate": _Opt("str", "diagonal-schrodinger-cutoff",
+                         choices=_ESTIMATES),
         "sigma_margin": _Opt("num", 0.05),
         "slope_tol": _Opt("num", 0.12),
         "spread_max": _Opt("num", 3.0),
@@ -88,9 +92,10 @@ _SCHEMAS: dict[str, dict[str, _Opt]] = {
         "q": _Opt("num", 2.0),
         "alpha_prime": _Opt("list-num", [4.0 / 3.0]),
         "N": _Opt("list-int", [8, 16, 32, 64, 128]),
-        "estimate": _Opt("str", "theta-line-ons"),
+        "estimate": _Opt("str", "theta-line-ons", choices=_ESTIMATES),
         "admissibility": _Opt("str", "theta-line"),
-        "family_kinds": _Opt("list-pair", [["fourier-modes", 1]]),
+        "family_kinds": _Opt("list-pair", [["fourier-modes", 1]],
+                             choices=("fourier-modes", "random-band")),
         "lambda_kind": _Opt("str", "flat",
                             choices=("flat", "power", "one-hot")),
         "time_pts": _Opt("int", 33),
@@ -198,7 +203,8 @@ def _apply_schema(obj: dict, schema: dict[str, _Opt], path: str) -> dict:
                 raise ConfigError(
                     f"{path}.{key}: expected {opt.typ}, got {val!r}",
                     field=f"{path}.{key}")
-            if opt.choices and val not in opt.choices:
+            names = [v[0] for v in val] if opt.typ == "list-pair" else [val]
+            if opt.choices and any(v not in opt.choices for v in names):
                 raise ConfigError(
                     f"{path}.{key}: must be one of {opt.choices}, got {val!r}",
                     field=f"{path}.{key}")

@@ -35,6 +35,9 @@ import numpy as np
 
 from .errors import InvalidInputError
 
+# complex elements per block of the band-flow stream (1 MiB, cache-sized)
+_BLOCK_ELEMENTS = 1 << 16
+
 __all__ = [
     "GeometrySpec",
     "FrequencyLattice",
@@ -263,9 +266,6 @@ class SpaceTimeField:
     def interval(self) -> tuple[float, float]:
         return float(self.times[0]), float(self.times[-1])
 
-    def frame(self, i: int) -> Field:
-        return Field(self.values[i], self.geometry)
-
 
 # ---------------------------------------------------------------------------
 # smooth bump
@@ -372,8 +372,9 @@ def _frac_product(t: float, sym: np.ndarray) -> np.ndarray:
     return np.mod(np.mod(p, 1.0) + err, 1.0)
 
 
-def flow_phase(t: float, sym: np.ndarray) -> np.ndarray:
-    """The flow phase exp(2*pi*i*t*sym), with t*sym reduced mod 1 first."""
+def flow_phase(t: float | np.ndarray, sym: np.ndarray) -> np.ndarray:
+    """The flow phase exp(2*pi*i*t*sym), with t*sym reduced mod 1 first;
+    an array ``t`` broadcasts against ``sym``."""
     return np.exp(2j * np.pi * _frac_product(t, sym))
 
 
@@ -430,9 +431,9 @@ class BandFlow:
 
     ``xi`` (B, d) and ``phi`` (B,) list the band in C order of the
     centered lattice, the order of every coefficient row.  The setup maps
-    the band once into the unshifted FFT layout and folds the box-origin
-    sign and 1/cell_volume into one per-band factor, so a time step is a
-    phase, one scatter and one batched inverse FFT.
+    the band once into the unshifted FFT layout, folds the box-origin
+    sign and 1/cell_volume into one per-band factor, and lists the
+    distinct symbol values (phi is even), the only phases evaluated.
     """
 
     def __init__(self, geometry: GeometrySpec, N: int, theta: float):
@@ -446,7 +447,8 @@ class BandFlow:
         tag_u = np.fft.ifftshift(tag).ravel()
         self._upos = np.flatnonzero(tag_u >= 0)
         self._order = tag_u[self._upos]
-        self._phi_u = self.phi[self._order]
+        self._levels, self._level_u = np.unique(self.phi[self._order],
+                                                return_inverse=True)
         scale = np.full(geometry.grid_sizes, 1.0 / geometry.cell_volume)
         offset = _offset_phase(geometry)
         if offset is not None:
@@ -457,23 +459,42 @@ class BandFlow:
     def size(self) -> int:
         return len(self.phi)
 
-    def frames(self, rows: np.ndarray, times):
-        """Yield U(t) f_s, shape (S, *grid), for each t; row s of ``rows``
-        (S, B) holds the band coefficients of f_s.  One spectral buffer is
-        reused across the time steps."""
-        # rows permuted and scaled once, in unshifted order; Fortran layout
-        # keeps the per-step scatter a run of contiguous column copies
+    def block_shape(self, samples: int, steps: int) -> tuple[int, int]:
+        """(steps k, samples s) per block, k * s * grid points within
+        ``_BLOCK_ELEMENTS`` (or one frame): a batch that fits is blocked
+        over time, a larger one is cut into chunks of one step each."""
+        points = int(np.prod(self.geometry.grid_sizes))
+        s = min(samples, max(1, _BLOCK_ELEMENTS // points))
+        return min(steps, max(1, _BLOCK_ELEMENTS // (s * points))), s
+
+    def blocks(self, rows: np.ndarray, times):
+        """Yield ``(time slice, sample slice, values)``: ``values`` (k, s,
+        *grid) is U(times[time slice]) f for the rows[sample slice] of
+        ``rows`` (S, B), the band coefficients of S samples.  The chunks of
+        a time block share its phase; ``values`` is overwritten next."""
         rows = np.asarray(rows)
-        S = rows.shape[0]
-        rows_u = np.empty((S, self.size), dtype=np.complex128, order="F")
-        np.multiply(rows[:, self._order], self._scale_u, out=rows_u)
+        times = np.asarray(times, dtype=float)
+        S, T = rows.shape[0], len(times)
+        k, s = self.block_shape(S, T)
         grid = self.geometry.grid_sizes
-        flat = np.zeros((S, int(np.prod(grid))), dtype=np.complex128)
-        spec = flat.reshape((S,) + grid)
-        axes = tuple(range(1, len(grid) + 1))
-        for t in times:
-            flat[:, self._upos] = rows_u * flow_phase(float(t), self._phi_u)
-            yield np.fft.ifftn(spec, axes=axes)
+        points = int(np.prod(grid))
+        rows_u = rows[:, self._order] * self._scale_u
+        # band positions of the k * s frames of a block in the flat buffer;
+        # a ragged last block (fewer steps, or fewer samples when chunked)
+        # fills a prefix of the frames, so the rest of the buffer stays zero
+        dest = (np.arange(k * s)[:, None] * points + self._upos).ravel()
+        spec = np.zeros(k * s * points, dtype=np.complex128)
+        out = np.empty_like(spec)
+        axes = tuple(range(2, len(grid) + 2))
+        for ts in (slice(t, min(t + k, T)) for t in range(0, T, k)):
+            phase = flow_phase(times[ts, None], self._levels)[:, self._level_u]
+            for ss in (slice(j, min(j + s, S)) for j in range(0, S, s)):
+                coef = rows_u[None, ss] * phase[:, None]
+                spec[dest[:coef.size]] = coef.ravel()
+                shape = coef.shape[:2] + grid
+                n = int(np.prod(shape))
+                yield ts, ss, np.fft.ifftn(spec[:n].reshape(shape), axes=axes,
+                                           out=out[:n].reshape(shape))
 
 
 class GridMultiplier:

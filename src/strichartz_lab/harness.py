@@ -27,7 +27,8 @@ from . import __version__
 from .config import build_potential, geometry_from_echo, load_config, validate_config
 from .errors import ConfigError, NumericFailureError
 from .geometry import BandFlow, SpaceTimeField
-from .hartree import DensityState, evolve, fixed_point_iterate, split_step
+from .hartree import (DensityState, _fixed_point_exponents, evolve,
+                      fixed_point_iterate, split_step)
 from .kernels import _window_top, dispersive_sup, vdc_integral_oracle
 from .norms import (classify_pair, fit_scaling, frames_norm, lq_norm,
                     predict_sigma)
@@ -82,20 +83,22 @@ def _json_default(value):
 def _ons_density_state(geometry, M, band, theta, weights, seed) -> DensityState:
     from .ons import generate_ons
     fam = generate_ons("random-band", M, band, geometry, seed=seed)
-    members = next(BandFlow(geometry, band, theta).frames(fam.coefficients,
-                                                          [0.0]))
+    members = np.empty((M,) + geometry.grid_sizes, dtype=np.complex128)
+    flow = BandFlow(geometry, band, theta)
+    for _, ss, u in flow.blocks(fam.coefficients, [0.0]):
+        members[ss] = u[0]
     return DensityState(members, np.asarray(weights, dtype=float),
                         geometry, theta)
 
 
 def _flow_ratios(geometry, N, coef_rows, theta, time_pts, p, q):
     """Strichartz quotients ||U(t) f_s||_{L^p_t L^q_x} / ||f_s||_2 for a
-    batch of band coefficient vectors, reduced frame by frame without
+    batch of band coefficient vectors, reduced block by block without
     materializing the space-time films (the time grid can be very fine).
     """
     times = np.linspace(0.0, 1.0, time_pts)
-    frames = BandFlow(geometry, N, theta).frames(coef_rows, times)
-    return (frames_norm(frames, times, p, q, geometry)
+    blocks = BandFlow(geometry, N, theta).blocks(coef_rows, times)
+    return (frames_norm(blocks, times, p, q, geometry, len(coef_rows))
             / lq_norm(coef_rows, 2, geometry.dual_cell, 1))
 
 
@@ -469,8 +472,7 @@ def _drv_fixed_point(echo):
     def run_cell(cell, seed):
         st = _ons_density_state(geom, p["members"], p["band"], p["theta"],
                                 p["weights"], seed)
-        alpha_prime = 2.0 * p["q"] / (p["q"] + 1.0)
-        s = 0.5 / p["p"] + 0.05
+        alpha_prime, s = _fixed_point_exponents(p["p"], p["q"])
         norm0 = sobolev_schatten_norm(
             DiscreteOperator(st.to_matrix()), alpha_prime, s, geom)
         st = DensityState(st.members, st.weights * (p["target_norm"] / norm0),

@@ -438,6 +438,12 @@ def _xt_distance(pa: OperatorPath, ra: SpaceTimeField, pb: OperatorPath,
     return best + mixed_norm(drho, p, q)
 
 
+def _fixed_point_exponents(p: float, q: float) -> tuple[float, float]:
+    """alpha' = 2q/(q+1) (2 at q = inf) and the default s: half the 1/p
+    loss plus margin."""
+    return 2.0 / (1.0 + 1.0 / q), 0.5 / p + 0.05
+
+
 def fixed_point_iterate(gamma0: DensityState, w: PotentialSpec, T: float,
                         K: int, p: float, q: float, s: float | None = None,
                         time_pts: int = 26, rank: int | None = None,
@@ -457,9 +463,8 @@ def fixed_point_iterate(gamma0: DensityState, w: PotentialSpec, T: float,
     pair = classify_pair(gamma0.geometry.dim, p, q, gamma0.theta)
     if "density" not in pair.kinds:
         raise InvalidInputError("(p, q) must sit on the density line")
-    alpha_prime = 2.0 * q / (q + 1.0)
-    if s is None:
-        s = 0.5 / p + 0.05       # half the 1/p loss plus margin
+    alpha_prime, s_default = _fixed_point_exponents(p, q)
+    s = s_default if s is None else s
     if rank is None:
         rank = 4 * gamma0.size
 

@@ -101,28 +101,31 @@ def trapezoid_weights(times) -> np.ndarray:
     return w
 
 
-def frames_norm(frames, times, p: float, q: float, geometry):
-    """L^p_t L^q_x norm of the frames u(t_i), each of shape (..., *grid),
-    reduced as they arrive: Riemann sum in space, trapezoid in time.
-
-    Leading frame axes are a batch; the result has their shape.  Either
-    exponent may be inf, realized as a grid max.
+def frames_norm(blocks, times, p: float, q: float, geometry, batch: int = 1):
+    """L^p_t L^q_x norms (batch,) of a batch of samples, reduced block by
+    block as they arrive: Riemann sum in space, trapezoid in time.  Blocks
+    are ``(time slice, sample slice, values (k, s, *grid))`` as yielded by
+    ``BandFlow.blocks``; either exponent may be inf, realized as a max.
     """
     p = _check_exponent(p, "p")
     q = _check_exponent(q, "q")
     weights = trapezoid_weights(times)
-    axes = tuple(range(-geometry.dim, 0))
+    axes = tuple(range(2, geometry.dim + 2))
     vol = geometry.cell_volume
-    acc = 0.0
-    for w, u in zip(weights, frames):
+    acc = np.zeros(batch)
+    for ts, ss, u in blocks:
         g = _lebesgue(u, q, vol, axes)
-        acc = np.maximum(acc, g) if p == math.inf else acc + w * _abs_pow(g, p)
+        if p == math.inf:
+            acc[ss] = np.maximum(acc[ss], g.max(axis=0))
+        else:
+            acc[ss] += weights[ts] @ _abs_pow(g, p)
     return acc if p == math.inf else acc ** (1.0 / p)
 
 
 def mixed_norm(F: SpaceTimeField, p: float, q: float) -> float:
-    """L^p_t L^q_x norm of a space-time field (see ``frames_norm``)."""
-    return float(frames_norm(F.values, F.times, p, q, F.geometry))
+    """L^p_t L^q_x norm of a space-time field: one ``frames_norm`` block."""
+    block = (slice(None), slice(None), F.values[:, None])
+    return float(frames_norm([block], F.times, p, q, F.geometry)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -386,14 +389,6 @@ def _sel_waveguide_tunable_ons(s):
                            alpha_open=True)
 
 
-def _sel_diagonal_density_ons(s):
-    # the printed hypothesis of this case equates p = q with a constant
-    # that does not solve the scaling identity in general dimension, so
-    # the selector is exposed but never applicable
-    return _na("diagonal-density-ons",
-               "source case table is inconsistent as printed; unresolved")
-
-
 SIGMA_SELECTORS = {
     "diagonal-schrodinger-cutoff": _sel_diagonal_schrodinger,
     "fractional-single": _sel_fractional_single,
@@ -403,7 +398,6 @@ SIGMA_SELECTORS = {
     "waveguide-single": _sel_waveguide_single,
     "waveguide-ons": _sel_waveguide_ons,
     "waveguide-tunable-ons": _sel_waveguide_tunable_ons,
-    "diagonal-density-ons": _sel_diagonal_density_ons,
 }
 
 

@@ -8,7 +8,8 @@ The measured object per cell is the ratio
 for a family living on the frequency band [-N, N]^d.  Families are held
 as coefficient vectors on the band (orthonormality of the fields is
 equivalent to orthonormality of the coefficients), and the density is
-assembled frame by frame with batched inverse transforms.
+accumulated over the band-flow block stream with batched inverse
+transforms.
 """
 
 from __future__ import annotations
@@ -158,21 +159,20 @@ def lambda_family(kind: str, M: int, alpha_prime: float,
 
 def density_field(family: OrthonormalFamily, lam: LambdaSequence, theta: float,
                   interval, time_pts: int) -> SpaceTimeField:
-    """rho(t, x) = sum_j lambda_j |U(t) P_{<=N} f_j(x)|^2, frame by frame.
-
-    Members are synthesized with one batched inverse FFT per time sample;
-    linearity in lambda and per-frame mass conservation are exact by
-    construction.
+    """rho(t, x) = sum_j lambda_j |U(t) P_{<=N} f_j(x)|^2 over a block
+    stream of the members (``BandFlow.blocks``), accumulated per time block
+    chunk by chunk; linearity in lambda and per-frame mass conservation are
+    exact by construction.
     """
     if len(lam.values) != family.size:
         raise InvalidInputError("coefficient count must match family size")
     geom = family.geometry
     times = np.linspace(float(interval[0]), float(interval[1]), time_pts)
-    frames = np.empty((time_pts,) + geom.grid_sizes, dtype=float)
+    rho = np.zeros((time_pts,) + geom.grid_sizes)
     flow = BandFlow(geom, family.band, theta)
-    for i, fields in enumerate(flow.frames(family.coefficients, times)):
-        frames[i] = np.tensordot(lam.values, np.abs(fields) ** 2, axes=(0, 0))
-    return SpaceTimeField(frames, times, geom)
+    for ts, ss, u in flow.blocks(family.coefficients, times):
+        rho[ts] += np.tensordot(lam.values[ss], np.abs(u) ** 2, axes=(0, 1))
+    return SpaceTimeField(rho, times, geom)
 
 
 @dataclass(frozen=True)

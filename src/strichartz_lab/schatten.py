@@ -166,12 +166,12 @@ def build_extension_matrix(geometry: GeometrySpec, N: int, interval,
     # column b at time t is U(t) of the unit coefficient at xi_b, which is
     # dual_cell * exp(2 pi i (x.xi_b + t phi_b)); the folds then give row
     # factors sqrt(w_t * cell_volume) and the column factor sqrt(dual_cell)
-    w_t = trapezoid_weights(times)
     col_fac = 1.0 / math.sqrt(geometry.dual_cell)
+    row_fac = np.sqrt(trapezoid_weights(times) * geometry.cell_volume) * col_fac
     mat = np.empty((time_pts, n_space, band), dtype=np.complex128)
-    for i, u in enumerate(flow.frames(np.eye(band), times)):
-        row_fac = math.sqrt(w_t[i] * geometry.cell_volume) * col_fac
-        mat[i] = u.reshape(band, n_space).T * row_fac
+    for ts, ss, u in flow.blocks(np.eye(band), times):
+        u = u.reshape(u.shape[:2] + (n_space,))
+        mat[ts, :, ss] = u.transpose(0, 2, 1) * row_fac[ts, None, None]
     return ExtensionMatrix(mat.reshape(rows, band), flow.xi, flow.phi, times,
                            geometry, int(N), float(theta))
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from strichartz_lab import geometry
 from strichartz_lab.errors import InvalidInputError
 from strichartz_lab.geometry import (
     BandFlow,
@@ -213,16 +214,39 @@ class TestPropagate:
             assert np.max(np.abs(a.values - b.values)) < 1e-12 * max(1.0, np.max(np.abs(a.values)))
 
 
+def collect_blocks(flow, rows, times):
+    """(T, S, *grid) film assembled from ``flow.blocks``, with a check
+    that every (time, sample) frame arrives exactly once."""
+    S, T = len(rows), len(times)
+    film = np.zeros((T, S) + flow.geometry.grid_sizes, dtype=complex)
+    seen = np.zeros((T, S), dtype=int)
+    for ts, ss, values in flow.blocks(rows, times):
+        assert values.shape == (len(range(T)[ts]), len(range(S)[ss])) \
+            + flow.geometry.grid_sizes
+        film[ts, ss] = values
+        seen[ts, ss] += 1
+    assert np.all(seen == 1)
+    return film
+
+
 class TestBandFlow:
-    @pytest.mark.parametrize("geom, N", [
-        (torus(64), 10),
-        (torus((16, 16)), 4),
-        (waveguide(32, 8, trunc_length=4.0), 4),
-    ], ids=["torus-1d", "torus-2d", "waveguide"])
-    def test_frames_match_slow_twin(self, geom, N):
+    @pytest.mark.parametrize("geom, N, budget", [
+        (torus(64), 10, None),
+        (torus((16, 16)), 4, None),
+        (waveguide(32, 8, trunc_length=4.0), 4, None),
+        # two steps of the 3 samples per block: time blocks of 2 and 1
+        (torus(64), 10, 2 * 3 * 64),
+        # 2 frames per block: sample chunks of 2 and 1, one step each
+        (torus((16, 16)), 4, 2 * 256),
+        (waveguide(32, 8, trunc_length=4.0), 4, 2 * 256),
+    ], ids=["torus-1d", "torus-2d", "waveguide", "torus-1d-time-blocks",
+            "torus-2d-sample-chunks", "waveguide-sample-chunks"])
+    def test_frames_match_slow_twin(self, geom, N, budget, monkeypatch):
         # slow twin: scatter each row into the centered lattice, transform
         # back, propagate; pointwise agreement sees the box-origin sign
         # that norm and mass checks cannot
+        if budget is not None:
+            monkeypatch.setattr(geometry, "_BLOCK_ELEMENTS", budget)
         theta = 2.5
         flow = BandFlow(geom, N, theta)
         mask = _band_multiplier(geom, N) == 1.0
@@ -233,16 +257,42 @@ class TestBandFlow:
         rows = rng.standard_normal((3, flow.size)) \
             + 1j * rng.standard_normal((3, flow.size))
         times = [0.0, 0.3, 1.7]
-        frames = list(flow.frames(rows, times))
-        assert len(frames) == len(times)
-        for t, frame in zip(times, frames):
-            assert frame.shape == (3,) + geom.grid_sizes
+        film = collect_blocks(flow, rows, times)
+        for t, frame in zip(times, film):
             for row, u in zip(rows, frame):
                 coef = np.zeros(geom.grid_sizes, dtype=complex)
                 coef[mask] = row
                 slow = propagate(inverse_transform(SpectrumField(coef, geom)),
                                  t, theta)
                 assert np.max(np.abs(u - slow.values)) < 1e-12
+
+    @pytest.mark.parametrize("geom", [torus(64), torus((16, 16)),
+                                      waveguide(32, 8, trunc_length=4.0)],
+                             ids=["torus-1d", "torus-2d", "waveguide"])
+    @pytest.mark.parametrize("budget", [100, 256, 1000, 4096, None])
+    @pytest.mark.parametrize("samples, steps", [(1, 1), (1, 300), (7, 13),
+                                                (40, 5)])
+    def test_blocks_within_budget(self, geom, budget, samples, steps,
+                                  monkeypatch):
+        if budget is not None:
+            monkeypatch.setattr(geometry, "_BLOCK_ELEMENTS", budget)
+        budget = geometry._BLOCK_ELEMENTS
+        flow = BandFlow(geom, 2, 2.0)
+        rows = np.ones((samples, flow.size), dtype=complex)
+        times = np.linspace(0.0, 1.0, steps)
+        frame = int(np.prod(geom.grid_sizes))
+        k, s = flow.block_shape(samples, steps)
+        sizes = []
+        for ts, ss, values in flow.blocks(rows, times):
+            assert values.shape[:2] == (len(range(steps)[ts]),
+                                        len(range(samples)[ss]))
+            sizes.append(values.size)
+        # a block never exceeds the budget, or one frame when that is larger
+        assert max(sizes) == k * s * frame <= max(budget, frame)
+        assert len(sizes) == -(-steps // k) * -(-samples // s)
+        # whole batches are blocked over time, larger ones chunked
+        assert s == samples or k == 1
+        assert max(sizes) > budget // 2 or (k == steps and s == samples)
 
 
 class TestGridMultiplier:

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from strichartz_lab import geometry
 from strichartz_lab.cli import main as cli_main
 from strichartz_lab.config import load_config, schema_document, validate_config
 from strichartz_lab.errors import ConfigError
@@ -199,16 +200,26 @@ class TestRun:
 
 
 class TestFlowRatios:
-    @pytest.mark.parametrize("geom, N", [
-        (torus(64), 10),
-        (torus((16, 16)), 4),
-        (waveguide(32, 16, trunc_length=4.0), 4),
-    ], ids=["torus-1d", "torus-2d", "waveguide"])
+    @pytest.mark.parametrize("geom, N, budget", [
+        (torus(64), 10, None),
+        (torus((16, 16)), 4, None),
+        (waveguide(32, 16, trunc_length=4.0), 4, None),
+        # 4 steps of the 3 samples per block: time blocks 4, 4 and 1
+        (torus(64), 10, 4 * 3 * 64),
+        # 2 frames per block: sample chunks of 2 and 1, one step each
+        (torus((16, 16)), 4, 2 * 256),
+        # 1 frame per block
+        (waveguide(32, 16, trunc_length=4.0), 4, 512),
+    ], ids=["torus-1d", "torus-2d", "waveguide", "torus-1d-time-blocks",
+            "torus-2d-sample-chunks", "waveguide-sample-chunks"])
     @pytest.mark.parametrize("p, q", [(8, 8), (4, 4), (6, 2), (math.inf, 4),
                                       (4, math.inf)])
-    def test_matches_materialized_film(self, geom, N, p, q):
+    def test_matches_materialized_film(self, geom, N, budget, p, q,
+                                       monkeypatch):
         # slow twin: scatter each row into the centered lattice, transform
         # back, propagate to every time and reduce the stored film
+        if budget is not None:
+            monkeypatch.setattr(geometry, "_BLOCK_ELEMENTS", budget)
         theta, time_pts = 2.5, 9
         mask = _band_multiplier(geom, N) == 1.0
         rng = np.random.default_rng(29)
@@ -434,10 +445,30 @@ class TestCli:
         pytest.param("fixed-point", {"cross_check_dt": 0},
                      "params.cross_check_dt",
                      id="fixed-point-cross-check-dt-zero"),
+        pytest.param("strichartz-fit", {"estimate": "nope"},
+                     "params.estimate", id="fit-unknown-estimate"),
+        pytest.param("ons-sweep", {"estimate": "nope"}, "params.estimate",
+                     id="ons-unknown-estimate"),
+        pytest.param("ons-sweep",
+                     {"family_kinds": [["fourier-modes", 1], ["nope", 1]]},
+                     "params.family_kinds", id="ons-unknown-family-kind"),
     ])
     def test_bad_params_exit_2_no_artifacts(self, tmp_path, capsys, kind,
                                             params, field):
         self.assert_rejected(tmp_path, capsys, kind, params, field)
+
+    def test_fixed_point_sup_exponent_runs(self, tmp_path):
+        # q = inf on the 1-D density line (p = 2): alpha' = 2q/(q+1) is 2
+        path = tmp_path / "cfg.json"
+        path.write_text('{"experiment": "fixed-point", "geometry": '
+                        '{"kind": "torus", "grid_sizes": [16]}, '
+                        '"params": {"p": 2, "q": Infinity}}')
+        out_dir = tmp_path / "out"
+        code = cli_main(["fixed-point", "--config", str(path),
+                         "--out", str(out_dir)])
+        assert code in (0, 1)
+        for name in ("results.csv", "summary.json", "manifest.json"):
+            assert (out_dir / name).exists()
 
     def assert_rejected(self, tmp_path, capsys, kind, params, field):
         path = self.write_cfg(tmp_path, {

@@ -246,12 +246,6 @@ class TestPredictSigma:
                               "theta": 3.0, "p": 4.0, "q": 2.0})
         assert not pred.applicable and pred.note
 
-    def test_unresolved_stub(self):
-        pred = predict_sigma({"estimate": "diagonal-density-ons", "d": 2,
-                              "theta": 2.0, "p": 2.0, "q": 2.0})
-        assert not pred.applicable
-        assert "unresolved" in pred.note
-
     def test_unknown_selector_rejected(self):
         with pytest.raises(InvalidInputError):
             predict_sigma({"estimate": "nope", "p": 2.0, "q": 2.0,

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from strichartz_lab import geometry
 from strichartz_lab.errors import InvalidInputError
 from strichartz_lab.geometry import propagate, torus, waveguide
 from strichartz_lab.norms import mixed_norm
@@ -138,6 +139,42 @@ class TestDensityField:
             masses = np.sum(rho.values.real, axis=tuple(range(1, 1 + geom.dim))) \
                 * geom.cell_volume
             assert np.max(np.abs(masses - expected)) < 1e-10
+
+    @pytest.mark.parametrize("geom, N", [
+        (torus(64), 6), (torus((16, 16)), 3),
+        (waveguide(32, 8, trunc_length=4.0), 3),
+    ], ids=["torus-1d", "torus-2d", "waveguide"])
+    @pytest.mark.parametrize("budget", [None, 256, 3 * 256, 5 * 512])
+    def test_member_chunks_match_single_chunk(self, geom, N, budget,
+                                              monkeypatch):
+        # 7 members: on the 256-point grids the budgets give chunks of 1,
+        # 3 and 7 members; on the 64-point torus chunks of 4 and 7, and
+        # at 5 x 512 time blocks of 5 and 4 steps.  rho must equal the
+        # single-chunk sum
+        M = 7
+        fam = generate_ons("random-band", M, N, geom, seed=5)
+        lam = lambda_family("power", M, 1.5)
+        whole = density_field(fam, lam, 2.5, (0.0, 1.0), 9).values
+        if budget is not None:
+            monkeypatch.setattr(geometry, "_BLOCK_ELEMENTS", budget)
+        chunked = density_field(fam, lam, 2.5, (0.0, 1.0), 9).values
+        assert np.max(np.abs(chunked - whole)) <= 1e-12 * np.max(np.abs(whole))
+        # and the single-chunk sum is the per-member sum
+        slow = sum(w * np.abs(np.stack([propagate(f, t, 2.5).values
+                                        for t in np.linspace(0, 1, 9)])) ** 2
+                   for w, f in zip(lam.values, member_fields(fam)))
+        assert np.max(np.abs(whole - slow)) <= 1e-12 * np.max(np.abs(slow))
+
+
+def member_fields(fam):
+    """The members of a family as fields, through the transform pair."""
+    from strichartz_lab.geometry import SpectrumField, inverse_transform
+    from strichartz_lab.ons import _band_mask
+    mask = _band_mask(fam.geometry, fam.band)
+    for row in fam.coefficients:
+        coef = np.zeros(fam.geometry.grid_sizes, dtype=complex)
+        coef[mask] = row
+        yield inverse_transform(SpectrumField(coef, fam.geometry))
 
 
 class TestOnsEstimateRatio:
