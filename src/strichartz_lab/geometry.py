@@ -430,30 +430,35 @@ class BandFlow:
     sharp band [-N, N]^d (Nyquist rows excluded).
 
     ``xi`` (B, d) and ``phi`` (B,) list the band in C order of the
-    centered lattice, the order of every coefficient row.  The setup maps
-    the band once into the unshifted FFT layout, folds the box-origin
-    sign and 1/cell_volume into one per-band factor, and lists the
-    distinct symbol values (phi is even), the only phases evaluated.
+    centered lattice, the order of every coefficient row.  The setup lists
+    the band index of each position of the band box in unshifted FFT
+    order, folds the box-origin sign and 1/cell_volume into one per-band
+    factor, and lists the distinct symbol values (phi is even), the only
+    phases evaluated.
     """
 
     def __init__(self, geometry: GeometrySpec, N: int, theta: float):
         mask = _band_multiplier(geometry, int(N)) == 1.0
+        grid, d = geometry.grid_sizes, geometry.dim
         self.geometry = geometry
         self.xi = np.stack([m[mask] for m in frequency_lattice(geometry).mesh()],
                            axis=-1)
         self.phi = fractional_symbol(geometry, theta)[mask]
-        tag = np.full(geometry.grid_sizes, -1, dtype=np.int64)
+        rows = [np.flatnonzero(np.fft.ifftshift(mask.any(
+            axis=tuple(b for b in range(d) if b != a)))) for a in range(d)]
+        self._box = tuple(len(r) for r in rows)
+        tag = np.full(grid, -1, dtype=np.int64)
         tag[mask] = np.arange(self.size)
-        tag_u = np.fft.ifftshift(tag).ravel()
-        self._upos = np.flatnonzero(tag_u >= 0)
-        self._order = tag_u[self._upos]
+        self._order = np.fft.ifftshift(tag)[np.ix_(*rows)].ravel()
         self._levels, self._level_u = np.unique(self.phi[self._order],
                                                 return_inverse=True)
-        scale = np.full(geometry.grid_sizes, 1.0 / geometry.cell_volume)
+        scale = np.full(grid, 1.0 / geometry.cell_volume)
         offset = _offset_phase(geometry)
         if offset is not None:
             scale = scale * offset
         self._scale_u = scale[mask][self._order]
+        # fullest axis first: the sparse axes stay pruned the longest
+        self._passes = sorted(range(d), key=lambda a: -self._box[a] / grid[a])
 
     @property
     def size(self) -> int:
@@ -476,25 +481,27 @@ class BandFlow:
         times = np.asarray(times, dtype=float)
         S, T = rows.shape[0], len(times)
         k, s = self.block_shape(S, T)
-        grid = self.geometry.grid_sizes
-        points = int(np.prod(grid))
-        rows_u = rows[:, self._order] * self._scale_u
-        # band positions of the k * s frames of a block in the flat buffer;
-        # a ragged last block (fewer steps, or fewer samples when chunked)
-        # fills a prefix of the frames, so the rest of the buffer stays zero
-        dest = (np.arange(k * s)[:, None] * points + self._upos).ravel()
-        spec = np.zeros(k * s * points, dtype=np.complex128)
-        out = np.empty_like(spec)
-        axes = tuple(range(2, len(grid) + 2))
+        # per axis: one inverse FFT over the band rows of the axes to come,
+        # from a zero-padded (k, s, ...) buffer of its own, never in place,
+        # so its zeros outlive the block (a ragged block fills a prefix).
+        # n band rows: the (n + 1) // 2 lowest and n // 2 highest unshifted.
+        dims, passes = list(self._box), []
+        for a in self._passes:
+            dims[a] = self.geometry.grid_sizes[a]
+            passes.append((a, *np.zeros((2, k, s, *dims), np.complex128)))
         for ts in (slice(t, min(t + k, T)) for t in range(0, T, k)):
             phase = flow_phase(times[ts, None], self._levels)[:, self._level_u]
+            phase *= self._scale_u
             for ss in (slice(j, min(j + s, S)) for j in range(0, S, s)):
-                coef = rows_u[None, ss] * phase[:, None]
-                spec[dest[:coef.size]] = coef.ravel()
-                shape = coef.shape[:2] + grid
-                n = int(np.prod(shape))
-                yield ts, ss, np.fft.ifftn(spec[:n].reshape(shape), axes=axes,
-                                           out=out[:n].reshape(shape))
+                u = rows[ss].take(self._order, axis=1) * phase[:, None]
+                u = u.reshape(u.shape[:2] + self._box)
+                at = np.s_[:u.shape[0], :u.shape[1]]
+                for a, pad, out in passes:
+                    dst, src = (np.moveaxis(v, a + 2, 0) for v in (pad[at], u))
+                    h = (len(src) + 1) // 2
+                    dst[:h], dst[len(dst) - len(src) // 2:] = src[:h], src[h:]
+                    u = np.fft.ifft(pad[at], axis=a + 2, out=out[at])
+                yield ts, ss, u
 
 
 class GridMultiplier:

@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__
 from .config import build_potential, geometry_from_echo, load_config, validate_config
 from .errors import ConfigError, NumericFailureError
-from .geometry import BandFlow, SpaceTimeField
+from .geometry import _BLOCK_ELEMENTS, BandFlow, SpaceTimeField
 from .hartree import (DensityState, _fixed_point_exponents, evolve,
                       fixed_point_iterate, split_step)
 from .kernels import _window_top, dispersive_sup, vdc_integral_oracle
@@ -98,8 +98,10 @@ def _flow_ratios(geometry, N, coef_rows, theta, time_pts, p, q):
     """
     times = np.linspace(0.0, 1.0, time_pts)
     blocks = BandFlow(geometry, N, theta).blocks(coef_rows, times)
-    return (frames_norm(blocks, times, p, q, geometry, len(coef_rows))
-            / lq_norm(coef_rows, 2, geometry.dual_cell, 1))
+    step = max(1, _BLOCK_ELEMENTS // coef_rows.shape[1])  # rows per l2 chunk
+    l2 = np.concatenate([lq_norm(coef_rows[j:j + step], 2, geometry.dual_cell,
+                                 1) for j in range(0, len(coef_rows), step)])
+    return frames_norm(blocks, times, p, q, geometry, len(coef_rows)) / l2
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +196,12 @@ def _drv_vdc_oracle(echo):
               "error_estimate", "panels", "passed", "wall_time_ms"]
     cells = [{"t": t} for t in p["t"]]
 
+    # preflight: every input vdc_integral_oracle would reject
+    _check_min(p, "theta", 2)
+    _check_min(p, "b", 1, strict=True)
+    if not np.all(np.abs(p["t"]) >= 1e-12):
+        _reject("params.t", "need every |t| >= 1e-12")
+
     def run_cell(cell, seed):
         res = vdc_integral_oracle(p["theta"], p["x"], cell["t"], p["p"],
                                   p["b"], tol=p["tol"])
@@ -258,8 +266,9 @@ def _drv_strichartz_fit(echo):
             value = raw
         else:
             rng = np.random.default_rng(seed)
-            rows = rng.standard_normal((p["samples"], dim)) \
-                + 1j * rng.standard_normal((p["samples"], dim))
+            rows = np.empty((p["samples"], dim), dtype=np.complex128)
+            rows.real = rng.standard_normal(rows.shape)
+            rows.imag = rng.standard_normal(rows.shape)
             ratios = _flow_ratios(geom, N, rows, p["theta"], p["time_pts"],
                                   p["p"], p["q"])
             raw = float(np.max(ratios))

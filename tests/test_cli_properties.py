@@ -83,3 +83,14 @@ def test_strichartz_fit_cli_contract(grid, family, N, time_pts, samples, p, q,
                   "params": {"family": family, "N": N, "time_pts": time_pts,
                              "samples": samples, "p": p,
                              "q": p if q is None else q, "theta": theta}})
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(theta=st.floats(2.0, 3.5) | st.floats(0.5, 3.5),
+       b=st.floats(1.1, 2.5) | st.floats(0.0, 2.5),
+       t=st.lists(st.floats(1.0, 100.0) | st.floats(-10.0, 10.0),
+                  min_size=1, max_size=2),
+       p=st.integers(-3, 3))
+def test_vdc_oracle_cli_contract(theta, b, t, p):
+    run_contract({"experiment": "vdc-oracle",
+                  "params": {"theta": theta, "b": b, "t": t, "p": p}})

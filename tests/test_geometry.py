@@ -239,8 +239,21 @@ class TestBandFlow:
         # 2 frames per block: sample chunks of 2 and 1, one step each
         (torus((16, 16)), 4, 2 * 256),
         (waveguide(32, 8, trunc_length=4.0), 4, 2 * 256),
+        # the periodic axis is the fuller one, so it is transformed first
+        (waveguide(64, 8, trunc_length=1.0), 2, None),
+        (waveguide(64, 8, trunc_length=1.0), 2, 2 * 512),
+        # 3-D: a tie of three axes, and two periodic axes before the free one
+        (torus((8, 8, 8)), 2, None),
+        (torus((8, 8, 8)), 2, 2 * 512),
+        (waveguide(16, (8, 8), trunc_length=2.0), 2, None),
+        (waveguide(16, (8, 8), trunc_length=2.0), 2, 2 * 1024),
+        # every row but the Nyquist one: the band wraps around it
+        (torus((16, 8)), 8, 2 * 3 * 128),
     ], ids=["torus-1d", "torus-2d", "waveguide", "torus-1d-time-blocks",
-            "torus-2d-sample-chunks", "waveguide-sample-chunks"])
+            "torus-2d-sample-chunks", "waveguide-sample-chunks",
+            "waveguide-periodic-first", "waveguide-periodic-first-chunks",
+            "torus-3d", "torus-3d-chunks", "waveguide-3d",
+            "waveguide-3d-chunks", "torus-2d-full-band-time-blocks"])
     def test_frames_match_slow_twin(self, geom, N, budget, monkeypatch):
         # slow twin: scatter each row into the centered lattice, transform
         # back, propagate; pointwise agreement sees the box-origin sign
@@ -265,6 +278,16 @@ class TestBandFlow:
                 slow = propagate(inverse_transform(SpectrumField(coef, geom)),
                                  t, theta)
                 assert np.max(np.abs(u - slow.values)) < 1e-12
+
+    @pytest.mark.parametrize("geom, N, passes", [
+        (waveguide(32, 8, trunc_length=4.0), 4, [0, 1]),
+        (waveguide(64, 8, trunc_length=1.0), 2, [1, 0]),
+        (torus((8, 8, 8)), 2, [0, 1, 2]),
+        (waveguide(16, (8, 8), trunc_length=2.0), 2, [1, 2, 0]),
+    ], ids=["waveguide-free-first", "waveguide-periodic-first", "torus-3d",
+            "waveguide-3d"])
+    def test_fullest_axis_transformed_first(self, geom, N, passes):
+        assert BandFlow(geom, N, 2.5)._passes == passes
 
     @pytest.mark.parametrize("geom", [torus(64), torus((16, 16)),
                                       waveguide(32, 8, trunc_length=4.0)],

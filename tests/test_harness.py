@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -210,8 +211,17 @@ class TestFlowRatios:
         (torus((16, 16)), 4, 2 * 256),
         # 1 frame per block
         (waveguide(32, 16, trunc_length=4.0), 4, 512),
+        # the periodic axis transformed first, then the free one
+        (waveguide(64, 8, trunc_length=1.0), 2, None),
+        (waveguide(64, 8, trunc_length=1.0), 2, 512),
+        # 3-D: two periodic passes before the free one
+        (waveguide(16, (8, 8), trunc_length=2.0), 2, None),
+        (waveguide(16, (8, 8), trunc_length=2.0), 2, 1024),
+        (torus((8, 8, 8)), 2, 2 * 512),
     ], ids=["torus-1d", "torus-2d", "waveguide", "torus-1d-time-blocks",
-            "torus-2d-sample-chunks", "waveguide-sample-chunks"])
+            "torus-2d-sample-chunks", "waveguide-sample-chunks",
+            "waveguide-periodic-first", "waveguide-periodic-first-chunks",
+            "waveguide-3d", "waveguide-3d-chunks", "torus-3d-chunks"])
     @pytest.mark.parametrize("p, q", [(8, 8), (4, 4), (6, 2), (math.inf, 4),
                                       (4, math.inf)])
     def test_matches_materialized_film(self, geom, N, budget, p, q,
@@ -236,6 +246,20 @@ class TestFlowRatios:
                 times, geom)
             assert ratio == pytest.approx(mixed_norm(film, p, q)
                                           / f.norm_l2(), rel=1e-12)
+
+    def test_memory_below_one_batch(self):
+        # the stream holds a few block buffers, never a second copy of
+        # the coefficient batch (6.7 MiB here), whatever the batch size
+        geom, N = waveguide(128, 32, trunc_length=4.0), 8
+        dim = int((_band_multiplier(geom, N) == 1.0).sum())
+        rows = np.random.default_rng(3).standard_normal((400, dim)) + 0j
+        tracemalloc.start()
+        try:
+            _flow_ratios(geom, N, rows, 2.5, 9, 4.0, 4.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < rows.nbytes
 
 
 class TestDrivers:
@@ -452,6 +476,11 @@ class TestCli:
         pytest.param("ons-sweep",
                      {"family_kinds": [["fourier-modes", 1], ["nope", 1]]},
                      "params.family_kinds", id="ons-unknown-family-kind"),
+        pytest.param("vdc-oracle", {"theta": 1.0}, "params.theta",
+                     id="vdc-theta-below-2"),
+        pytest.param("vdc-oracle", {"b": 1}, "params.b", id="vdc-b-one"),
+        pytest.param("vdc-oracle", {"t": [10.0, 0.0]}, "params.t",
+                     id="vdc-t-zero"),
     ])
     def test_bad_params_exit_2_no_artifacts(self, tmp_path, capsys, kind,
                                             params, field):
