@@ -203,6 +203,10 @@ def _apply_schema(obj: dict, schema: dict[str, _Opt], path: str) -> dict:
                 raise ConfigError(
                     f"{path}.{key}: expected {opt.typ}, got {val!r}",
                     field=f"{path}.{key}")
+            if opt.typ.startswith("list") and not val:
+                # an empty sweep list would run zero cells and pass
+                raise ConfigError(f"{path}.{key}: must not be empty",
+                                  field=f"{path}.{key}")
             names = [v[0] for v in val] if opt.typ == "list-pair" else [val]
             if opt.choices and any(v not in opt.choices for v in names):
                 raise ConfigError(

@@ -34,7 +34,7 @@ from .norms import (classify_pair, fit_scaling, frames_norm, lq_norm,
                     predict_sigma)
 from .ons import (OnsConfig, _prediction_setting, band_dimension,
                   ons_estimate_ratio)
-from .schatten import DiscreteOperator, duality_check, sobolev_schatten_norm
+from .schatten import duality_check, factored_sobolev_schatten_norm
 from .seeding import derive_cell_seed, derive_cell_seeds
 
 __all__ = ["run", "RunResult", "derive_cell_seed", "derive_cell_seeds"]
@@ -482,8 +482,9 @@ def _drv_fixed_point(echo):
         st = _ons_density_state(geom, p["members"], p["band"], p["theta"],
                                 p["weights"], seed)
         alpha_prime, s = _fixed_point_exponents(p["p"], p["q"])
-        norm0 = sobolev_schatten_norm(
-            DiscreteOperator(st.to_matrix()), alpha_prime, s, geom)
+        norm0 = factored_sobolev_schatten_norm(
+            st.members * math.sqrt(geom.cell_volume), st.weights,
+            alpha_prime, s, geom)
         st = DensityState(st.members, st.weights * (p["target_norm"] / norm0),
                           geom, p["theta"])
         result = fixed_point_iterate(st, potential, p["T"], p["iterations"],
@@ -510,7 +511,9 @@ def _drv_fixed_point(echo):
                              for it in result.iterates],
                 "contractive": result.contractive,
                 "converged": result.converged,
-                "cross_check_error": worst, "passed": ok}
+                "cross_check_error": worst, "passed": ok,
+                "truncation_mass": float(
+                    np.max(result.final.path.truncation_mass))}
 
     def finalize(rows):
         # expand the single run into one row per iteration
@@ -527,6 +530,7 @@ def _drv_fixed_point(echo):
                          "converged": base["converged"],
                          "cross_check_error": base["cross_check_error"],
                          "passed": base["passed"],
+                         "truncation_mass": base["truncation_mass"],
                          "wall_time_ms": base.get("wall_time_ms"),
                          "cell_index": k - 1,
                          "experiment_id": base.get("experiment_id")})
@@ -631,7 +635,8 @@ def run(config, out_dir: str, seed: int | None = None,
         "numeric_failures": numeric_failures,
         "cells": [{"cell_index": r["cell_index"],
                    "passed": bool(r.get("passed")),
-                   **({"note": r["note"]} if "note" in r else {})}
+                   **{k: r[k] for k in ("note", "truncation_mass")
+                      if k in r}}
                   for r in rows],
     }
     with open(os.path.join(out_dir, "manifest.json"), "w",

@@ -44,7 +44,7 @@ from .geometry import (
     frequency_lattice,
 )
 from .norms import lq_norm, mixed_norm
-from .schatten import DiscreteOperator, sobolev_schatten_norm
+from .schatten import factored_sobolev_schatten_norm
 
 __all__ = [
     "DensityState",
@@ -317,10 +317,6 @@ class OperatorPath:
     theta: float
     truncation_mass: np.ndarray   # trace-norm mass discarded per node
 
-    def matrix(self, i: int) -> np.ndarray:
-        V = self.members[i]
-        return (V.T * self.weights[i]) @ V.conj()
-
     def density(self, i: int) -> np.ndarray:
         rho = np.sum(self.weights[i][:, None] * np.abs(self.members[i]) ** 2,
                      axis=0) / self.geometry.cell_volume
@@ -340,10 +336,10 @@ def duhamel_map(path: OperatorPath, rho: SpaceTimeField,
                 rank: int) -> tuple[OperatorPath, SpaceTimeField]:
     """One application of the integral-equation map.
 
-    The commutator integrand is rotated to the interaction picture, so a
-    single cumulative trapezoid and one flow conjugation per node produce
-    every Phi_1(t_i).  Output operators are re-truncated to ``rank``
-    eigendirections and the discarded trace-norm mass recorded.
+    The commutator integrand, formed from the factors of the path, is
+    rotated to the interaction picture, where one cumulative trapezoid
+    and the re-truncation to ``rank`` eigendirections run (conjugation
+    keeps eigenvalues); only the kept eigenvectors are flowed back.
     """
     geom = gamma0.geometry
     theta = gamma0.theta
@@ -358,6 +354,7 @@ def duhamel_map(path: OperatorPath, rho: SpaceTimeField,
     nt = len(times)
     h = times[1] - times[0]
     potential = _potential(w, geom)
+    rows = (-1,) + geom.grid_sizes
 
     gamma0_mat = gamma0.to_matrix()
     integ = np.zeros_like(gamma0_mat)
@@ -365,16 +362,20 @@ def duhamel_map(path: OperatorPath, rho: SpaceTimeField,
     new_weights, new_members, new_mass = [], [], []
     for i in range(nt):
         pot = potential(rho.values[i].real).real.ravel()
-        g_i = path.matrix(i)
-        comm = pot[:, None] * g_i - g_i * pot[None, :]
+        V = path.members[i]
         t = float(times[i] - times[0])
-        # U(t) X U(-t) with U(t) = exp(-i t phi(D))
-        w_i = _kinetic(geom, theta, -t).sandwich(comm)
+        # U(-t) [pot, g_i] U(t), U(t) = exp(-i t phi(D)), from the factors
+        # of g_i = V^T diag(lam) conj(V): rows A = U(-t) pot V, B = U(-t) V
+        A, B = _kinetic(geom, theta, -t)(
+            np.concatenate([pot * V, V]).reshape(rows)).reshape(2, -1, n)
+        AB = (A.T * path.weights[i]) @ B.conj()
+        w_i = AB - AB.conj().T
         if prev_w is not None:
             integ = integ + 0.5 * h * (prev_w + w_i)
         prev_w = w_i
-        phi_mat = _kinetic(geom, theta, t).sandwich(gamma0_mat - 1j * integ)
-        vals, vecs, dropped = _truncate_hermitian(phi_mat, rank)
+        vals, vecs, dropped = _truncate_hermitian(gamma0_mat - 1j * integ,
+                                                  rank)
+        vecs = _kinetic(geom, theta, t)(vecs.reshape(rows)).reshape(-1, n)
         new_weights.append(vals)
         new_members.append(vecs)
         new_mass.append(dropped)
@@ -432,8 +433,10 @@ def _xt_distance(pa: OperatorPath, ra: SpaceTimeField, pb: OperatorPath,
     geom = pa.geometry
     best = 0.0
     for i in range(len(pa.times)):
-        diff = DiscreteOperator(pa.matrix(i) - pb.matrix(i))
-        best = max(best, sobolev_schatten_norm(diff, alpha_prime, s, geom))
+        best = max(best, factored_sobolev_schatten_norm(
+            np.concatenate([pa.members[i], pb.members[i]]),
+            np.concatenate([pa.weights[i], -pb.weights[i]]),
+            alpha_prime, s, geom))
     drho = SpaceTimeField(ra.values - rb.values, ra.times, geom)
     return best + mixed_norm(drho, p, q)
 
@@ -466,7 +469,8 @@ def fixed_point_iterate(gamma0: DensityState, w: PotentialSpec, T: float,
     alpha_prime, s_default = _fixed_point_exponents(p, q)
     s = s_default if s is None else s
     if rank is None:
-        rank = 4 * gamma0.size
+        # 4M, but at most n: a rank-n cap keeps every eigendirection
+        rank = min(4 * gamma0.size, gamma0.members[0].size)
 
     path, rho = free_path(gamma0, T, time_pts)
     iterates: list[DuhamelIterate] = []

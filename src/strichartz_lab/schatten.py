@@ -38,6 +38,7 @@ __all__ = [
     "singular_values",
     "schatten_norm",
     "sobolev_schatten_norm",
+    "factored_sobolev_schatten_norm",
     "spatial_kernel_operator",
     "build_extension_matrix",
     "duality_check",
@@ -110,6 +111,21 @@ def sobolev_schatten_norm(A: DiscreteOperator, alpha: float, s: float,
         return schatten_norm(A, alpha)
     return schatten_norm(
         DiscreteOperator(_bessel(geometry, s).sandwich(A.matrix)), alpha)
+
+
+def factored_sobolev_schatten_norm(members, weights, alpha: float, s: float,
+                                   geometry: GeometrySpec) -> float:
+    """``sobolev_schatten_norm`` of sum_k w_k |v_k><v_k| from its factors:
+    rows v_k over the grid (cell volume folded in, as in
+    ``DensityState.to_matrix``), real weights of either sign.  With F the
+    rows after <D>^s and F^T = QR the operator is Q (R diag(w) R^*) Q^*,
+    so its singular values are the absolute eigenvalues of that core."""
+    F = _bessel(geometry, s)(np.reshape(members, (-1,) + geometry.grid_sizes))
+    if len(weights) != len(F):
+        raise InvalidInputError("one weight per member required")
+    R = np.linalg.qr(F.reshape(len(F), -1).T, mode="r")
+    return float(lq_norm(np.linalg.eigvalsh((R * weights) @ R.conj().T),
+                         alpha))
 
 
 # ---------------------------------------------------------------------------

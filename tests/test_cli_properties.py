@@ -11,7 +11,7 @@ import warnings
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from strichartz_lab.cli import main as cli_main  # noqa: E402
 
@@ -94,3 +94,27 @@ def test_strichartz_fit_cli_contract(grid, family, N, time_pts, samples, p, q,
 def test_vdc_oracle_cli_contract(theta, b, t, p):
     run_contract({"experiment": "vdc-oracle",
                   "params": {"theta": theta, "b": b, "t": t, "p": p}})
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(grid=st.sampled_from([[8], [16], [4, 4]]),
+       members=st.integers(1, 4) | st.integers(1, 4) | st.integers(0, 6),
+       band=st.integers(1, 3) | st.integers(1, 3) | st.integers(0, 4),
+       time_pts=st.integers(2, 8) | st.integers(2, 8) | st.integers(0, 8),
+       iterations=st.integers(2, 4) | st.integers(2, 4) | st.integers(0, 4),
+       q=st.none() | st.none() | st.floats(0.5, 6.0))
+# 4M = 12 eigendirections on an 8-point grid
+@example(grid=[8], members=3, band=2, time_pts=4, iterations=2, q=None)
+def test_fixed_point_cli_contract(grid, members, band, time_pts, iterations,
+                                  q):
+    # q = None draws the density-line exponent at p = 4 (q = 2 in 1-D,
+    # 4/3 in 2-D), so that some examples run end to end; one
+    # nonincreasing weight per member
+    run_contract({"experiment": "fixed-point",
+                  "geometry": {"kind": "torus", "grid_sizes": grid},
+                  "params": {"members": members, "band": band,
+                             "weights": [0.4 / (j + 1)
+                                         for j in range(members)],
+                             "time_pts": time_pts, "iterations": iterations,
+                             "p": 4.0,
+                             "q": q or (2.0 if len(grid) == 1 else 4 / 3)}})

@@ -112,13 +112,13 @@ class TestConfigValidation:
 
 
 class TestRun:
-    def test_empty_grid_is_valid(self, tmp_path):
+    def test_empty_grid_is_rejected(self, tmp_path):
+        # zero cells would pass vacuously
         cfg = {"experiment": "kernel-sweep", "params": {"theta": [], "N": []}}
-        res = run(cfg, str(tmp_path / "out"))
-        assert res.exit_code == 0
-        assert res.rows == []
-        csv = read(tmp_path / "out" / "results.csv")
-        assert csv.count("\n") == 1  # header only
+        with pytest.raises(ConfigError) as exc:
+            run(cfg, str(tmp_path / "out"))
+        assert exc.value.field == "params.theta"
+        assert not (tmp_path / "out").exists()
 
     def test_kernel_sweep_artifacts(self, tmp_path):
         res = run(SMALL_KERNEL, str(tmp_path / "out"))
@@ -325,6 +325,20 @@ class TestDrivers:
         # one row per iteration
         assert all("residual" in r for r in res.rows)
 
+    def test_fixed_point_truncation_mass_in_manifest(self, tmp_path):
+        cfg = {"experiment": "fixed-point", "seed": 9,
+               "params": {"members": 2, "band": 2, "weights": [0.6, 0.4],
+                          "T": 0.05, "iterations": 3, "time_pts": 6}}
+        res = run(cfg, str(tmp_path / "out"))
+        manifest = json.loads(read(tmp_path / "out" / "manifest.json"))
+        masses = [c["truncation_mass"] for c in manifest["cells"]]
+        assert len(masses) == len(res.rows) and len(set(masses)) == 1
+        assert math.isfinite(masses[0]) and masses[0] >= 0
+        # a diagnostic of the manifest only: the table and the fits, which
+        # references compare key by key, do not carry it
+        assert "truncation_mass" not in read(tmp_path / "out" / "results.csv")
+        assert "truncation_mass" not in res.summary["fits"]
+
     def test_duality_on_dispersive_window(self, tmp_path):
         # the operator-side check also runs on the shrinking window
         half = 0.5 * 2.0 ** (1.0 - 3.0)
@@ -481,6 +495,12 @@ class TestCli:
         pytest.param("vdc-oracle", {"b": 1}, "params.b", id="vdc-b-one"),
         pytest.param("vdc-oracle", {"t": [10.0, 0.0]}, "params.t",
                      id="vdc-t-zero"),
+        pytest.param("kernel-sweep", {"N": []}, "params.N",
+                     id="kernel-N-empty"),
+        pytest.param("strichartz-fit", {"N": []}, "params.N",
+                     id="fit-N-empty"),
+        pytest.param("ons-sweep", {"N": []}, "params.N", id="ons-N-empty"),
+        pytest.param("vdc-oracle", {"t": []}, "params.t", id="vdc-t-empty"),
     ])
     def test_bad_params_exit_2_no_artifacts(self, tmp_path, capsys, kind,
                                             params, field):

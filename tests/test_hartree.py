@@ -222,21 +222,33 @@ class TestEvolve:
             evolve(st, 0.05, 0.2, YUKAWA)
 
 
+def path_matrix(path, i):
+    """The dense matrix V^T diag(lam) conj(V) of node i of an operator path."""
+    V = path.members[i]
+    return (V.T * path.weights[i]) @ V.conj()
+
+
 def dense_duhamel_oracle(path, rho, gamma0, w):
-    """Independent dense-matrix route: explicit propagator matrices, plain
-    trapezoid, no interaction picture, no truncation."""
+    """Independent dense-matrix route: explicit propagator matrices (the
+    Kronecker product of the per-axis DFT matrices), plain trapezoid, no
+    interaction picture, no truncation, no factors."""
     geom = gamma0.geometry
-    n = geom.grid_sizes[0]
-    x = geom.axis_coordinates(0)
-    freqs = geom.axis_frequencies(0)
-    F = np.exp(-2j * np.pi * np.outer(freqs, x)) * geom.cell_volume
-    Finv = np.exp(2j * np.pi * np.outer(x, freqs))
-    phi = np.abs(freqs) ** gamma0.theta
+    n = int(np.prod(geom.grid_sizes))
+    F = Finv = np.ones((1, 1))
+    for ax in range(geom.dim):
+        x = geom.axis_coordinates(ax)
+        freqs = geom.axis_frequencies(ax)
+        F = np.kron(F, np.exp(-2j * np.pi * np.outer(freqs, x)))
+        Finv = np.kron(Finv, np.exp(2j * np.pi * np.outer(x, freqs)))
+    F = F * geom.cell_volume
+    mesh = np.meshgrid(*[geom.axis_frequencies(ax) for ax in range(geom.dim)],
+                       indexing="ij")
+    phi = (sum(m ** 2 for m in mesh) ** (gamma0.theta / 2)).ravel()
 
     def U(t):
         return Finv @ np.diag(np.exp(-1j * t * phi)) @ F
 
-    wmult = w.multiplier(geom)
+    wmult = w.multiplier(geom).ravel()
     times = path.times
     h = times[1] - times[0]
     g0 = gamma0.to_matrix()
@@ -244,9 +256,9 @@ def dense_duhamel_oracle(path, rho, gamma0, w):
     for i, t in enumerate(times):
         acc = np.zeros((n, n), dtype=complex)
         for j in range(i + 1):
-            rho_hat = F @ rho.values[j].real
+            rho_hat = F @ rho.values[j].real.ravel()
             pot = (Finv @ (wmult * rho_hat)).real
-            g_j = path.matrix(j)
+            g_j = path_matrix(path, j)
             comm = np.diag(pot) @ g_j - g_j @ np.diag(pot)
             wgt = h * (0.5 if j in (0, i) else 1.0) if i > 0 else 0.0
             prop = U(t - times[j])
@@ -255,44 +267,70 @@ def dense_duhamel_oracle(path, rho, gamma0, w):
     return out
 
 
+def two_member_state(geom, weights, seed):
+    # band 4 in 1-D; band 2 (25 modes) fits the 8x8 grid
+    return ons_state(geom, 2, 4 if geom.dim == 1 else 2, 2.0, weights,
+                     seed=seed)
+
+
+def check_zero_potential_fixed_point(geom, seed):
+    st = two_member_state(geom, [0.6, 0.4], seed)
+    path, rho = free_path(st, 0.05, 6)
+    new_path, new_rho = duhamel_map(path, rho, st, ZERO, rank=8)
+    for i in range(6):
+        assert np.max(np.abs(path_matrix(new_path, i)
+                             - path_matrix(path, i))) < 1e-12
+    assert np.max(np.abs(new_rho.values - rho.values)) < 1e-12
+
+
+def check_zero_path_free_conjugation(geom, seed):
+    from strichartz_lab.hartree import OperatorPath
+    from strichartz_lab.geometry import SpaceTimeField
+    n = int(np.prod(geom.grid_sizes))
+    st = two_member_state(geom, [0.6, 0.4], seed)
+    times = np.linspace(0.0, 0.05, 6)
+    zero_path = OperatorPath(
+        times, [np.zeros(1) for _ in times],
+        [np.zeros((1, n), dtype=complex) for _ in times], geom, 2.0,
+        np.zeros(6))
+    any_rho = SpaceTimeField(np.abs(np.random.default_rng(0).standard_normal(
+        (6,) + geom.grid_sizes)), times, geom)
+    new_path, _ = duhamel_map(zero_path, any_rho, st, YUKAWA, rank=8)
+    free, _ = free_path(st, 0.05, 6)
+    for i in range(6):
+        assert np.max(np.abs(path_matrix(new_path, i)
+                             - path_matrix(free, i))) < 1e-12
+
+
+def check_dense_matrix_oracle(geom, seed):
+    st = two_member_state(geom, [0.06, 0.04], seed)
+    path, rho = free_path(st, 0.05, 9)
+    new_path, new_rho = duhamel_map(path, rho, st, YUKAWA, rank=8)
+    oracle = dense_duhamel_oracle(path, rho, st, YUKAWA)
+    for i in range(9):
+        assert np.max(np.abs(path_matrix(new_path, i) - oracle[i])) < 1e-8
+    # truncation at rank 4M barely bites at this coupling
+    assert np.max(new_path.truncation_mass) < 1e-8
+
+
 class TestDuhamel:
     def test_zero_potential_fixed_point_immediately(self):
-        geom = torus(32)
-        st = ons_state(geom, 2, 4, 2.0, [0.6, 0.4], seed=11)
-        path, rho = free_path(st, 0.05, 6)
-        new_path, new_rho = duhamel_map(path, rho, st, ZERO, rank=8)
-        for i in range(6):
-            assert np.max(np.abs(new_path.matrix(i) - path.matrix(i))) < 1e-12
-        assert np.max(np.abs(new_rho.values - rho.values)) < 1e-12
+        check_zero_potential_fixed_point(torus(32), 11)
 
     def test_zero_gamma_path_gives_free_conjugation(self):
-        from strichartz_lab.hartree import OperatorPath
-        from strichartz_lab.geometry import SpaceTimeField
-        geom = torus(32)
-        st = ons_state(geom, 2, 4, 2.0, [0.6, 0.4], seed=12)
-        times = np.linspace(0.0, 0.05, 6)
-        zero_path = OperatorPath(
-            times, [np.zeros(1) for _ in times],
-            [np.zeros((1, 32), dtype=complex) for _ in times], geom, 2.0,
-            np.zeros(6))
-        any_rho = SpaceTimeField(np.abs(np.random.default_rng(0)
-                                        .standard_normal((6, 32))),
-                                 times, geom)
-        new_path, _ = duhamel_map(zero_path, any_rho, st, YUKAWA, rank=8)
-        free, _ = free_path(st, 0.05, 6)
-        for i in range(6):
-            assert np.max(np.abs(new_path.matrix(i) - free.matrix(i))) < 1e-12
+        check_zero_path_free_conjugation(torus(32), 12)
 
     def test_against_dense_matrix_oracle(self):
-        geom = torus(32)
-        st = ons_state(geom, 2, 4, 2.0, [0.06, 0.04], seed=13)
-        path, rho = free_path(st, 0.05, 9)
-        new_path, new_rho = duhamel_map(path, rho, st, YUKAWA, rank=8)
-        oracle = dense_duhamel_oracle(path, rho, st, YUKAWA)
-        for i in range(9):
-            assert np.max(np.abs(new_path.matrix(i) - oracle[i])) < 1e-8
-        # truncation at rank 4M barely bites at this coupling
-        assert np.max(new_path.truncation_mass) < 1e-8
+        check_dense_matrix_oracle(torus(32), 13)
+
+    def test_zero_potential_fixed_point_immediately_2d(self):
+        check_zero_potential_fixed_point(torus((8, 8)), 11)
+
+    def test_zero_gamma_path_gives_free_conjugation_2d(self):
+        check_zero_path_free_conjugation(torus((8, 8)), 12)
+
+    def test_against_dense_matrix_oracle_2d(self):
+        check_dense_matrix_oracle(torus((8, 8)), 13)
 
     def test_rank_cap_guard(self):
         geom = torus(32)
@@ -300,6 +338,15 @@ class TestDuhamel:
         path, rho = free_path(st, 0.05, 4)
         with pytest.raises(CapacityError):
             duhamel_map(path, rho, st, YUKAWA, rank=64)
+
+    def test_default_rank_capped_at_grid(self):
+        # 4M = 12 directions exceed the 8 grid points: keep all of them
+        geom = torus(8)
+        st = ons_state(geom, 3, 2, 2.0, [0.03, 0.02, 0.01], seed=19)
+        result = fixed_point_iterate(st, YUKAWA, 0.05, 3, 4.0, 2.0,
+                                     time_pts=6)
+        assert len(result.final.path.weights[-1]) == 8
+        assert np.max(result.final.path.truncation_mass) == 0.0
 
 
 class TestFixedPoint:

@@ -14,6 +14,7 @@ from strichartz_lab.schatten import (
     DiscreteOperator,
     build_extension_matrix,
     duality_check,
+    factored_sobolev_schatten_norm,
     schatten_norm,
     singular_values,
     sobolev_schatten_norm,
@@ -131,6 +132,53 @@ class TestSobolevSchatten:
         expected = schatten_norm(DiscreteOperator(Ms @ A.matrix @ Ms), 2)
         got = sobolev_schatten_norm(A, 2, 1.0, geom)
         assert got == pytest.approx(expected, rel=1e-10)
+
+
+class TestFactoredSobolevSchatten:
+    """The factored norm against the dense route on the same operator."""
+
+    @staticmethod
+    def agree(geom, members, weights):
+        n = int(np.prod(geom.grid_sizes))
+        flat = members.reshape(-1, n)
+        dense = DiscreteOperator((flat.T * weights) @ flat.conj())
+        for alpha in (1, 4.0 / 3.0, 2, INF):
+            for s in (0.0, 0.3):
+                want = sobolev_schatten_norm(dense, alpha, s, geom)
+                got = factored_sobolev_schatten_norm(members, weights, alpha,
+                                                     s, geom)
+                assert got == pytest.approx(want, rel=1e-12), (alpha, s)
+
+    @pytest.mark.parametrize("geom", [torus(32), torus((8, 8))],
+                             ids=["torus32", "torus8x8"])
+    def test_unequal_ranks_signed_and_zero_weights(self, geom):
+        # a stacked difference of a rank-5 and a rank-3 operator, as the
+        # fixed-point distance forms it, with one zero-weight member
+        n = int(np.prod(geom.grid_sizes))
+        a = random_matrix((5, n), 30) / n
+        b = random_matrix((3, n), 31) / n
+        weights = np.concatenate([[0.5, 0.3, 0.0, 0.2, 0.1],
+                                  -np.array([0.7, 0.2, 0.05])])
+        self.agree(geom, np.concatenate([a, b]), weights)
+
+    def test_stacked_rank_above_grid(self):
+        geom = torus(16)
+        members = random_matrix((32, 16), 32) / 16
+        weights = np.random.default_rng(33).standard_normal(32)
+        self.agree(geom, members, weights)
+
+    def test_grid_shaped_rows_and_guards(self):
+        geom = torus((4, 4))
+        members = random_matrix((2, 4, 4), 34)
+        want = factored_sobolev_schatten_norm(members.reshape(2, 16),
+                                              [1.0, -1.0], 2, 0.3, geom)
+        assert factored_sobolev_schatten_norm(members, [1.0, -1.0], 2, 0.3,
+                                              geom) == want
+        with pytest.raises(InvalidInputError):
+            factored_sobolev_schatten_norm(members, [1.0], 2, 0.3, geom)
+        with pytest.raises(InvalidInputError):
+            factored_sobolev_schatten_norm(members, [1.0, 1.0], 0.5, 0.3,
+                                           geom)
 
 
 class TestExtensionMatrix:
