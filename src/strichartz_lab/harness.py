@@ -34,10 +34,14 @@ from .norms import (classify_pair, fit_scaling, frames_norm, lq_norm,
                     predict_sigma)
 from .ons import (OnsConfig, _prediction_setting, band_dimension,
                   ons_estimate_ratio)
-from .schatten import duality_check, factored_sobolev_schatten_norm
+from .schatten import (MATRIX_CAP, duality_check,
+                       factored_sobolev_schatten_norm)
 from .seeding import derive_cell_seed, derive_cell_seeds
 
 __all__ = ["run", "RunResult", "derive_cell_seed", "derive_cell_seeds"]
+
+# longest split-step run a hartree-run cell may request
+_MAX_STEPS = 10 ** 6
 
 
 @dataclass
@@ -309,6 +313,11 @@ def _drv_ons_sweep(echo):
     cells = [{"alpha_prime": a, "N": n}
              for a in p["alpha_prime"] for n in p["N"]]
     _check_min(p, "time_pts", 2)
+    _check_min(p, "N", 1)
+    _check_min(p, "alpha_prime", 1)
+    _check_min(p, "theta", 0, strict=True)
+    _check_min(p, "p", 1)
+    _check_min(p, "q", 1)
 
     def run_cell(cell, seed):
         cfg = OnsConfig(
@@ -366,6 +375,18 @@ def _drv_duality_check(echo):
               "passed", "wall_time_ms"]
     cells = [{"alpha": a} for a in p["alpha"]]
     _check_min(p, "time_pts", 2)
+    _check_min(p, "N", 1)
+    _check_min(p, "alpha", 1)
+    if not 0 < p["theta"] < math.inf:
+        _reject("params.theta", f"need finite theta > 0, got {p['theta']:g}")
+    t = p["interval"]
+    if not (len(t) == 2 and -math.inf < t[0] < t[1] < math.inf):
+        _reject("params.interval", f"need finite [t0, t1] with t0 < t1, "
+                                   f"got {t}")
+    rows = p["time_pts"] * math.prod(geom.grid_sizes)
+    if rows * rows > MATRIX_CAP:
+        _reject("params.time_pts", f"space-time Gram {rows} x {rows} "
+                                   f"exceeds cap {MATRIX_CAP}")
 
     def run_cell(cell, seed):
         t0, t1 = p["interval"]
@@ -400,10 +421,11 @@ def _drv_hartree_run(echo):
     _check_min(p, "theta", 0, strict=True)
     _check_min(p, "T", 0, strict=True)
     for dt in p["dt"]:
-        # evolve takes round(T / dt) steps and needs at least one
-        if not (dt > 0 and p["T"] / dt > 0.5):
-            _reject("params.dt", f"need 0 < dt < 2T = {2 * p['T']:g}, "
-                                 f"got {dt:g}")
+        # evolve takes round(T / dt) steps, at least one and at most
+        # _MAX_STEPS (it records (steps + 1) x members diagnostics)
+        if not (dt > 0 and 0.5 < p["T"] / dt <= _MAX_STEPS):
+            _reject("params.dt", f"need T / {_MAX_STEPS:g} <= dt < 2T = "
+                                 f"{2 * p['T']:g}, got {dt:g}")
     _check_min(p, "q_report", 1)
     potential = build_potential(p["potential"])
     w_besov = potential.besov_norm(geom)

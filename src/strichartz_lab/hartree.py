@@ -108,12 +108,6 @@ class DensityState:
         return np.tensordot(self.weights, np.abs(self.members) ** 2,
                             axes=(0, 0))
 
-    def to_matrix(self) -> np.ndarray:
-        """gamma as a matrix on grid samples (cell volume folded in)."""
-        flat = self.members.reshape(self.size, -1)
-        return (flat.T * self.weights) @ flat.conj() \
-            * self.geometry.cell_volume
-
 
 @dataclass(frozen=True)
 class PotentialSpec:
@@ -323,12 +317,18 @@ class OperatorPath:
         return rho.reshape(self.geometry.grid_sizes)
 
 
-def _truncate_hermitian(mat: np.ndarray, rank: int):
-    herm = 0.5 * (mat + mat.conj().T)
-    vals, vecs = np.linalg.eigh(herm)
+# core eigenvalues at most this times the largest are eigh roundoff
+_RECOMPRESS_RTOL = 4 * np.finfo(float).eps
+
+
+def _truncate_hermitian(core: np.ndarray, rank: int, rtol: float = math.inf):
+    """Eigenpairs of a Hermitian core: the ``rank`` of largest |eigenvalue|
+    and any other above ``rtol`` times the largest; and the dropped mass."""
+    vals, vecs = np.linalg.eigh(core)
     order = np.argsort(-np.abs(vals))
-    keep, drop = order[:rank], order[rank:]
-    return vals[keep], vecs[:, keep].T, float(np.sum(np.abs(vals[drop])))
+    vals, vecs = vals[order], vecs[:, order]
+    keep = max(rank, int(np.sum(np.abs(vals) > rtol * np.abs(vals[0]))))
+    return vals[:keep], vecs[:, :keep], float(np.sum(np.abs(vals[keep:])))
 
 
 def duhamel_map(path: OperatorPath, rho: SpaceTimeField,
@@ -336,10 +336,11 @@ def duhamel_map(path: OperatorPath, rho: SpaceTimeField,
                 rank: int) -> tuple[OperatorPath, SpaceTimeField]:
     """One application of the integral-equation map.
 
-    The commutator integrand, formed from the factors of the path, is
-    rotated to the interaction picture, where one cumulative trapezoid
-    and the re-truncation to ``rank`` eigendirections run (conjugation
-    keeps eigenvalues); only the kept eigenvectors are flowed back.
+    In the interaction picture gamma0 - i int_0^t is held as Q core Q*.
+    Each node folds its commutator integrand (from the path's factors)
+    into Q by one QR, keeps the ``rank`` eigendirections of the core
+    (only those are flowed back) and carries the core on without its
+    roundoff directions; ``truncation_mass`` counts both cuts.
     """
     geom = gamma0.geometry
     theta = gamma0.theta
@@ -356,9 +357,9 @@ def duhamel_map(path: OperatorPath, rho: SpaceTimeField,
     potential = _potential(w, geom)
     rows = (-1,) + geom.grid_sizes
 
-    gamma0_mat = gamma0.to_matrix()
-    integ = np.zeros_like(gamma0_mat)
-    prev_w = None
+    # Q core Q* = gamma0; the first fold makes Q orthonormal
+    Q = gamma0.members.reshape(-1, n).T * math.sqrt(geom.cell_volume)
+    core = np.diag(gamma0.weights)
     new_weights, new_members, new_mass = [], [], []
     for i in range(nt):
         pot = potential(rho.values[i].real).real.ravel()
@@ -366,18 +367,25 @@ def duhamel_map(path: OperatorPath, rho: SpaceTimeField,
         t = float(times[i] - times[0])
         # U(-t) [pot, g_i] U(t), U(t) = exp(-i t phi(D)), from the factors
         # of g_i = V^T diag(lam) conj(V): rows A = U(-t) pot V, B = U(-t) V
-        A, B = _kinetic(geom, theta, -t)(
-            np.concatenate([pot * V, V]).reshape(rows)).reshape(2, -1, n)
-        AB = (A.T * path.weights[i]) @ B.conj()
-        w_i = AB - AB.conj().T
-        if prev_w is not None:
-            integ = integ + 0.5 * h * (prev_w + w_i)
-        prev_w = w_i
-        vals, vecs, dropped = _truncate_hermitian(gamma0_mat - 1j * integ,
-                                                  rank)
-        vecs = _kinetic(geom, theta, t)(vecs.reshape(rows)).reshape(-1, n)
+        AB = _kinetic(geom, theta, -t)(
+            np.concatenate([pot * V, V]).reshape(rows)).reshape(-1, n)
+        # [Q A^T B^T] = Q' [R1 Y]: A^T diag(lam) conj(B) - h.c. is
+        # Q' (S - S*) Q'*, and the basis never exceeds the grid
+        Q, R = np.linalg.qr(np.concatenate([Q, AB.T], axis=1))
+        R1, Y = R[:, :len(core)], R[:, len(core):]
+        core = R1 @ core @ R1.conj().T
+        S = (Y[:, :len(V)] * path.weights[i]) @ Y[:, len(V):].conj().T
+        half = (-0.5j * h) * (S - S.conj().T)
+        core = core + half if i > 0 else core
+        vals, vecs, dropped = _truncate_hermitian(core, rank)
         new_weights.append(vals)
-        new_members.append(vecs)
+        new_members.append(_kinetic(geom, theta, t)(
+            (Q @ vecs).T.reshape(rows)).reshape(-1, n))
+        if i + 1 < nt:
+            vals, vecs, mass = _truncate_hermitian(core + half, rank,
+                                                   _RECOMPRESS_RTOL)
+            Q, core = Q @ vecs, np.diag(vals)
+            dropped += mass
         new_mass.append(dropped)
     out_path = OperatorPath(times, new_weights, new_members, geom, theta,
                             np.array(new_mass))

@@ -116,8 +116,8 @@ def sobolev_schatten_norm(A: DiscreteOperator, alpha: float, s: float,
 def factored_sobolev_schatten_norm(members, weights, alpha: float, s: float,
                                    geometry: GeometrySpec) -> float:
     """``sobolev_schatten_norm`` of sum_k w_k |v_k><v_k| from its factors:
-    rows v_k over the grid (cell volume folded in, as in
-    ``DensityState.to_matrix``), real weights of either sign.  With F the
+    rows v_k over the grid (cell volume folded in, as in the members of
+    an ``OperatorPath``), real weights of either sign.  With F the
     rows after <D>^s and F^T = QR the operator is Q (R diag(w) R^*) Q^*,
     so its singular values are the absolute eigenvalues of that core."""
     F = _bessel(geometry, s)(np.reshape(members, (-1,) + geometry.grid_sizes))

@@ -253,7 +253,9 @@ class TestCriterion9FixedPointContraction:
         alpha_prime = 2 * q / (q + 1)
         s = 0.5 / p + 0.05
         st = _ons_density_state(geom, 4, 4, 2.0, [0.4, 0.3, 0.2, 0.1], seed=1)
-        norm0 = sobolev_schatten_norm(DiscreteOperator(st.to_matrix()),
+        flat = st.members.reshape(st.size, -1)
+        gamma = (flat.T * st.weights) @ flat.conj() * geom.cell_volume
+        norm0 = sobolev_schatten_norm(DiscreteOperator(gamma),
                                       alpha_prime, s, geom)
         st = DensityState(st.members, st.weights * (0.1 / norm0), geom, 2.0)
         result = fixed_point_iterate(st, YUKAWA, 0.05, 6, p, q, s=s,

@@ -118,3 +118,71 @@ def test_fixed_point_cli_contract(grid, members, band, time_pts, iterations,
                              "time_pts": time_pts, "iterations": iterations,
                              "p": 4.0,
                              "q": q or (2.0 if len(grid) == 1 else 4 / 3)}})
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(grid=st.sampled_from([16, 32]),
+       N=st.lists(st.integers(1, 4) | st.integers(-1, 8),
+                  min_size=1, max_size=3),
+       alpha_prime=st.lists(st.floats(1.0, 2.0) | st.floats(0.5, 3.0),
+                            min_size=1, max_size=2),
+       theta=st.floats(2.0, 4.0) | st.floats(-1.0, 4.0),
+       p=exponent,
+       q=exponent,
+       time_pts=st.integers(2, 6) | st.integers(0, 6),
+       family=st.sampled_from(["fourier-modes", "random-band"]),
+       count=st.integers(1, 2) | st.integers(0, 2))
+def test_ons_sweep_cli_contract(grid, N, alpha_prime, theta, p, q, time_pts,
+                                family, count):
+    run_contract({"experiment": "ons-sweep",
+                  "geometry": {"kind": "torus", "grid_sizes": [grid]},
+                  "params": {"N": N, "alpha_prime": alpha_prime,
+                             "theta": theta, "p": p, "q": q,
+                             "time_pts": time_pts,
+                             "family_kinds": [[family, count]]}})
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(grid=st.sampled_from([[8], [16], [4, 4]]),
+       N=st.integers(1, 3) | st.integers(-1, 10),
+       alpha=st.lists(st.floats(1.0, 6.0) | st.floats(0.5, 6.0)
+                      | st.just(math.inf), min_size=1, max_size=2),
+       theta=st.floats(1.0, 4.0) | st.floats(-1.0, 4.0) | st.just(math.inf),
+       # 5000 times overflow the space-time Gram cap on every grid
+       time_pts=st.integers(2, 6) | st.integers(0, 6) | st.just(5000),
+       interval=st.tuples(st.floats(-1.0, 0.0), st.floats(0.5, 1.0)).map(list)
+       | st.lists(st.floats(-1.0, 1.0) | st.just(math.inf), min_size=1,
+                  max_size=3),
+       weight=st.sampled_from(["unit", "random"]),
+       samples=st.integers(1, 5) | st.integers(0, 5))
+def test_duality_check_cli_contract(grid, N, alpha, theta, time_pts,
+                                    interval, weight, samples):
+    run_contract({"experiment": "duality-check",
+                  "geometry": {"kind": "torus", "grid_sizes": grid},
+                  "params": {"N": N, "alpha": alpha, "theta": theta,
+                             "time_pts": time_pts, "interval": interval,
+                             "weight": weight, "samples": samples}})
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(grid=st.sampled_from([[8], [16], [4, 4]]),
+       members=st.integers(1, 3) | st.integers(0, 5),
+       band=st.integers(1, 2) | st.integers(0, 4),
+       theta=st.lists(st.floats(1.0, 4.0) | st.floats(-1.0, 4.0),
+                      min_size=1, max_size=2),
+       T=st.floats(0.01, 0.05) | st.floats(-0.05, 0.05),
+       dt=st.lists(st.floats(0.005, 0.02) | st.floats(-0.01, 0.2),
+                   min_size=1, max_size=2),
+       q_report=exponent,
+       kind=st.sampled_from(["yukawa", "gaussian", "cosine", "zero"]))
+def test_hartree_run_cli_contract(grid, members, band, theta, T, dt,
+                                  q_report, kind):
+    # one nonincreasing weight per member
+    run_contract({"experiment": "hartree-run",
+                  "geometry": {"kind": "torus", "grid_sizes": grid},
+                  "params": {"members": members, "band": band,
+                             "weights": [0.4 / (j + 1)
+                                         for j in range(members)],
+                             "theta": theta, "T": T, "dt": dt,
+                             "q_report": q_report,
+                             "potential": {"kind": kind}}})

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -325,6 +326,17 @@ class TestDrivers:
         # one row per iteration
         assert all("residual" in r for r in res.rows)
 
+    def test_fixed_point_contraction_32x32(self, tmp_path):
+        # the shipped config on a 32x32 torus, q = 4/3 on the 2-D density
+        # line at p = 4: operators on 1024 grid points
+        echo = load_config(os.path.join(os.path.dirname(__file__), "..",
+                                        "configs",
+                                        "fixed_point_contraction.json"))
+        echo["geometry"]["grid_sizes"] = [32, 32]
+        echo["params"]["q"] = 4.0 / 3.0
+        res = run(validate_config(echo), str(tmp_path / "out"))
+        assert res.exit_code == 0
+
     def test_fixed_point_truncation_mass_in_manifest(self, tmp_path):
         cfg = {"experiment": "fixed-point", "seed": 9,
                "params": {"members": 2, "band": 2, "weights": [0.6, 0.4],
@@ -462,10 +474,40 @@ class TestCli:
                      id="ons-one-time"),
         pytest.param("duality-check", {"time_pts": 1}, "params.time_pts",
                      id="duality-one-time"),
+        pytest.param("duality-check", {"time_pts": 300}, "params.time_pts",
+                     id="duality-gram-above-cap"),
+        pytest.param("duality-check", {"N": 0}, "params.N",
+                     id="duality-N-zero"),
+        pytest.param("duality-check", {"N": -2}, "params.N",
+                     id="duality-N-negative"),
+        pytest.param("duality-check", {"alpha": [0.5]}, "params.alpha",
+                     id="duality-alpha-below-1"),
+        pytest.param("duality-check", {"theta": 0}, "params.theta",
+                     id="duality-theta-zero"),
+        pytest.param("duality-check", {"theta": -1.0}, "params.theta",
+                     id="duality-theta-negative"),
+        pytest.param("duality-check", {"interval": [1.0, 1.0]},
+                     "params.interval", id="duality-interval-empty"),
+        pytest.param("duality-check", {"interval": [1.0, 0.0]},
+                     "params.interval", id="duality-interval-reversed"),
+        pytest.param("duality-check", {"interval": [0.0, 0.5, 1.0]},
+                     "params.interval", id="duality-interval-three-ends"),
+        pytest.param("ons-sweep", {"N": [0, 1, 2]}, "params.N",
+                     id="ons-N-zero"),
+        pytest.param("ons-sweep", {"alpha_prime": [0.5]},
+                     "params.alpha_prime", id="ons-alpha-prime-below-1"),
+        pytest.param("ons-sweep", {"theta": 0}, "params.theta",
+                     id="ons-theta-zero"),
+        pytest.param("ons-sweep", {"p": 0.5}, "params.p",
+                     id="ons-p-below-1"),
+        pytest.param("ons-sweep", {"q": 0.5}, "params.q",
+                     id="ons-q-below-1"),
         pytest.param("hartree-run", {"theta": [-1.0]}, "params.theta",
                      id="hartree-theta-negative"),
         pytest.param("hartree-run", {"T": 0.01, "dt": [0.05]}, "params.dt",
                      id="hartree-dt-above-2T"),
+        pytest.param("hartree-run", {"T": 1.0, "dt": [1e-300]}, "params.dt",
+                     id="hartree-steps-above-cap"),
         pytest.param("hartree-run", {"T": 0}, "params.T",
                      id="hartree-T-zero"),
         pytest.param("hartree-run", {"q_report": 0.5}, "params.q_report",

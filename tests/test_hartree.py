@@ -11,7 +11,10 @@ from strichartz_lab.geometry import (
 )
 from strichartz_lab.hartree import (
     DensityState,
+    OperatorPath,
     PotentialSpec,
+    _kinetic,
+    _potential,
     convolve_potential,
     duhamel_map,
     evolve,
@@ -228,6 +231,49 @@ def path_matrix(path, i):
     return (V.T * path.weights[i]) @ V.conj()
 
 
+def state_matrix(state):
+    """gamma of a density state as a matrix on grid samples (cell volume
+    folded in)."""
+    flat = state.members.reshape(state.size, -1)
+    return (flat.T * state.weights) @ flat.conj() * state.geometry.cell_volume
+
+
+def dense_truncation_duhamel(path, rho, gamma0, w, rank):
+    """The dense route of the factored map: the same integrand and
+    trapezoid, accumulated as an n x n matrix, truncated by an n x n eigh
+    to the ``rank`` eigendirections of largest |eigenvalue|."""
+    geom = gamma0.geometry
+    n = int(np.prod(geom.grid_sizes))
+    rows = (-1,) + geom.grid_sizes
+    times = path.times
+    h = times[1] - times[0]
+    potential = _potential(w, geom)
+    g0 = state_matrix(gamma0)
+    integ = np.zeros_like(g0)
+    prev = None
+    weights, members, mass = [], [], []
+    for i in range(len(times)):
+        pot = potential(rho.values[i].real).real.ravel()
+        V = path.members[i]
+        t = float(times[i] - times[0])
+        A, B = _kinetic(geom, gamma0.theta, -t)(
+            np.concatenate([pot * V, V]).reshape(rows)).reshape(2, -1, n)
+        AB = (A.T * path.weights[i]) @ B.conj()
+        w_i = AB - AB.conj().T
+        if prev is not None:
+            integ = integ + 0.5 * h * (prev + w_i)
+        prev = w_i
+        mat = g0 - 1j * integ
+        vals, vecs = np.linalg.eigh(0.5 * (mat + mat.conj().T))
+        order = np.argsort(-np.abs(vals))
+        weights.append(vals[order[:rank]])
+        members.append(_kinetic(geom, gamma0.theta, t)(
+            vecs[:, order[:rank]].T.reshape(rows)).reshape(-1, n))
+        mass.append(float(np.sum(np.abs(vals[order[rank:]]))))
+    return OperatorPath(times, weights, members, geom, gamma0.theta,
+                        np.array(mass))
+
+
 def dense_duhamel_oracle(path, rho, gamma0, w):
     """Independent dense-matrix route: explicit propagator matrices (the
     Kronecker product of the per-axis DFT matrices), plain trapezoid, no
@@ -251,7 +297,7 @@ def dense_duhamel_oracle(path, rho, gamma0, w):
     wmult = w.multiplier(geom).ravel()
     times = path.times
     h = times[1] - times[0]
-    g0 = gamma0.to_matrix()
+    g0 = state_matrix(gamma0)
     out = []
     for i, t in enumerate(times):
         acc = np.zeros((n, n), dtype=complex)
@@ -284,7 +330,6 @@ def check_zero_potential_fixed_point(geom, seed):
 
 
 def check_zero_path_free_conjugation(geom, seed):
-    from strichartz_lab.hartree import OperatorPath
     from strichartz_lab.geometry import SpaceTimeField
     n = int(np.prod(geom.grid_sizes))
     st = two_member_state(geom, [0.6, 0.4], seed)
@@ -313,6 +358,26 @@ def check_dense_matrix_oracle(geom, seed):
     assert np.max(new_path.truncation_mass) < 1e-8
 
 
+def check_dense_truncation(geom, members, weights, rank):
+    # the free path and the first iterate, at a coupling where the
+    # integral is far above roundoff
+    st = ons_state(geom, members, 4 if geom.dim == 1 else 2, 2.0, weights,
+                   seed=13)
+    path, rho = free_path(st, 0.5, 9)
+    masses = []
+    for _ in range(2):
+        new_path, new_rho = duhamel_map(path, rho, st, YUKAWA, rank)
+        dense = dense_truncation_duhamel(path, rho, st, YUKAWA, rank)
+        for i in range(9):
+            assert np.max(np.abs(path_matrix(new_path, i)
+                                 - path_matrix(dense, i))) < 1e-12
+        assert np.max(np.abs(new_path.truncation_mass
+                             - dense.truncation_mass)) < 1e-12
+        masses.append(np.max(dense.truncation_mass))
+        path, rho = new_path, new_rho
+    return masses
+
+
 class TestDuhamel:
     def test_zero_potential_fixed_point_immediately(self):
         check_zero_potential_fixed_point(torus(32), 11)
@@ -331,6 +396,58 @@ class TestDuhamel:
 
     def test_against_dense_matrix_oracle_2d(self):
         check_dense_matrix_oracle(torus((8, 8)), 13)
+
+    @pytest.mark.parametrize("geom", [torus(32), torus((8, 8))],
+                             ids=["1d", "2d"])
+    def test_against_dense_truncation(self, geom):
+        # the default rank cap 4M barely bites
+        masses = check_dense_truncation(geom, 4, [0.4, 0.3, 0.2, 0.1], 16)
+        assert max(masses) < 1e-5
+
+    @pytest.mark.parametrize("geom", [torus(32), torus((8, 8))],
+                             ids=["1d", "2d"])
+    def test_against_dense_truncation_rank_cap_bites(self, geom):
+        # rank 3 against 4 members drops the fourth (weight 0.1) and more
+        masses = check_dense_truncation(geom, 4, [0.4, 0.3, 0.2, 0.1], 3)
+        assert min(masses) > 0.05
+
+    def test_basis_never_exceeds_grid(self, monkeypatch):
+        # on an 8-point grid the folded columns [Q X] outgrow the grid
+        geom = torus(8)
+        n = 8
+        st = ons_state(geom, 3, 2, 2.0, [0.3, 0.2, 0.1], seed=19)
+        path, rho = free_path(st, 0.5, 6)
+        widths = []
+        qr = np.linalg.qr
+
+        def recording_qr(a, *args, **kwargs):
+            out = qr(a, *args, **kwargs)
+            widths.append((a.shape[1], out[0].shape[1]))
+            return out
+
+        monkeypatch.setattr(np.linalg, "qr", recording_qr)
+        for _ in range(2):
+            path, rho = duhamel_map(path, rho, st, YUKAWA, rank=n)
+        assert max(cols for cols, _ in widths) > n
+        assert max(basis for _, basis in widths) <= n
+        assert all(len(lam) <= n for lam in path.weights)
+
+    def test_no_grid_sized_eigh(self, monkeypatch):
+        # 2-D: every eigh acts on the small core, never on an n x n matrix
+        geom = torus((8, 8))
+        st = two_member_state(geom, [0.6, 0.4], 13)
+        path, rho = free_path(st, 0.5, 9)
+        sizes = []
+        eigh = np.linalg.eigh
+
+        def recording_eigh(a, *args, **kwargs):
+            sizes.append(a.shape[0])
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+        for _ in range(2):
+            path, rho = duhamel_map(path, rho, st, YUKAWA, rank=8)
+        assert sizes and max(sizes) < 64
 
     def test_rank_cap_guard(self):
         geom = torus(32)
