@@ -116,12 +116,15 @@ def _reject(field, message):
     raise ConfigError(f"{field}: {message}", field=field)
 
 
-def _check_min(p, key, low, strict=False):
+def _check_min(p, key, low, strict=False, finite=False):
     """Preflight: parameter ``key`` (a number, or each entry of a list) is
-    at least ``low``, or above it when ``strict``; NaN fails either way."""
+    at least ``low``, or above it when ``strict``, and below infinity when
+    ``finite``; NaN fails either way."""
     for v in np.atleast_1d(p[key]):
-        if not (v > low if strict else v >= low):
-            _reject(f"params.{key}", f"need {key} {'>' if strict else '>='} "
+        if not ((v > low if strict else v >= low)
+                and (v < math.inf or not finite)):
+            _reject(f"params.{key}", f"need {'finite ' if finite else ''}"
+                                     f"{key} {'>' if strict else '>='} "
                                      f"{low:g}, got {v:g}")
 
 
@@ -244,7 +247,7 @@ def _drv_strichartz_fit(echo):
     # preflight: inputs the flow, the norm reduction or the fit would reject
     _check_min(p, "p", 1)
     _check_min(p, "q", 1)
-    _check_min(p, "theta", 0, strict=True)
+    _check_min(p, "theta", 0, strict=True, finite=True)
     _check_min(p, "time_pts", 2)
     _check_min(p, "N", 1)
     if p["family"] == "random":
@@ -315,7 +318,7 @@ def _drv_ons_sweep(echo):
     _check_min(p, "time_pts", 2)
     _check_min(p, "N", 1)
     _check_min(p, "alpha_prime", 1)
-    _check_min(p, "theta", 0, strict=True)
+    _check_min(p, "theta", 0, strict=True, finite=True)
     _check_min(p, "p", 1)
     _check_min(p, "q", 1)
 
@@ -377,8 +380,8 @@ def _drv_duality_check(echo):
     _check_min(p, "time_pts", 2)
     _check_min(p, "N", 1)
     _check_min(p, "alpha", 1)
-    if not 0 < p["theta"] < math.inf:
-        _reject("params.theta", f"need finite theta > 0, got {p['theta']:g}")
+    _check_min(p, "samples", 1)
+    _check_min(p, "theta", 0, strict=True, finite=True)
     t = p["interval"]
     if not (len(t) == 2 and -math.inf < t[0] < t[1] < math.inf):
         _reject("params.interval", f"need finite [t0, t1] with t0 < t1, "
@@ -418,8 +421,8 @@ def _drv_hartree_run(echo):
     p = echo["params"]
     geom = geometry_from_echo(echo)
     _check_family(p, geom)
-    _check_min(p, "theta", 0, strict=True)
-    _check_min(p, "T", 0, strict=True)
+    _check_min(p, "theta", 0, strict=True, finite=True)
+    _check_min(p, "T", 0, strict=True, finite=True)
     for dt in p["dt"]:
         # evolve takes round(T / dt) steps, at least one and at most
         # _MAX_STEPS (it records (steps + 1) x members diagnostics)
@@ -484,7 +487,7 @@ def _drv_fixed_point(echo):
     if not any(p["weights"]):
         _reject("params.weights", "some weight must be positive")
     for key in ("target_norm", "theta", "T", "cross_check_dt"):
-        _check_min(p, key, 0, strict=True)
+        _check_min(p, key, 0, strict=True, finite=True)
     _check_min(p, "iterations", 2)
     _check_min(p, "time_pts", 2)
     _check_min(p, "p", 1)

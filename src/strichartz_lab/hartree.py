@@ -35,6 +35,7 @@ import numpy as np
 
 from .errors import CapacityError, InvalidInputError, NumericFailureError
 from .geometry import (
+    _BLOCK_ELEMENTS,
     Field,
     GeometrySpec,
     GridMultiplier,
@@ -94,11 +95,6 @@ class DensityState:
     @property
     def size(self) -> int:
         return self.members.shape[0]
-
-    def member_mass(self) -> np.ndarray:
-        axes = tuple(range(1, self.members.ndim))
-        return np.sum(np.abs(self.members) ** 2, axis=axes) \
-            * self.geometry.cell_volume
 
     def gram(self) -> np.ndarray:
         flat = self.members.reshape(self.size, -1)
@@ -177,11 +173,6 @@ def convolve_potential(w: PotentialSpec, rho: Field) -> Field:
 
 
 @lru_cache(maxsize=64)
-def _dispersion(geometry: GeometrySpec, theta: float) -> GridMultiplier:
-    return GridMultiplier(geometry, fractional_symbol(geometry, theta))
-
-
-@lru_cache(maxsize=64)
 def _kinetic(geometry: GeometrySpec, theta: float, dt: float) -> GridMultiplier:
     """exp(-i dt phi(D)): the package flow at the rescaled time -dt/(2 pi)."""
     return GridMultiplier(geometry, flow_phase(
@@ -192,6 +183,25 @@ def free_flight(state: DensityState, t: float) -> DensityState:
     """Uncoupled evolution: coefficients times exp(-i t phi(xi))."""
     out = _kinetic(state.geometry, state.theta, t)(state.members)
     return DensityState(out, state.weights, state.geometry, state.theta)
+
+
+def _fft(a: np.ndarray, d: int, inverse: bool = False) -> np.ndarray:
+    """fftn (ifftn) over the last d axes; numpy's 1-D call where d = 1
+    skips the per-call axis handling that dominates a small grid."""
+    f = (np.fft.ifftn, np.fft.ifft) if inverse else (np.fft.fftn, np.fft.fft)
+    return f[1](a) if d == 1 else f[0](a, axes=tuple(range(-d, 0)))
+
+
+def _strang(c: np.ndarray, weights: np.ndarray, half: np.ndarray,
+            what: np.ndarray, dt: float) -> np.ndarray:
+    """One Strang step on Fourier coefficients c (M, *grid), with the
+    unshifted multipliers ``half`` = exp(-i dt/2 phi) and ``what`` = w-hat:
+    half kinetic, full potential phase, half kinetic in four FFTs."""
+    d = what.ndim
+    v = _fft(half * c, d, inverse=True)
+    rho = (weights @ (np.abs(v) ** 2).reshape(len(v), -1)).reshape(what.shape)
+    pot = _fft(what * _fft(rho, d), d, inverse=True).real
+    return half * _fft(v * np.exp(-1j * dt * pot), d)
 
 
 def split_step(state: DensityState, dt: float, w: PotentialSpec) -> DensityState:
@@ -205,26 +215,32 @@ def split_step(state: DensityState, dt: float, w: PotentialSpec) -> DensityState
     if dt == 0.0:
         return state
     geom = state.geometry
-    half = _kinetic(geom, state.theta, 0.5 * dt)
-    u = half(state.members)
-    rho = np.tensordot(state.weights, np.abs(u) ** 2, axes=(0, 0))
-    pot = _potential(w, geom)(rho).real
-    u = half(u * np.exp(-1j * dt * pot)[None])
-    return DensityState(u, state.weights, geom, state.theta)
+    c = _strang(_fft(state.members, geom.dim), state.weights,
+                _kinetic(geom, state.theta, 0.5 * dt).m,
+                _potential(w, geom).m, dt)
+    return DensityState(_fft(c, geom.dim, inverse=True), state.weights, geom,
+                        state.theta)
+
+
+def _energies(c: np.ndarray, state: DensityState, w: PotentialSpec):
+    """Energies (k,) and densities (k, *grid) of k states given by their
+    coefficients c (k, M, *grid) and the weights of ``state``; both terms
+    by Parseval."""
+    geom = state.geometry
+    axes = tuple(range(-geom.dim, 0))
+    phi = np.fft.ifftshift(fractional_symbol(geom, state.theta))
+    kinetic = np.sum(phi * np.abs(c) ** 2, axis=axes) @ state.weights
+    rho = np.tensordot(np.abs(_fft(c, geom.dim, inverse=True)) ** 2,
+                       state.weights, axes=(1, 0))
+    potential = 0.5 * np.sum(_potential(w, geom).m
+                             * np.abs(_fft(rho, geom.dim)) ** 2, axis=axes)
+    return (kinetic + potential) * (geom.cell_volume / rho[0].size), rho
 
 
 def hartree_energy(state: DensityState, w: PotentialSpec) -> float:
     """E = sum_j lambda_j <u_j, phi(D) u_j> + (1/2) int (w * rho) rho."""
-    geom = state.geometry
-    u = state.members
-    phi_u = _dispersion(geom, state.theta)(u)
-    axes = tuple(range(1, u.ndim))
-    kinetic = float(state.weights @ np.sum(u.conj() * phi_u, axis=axes).real
-                    * geom.cell_volume)
-    rho = state.density()
-    potential = 0.5 * float(np.sum(_potential(w, geom)(rho).real * rho)
-                            * geom.cell_volume)
-    return kinetic + potential
+    c = _fft(state.members[None], state.geometry.dim)
+    return float(_energies(c, state, w)[0][0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -254,41 +270,58 @@ class TrajectoryRecord:
 
 def evolve(state: DensityState, T: float, dt: float, w: PotentialSpec,
            q_report: float = 2.0) -> TrajectoryRecord:
-    """Split-step trajectory with diagnostics recorded at every step."""
+    """Split-step trajectory with diagnostics recorded at every step.
+
+    The state is held as Fourier coefficients; the diagnostics are
+    computed per block of at most ``_BLOCK_ELEMENTS`` stored entries.
+    """
     if not (T > 0 and dt > 0):
         raise InvalidInputError("need positive horizon and step")
     steps = int(round(T / dt))
     if steps < 1 or abs(steps * dt - T) > dt:
         raise InvalidInputError("dt must divide T within one step rounding")
-    geom = state.geometry
-    M = state.size
+    geom, M, d = state.geometry, state.size, state.geometry.dim
+    n = math.prod(geom.grid_sizes)
+    half = _kinetic(geom, state.theta, 0.5 * dt).m
+    what = _potential(w, geom).m
     times = dt * np.arange(steps + 1)
     mass = np.empty((steps + 1, M))
-    gram_dev = np.empty(steps + 1)
-    energy = np.empty(steps + 1)
-    rho_norm = np.empty(steps + 1)
+    gram_dev, energy, rho_norm = np.empty((3, steps + 1))
     gram0 = state.gram()
+    k = max(1, _BLOCK_ELEMENTS // state.members.size)
+    block = np.empty((k,) + state.members.shape, np.complex128)
 
-    def record(i, st):
-        mass[i] = st.member_mass()
-        gram_dev[i] = float(np.linalg.norm(st.gram() - gram0, ord=2))
-        energy[i] = hartree_energy(st, w)
-        rho_norm[i] = float(lq_norm(st.density(), q_report, geom.cell_volume))
+    def flush(stop):
+        # diagnostics of the steps of the open block, up to stop - 1
+        at = slice(stop - 1 - (stop - 1) % k, stop)
+        c = block[:at.stop - at.start].reshape(-1, M, n)
+        gram = c.conj() @ c.transpose(0, 2, 1) * (geom.cell_volume / n)
+        mass[at] = gram.diagonal(axis1=1, axis2=2).real
+        gram_dev[at] = np.linalg.norm(gram - gram0, ord=2, axis=(1, 2))
+        energy[at], rho = _energies(block[:len(c)], state, w)
+        rho_norm[at] = lq_norm(rho, q_report, geom.cell_volume,
+                               axis=tuple(range(1, d + 1)))
 
-    record(0, state)
-    current = state
-    for i in range(1, steps + 1):
-        previous = current
-        current = split_step(current, dt, w)
-        if not np.all(np.isfinite(current.members)):
-            partial = TrajectoryRecord(times[:i], mass[:i], gram_dev[:i],
-                                       energy[:i], rho_norm[:i], q_report,
-                                       previous)
-            raise NumericFailureError(
-                f"non-finite state at step {i}", best=partial)
-        record(i, current)
-    return TrajectoryRecord(times, mass, gram_dev, energy, rho_norm,
-                            q_report, current)
+    block[0] = c = _fft(state.members, d)
+    stop = steps + 1                  # one past the last finite step
+    for i in range(1, stop):
+        after = _strang(c, state.weights, half, what, dt)
+        if not np.isfinite(after).all():
+            stop = i
+            break
+        if i % k == 0:
+            flush(i)
+        block[i % k] = c = after
+    flush(stop)
+    record = TrajectoryRecord(
+        times[:stop], mass[:stop], gram_dev[:stop], energy[:stop],
+        rho_norm[:stop], q_report,
+        DensityState(_fft(c, d, inverse=True), state.weights, geom,
+                     state.theta))
+    if stop <= steps:
+        raise NumericFailureError(f"non-finite state at step {stop}",
+                                  best=record)
+    return record
 
 
 # ---------------------------------------------------------------------------

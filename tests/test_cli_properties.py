@@ -126,7 +126,7 @@ def test_fixed_point_cli_contract(grid, members, band, time_pts, iterations,
                   min_size=1, max_size=3),
        alpha_prime=st.lists(st.floats(1.0, 2.0) | st.floats(0.5, 3.0),
                             min_size=1, max_size=2),
-       theta=st.floats(2.0, 4.0) | st.floats(-1.0, 4.0),
+       theta=st.floats(2.0, 4.0) | st.floats(-1.0, 4.0) | st.just(math.inf),
        p=exponent,
        q=exponent,
        time_pts=st.integers(2, 6) | st.integers(0, 6),
@@ -168,9 +168,9 @@ def test_duality_check_cli_contract(grid, N, alpha, theta, time_pts,
 @given(grid=st.sampled_from([[8], [16], [4, 4]]),
        members=st.integers(1, 3) | st.integers(0, 5),
        band=st.integers(1, 2) | st.integers(0, 4),
-       theta=st.lists(st.floats(1.0, 4.0) | st.floats(-1.0, 4.0),
-                      min_size=1, max_size=2),
-       T=st.floats(0.01, 0.05) | st.floats(-0.05, 0.05),
+       theta=st.lists(st.floats(1.0, 4.0) | st.floats(-1.0, 4.0)
+                      | st.just(math.inf), min_size=1, max_size=2),
+       T=st.floats(0.01, 0.05) | st.floats(-0.05, 0.05) | st.just(math.inf),
        dt=st.lists(st.floats(0.005, 0.02) | st.floats(-0.01, 0.2),
                    min_size=1, max_size=2),
        q_report=exponent,

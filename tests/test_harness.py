@@ -468,6 +468,8 @@ class TestCli:
                      id="fit-N-zero"),
         pytest.param("strichartz-fit", {"theta": 0}, "params.theta",
                      id="fit-theta-zero"),
+        pytest.param("strichartz-fit", {"theta": math.inf}, "params.theta",
+                     id="fit-theta-infinite"),
         pytest.param("strichartz-fit", {"p": 0.5, "q": 0.5}, "params.p",
                      id="fit-exponent-below-1"),
         pytest.param("ons-sweep", {"time_pts": 1}, "params.time_pts",
@@ -486,6 +488,10 @@ class TestCli:
                      id="duality-theta-zero"),
         pytest.param("duality-check", {"theta": -1.0}, "params.theta",
                      id="duality-theta-negative"),
+        pytest.param("duality-check", {"samples": 0}, "params.samples",
+                     id="duality-no-samples"),
+        pytest.param("duality-check", {"samples": -3}, "params.samples",
+                     id="duality-samples-negative"),
         pytest.param("duality-check", {"interval": [1.0, 1.0]},
                      "params.interval", id="duality-interval-empty"),
         pytest.param("duality-check", {"interval": [1.0, 0.0]},
@@ -498,18 +504,24 @@ class TestCli:
                      "params.alpha_prime", id="ons-alpha-prime-below-1"),
         pytest.param("ons-sweep", {"theta": 0}, "params.theta",
                      id="ons-theta-zero"),
+        pytest.param("ons-sweep", {"theta": math.inf}, "params.theta",
+                     id="ons-theta-infinite"),
         pytest.param("ons-sweep", {"p": 0.5}, "params.p",
                      id="ons-p-below-1"),
         pytest.param("ons-sweep", {"q": 0.5}, "params.q",
                      id="ons-q-below-1"),
         pytest.param("hartree-run", {"theta": [-1.0]}, "params.theta",
                      id="hartree-theta-negative"),
+        pytest.param("hartree-run", {"theta": [2.0, math.inf]},
+                     "params.theta", id="hartree-theta-infinite"),
         pytest.param("hartree-run", {"T": 0.01, "dt": [0.05]}, "params.dt",
                      id="hartree-dt-above-2T"),
         pytest.param("hartree-run", {"T": 1.0, "dt": [1e-300]}, "params.dt",
                      id="hartree-steps-above-cap"),
         pytest.param("hartree-run", {"T": 0}, "params.T",
                      id="hartree-T-zero"),
+        pytest.param("hartree-run", {"T": math.inf}, "params.T",
+                     id="hartree-T-infinite"),
         pytest.param("hartree-run", {"q_report": 0.5}, "params.q_report",
                      id="hartree-q_report-below-1"),
         pytest.param("fixed-point", {"q": 3.0}, "params.q",
@@ -522,6 +534,10 @@ class TestCli:
                      id="fixed-point-theta-zero"),
         pytest.param("fixed-point", {"T": 0}, "params.T",
                      id="fixed-point-T-zero"),
+        pytest.param("fixed-point", {"T": math.inf}, "params.T",
+                     id="fixed-point-T-infinite"),
+        pytest.param("fixed-point", {"theta": math.inf}, "params.theta",
+                     id="fixed-point-theta-infinite"),
         pytest.param("fixed-point", {"cross_check_dt": 0},
                      "params.cross_check_dt",
                      id="fixed-point-cross-check-dt-zero"),

@@ -1,10 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from strichartz_lab.errors import CapacityError, InvalidInputError
+from strichartz_lab import hartree
+from strichartz_lab.errors import (CapacityError, InvalidInputError,
+                                   NumericFailureError)
 from strichartz_lab.geometry import (
     Field,
+    GridMultiplier,
     SpectrumField,
+    fractional_symbol,
     inverse_transform,
     propagate,
     torus,
@@ -24,6 +30,7 @@ from strichartz_lab.hartree import (
     hartree_energy,
     split_step,
 )
+from strichartz_lab.norms import lq_norm
 from strichartz_lab.ons import generate_ons
 
 
@@ -139,7 +146,7 @@ class TestSplitStep:
         cur = st
         for _ in range(100):
             cur = split_step(cur, 1e-2, YUKAWA)
-        assert np.max(np.abs(cur.member_mass() - st.member_mass())) < 1e-12
+        assert np.max(np.abs(np.diag(cur.gram() - st.gram()))) < 1e-12
         assert np.linalg.norm(cur.gram() - st.gram(), ord=2) < 1e-10
 
 
@@ -180,7 +187,129 @@ class TestEnergy:
         assert hartree_energy(st, YUKAWA) == pytest.approx(expected, rel=1e-10)
 
 
+def stepwise_evolve(state, T, dt, w, q_report=2.0):
+    """Slow twin of ``evolve``: the member block in physical space, one
+    Strang step of six FFTs at a time and every diagnostic recomputed per
+    step.  Returns (times, mass, gram deviation, energy, rho norm, final
+    members)."""
+    geom, vol = state.geometry, state.geometry.cell_volume
+    axes = tuple(range(1, geom.dim + 1))
+    half = _kinetic(geom, state.theta, 0.5 * dt)
+    potential = _potential(w, geom)
+    phi = GridMultiplier(geom, fractional_symbol(geom, state.theta))
+    steps = int(round(T / dt))
+    gram0 = state.gram()
+    u = state.members
+    rows = []
+    for i in range(steps + 1):
+        if i:
+            u = half(u)
+            rho = np.tensordot(state.weights, np.abs(u) ** 2, axes=(0, 0))
+            u = half(u * np.exp(-1j * dt * potential(rho).real)[None])
+        flat = u.reshape(len(u), -1)
+        rho = np.tensordot(state.weights, np.abs(u) ** 2, axes=(0, 0))
+        kinetic = state.weights @ np.sum(u.conj() * phi(u), axis=axes).real
+        rows.append((np.sum(np.abs(u) ** 2, axis=axes) * vol,
+                     np.linalg.norm(flat.conj() @ flat.T * vol - gram0, ord=2),
+                     (kinetic + 0.5 * np.sum(potential(rho).real * rho)) * vol,
+                     lq_norm(rho, q_report, vol)))
+    mass, gram, energy, rho_norm = (np.array(c) for c in zip(*rows))
+    return dt * np.arange(steps + 1), mass, gram, energy, rho_norm, u
+
+
 class TestEvolve:
+    @pytest.mark.parametrize("geom, M, N, q, block, T", [
+        # the natural block: 512 steps of 4 x 32 (1300 steps in all) and
+        # 341 steps of 3 x 8 x 8 (750 steps); the last block is partial
+        (torus(32), 4, 4, 2.0, None, 1.3),
+        (torus((8, 8)), 3, 2, 3.0, None, 0.75),
+        # blocks of 7 steps
+        (torus((8, 8)), 3, 2, 4.0, 7, 0.04),
+    ], ids=["1d", "2d", "2d-blocks-of-7"])
+    def test_against_stepwise_twin(self, monkeypatch, geom, M, N, q, block,
+                                   T):
+        n = int(np.prod(geom.grid_sizes))
+        if block is not None:
+            monkeypatch.setattr(hartree, "_BLOCK_ELEMENTS", block * M * n)
+        st = ons_state(geom, M, N, 2.0, [0.4, 0.3, 0.2, 0.1][:M], seed=14)
+        w = PotentialSpec("yukawa", a=0.5)
+        rec = evolve(st, T, 1e-3, w, q_report=q)
+        times, mass, gram, energy, rho_norm, final = stepwise_evolve(
+            st, T, 1e-3, w, q)
+        assert np.array_equal(rec.times, times)
+        assert np.max(np.abs(rec.member_mass - mass)) < 1e-12
+        assert np.max(np.abs(rec.gram_deviation - gram)) < 1e-12
+        assert np.max(np.abs(rec.energy - energy)) < 1e-12
+        assert np.max(np.abs(rec.rho_norm - rho_norm)) < 1e-12
+        assert np.max(np.abs(rec.final_state.members - final)) < 1e-12
+
+    @pytest.mark.parametrize("geom", [torus(32), torus((8, 8))],
+                             ids=["1d", "2d"])
+    def test_zero_potential_is_free_flight(self, monkeypatch, geom):
+        monkeypatch.setattr(hartree, "_BLOCK_ELEMENTS",
+                            5 * 3 * int(np.prod(geom.grid_sizes)))
+        st = ons_state(geom, 3, 2, 2.5, [0.5, 0.3, 0.2], seed=15)
+        rec = evolve(st, 0.23, 1e-2, ZERO)
+        for t, e in zip(rec.times, rec.energy):
+            assert e == pytest.approx(hartree_energy(free_flight(st, t), ZERO),
+                                      rel=1e-12)
+        assert np.max(np.abs(rec.final_state.members
+                             - free_flight(st, 0.23).members)) < 1e-12
+
+    def test_non_finite_potential_fails_at_first_step(self, monkeypatch):
+        geom = torus(32)
+        st = ons_state(geom, 2, 4, 2.0, [0.6, 0.4], seed=16)
+        monkeypatch.setattr(hartree, "_potential", lambda w, g: GridMultiplier(
+            g, np.full(g.grid_sizes, np.nan)))
+        with pytest.raises(NumericFailureError, match="at step 1$") as exc:
+            evolve(st, 0.05, 1e-2, YUKAWA)
+        best = exc.value.best
+        assert len(best.times) == 1 and best.member_mass.shape == (1, 2)
+        assert np.max(np.abs(best.final_state.members - st.members)) < 1e-15
+
+    @pytest.mark.parametrize("fail_at", [2, 9, 12, 13])
+    def test_non_finite_step_keeps_the_steps_before(self, monkeypatch,
+                                                    fail_at):
+        # blocks of 4 steps: the failure lands mid-block, on a block's
+        # first step and on the step after a flush
+        geom = torus(32)
+        st = ons_state(geom, 2, 4, 2.0, [0.6, 0.4], seed=17)
+        monkeypatch.setattr(hartree, "_BLOCK_ELEMENTS", 4 * st.members.size)
+        full = evolve(st, 0.2, 1e-2, YUKAWA)
+        strang, calls = hartree._strang, []
+
+        def failing(c, *args):
+            calls.append(1)
+            out = strang(c, *args)
+            return out * np.nan if len(calls) == fail_at else out
+
+        monkeypatch.setattr(hartree, "_strang", failing)
+        with pytest.raises(NumericFailureError,
+                           match=f"at step {fail_at}$") as exc:
+            evolve(st, 0.2, 1e-2, YUKAWA)
+        best = exc.value.best
+        assert len(best.times) == fail_at
+        for name in ("times", "member_mass", "gram_deviation", "energy",
+                     "rho_norm"):
+            assert np.array_equal(getattr(best, name),
+                                  getattr(full, name)[:fail_at])
+        before = evolve(st, (fail_at - 1) * 1e-2, 1e-2, YUKAWA)
+        assert np.max(np.abs(best.final_state.members
+                             - before.final_state.members)) < 1e-15
+
+    def test_memory_below_one_trajectory(self):
+        # the block buffer holds at most _BLOCK_ELEMENTS coefficients
+        # (1 MiB), never the trajectory: 2000 steps x 4 x 64 x 16 B = 8 MiB
+        geom, steps = torus(64), 2000
+        st = ons_state(geom, 4, 4, 2.0, [0.4, 0.3, 0.2, 0.1], seed=18)
+        tracemalloc.start()
+        try:
+            evolve(st, 1.0, 1.0 / steps, YUKAWA)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * steps * st.members.size * 16
+
     def test_free_flow_diagnostics_static(self):
         # lattice-mode members are flow eigenfunctions: every diagnostic,
         # density profile included, is time-translation invariant
