@@ -378,6 +378,30 @@ def flow_phase(t: float | np.ndarray, sym: np.ndarray) -> np.ndarray:
     return np.exp(2j * np.pi * _frac_product(t, sym))
 
 
+def _phase_blocks(times, levels, k: int):
+    """Yield ``(time slice, flow_phase(times[time slice, None], levels))``
+    for blocks of ``k`` float times: t0 + m h + eps_m (h the mean step, eps_m
+    by an exact two-sum) gets ``flow_phase(m h)``, tabled once, times
+    ``flow_phase(t0)`` and 1 + 2 pi i eps_m levels, a truncation under 1e-15
+    while max|eps| max|levels| <= 2^-28; other blocks get ``flow_phase``."""
+    h = (times[-1] - times[0]) / max(len(times) - 1, 1)
+    m = np.arange(k)
+    fine = flow_phase(m[:, None] * h, levels)
+    for t in range(0, len(times), k):
+        a = times[t:t + k]
+        s = a - times[t]
+        v = s - a
+        eps = (s - m[:len(a)] * h) + ((a - (s - v)) - (times[t] + v))
+        gap = np.abs(eps).max() * np.abs(levels).max()
+        if gap > 2.0 ** -28:
+            phase = flow_phase(a[:, None], levels)
+        else:
+            phase = fine[:len(a)] * flow_phase(times[t], levels)
+            if gap:
+                phase *= 1 + 2j * np.pi * eps[:, None] * levels
+        yield slice(t, t + len(a)), phase
+
+
 def propagate(f: Field, t: float, theta: float) -> Field:
     """Apply the flow: multiply coefficients by exp(2*pi*i*t*phi(xi)).
 
@@ -476,7 +500,8 @@ class BandFlow:
         """Yield ``(time slice, sample slice, values)``: ``values`` (k, s,
         *grid) is U(times[time slice]) f for the rows[sample slice] of
         ``rows`` (S, B), the band coefficients of S samples.  The chunks of
-        a time block share its phase; ``values`` is overwritten next."""
+        a time block share its phase, from ``_phase_blocks`` (one exact
+        phase per block); ``values`` is overwritten next."""
         rows = np.asarray(rows)
         times = np.asarray(times, dtype=float)
         S, T = rows.shape[0], len(times)
@@ -489,8 +514,8 @@ class BandFlow:
         for a in self._passes:
             dims[a] = self.geometry.grid_sizes[a]
             passes.append((a, *np.zeros((2, k, s, *dims), np.complex128)))
-        for ts in (slice(t, min(t + k, T)) for t in range(0, T, k)):
-            phase = flow_phase(times[ts, None], self._levels)[:, self._level_u]
+        for ts, phase in _phase_blocks(times, self._levels, k):
+            phase = phase[:, self._level_u]
             phase *= self._scale_u
             for ss in (slice(j, min(j + s, S)) for j in range(0, S, s)):
                 u = rows[ss].take(self._order, axis=1) * phase[:, None]

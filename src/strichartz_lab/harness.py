@@ -156,7 +156,7 @@ def _drv_kernel_sweep(echo):
     _check_min(p, "t_min", 0, strict=True)
     _check_min(p, "t_grid_pts", 64)
     _check_min(p, "x_grid_pts", 64)
-    _check_min(p, "theta", 2)
+    _check_min(p, "theta", 2, finite=True)
     _check_min(p, "N", 0)
     for th in p["theta"]:
         for n in p["N"]:
@@ -204,7 +204,7 @@ def _drv_vdc_oracle(echo):
     cells = [{"t": t} for t in p["t"]]
 
     # preflight: every input vdc_integral_oracle would reject
-    _check_min(p, "theta", 2)
+    _check_min(p, "theta", 2, finite=True)
     _check_min(p, "b", 1, strict=True)
     if not np.all(np.abs(p["t"]) >= 1e-12):
         _reject("params.t", "need every |t| >= 1e-12")

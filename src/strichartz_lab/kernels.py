@@ -30,6 +30,7 @@ from .geometry import (
     GeometrySpec,
     _band_multiplier,
     _frac_product,
+    _phase_blocks,
     fractional_symbol,
     frequency_lattice,
 )
@@ -123,15 +124,15 @@ def _scaled_kernel_max(N, theta, ts, xs):
     chunk = max(1, 1_000_000 // (nx + N))
     for lo in range(0, len(ts), chunk):
         tc = ts[lo:lo + chunk]
-        phases = np.exp(2j * np.pi * np.outer(tc, n ** theta))   # (T, N)
         coef = np.zeros((len(tc), nx), dtype=complex)
         coef[:, 0] = 1.0
         # within one block of nx consecutive n the bins n mod nx are
         # distinct, so each += hits every bin at most once
-        for b in range(0, N, nx):
-            bins = n[b:b + nx] % nx
-            coef[:, bins] += phases[:, b:b + nx]
-            coef[:, -bins % nx] += phases[:, b:b + nx]
+        for rows, ph in _phase_blocks(tc, n ** theta, int(len(tc) ** 0.5) + 1):
+            for b in range(0, N, nx):
+                bins = n[b:b + nx] % nx
+                coef[rows, bins] += ph[:, b:b + nx]
+                coef[rows, -bins % nx] += ph[:, b:b + nx]
         # coef is symmetric in n, so the forward DFT is K_N(t, j/nx)
         k = np.fft.fft(coef, axis=1)
         scaled = np.abs(tc[:, None]) ** (1.0 / theta) * np.abs(k)

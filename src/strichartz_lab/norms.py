@@ -63,16 +63,12 @@ def _check_exponent(p: float, name: str) -> float:
 
 
 def _abs_pow(a, q):
-    # a^q for a >= 0, with cheap squarings for the common even exponents
-    if q == 2.0:
-        return a * a
-    if q == 4.0:
-        b = a * a
-        return b * b
-    if q == 8.0:
-        b = a * a
-        b = b * b
-        return b * b
+    # a^q for a >= 0; the common even exponents square the caller's fresh
+    # array a in place, with no frame-sized temporaries
+    if q in (2.0, 4.0, 8.0):
+        for _ in range(int(q).bit_length() - 1):
+            a *= a
+        return a
     return a ** q
 
 

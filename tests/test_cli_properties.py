@@ -45,8 +45,8 @@ grid_pts = st.integers(64, 160) | st.integers(0, 160)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
-@given(theta=st.lists(st.floats(2.0, 4.0) | st.floats(1.0, 4.0),
-                      min_size=1, max_size=2),
+@given(theta=st.lists(st.floats(2.0, 4.0) | st.floats(1.0, 4.0)
+                      | st.just(math.inf), min_size=1, max_size=2),
        N=st.lists(st.integers(0, 64) | st.integers(-2, 400),
                   min_size=1, max_size=3),
        t_grid_pts=grid_pts,
@@ -86,7 +86,7 @@ def test_strichartz_fit_cli_contract(grid, family, N, time_pts, samples, p, q,
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
-@given(theta=st.floats(2.0, 3.5) | st.floats(0.5, 3.5),
+@given(theta=st.floats(2.0, 3.5) | st.floats(0.5, 3.5) | st.just(math.inf),
        b=st.floats(1.1, 2.5) | st.floats(0.0, 2.5),
        t=st.lists(st.floats(1.0, 100.0) | st.floats(-10.0, 10.0),
                   min_size=1, max_size=2),

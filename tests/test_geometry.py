@@ -10,6 +10,7 @@ from strichartz_lab.geometry import (
     SpectrumField,
     _band_multiplier,
     eta1,
+    flow_phase,
     forward_transform,
     fractional_symbol,
     frequency_lattice,
@@ -316,6 +317,57 @@ class TestBandFlow:
         # whole batches are blocked over time, larger ones chunked
         assert s == samples or k == 1
         assert max(sizes) > budget // 2 or (k == steps and s == samples)
+
+
+class TestPhaseBlocks:
+    LEVELS = BandFlow(torus(512), 128, 2.5)._levels   # up to 128^2.5
+
+    @pytest.mark.parametrize("k", [1, 7, 128, 5000],
+                             ids=["one-step", "ragged-7", "ragged-128",
+                                  "one-block"])
+    def test_tabled_phases_match_flow_phase(self, k):
+        times = np.linspace(-0.3, 0.9, 3001)
+        blocks = list(geometry._phase_blocks(times, self.LEVELS, k))
+        assert [ts for ts, _ in blocks] == [
+            slice(t, min(t + k, len(times))) for t in range(0, 3001, k)]
+        for ts, phase in blocks:
+            exact = flow_phase(times[ts, None], self.LEVELS)
+            assert np.max(np.abs(phase - exact)) <= 4e-15
+        # the rounding gaps of this grid matter: without the first-order
+        # correction the table is off by far more than roundoff
+        h = 1.2 / 3000
+        table = flow_phase(np.arange(128)[:, None] * h, self.LEVELS)
+        bare = table[:, None] * flow_phase(times[::128, None], self.LEVELS)
+        bare = bare.transpose(1, 0, 2).reshape(-1, len(self.LEVELS))[:3001]
+        assert np.max(np.abs(bare - flow_phase(times[:, None],
+                                               self.LEVELS))) > 1e-11
+
+    def test_one_exact_phase_per_block(self, monkeypatch):
+        # exact reductions: the table of k times plus one time per block
+        reduced = []
+        frac = geometry._frac_product
+        monkeypatch.setattr(geometry, "_frac_product", lambda t, sym: (
+            reduced.append(np.broadcast(t, sym).size) or frac(t, sym)))
+        times = np.linspace(-0.3, 0.9, 3001)
+        for _ in geometry._phase_blocks(times, self.LEVELS, 128):
+            pass
+        assert sum(reduced) == (128 + 24) * len(self.LEVELS)
+
+    @pytest.mark.parametrize("times, theta", [
+        (np.array([0.0, 0.3, 1.7]), 2.5),
+        (np.linspace(-0.3, 0.9, 301), 6.0),
+    ], ids=["non-uniform", "huge-levels"])
+    def test_fallback_is_flow_phase(self, times, theta):
+        levels = BandFlow(torus(512), 128, theta)._levels
+        [(ts, phase)] = geometry._phase_blocks(times, levels, len(times))
+        assert ts == slice(0, len(times))
+        assert np.array_equal(phase, flow_phase(times[:, None], levels))
+
+    def test_single_time(self):
+        [(ts, phase)] = geometry._phase_blocks(np.array([0.37]),
+                                               self.LEVELS, 4)
+        assert ts == slice(0, 1)
+        assert np.array_equal(phase, flow_phase(0.37, self.LEVELS)[None])
 
 
 class TestGridMultiplier:

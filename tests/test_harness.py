@@ -550,6 +550,10 @@ class TestCli:
                      "params.family_kinds", id="ons-unknown-family-kind"),
         pytest.param("vdc-oracle", {"theta": 1.0}, "params.theta",
                      id="vdc-theta-below-2"),
+        pytest.param("vdc-oracle", {"theta": math.inf}, "params.theta",
+                     id="vdc-theta-infinite"),
+        pytest.param("kernel-sweep", {"theta": [math.inf]}, "params.theta",
+                     id="kernel-theta-infinite"),
         pytest.param("vdc-oracle", {"b": 1}, "params.b", id="vdc-b-one"),
         pytest.param("vdc-oracle", {"t": [10.0, 0.0]}, "params.t",
                      id="vdc-t-zero"),

@@ -96,6 +96,23 @@ class TestMixedNorm:
         with pytest.raises(InvalidInputError):
             norm(F, q)
 
+    @pytest.mark.parametrize("q", [2, 3, 4, 8, INF])
+    def test_lq_norm_bit_identical_to_power_formula(self, q):
+        # the in-place squarings repeat the formula's operations in order
+        rng = np.random.default_rng(11)
+        v = rng.standard_normal((5, 64)) + 1j * rng.standard_normal((5, 64))
+        before = v.copy()
+        a = np.abs(v)
+        if q == INF:
+            expected = a.max(axis=1)
+        else:
+            powers = {2: lambda: a * a, 4: lambda: (a * a) * (a * a),
+                      8: lambda: ((a * a) * (a * a)) * ((a * a) * (a * a))}
+            power = powers.get(q, lambda: a ** q)()
+            expected = (np.sum(power, axis=1) * 0.25) ** (1.0 / q)
+        assert np.array_equal(lq_norm(v, q, 0.25, axis=1), expected)
+        assert np.array_equal(v, before)
+
     def test_time_refinement_stability(self):
         geom = torus(64)
         rng = np.random.default_rng(6)
