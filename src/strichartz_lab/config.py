@@ -12,13 +12,14 @@ re-runnable byte for byte.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from typing import Any
 
 from .errors import ConfigError
 from .geometry import GeometrySpec
 from .hartree import PotentialSpec
-from .norms import SIGMA_SELECTORS
+from .norms import ADMISSIBILITY_KINDS, SIGMA_SELECTORS
 
 __all__ = ["EXPERIMENT_KINDS", "validate_config", "load_config",
            "schema_document"]
@@ -31,9 +32,14 @@ class _Opt:
     default: Any = None
     required: bool = False
     choices: tuple | None = None  # for a list-pair: allowed pair names
+    # bounds on a number, each list entry or list-pair count (NaN fails)
+    min: float | None = None     # at least min, or above it when strict
+    strict: bool = False
+    finite: bool = False         # and below infinity
 
 
 _ESTIMATES = tuple(SIGMA_SELECTORS)
+_POSITIVE = {"min": 0, "strict": True, "finite": True}  # finite and > 0
 
 _GEOMETRY_SCHEMA = {
     "kind": _Opt("str", required=True, choices=("torus", "waveguide")),
@@ -54,32 +60,32 @@ _POTENTIAL_SCHEMA = {
 
 _SCHEMAS: dict[str, dict[str, _Opt]] = {
     "kernel-sweep": {
-        "theta": _Opt("list-num", [2.5, 3.0]),
-        "N": _Opt("list-int", [8, 16, 32, 64, 128]),
-        "t_grid_pts": _Opt("int", 512),
-        "x_grid_pts": _Opt("int", 512),
-        "t_min": _Opt("num", 1e-6),
+        "theta": _Opt("list-num", [2.5, 3.0], min=2, finite=True),
+        "N": _Opt("list-int", [8, 16, 32, 64, 128], min=0),
+        "t_grid_pts": _Opt("int", 512, min=64),
+        "x_grid_pts": _Opt("int", 512, min=64),
+        "t_min": _Opt("num", 1e-6, min=0, strict=True),
         "max_ratio": _Opt("num", 2.0),
         "check_refinement": _Opt("bool", True),
     },
     "vdc-oracle": {
-        "theta": _Opt("num", 3.0),
+        "theta": _Opt("num", 3.0, min=2, finite=True),
         "x": _Opt("num", 0.0),
         "p": _Opt("int", 0),
-        "b": _Opt("num", 2.0),
-        "t": _Opt("list-num", [10.0, 100.0, 1000.0]),
+        "b": _Opt("num", 2.0, min=1, strict=True),
+        "t": _Opt("list-num", [10.0, 100.0, 1000.0], finite=True),
         "tol": _Opt("num", 1e-8),
         "max_ratio": _Opt("num", 2.0),
     },
     "strichartz-fit": {
-        "theta": _Opt("num", 2.0),
-        "p": _Opt("num", 8.0),
-        "q": _Opt("num", 8.0),
-        "N": _Opt("list-int", [8, 16, 32, 64, 128]),
+        "theta": _Opt("num", 2.0, **_POSITIVE),
+        "p": _Opt("num", 8.0, min=1),
+        "q": _Opt("num", 8.0, min=1),
+        "N": _Opt("list-int", [8, 16, 32, 64, 128], min=1),
         "family": _Opt("str", "dirichlet", choices=("dirichlet", "random")),
-        "samples": _Opt("int", 100),
-        "time_pts": _Opt("int", 257),
-        "time_pts_scale": _Opt("num", 4.0),
+        "samples": _Opt("int", 100, min=1),
+        "time_pts": _Opt("int", 257, min=2),
+        "time_pts_scale": _Opt("num", 4.0, min=0, finite=True),
         "estimate": _Opt("str", "diagonal-schrodinger-cutoff",
                          choices=_ESTIMATES),
         "sigma_margin": _Opt("num", 0.05),
@@ -87,59 +93,61 @@ _SCHEMAS: dict[str, dict[str, _Opt]] = {
         "spread_max": _Opt("num", 3.0),
     },
     "ons-sweep": {
-        "theta": _Opt("num", 3.0),
-        "p": _Opt("num", 6.0),
-        "q": _Opt("num", 2.0),
-        "alpha_prime": _Opt("list-num", [4.0 / 3.0]),
-        "N": _Opt("list-int", [8, 16, 32, 64, 128]),
+        "theta": _Opt("num", 3.0, **_POSITIVE),
+        "p": _Opt("num", 6.0, min=1),
+        "q": _Opt("num", 2.0, min=1),
+        "alpha_prime": _Opt("list-num", [4.0 / 3.0], min=1),
+        "N": _Opt("list-int", [8, 16, 32, 64, 128], min=1),
         "estimate": _Opt("str", "theta-line-ons", choices=_ESTIMATES),
-        "admissibility": _Opt("str", "theta-line"),
+        # a norms.classify_pair kind, or "" for no check
+        "admissibility": _Opt("str", "theta-line",
+                              choices=("",) + ADMISSIBILITY_KINDS),
         "family_kinds": _Opt("list-pair", [["fourier-modes", 1]],
-                             choices=("fourier-modes", "random-band")),
+                             choices=("fourier-modes", "random-band"), min=1),
         "lambda_kind": _Opt("str", "flat",
                             choices=("flat", "power", "one-hot")),
-        "time_pts": _Opt("int", 33),
+        "time_pts": _Opt("int", 33, min=2),
         "interval_mode": _Opt("str", "unit",
                               choices=("unit", "dispersive-window")),
         "slope_tol": _Opt("num", 0.1),
     },
     "duality-check": {
-        "N": _Opt("int", 2),
-        "alpha": _Opt("list-num", [4.0]),
-        "theta": _Opt("num", 2.0),
-        "time_pts": _Opt("int", 9),
+        "N": _Opt("int", 2, min=1),
+        "alpha": _Opt("list-num", [4.0], min=1),
+        "theta": _Opt("num", 2.0, **_POSITIVE),
+        "time_pts": _Opt("int", 9, min=2),
         "interval": _Opt("list-num", [0.0, 1.0]),
         "weight": _Opt("str", "unit", choices=("unit", "random")),
-        "samples": _Opt("int", 200),
+        "samples": _Opt("int", 200, min=1),
     },
     "hartree-run": {
-        "theta": _Opt("list-num", [2.0, 3.0]),
+        "theta": _Opt("list-num", [2.0, 3.0], **_POSITIVE),
         "members": _Opt("int", 4),
         "band": _Opt("int", 2),
         "weights": _Opt("list-num", [0.4, 0.3, 0.2, 0.1]),
         "potential": _Opt("obj", {"kind": "yukawa"}),
-        "T": _Opt("num", 1.0),
+        "T": _Opt("num", 1.0, **_POSITIVE),
         "dt": _Opt("list-num", [1e-3, 5e-4]),
-        "q_report": _Opt("num", 2.0),
+        "q_report": _Opt("num", 2.0, min=1),
         "mass_tol": _Opt("num", 1e-10),
         "gram_tol": _Opt("num", 1e-9),
         "energy_tol": _Opt("num", 1e-6),
         "halving_min": _Opt("num", 3.5),
     },
     "fixed-point": {
-        "theta": _Opt("num", 2.0),
+        "theta": _Opt("num", 2.0, **_POSITIVE),
         "members": _Opt("int", 4),
         "band": _Opt("int", 4),
         "weights": _Opt("list-num", [0.4, 0.3, 0.2, 0.1]),
-        "target_norm": _Opt("num", 0.1),
+        "target_norm": _Opt("num", 0.1, **_POSITIVE),
         "potential": _Opt("obj", {"kind": "yukawa"}),
-        "T": _Opt("num", 0.05),
-        "iterations": _Opt("int", 6),
-        "p": _Opt("num", 4.0),
-        "q": _Opt("num", 2.0),
-        "time_pts": _Opt("int", 26),
+        "T": _Opt("num", 0.05, **_POSITIVE),
+        "iterations": _Opt("int", 6, min=2),
+        "p": _Opt("num", 4.0, min=1),
+        "q": _Opt("num", 2.0, min=1),
+        "time_pts": _Opt("int", 26, min=2),
         "ratio_max": _Opt("num", 0.5),
-        "cross_check_dt": _Opt("num", 1e-3),
+        "cross_check_dt": _Opt("num", 1e-3, **_POSITIVE),
         "cross_check_tol": _Opt("num", 1e-4),
     },
 }
@@ -169,8 +177,9 @@ def _type_ok(value, typ: str) -> bool:
         return isinstance(value, int) and not isinstance(value, bool)
     if typ == "float":
         return isinstance(value, float)
-    if typ == "num":
-        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    if typ == "num":  # an int beyond the float range is no number here
+        return isinstance(value, float) or (
+            _type_ok(value, "int") and abs(value) <= sys.float_info.max)
     if typ == "bool":
         return isinstance(value, bool)
     if typ == "str":
@@ -186,6 +195,20 @@ def _type_ok(value, typ: str) -> bool:
     if typ == "obj":
         return value is None or isinstance(value, dict)
     return False
+
+
+def _check_bound(val, opt: _Opt, key: str, field: str) -> None:
+    low, finite = opt.min, opt.finite
+    if opt.typ == "list-pair":
+        val = [v[1] for v in val]
+    for v in val if isinstance(val, list) else [val]:
+        if not ((low is None or (v > low if opt.strict else v >= low))
+                and (not finite or abs(v) <= sys.float_info.max)):
+            bound = "" if low is None else \
+                f" {'>' if opt.strict else '>='} {low:g}"
+            got = f"{v:g}" if isinstance(v, float) else v
+            raise ConfigError(f"{field}: need {'finite ' if finite else ''}"
+                              f"{key}{bound}, got {got}", field=field)
 
 
 def _apply_schema(obj: dict, schema: dict[str, _Opt], path: str) -> dict:
@@ -212,6 +235,7 @@ def _apply_schema(obj: dict, schema: dict[str, _Opt], path: str) -> dict:
                 raise ConfigError(
                     f"{path}.{key}: must be one of {opt.choices}, got {val!r}",
                     field=f"{path}.{key}")
+            _check_bound(val, opt, key, f"{path}.{key}")
             out[key] = val
         elif opt.required:
             raise ConfigError(f"{path}.{key}: required", field=f"{path}.{key}")
@@ -298,7 +322,10 @@ def schema_document() -> dict:
     def render(schema):
         return {k: {"type": o.typ, "default": o.default,
                     "required": o.required,
-                    **({"choices": list(o.choices)} if o.choices else {})}
+                    **({"choices": list(o.choices)} if o.choices else {}),
+                    **({} if o.min is None else {
+                        "exclusiveMinimum" if o.strict else "minimum": o.min}),
+                    **({"finite": True} if o.finite else {})}
                 for k, o in schema.items()}
 
     return {

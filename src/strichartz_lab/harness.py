@@ -116,18 +116,6 @@ def _reject(field, message):
     raise ConfigError(f"{field}: {message}", field=field)
 
 
-def _check_min(p, key, low, strict=False, finite=False):
-    """Preflight: parameter ``key`` (a number, or each entry of a list) is
-    at least ``low``, or above it when ``strict``, and below infinity when
-    ``finite``; NaN fails either way."""
-    for v in np.atleast_1d(p[key]):
-        if not ((v > low if strict else v >= low)
-                and (v < math.inf or not finite)):
-            _reject(f"params.{key}", f"need {'finite ' if finite else ''}"
-                                     f"{key} {'>' if strict else '>='} "
-                                     f"{low:g}, got {v:g}")
-
-
 def _check_family(p, geom):
     """Preflight of the mean-field drivers: the orbital family must fit in
     its band and carry one nonnegative nonincreasing weight per member."""
@@ -152,12 +140,7 @@ def _drv_kernel_sweep(echo):
               "refined", "group_ratio", "passed", "wall_time_ms"]
     cells = [{"theta": th, "N": n} for th in p["theta"] for n in p["N"]]
 
-    # preflight: every input dispersive_sup would reject is a config error
-    _check_min(p, "t_min", 0, strict=True)
-    _check_min(p, "t_grid_pts", 64)
-    _check_min(p, "x_grid_pts", 64)
-    _check_min(p, "theta", 2, finite=True)
-    _check_min(p, "N", 0)
+    # preflight: each cell needs a nonempty dispersive window
     for th in p["theta"]:
         for n in p["N"]:
             top = _window_top(n, th)
@@ -203,9 +186,6 @@ def _drv_vdc_oracle(echo):
               "error_estimate", "panels", "passed", "wall_time_ms"]
     cells = [{"t": t} for t in p["t"]]
 
-    # preflight: every input vdc_integral_oracle would reject
-    _check_min(p, "theta", 2, finite=True)
-    _check_min(p, "b", 1, strict=True)
     if not np.all(np.abs(p["t"]) >= 1e-12):
         _reject("params.t", "need every |t| >= 1e-12")
 
@@ -244,14 +224,6 @@ def _drv_strichartz_fit(echo):
               "wall_time_ms"]
     cells = [{"N": n} for n in p["N"]]
 
-    # preflight: inputs the flow, the norm reduction or the fit would reject
-    _check_min(p, "p", 1)
-    _check_min(p, "q", 1)
-    _check_min(p, "theta", 0, strict=True, finite=True)
-    _check_min(p, "time_pts", 2)
-    _check_min(p, "N", 1)
-    if p["family"] == "random":
-        _check_min(p, "samples", 1)
     pred = predict_sigma(_prediction_setting(p["estimate"], p["p"], p["q"],
                                              p["theta"], geom))
     if not pred.applicable:
@@ -315,12 +287,6 @@ def _drv_ons_sweep(echo):
               "slope", "within_threshold", "passed", "wall_time_ms"]
     cells = [{"alpha_prime": a, "N": n}
              for a in p["alpha_prime"] for n in p["N"]]
-    _check_min(p, "time_pts", 2)
-    _check_min(p, "N", 1)
-    _check_min(p, "alpha_prime", 1)
-    _check_min(p, "theta", 0, strict=True, finite=True)
-    _check_min(p, "p", 1)
-    _check_min(p, "q", 1)
 
     def run_cell(cell, seed):
         cfg = OnsConfig(
@@ -377,11 +343,6 @@ def _drv_duality_check(echo):
               "max_sampled_ratio", "saturation", "dominance_ok", "samples",
               "passed", "wall_time_ms"]
     cells = [{"alpha": a} for a in p["alpha"]]
-    _check_min(p, "time_pts", 2)
-    _check_min(p, "N", 1)
-    _check_min(p, "alpha", 1)
-    _check_min(p, "samples", 1)
-    _check_min(p, "theta", 0, strict=True, finite=True)
     t = p["interval"]
     if not (len(t) == 2 and -math.inf < t[0] < t[1] < math.inf):
         _reject("params.interval", f"need finite [t0, t1] with t0 < t1, "
@@ -421,15 +382,12 @@ def _drv_hartree_run(echo):
     p = echo["params"]
     geom = geometry_from_echo(echo)
     _check_family(p, geom)
-    _check_min(p, "theta", 0, strict=True, finite=True)
-    _check_min(p, "T", 0, strict=True, finite=True)
     for dt in p["dt"]:
         # evolve takes round(T / dt) steps, at least one and at most
         # _MAX_STEPS (it records (steps + 1) x members diagnostics)
         if not (dt > 0 and 0.5 < p["T"] / dt <= _MAX_STEPS):
             _reject("params.dt", f"need T / {_MAX_STEPS:g} <= dt < 2T = "
                                  f"{2 * p['T']:g}, got {dt:g}")
-    _check_min(p, "q_report", 1)
     potential = build_potential(p["potential"])
     w_besov = potential.besov_norm(geom)
     header = ["experiment_id", "cell_index", "theta", "dt", "steps",
@@ -486,12 +444,6 @@ def _drv_fixed_point(echo):
     # the initial state is rescaled to Sobolev-Schatten norm target_norm
     if not any(p["weights"]):
         _reject("params.weights", "some weight must be positive")
-    for key in ("target_norm", "theta", "T", "cross_check_dt"):
-        _check_min(p, key, 0, strict=True, finite=True)
-    _check_min(p, "iterations", 2)
-    _check_min(p, "time_pts", 2)
-    _check_min(p, "p", 1)
-    _check_min(p, "q", 1)
     if "density" not in classify_pair(geom.dim, p["p"], p["q"],
                                       p["theta"]).kinds:
         _reject("params.q", f"(p, q) = ({p['p']:g}, {p['q']:g}) is off the "

@@ -357,7 +357,12 @@ _RECOMPRESS_RTOL = 4 * np.finfo(float).eps
 def _truncate_hermitian(core: np.ndarray, rank: int, rtol: float = math.inf):
     """Eigenpairs of a Hermitian core: the ``rank`` of largest |eigenvalue|
     and any other above ``rtol`` times the largest; and the dropped mass."""
-    vals, vecs = np.linalg.eigh(core)
+    if not np.isfinite(core).all():  # an overflowed core
+        raise NumericFailureError("Duhamel core is not finite")
+    try:
+        vals, vecs = np.linalg.eigh(core)
+    except np.linalg.LinAlgError as exc:
+        raise NumericFailureError(f"eigh did not converge: {exc}") from exc
     order = np.argsort(-np.abs(vals))
     vals, vecs = vals[order], vecs[:, order]
     keep = max(rank, int(np.sum(np.abs(vals) > rtol * np.abs(vals[0]))))

@@ -40,9 +40,12 @@ __all__ = [
     "fit_scaling",
     "besov_sup_norm",
     "SIGMA_SELECTORS",
+    "ADMISSIBILITY_KINDS",
 ]
 
 _TOL = 1e-12
+# the identities of the module docstring, in classify_pair's order
+ADMISSIBILITY_KINDS = ("density", "theta-line", "sharp-schrodinger")
 
 
 def _inv(p: float) -> float:
@@ -157,13 +160,10 @@ def classify_pair(d: int, p: float, q: float, theta: float) -> AdmissiblePair:
     p = _check_exponent(p, "p")
     q = _check_exponent(q, "q")
     ip, iq = _inv(p), _inv(q)
-    kinds = []
-    if abs(2 * ip + d * iq - d) < _TOL:
-        kinds.append("density")
-    if abs(theta * ip + d * iq - d) < _TOL:
-        kinds.append("theta-line")
-    if abs(2 * ip + d * iq - d / 2) < _TOL:
-        kinds.append("sharp-schrodinger")
+    residuals = (2 * ip + d * iq - d, theta * ip + d * iq - d,
+                 2 * ip + d * iq - d / 2)
+    kinds = [k for k, r in zip(ADMISSIBILITY_KINDS, residuals)
+             if abs(r) < _TOL]
 
     region = "off-line"
     if "density" in kinds:

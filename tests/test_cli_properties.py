@@ -14,6 +14,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from strichartz_lab.cli import main as cli_main  # noqa: E402
+from strichartz_lab.config import schema_document  # noqa: E402
 
 ARTIFACTS = ("results.csv", "summary.json", "manifest.json")
 
@@ -39,19 +40,37 @@ def run_contract(cfg):
         assert all(written)
 
 
-# each strategy leans towards the valid part of its range, so that a fair
-# share of the examples runs end to end instead of failing preflight
-grid_pts = st.integers(64, 160) | st.integers(0, 160)
+SCHEMA = schema_document()["experiments"]
+
+
+def bounded(kind, key, hi):
+    """Draws for ``params[key]`` of ``kind`` around its schema bound:
+    mostly from [bound, hi], sometimes at or below the bound, and for a
+    float key also infinity (rejected when the key must be finite).  A key
+    bounded only by ``finite`` draws from [-hi, hi]."""
+    opt = SCHEMA[kind][key]
+    low = opt.get("exclusiveMinimum", opt.get("minimum"))
+    if opt["type"] in ("int", "list-int", "list-pair"):
+        valid, rare = st.integers(low, hi), [st.integers(low - 2, low)]
+    elif low is None:
+        valid, rare = st.floats(-hi, hi), [st.just(math.inf)]
+    else:
+        valid = st.floats(low, hi, exclude_min="exclusiveMinimum" in opt)
+        rare = [st.just(low), st.floats(low - 1, low, exclude_max=True),
+                st.just(math.inf)]
+    # a config has several bounded keys, so each one leans hard towards
+    # its valid range for a fair share of examples to run end to end (a
+    # one_of would drop the repeats and draw each branch equally often)
+    return st.sampled_from([valid] * 4 + rare).flatmap(lambda s: s)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
-@given(theta=st.lists(st.floats(2.0, 4.0) | st.floats(1.0, 4.0)
-                      | st.just(math.inf), min_size=1, max_size=2),
-       N=st.lists(st.integers(0, 64) | st.integers(-2, 400),
-                  min_size=1, max_size=3),
-       t_grid_pts=grid_pts,
-       x_grid_pts=grid_pts,
-       t_min=st.floats(1e-7, 1e-4) | st.floats(-1e-3, 1e-2),
+@given(theta=st.lists(bounded("kernel-sweep", "theta", 4.0), min_size=1,
+                      max_size=2),
+       N=st.lists(bounded("kernel-sweep", "N", 64), min_size=1, max_size=3),
+       t_grid_pts=bounded("kernel-sweep", "t_grid_pts", 160),
+       x_grid_pts=bounded("kernel-sweep", "x_grid_pts", 160),
+       t_min=bounded("kernel-sweep", "t_min", 1e-4),
        check_refinement=st.booleans())
 def test_kernel_sweep_cli_contract(theta, N, t_grid_pts, x_grid_pts, t_min,
                                    check_refinement):
@@ -61,35 +80,33 @@ def test_kernel_sweep_cli_contract(theta, N, t_grid_pts, x_grid_pts, t_min,
                              "check_refinement": check_refinement}})
 
 
-exponent = st.floats(2.0, 10.0) | st.floats(0.5, 10.0) | st.just(math.inf)
-
-
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @given(grid=st.sampled_from([16, 32]),
        family=st.sampled_from(["dirichlet", "random"]),
-       N=st.lists(st.integers(1, 6) | st.integers(0, 6),
-                  min_size=1, max_size=3),
-       time_pts=st.integers(2, 20) | st.integers(0, 20),
-       samples=st.integers(1, 3) | st.integers(0, 3),
-       p=exponent,
-       q=st.none() | exponent,
-       theta=st.floats(1.0, 4.0) | st.floats(-1.0, 4.0))
-def test_strichartz_fit_cli_contract(grid, family, N, time_pts, samples, p, q,
-                                     theta):
+       N=st.lists(bounded("strichartz-fit", "N", 6), min_size=1, max_size=3),
+       time_pts=bounded("strichartz-fit", "time_pts", 20),
+       time_pts_scale=bounded("strichartz-fit", "time_pts_scale", 4.0),
+       samples=bounded("strichartz-fit", "samples", 3),
+       p=bounded("strichartz-fit", "p", 10.0),
+       q=st.none() | bounded("strichartz-fit", "q", 10.0),
+       theta=bounded("strichartz-fit", "theta", 4.0))
+def test_strichartz_fit_cli_contract(grid, family, N, time_pts,
+                                     time_pts_scale, samples, p, q, theta):
     # q = None draws a diagonal pair, the only kind the default estimate
     # accepts, so that some examples run end to end
     run_contract({"experiment": "strichartz-fit",
                   "geometry": {"kind": "torus", "grid_sizes": [grid]},
                   "params": {"family": family, "N": N, "time_pts": time_pts,
+                             "time_pts_scale": time_pts_scale,
                              "samples": samples, "p": p,
                              "q": p if q is None else q, "theta": theta}})
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
-@given(theta=st.floats(2.0, 3.5) | st.floats(0.5, 3.5) | st.just(math.inf),
-       b=st.floats(1.1, 2.5) | st.floats(0.0, 2.5),
-       t=st.lists(st.floats(1.0, 100.0) | st.floats(-10.0, 10.0),
-                  min_size=1, max_size=2),
+@given(theta=bounded("vdc-oracle", "theta", 3.5),
+       b=bounded("vdc-oracle", "b", 2.5),
+       t=st.lists(bounded("vdc-oracle", "t", 100.0), min_size=1,
+                  max_size=2),
        p=st.integers(-3, 3))
 def test_vdc_oracle_cli_contract(theta, b, t, p):
     run_contract({"experiment": "vdc-oracle",
@@ -100,9 +117,9 @@ def test_vdc_oracle_cli_contract(theta, b, t, p):
 @given(grid=st.sampled_from([[8], [16], [4, 4]]),
        members=st.integers(1, 4) | st.integers(1, 4) | st.integers(0, 6),
        band=st.integers(1, 3) | st.integers(1, 3) | st.integers(0, 4),
-       time_pts=st.integers(2, 8) | st.integers(2, 8) | st.integers(0, 8),
-       iterations=st.integers(2, 4) | st.integers(2, 4) | st.integers(0, 4),
-       q=st.none() | st.none() | st.floats(0.5, 6.0))
+       time_pts=bounded("fixed-point", "time_pts", 8),
+       iterations=bounded("fixed-point", "iterations", 4),
+       q=st.none() | st.none() | bounded("fixed-point", "q", 6.0))
 # 4M = 12 eigendirections on an 8-point grid
 @example(grid=[8], members=3, band=2, time_pts=4, iterations=2, q=None)
 def test_fixed_point_cli_contract(grid, members, band, time_pts, iterations,
@@ -122,16 +139,15 @@ def test_fixed_point_cli_contract(grid, members, band, time_pts, iterations,
 
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
 @given(grid=st.sampled_from([16, 32]),
-       N=st.lists(st.integers(1, 4) | st.integers(-1, 8),
-                  min_size=1, max_size=3),
-       alpha_prime=st.lists(st.floats(1.0, 2.0) | st.floats(0.5, 3.0),
+       N=st.lists(bounded("ons-sweep", "N", 4), min_size=1, max_size=3),
+       alpha_prime=st.lists(bounded("ons-sweep", "alpha_prime", 2.0),
                             min_size=1, max_size=2),
-       theta=st.floats(2.0, 4.0) | st.floats(-1.0, 4.0) | st.just(math.inf),
-       p=exponent,
-       q=exponent,
-       time_pts=st.integers(2, 6) | st.integers(0, 6),
+       theta=bounded("ons-sweep", "theta", 4.0),
+       p=bounded("ons-sweep", "p", 10.0),
+       q=bounded("ons-sweep", "q", 10.0),
+       time_pts=bounded("ons-sweep", "time_pts", 6),
        family=st.sampled_from(["fourier-modes", "random-band"]),
-       count=st.integers(1, 2) | st.integers(0, 2))
+       count=bounded("ons-sweep", "family_kinds", 2))
 def test_ons_sweep_cli_contract(grid, N, alpha_prime, theta, p, q, time_pts,
                                 family, count):
     run_contract({"experiment": "ons-sweep",
@@ -144,17 +160,17 @@ def test_ons_sweep_cli_contract(grid, N, alpha_prime, theta, p, q, time_pts,
 
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
 @given(grid=st.sampled_from([[8], [16], [4, 4]]),
-       N=st.integers(1, 3) | st.integers(-1, 10),
-       alpha=st.lists(st.floats(1.0, 6.0) | st.floats(0.5, 6.0)
-                      | st.just(math.inf), min_size=1, max_size=2),
-       theta=st.floats(1.0, 4.0) | st.floats(-1.0, 4.0) | st.just(math.inf),
+       N=bounded("duality-check", "N", 3),
+       alpha=st.lists(bounded("duality-check", "alpha", 6.0), min_size=1,
+                      max_size=2),
+       theta=bounded("duality-check", "theta", 4.0),
        # 5000 times overflow the space-time Gram cap on every grid
-       time_pts=st.integers(2, 6) | st.integers(0, 6) | st.just(5000),
+       time_pts=bounded("duality-check", "time_pts", 6) | st.just(5000),
        interval=st.tuples(st.floats(-1.0, 0.0), st.floats(0.5, 1.0)).map(list)
        | st.lists(st.floats(-1.0, 1.0) | st.just(math.inf), min_size=1,
                   max_size=3),
        weight=st.sampled_from(["unit", "random"]),
-       samples=st.integers(1, 5) | st.integers(0, 5))
+       samples=bounded("duality-check", "samples", 5))
 def test_duality_check_cli_contract(grid, N, alpha, theta, time_pts,
                                     interval, weight, samples):
     run_contract({"experiment": "duality-check",
@@ -168,12 +184,12 @@ def test_duality_check_cli_contract(grid, N, alpha, theta, time_pts,
 @given(grid=st.sampled_from([[8], [16], [4, 4]]),
        members=st.integers(1, 3) | st.integers(0, 5),
        band=st.integers(1, 2) | st.integers(0, 4),
-       theta=st.lists(st.floats(1.0, 4.0) | st.floats(-1.0, 4.0)
-                      | st.just(math.inf), min_size=1, max_size=2),
-       T=st.floats(0.01, 0.05) | st.floats(-0.05, 0.05) | st.just(math.inf),
+       theta=st.lists(bounded("hartree-run", "theta", 4.0), min_size=1,
+                      max_size=2),
+       T=bounded("hartree-run", "T", 0.05),
        dt=st.lists(st.floats(0.005, 0.02) | st.floats(-0.01, 0.2),
                    min_size=1, max_size=2),
-       q_report=exponent,
+       q_report=bounded("hartree-run", "q_report", 10.0),
        kind=st.sampled_from(["yukawa", "gaussian", "cosine", "zero"]))
 def test_hartree_run_cli_contract(grid, members, band, theta, T, dt,
                                   q_report, kind):

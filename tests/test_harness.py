@@ -39,6 +39,22 @@ SMALL_KERNEL = {
 }
 
 
+def declared_bounds():
+    """(kind, key, schema entry) for every bounded parameter."""
+    for kind, entries in schema_document()["experiments"].items():
+        for key, opt in entries.items():
+            if {"minimum", "exclusiveMinimum", "finite"} & set(opt):
+                yield pytest.param(kind, key, opt, id=f"{kind}-{key}")
+
+
+def params_entry(opt, value):
+    """``value`` in the shape of the schema entry: a scalar, a list entry,
+    or the count of a list-pair entry."""
+    if opt["type"] == "list-pair":
+        return [[opt["choices"][0], value]]
+    return [value] if opt["type"].startswith("list") else value
+
+
 class TestSeeding:
     def test_deterministic(self):
         assert derive_cell_seed(7, 3) == derive_cell_seed(7, 3)
@@ -92,6 +108,12 @@ class TestConfigValidation:
             "kernel-sweep", "vdc-oracle", "strichartz-fit", "ons-sweep",
             "duality-check", "hartree-run", "fixed-point"}
         assert doc["top_level"]["experiment"]["required"]
+        # one bound of each published form
+        fit = doc["experiments"]["strichartz-fit"]
+        assert fit["time_pts"]["minimum"] == 2
+        assert fit["theta"]["exclusiveMinimum"] == 0 and fit["theta"]["finite"]
+        assert "minimum" not in doc["experiments"]["vdc-oracle"]["t"]
+        assert doc["experiments"]["vdc-oracle"]["t"]["finite"]
 
     def test_published_schema_file_current(self):
         import os
@@ -563,10 +585,73 @@ class TestCli:
                      id="fit-N-empty"),
         pytest.param("ons-sweep", {"N": []}, "params.N", id="ons-N-empty"),
         pytest.param("vdc-oracle", {"t": []}, "params.t", id="vdc-t-empty"),
+        pytest.param("vdc-oracle", {"t": [10.0, math.inf]}, "params.t",
+                     id="vdc-t-infinite"),
+        pytest.param("strichartz-fit", {"time_pts_scale": math.inf},
+                     "params.time_pts_scale", id="fit-time-scale-infinite"),
+        pytest.param("strichartz-fit", {"time_pts_scale": -1.0},
+                     "params.time_pts_scale", id="fit-time-scale-negative"),
+        pytest.param("ons-sweep", {"family_kinds": [["fourier-modes", 0]]},
+                     "params.family_kinds", id="ons-family-count-zero"),
+        pytest.param("ons-sweep",
+                     {"family_kinds": [["fourier-modes", 1],
+                                       ["random-band", -1]]},
+                     "params.family_kinds", id="ons-family-count-negative"),
+        pytest.param("ons-sweep", {"admissibility": "nope"},
+                     "params.admissibility", id="ons-unknown-admissibility"),
+        # too large for a float, so the message must not format it as one
+        pytest.param("kernel-sweep", {"N": [-10 ** 400]}, "params.N",
+                     id="kernel-N-beyond-float"),
+        pytest.param("hartree-run", {"T": 10 ** 400}, "params.T",
+                     id="hartree-T-beyond-float"),
+        pytest.param("strichartz-fit", {"p": 10 ** 400}, "params.p",
+                     id="fit-p-beyond-float"),
     ])
     def test_bad_params_exit_2_no_artifacts(self, tmp_path, capsys, kind,
                                             params, field):
         self.assert_rejected(tmp_path, capsys, kind, params, field)
+
+    @pytest.mark.parametrize("kind, key, opt", declared_bounds())
+    def test_declared_bounds_exit_2_no_artifacts(self, tmp_path, capsys,
+                                                 kind, key, opt):
+        # NaN, +-infinity and an int beyond the float range on a finite
+        # key, and a value just past the bound
+        bad = [math.nan] + [math.inf, -math.inf, 10 ** 400] * opt.get(
+            "finite", False)
+        if "exclusiveMinimum" in opt:
+            bad.append(opt["exclusiveMinimum"])
+        if "minimum" in opt:
+            low = opt["minimum"]
+            bad.append(low - 1 if opt["type"] in ("int", "list-int",
+                                                  "list-pair")
+                       else math.nextafter(low, -math.inf))
+            # the bound itself is valid
+            validate_config({"experiment": kind,
+                             "params": {key: params_entry(opt, low)}})
+        # and so is the default
+        validate_config({"experiment": kind, "params": {key: opt["default"]}})
+        for value in bad:
+            self.assert_rejected(tmp_path, capsys, kind,
+                                 {key: params_entry(opt, value)},
+                                 f"params.{key}")
+
+    def test_fixed_point_overflow_is_numeric_failure(self, tmp_path):
+        # the Duhamel core overflows: the cell fails with a note and the
+        # run still writes its artifacts
+        path = self.write_cfg(tmp_path, {
+            "experiment": "fixed-point",
+            "geometry": {"kind": "torus", "grid_sizes": [16]},
+            "params": {"target_norm": 1e300}})
+        out_dir = tmp_path / "out"
+        with pytest.warns(RuntimeWarning):  # overflow in the core
+            code = cli_main(["fixed-point", "--config", path,
+                             "--out", str(out_dir)])
+        assert code == 1
+        for name in ("results.csv", "summary.json", "manifest.json"):
+            assert (out_dir / name).exists()
+        manifest = json.loads(read(out_dir / "manifest.json"))
+        assert manifest["numeric_failures"] == 1
+        assert manifest["cells"][0]["note"]
 
     def test_fixed_point_sup_exponent_runs(self, tmp_path):
         # q = inf on the 1-D density line (p = 2): alpha' = 2q/(q+1) is 2
@@ -577,6 +662,27 @@ class TestCli:
         out_dir = tmp_path / "out"
         code = cli_main(["fixed-point", "--config", str(path),
                          "--out", str(out_dir)])
+        assert code in (0, 1)
+        for name in ("results.csv", "summary.json", "manifest.json"):
+            assert (out_dir / name).exists()
+
+    @pytest.mark.parametrize("kind, params", [
+        pytest.param("strichartz-fit", {"p": math.inf, "q": math.inf,
+                                        "N": [2, 4], "time_pts": 5},
+                     id="fit"),
+        pytest.param("ons-sweep", {"q": math.inf, "N": [2, 4],
+                                   "time_pts": 5}, id="ons"),
+        pytest.param("hartree-run", {"q_report": math.inf, "T": 0.01,
+                                     "dt": [0.005]}, id="hartree"),
+    ])
+    def test_infinite_exponent_runs(self, tmp_path, kind, params):
+        # an exponent bounded below but not finite accepts the sup norm
+        path = self.write_cfg(tmp_path, {
+            "experiment": kind,
+            "geometry": {"kind": "torus", "grid_sizes": [16]},
+            "params": params})
+        out_dir = tmp_path / "out"
+        code = cli_main([kind, "--config", path, "--out", str(out_dir)])
         assert code in (0, 1)
         for name in ("results.csv", "summary.json", "manifest.json"):
             assert (out_dir / name).exists()
