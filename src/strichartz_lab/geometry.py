@@ -28,6 +28,7 @@ which is C-infinity, even, identically 1 on [-1, 1] and supported in
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -449,6 +450,36 @@ def project_leq(f: Field, N: int) -> Field:
     return inverse_transform(SpectrumField(coef, f.geometry))
 
 
+def _exact_grid(grid_sizes, box, q) -> tuple[int, ...]:
+    """Per axis, the fewest points on which the Riemann sum of |u|^q is
+    exact for u with band box ``box`` (largest index K = (box - 1) // 2).
+
+    For even integer q, |u|^q = |u^(q/2)|^2 has index at most q K, and the
+    mean of exp(2 pi i k j / G) over G points vanishes unless G divides k:
+    an axis with G > q K integrates exactly, and so does the smallest even
+    5-smooth G' > q K.  Other axes, and other q, keep G (their sums carry
+    aliased terms).
+    """
+    if not (math.isfinite(q) and q == int(q) and int(q) % 2 == 0):
+        return tuple(grid_sizes)
+    out = []
+    for g, b in zip(grid_sizes, box):
+        n = int(q) * ((b - 1) // 2) + 1
+        n += n % 2
+        while n < g and not _is_smooth(n):
+            n += 2
+        out.append(min(g, n))
+    return tuple(out)
+
+
+def _is_smooth(n: int) -> bool:
+    # no prime factor above 5
+    for f in (2, 3, 5):
+        while n % f == 0:
+            n //= f
+    return n == 1
+
+
 class BandFlow:
     """The band-limited flow U(t) P_{<=N} on coefficient vectors of the
     sharp band [-N, N]^d (Nyquist rows excluded).
@@ -459,11 +490,23 @@ class BandFlow:
     order, folds the box-origin sign and 1/cell_volume into one per-band
     factor, and lists the distinct symbol values (phi is even), the only
     phases evaluated.
+
+    Blocks are sampled on ``grid`` (cell volume ``cell_volume``): the
+    geometry's grid, or with ``q`` the exact grid of ``_exact_grid``.  For
+    even integer q every axis whose config size G exceeds q K (K the
+    band's largest index on that axis) shrinks to the smallest even
+    5-smooth size above q K; the Riemann sum of |u|^q, a trigonometric
+    polynomial of index at most q K, is exact on both grids, so a norm
+    reduced with ``cell_volume`` equals the config grid's to roundoff.
+    Other axes and other q (inf, odd, non-integer) keep the config grid.
+    Config grids stay powers of two; the evaluation grid is internal to
+    the stream, so a consumer of the fields themselves passes no ``q``.
     """
 
-    def __init__(self, geometry: GeometrySpec, N: int, theta: float):
+    def __init__(self, geometry: GeometrySpec, N: int, theta: float,
+                 q: float | None = None):
         mask = _band_multiplier(geometry, int(N)) == 1.0
-        grid, d = geometry.grid_sizes, geometry.dim
+        d = geometry.dim
         self.geometry = geometry
         self.xi = np.stack([m[mask] for m in frequency_lattice(geometry).mesh()],
                            axis=-1)
@@ -471,18 +514,23 @@ class BandFlow:
         rows = [np.flatnonzero(np.fft.ifftshift(mask.any(
             axis=tuple(b for b in range(d) if b != a)))) for a in range(d)]
         self._box = tuple(len(r) for r in rows)
-        tag = np.full(grid, -1, dtype=np.int64)
+        self.grid = geometry.grid_sizes if q is None \
+            else _exact_grid(geometry.grid_sizes, self._box, q)
+        self.cell_volume = geometry.cell_volume * math.prod(
+            g / e for g, e in zip(geometry.grid_sizes, self.grid))
+        tag = np.full(geometry.grid_sizes, -1, dtype=np.int64)
         tag[mask] = np.arange(self.size)
         self._order = np.fft.ifftshift(tag)[np.ix_(*rows)].ravel()
         self._levels, self._level_u = np.unique(self.phi[self._order],
                                                 return_inverse=True)
-        scale = np.full(grid, 1.0 / geometry.cell_volume)
+        scale = np.full(geometry.grid_sizes, 1.0 / self.cell_volume)
         offset = _offset_phase(geometry)
         if offset is not None:
             scale = scale * offset
         self._scale_u = scale[mask][self._order]
         # fullest axis first: the sparse axes stay pruned the longest
-        self._passes = sorted(range(d), key=lambda a: -self._box[a] / grid[a])
+        self._passes = sorted(range(d),
+                              key=lambda a: -self._box[a] / self.grid[a])
 
     @property
     def size(self) -> int:
@@ -492,16 +540,16 @@ class BandFlow:
         """(steps k, samples s) per block, k * s * grid points within
         ``_BLOCK_ELEMENTS`` (or one frame): a batch that fits is blocked
         over time, a larger one is cut into chunks of one step each."""
-        points = int(np.prod(self.geometry.grid_sizes))
+        points = math.prod(self.grid)
         s = min(samples, max(1, _BLOCK_ELEMENTS // points))
         return min(steps, max(1, _BLOCK_ELEMENTS // (s * points))), s
 
     def blocks(self, rows: np.ndarray, times):
         """Yield ``(time slice, sample slice, values)``: ``values`` (k, s,
-        *grid) is U(times[time slice]) f for the rows[sample slice] of
-        ``rows`` (S, B), the band coefficients of S samples.  The chunks of
-        a time block share its phase, from ``_phase_blocks`` (one exact
-        phase per block); ``values`` is overwritten next."""
+        *grid) is U(times[time slice]) f on ``grid`` for the rows[sample
+        slice] of ``rows`` (S, B), the band coefficients of S samples.  The
+        chunks of a time block share its phase, from ``_phase_blocks`` (one
+        exact phase per block); ``values`` is overwritten next."""
         rows = np.asarray(rows)
         times = np.asarray(times, dtype=float)
         S, T = rows.shape[0], len(times)
@@ -512,7 +560,7 @@ class BandFlow:
         # n band rows: the (n + 1) // 2 lowest and n // 2 highest unshifted.
         dims, passes = list(self._box), []
         for a in self._passes:
-            dims[a] = self.geometry.grid_sizes[a]
+            dims[a] = self.grid[a]
             passes.append((a, *np.zeros((2, k, s, *dims), np.complex128)))
         for ts, phase in _phase_blocks(times, self._levels, k):
             phase = phase[:, self._level_u]

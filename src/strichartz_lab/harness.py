@@ -98,14 +98,16 @@ def _ons_density_state(geometry, M, band, theta, weights, seed) -> DensityState:
 def _flow_ratios(geometry, N, coef_rows, theta, time_pts, p, q):
     """Strichartz quotients ||U(t) f_s||_{L^p_t L^q_x} / ||f_s||_2 for a
     batch of band coefficient vectors, reduced block by block without
-    materializing the space-time films (the time grid can be very fine).
+    materializing the space-time films (the time grid can be very fine),
+    on the exact grid of ``q`` (``BandFlow``).
     """
     times = np.linspace(0.0, 1.0, time_pts)
-    blocks = BandFlow(geometry, N, theta).blocks(coef_rows, times)
+    flow = BandFlow(geometry, N, theta, q)
     step = max(1, _BLOCK_ELEMENTS // coef_rows.shape[1])  # rows per l2 chunk
     l2 = np.concatenate([lq_norm(coef_rows[j:j + step], 2, geometry.dual_cell,
                                  1) for j in range(0, len(coef_rows), step)])
-    return frames_norm(blocks, times, p, q, geometry, len(coef_rows)) / l2
+    return frames_norm(flow.blocks(coef_rows, times), times, p, q,
+                       flow.cell_volume, len(coef_rows)) / l2
 
 
 # ---------------------------------------------------------------------------
@@ -114,6 +116,14 @@ def _flow_ratios(geometry, N, coef_rows, theta, time_pts, p, q):
 
 def _reject(field, message):
     raise ConfigError(f"{field}: {message}", field=field)
+
+
+def _check_cap(field, what, elements):
+    """Preflight of an array whose size the config sets: reject it before
+    anything is allocated when it holds more than MATRIX_CAP elements."""
+    if elements > MATRIX_CAP:
+        _reject(field, f"{what} of {elements} elements exceeds cap "
+                       f"{MATRIX_CAP}")
 
 
 def _check_family(p, geom):
@@ -140,7 +150,13 @@ def _drv_kernel_sweep(echo):
               "refined", "group_ratio", "passed", "wall_time_ms"]
     cells = [{"theta": th, "N": n} for th in p["theta"] for n in p["N"]]
 
-    # preflight: each cell needs a nonempty dispersive window
+    # preflight: the time grid and a space row at the deepest refinement,
+    # and a nonempty dispersive window in each cell
+    scale = 4 if p["check_refinement"] else 1
+    _check_cap("params.t_grid_pts", "refined time grid",
+               (p["t_grid_pts"] - 1) * scale + 1)
+    _check_cap("params.x_grid_pts", "refined space row",
+               p["x_grid_pts"] * scale)
     for th in p["theta"]:
         for n in p["N"]:
             top = _window_top(n, th)
@@ -287,6 +303,11 @@ def _drv_ons_sweep(echo):
               "slope", "within_threshold", "passed", "wall_time_ms"]
     cells = [{"alpha_prime": a, "N": n}
              for a in p["alpha_prime"] for n in p["N"]]
+    # a cell holds its density film and a full-band family
+    _check_cap("params.time_pts", "density film",
+               p["time_pts"] * math.prod(geom.grid_sizes))
+    dim = band_dimension(geom, max(p["N"]))
+    _check_cap("params.N", f"family of {dim} band members", dim * dim)
 
     def run_cell(cell, seed):
         cfg = OnsConfig(
@@ -348,9 +369,8 @@ def _drv_duality_check(echo):
         _reject("params.interval", f"need finite [t0, t1] with t0 < t1, "
                                    f"got {t}")
     rows = p["time_pts"] * math.prod(geom.grid_sizes)
-    if rows * rows > MATRIX_CAP:
-        _reject("params.time_pts", f"space-time Gram {rows} x {rows} "
-                                   f"exceeds cap {MATRIX_CAP}")
+    _check_cap("params.time_pts", f"space-time Gram {rows} x {rows}",
+               rows * rows)
 
     def run_cell(cell, seed):
         t0, t1 = p["interval"]
@@ -448,6 +468,8 @@ def _drv_fixed_point(echo):
                                       p["theta"]).kinds:
         _reject("params.q", f"(p, q) = ({p['p']:g}, {p['q']:g}) is off the "
                             f"density line 2/p + d/q = d, d = {geom.dim}")
+    _check_cap("params.time_pts", "density film",
+               p["time_pts"] * math.prod(geom.grid_sizes))
     potential = build_potential(p["potential"])
     w_besov = potential.besov_norm(geom)
     header = ["experiment_id", "cell_index", "iteration", "residual",
@@ -564,10 +586,11 @@ def run(config, out_dir: str, seed: int | None = None,
             row = run_cell(cell, cell_seed)
             failed = False
         except NumericFailureError as exc:
-            row = {"passed": False, "note": str(exc)}
+            row = {"passed": False, "note": str(exc), "error_kind": "numeric"}
             failed = True
         except Warning as exc:
-            row = {"passed": False, "note": f"warning escalated: {exc}"}
+            row = {"passed": False, "note": f"warning escalated: {exc}",
+                   "error_kind": "warning"}
             failed = True
         row.setdefault("passed", True)
         row["cell_index"] = i
@@ -612,8 +635,8 @@ def run(config, out_dir: str, seed: int | None = None,
         "numeric_failures": numeric_failures,
         "cells": [{"cell_index": r["cell_index"],
                    "passed": bool(r.get("passed")),
-                   **{k: r[k] for k in ("note", "truncation_mass")
-                      if k in r}}
+                   **{k: r[k] for k in ("note", "error_kind",
+                                        "truncation_mass") if k in r}}
                   for r in rows],
     }
     with open(os.path.join(out_dir, "manifest.json"), "w",

@@ -100,20 +100,29 @@ def trapezoid_weights(times) -> np.ndarray:
     return w
 
 
-def frames_norm(blocks, times, p: float, q: float, geometry, batch: int = 1):
+def frames_norm(blocks, times, p: float, q: float, measure: float,
+                batch: int = 1):
     """L^p_t L^q_x norms (batch,) of a batch of samples, reduced block by
-    block as they arrive: Riemann sum in space, trapezoid in time.  Blocks
-    are ``(time slice, sample slice, values (k, s, *grid))`` as yielded by
-    ``BandFlow.blocks``; either exponent may be inf, realized as a max.
+    block as they arrive: Riemann sum in space with cell ``measure``,
+    trapezoid in time.  Blocks are ``(time slice, sample slice, values (k,
+    s, *grid))`` as yielded by ``BandFlow.blocks``; either exponent may be
+    inf, realized as a max.
+
+    ``measure`` is the cell volume of the grid the blocks were sampled on,
+    ``BandFlow.cell_volume``.  A stream built with an even integer q
+    samples each axis whose config size G exceeds q K (K the band's
+    largest index there) on the smallest even 5-smooth size above q K:
+    |u|^q is a trigonometric polynomial of index at most q K, which both
+    grids integrate exactly, so the norm equals the config grid's to
+    roundoff.  Other axes and exponents keep the config grid, and config
+    grids stay powers of two.
     """
     p = _check_exponent(p, "p")
     q = _check_exponent(q, "q")
     weights = trapezoid_weights(times)
-    axes = tuple(range(2, geometry.dim + 2))
-    vol = geometry.cell_volume
     acc = np.zeros(batch)
     for ts, ss, u in blocks:
-        g = _lebesgue(u, q, vol, axes)
+        g = _lebesgue(u, q, measure, tuple(range(2, u.ndim)))
         if p == math.inf:
             acc[ss] = np.maximum(acc[ss], g.max(axis=0))
         else:
@@ -124,7 +133,8 @@ def frames_norm(blocks, times, p: float, q: float, geometry, batch: int = 1):
 def mixed_norm(F: SpaceTimeField, p: float, q: float) -> float:
     """L^p_t L^q_x norm of a space-time field: one ``frames_norm`` block."""
     block = (slice(None), slice(None), F.values[:, None])
-    return float(frames_norm([block], F.times, p, q, F.geometry)[0])
+    return float(frames_norm([block], F.times, p, q,
+                             F.geometry.cell_volume)[0])
 
 
 # ---------------------------------------------------------------------------

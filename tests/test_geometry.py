@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from strichartz_lab.geometry import (
     GridMultiplier,
     SpectrumField,
     _band_multiplier,
+    _exact_grid,
     eta1,
     flow_phase,
     forward_transform,
@@ -230,6 +233,83 @@ def collect_blocks(flow, rows, times):
     return film
 
 
+class TestExactGrid:
+    # (grid, band box, q) -> evaluation grid; K = (box - 1) // 2 per axis
+    @pytest.mark.parametrize("grid, box, q, want", [
+        # the shipped waveguide at N = 8, 16, 32 (L = 8): both axes, one,
+        # none shrink to the smallest even 5-smooth size above 4 K
+        ((512, 128), (129, 17), 4, (270, 36)),
+        ((512, 128), (257, 33), 4, (512, 72)),
+        ((512, 128), (511, 65), 4, (512, 128)),
+        # the shipped torus at N = 8, 16, 32, 64 and q = 8
+        ((512,), (17,), 8, (72,)),
+        ((512,), (33,), 8, (144,)),
+        ((512,), (65,), 8, (270,)),
+        ((512,), (129,), 8, (512,)),
+        # G = q K exactly aliases the top index: kept
+        ((128,), (33,), 8, (128,)),
+        ((128,), (33,), 8.0, (128,)),
+        # q = 2 always fits the band; q = 6 is even without being 2^j
+        ((64, 16), (17, 15), 2, (18, 16)),
+        ((512,), (17,), 6, (50,)),
+        # a band of one row needs two points
+        ((16, 64), (1, 9), 4, (2, 18)),
+    ])
+    def test_size_rule(self, grid, box, q, want):
+        assert _exact_grid(grid, box, q) == want
+
+    @pytest.mark.parametrize("q", [math.inf, 3, 3.0, 4.0 / 3.0, 1, 2.5])
+    def test_other_exponents_keep_config_grid(self, q):
+        assert _exact_grid((512, 128), (129, 17), q) == (512, 128)
+
+    @pytest.mark.parametrize("q", [None, math.inf, 3.0, 4.0 / 3.0, 1.0])
+    def test_flow_keeps_config_grid(self, q):
+        geom = waveguide(512, 128, trunc_length=8.0)
+        flow = BandFlow(geom, 8, 2.5, q)
+        assert flow.grid == geom.grid_sizes
+        assert flow.cell_volume == geom.cell_volume
+
+    def test_flow_on_exact_grid(self):
+        geom = waveguide(512, 128, trunc_length=8.0)
+        flow = BandFlow(geom, 8, 2.5, 4.0)
+        assert flow.grid == (270, 36)
+        assert flow.cell_volume == pytest.approx(8.0 / 270 / 36, rel=1e-15)
+        # same band, order and phases as on the config grid
+        base = BandFlow(geom, 8, 2.5)
+        assert np.array_equal(flow.xi, base.xi)
+        assert np.array_equal(flow.phi, base.phi)
+        assert np.array_equal(flow._order, base._order)
+
+    @pytest.mark.parametrize("geom, N", [
+        (torus((16, 64)), 4),
+        (waveguide(64, 16, trunc_length=2.0), 3),
+    ], ids=["torus-2d", "waveguide"])
+    def test_blocks_sample_band_polynomial(self, geom, N):
+        # pointwise oracle on the exact grid: the band's trigonometric
+        # polynomial sum_b c_b e^{2 pi i (t phi_b + xi_b . x)} / volume
+        flow = BandFlow(geom, N, 2.5, 4.0)
+        assert math.prod(flow.grid) < math.prod(geom.grid_sizes)
+        coords = []
+        for ax, g in enumerate(flow.grid):
+            x = np.arange(g) / g
+            coords.append(geom.trunc_length * (x - 0.5)
+                          if geom.axis_is_free(ax) else x)
+        x = np.stack([m.ravel() for m in np.meshgrid(*coords,
+                                                     indexing="ij")])
+        volume = geom.cell_volume * math.prod(geom.grid_sizes)
+        rng = np.random.default_rng(5)
+        rows = rng.standard_normal((3, flow.size)) \
+            + 1j * rng.standard_normal((3, flow.size))
+        times = np.array([0.0, 0.3, 1.7])
+        for ts, ss, values in flow.blocks(rows, times):
+            for t, frames in zip(times[ts], values):
+                wave = np.exp(2j * np.pi * (t * flow.phi[:, None]
+                                            + flow.xi @ x)) / volume
+                direct = (rows[ss] @ wave).reshape((-1,) + flow.grid)
+                assert np.max(np.abs(frames - direct)) \
+                    < 1e-13 * np.max(np.abs(direct))
+
+
 class TestBandFlow:
     @pytest.mark.parametrize("geom, N, budget", [
         (torus(64), 10, None),
@@ -301,22 +381,26 @@ class TestBandFlow:
         if budget is not None:
             monkeypatch.setattr(geometry, "_BLOCK_ELEMENTS", budget)
         budget = geometry._BLOCK_ELEMENTS
-        flow = BandFlow(geom, 2, 2.0)
-        rows = np.ones((samples, flow.size), dtype=complex)
-        times = np.linspace(0.0, 1.0, steps)
-        frame = int(np.prod(geom.grid_sizes))
-        k, s = flow.block_shape(samples, steps)
-        sizes = []
-        for ts, ss, values in flow.blocks(rows, times):
-            assert values.shape[:2] == (len(range(steps)[ts]),
-                                        len(range(samples)[ss]))
-            sizes.append(values.size)
-        # a block never exceeds the budget, or one frame when that is larger
-        assert max(sizes) == k * s * frame <= max(budget, frame)
-        assert len(sizes) == -(-steps // k) * -(-samples // s)
-        # whole batches are blocked over time, larger ones chunked
-        assert s == samples or k == 1
-        assert max(sizes) > budget // 2 or (k == steps and s == samples)
+        # on the config grid, and on the exact grid of q = 4 (smaller on
+        # the tori): the budget counts points of the grid sampled on
+        for q in (None, 4.0):
+            flow = BandFlow(geom, 2, 2.0, q)
+            rows = np.ones((samples, flow.size), dtype=complex)
+            times = np.linspace(0.0, 1.0, steps)
+            frame = math.prod(flow.grid)
+            k, s = flow.block_shape(samples, steps)
+            sizes = []
+            for ts, ss, values in flow.blocks(rows, times):
+                assert values.shape[:2] == (len(range(steps)[ts]),
+                                            len(range(samples)[ss]))
+                sizes.append(values.size)
+            # a block never exceeds the budget, or one frame when larger
+            assert max(sizes) == k * s * frame <= max(budget, frame)
+            assert len(sizes) == -(-steps // k) * -(-samples // s)
+            # whole batches are blocked over time, larger ones chunked
+            assert s == samples or k == 1
+            assert max(sizes) > budget // 2 or (k == steps
+                                                and s == samples)
 
 
 class TestPhaseBlocks:

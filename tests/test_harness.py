@@ -6,13 +6,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from strichartz_lab import geometry
+from strichartz_lab import geometry, harness
 from strichartz_lab.cli import main as cli_main
 from strichartz_lab.config import load_config, schema_document, validate_config
 from strichartz_lab.errors import ConfigError
-from strichartz_lab.geometry import (SpaceTimeField, SpectrumField,
-                                     _band_multiplier, inverse_transform,
-                                     propagate, torus, waveguide)
+from strichartz_lab.geometry import (BandFlow, SpaceTimeField,
+                                     SpectrumField, _band_multiplier,
+                                     inverse_transform, propagate, torus,
+                                     waveguide)
 from strichartz_lab.harness import _flow_ratios, run
 from strichartz_lab.norms import mixed_norm
 from strichartz_lab.seeding import derive_cell_seed, derive_cell_seeds
@@ -205,6 +206,9 @@ class TestRun:
         strict = run(cfg, str(tmp_path / "strict"), strict=True)
         assert strict.exit_code == 1
         assert not strict.rows[0]["passed"]
+        manifest = json.loads(read(tmp_path / "strict" / "manifest.json"))
+        assert manifest["cells"][0]["error_kind"] == "warning"
+        assert "error_kind" not in read(tmp_path / "strict" / "results.csv")
 
     def test_numeric_failure_marks_cell_and_continues(self, tmp_path):
         # an absurd oscillation count exhausts the quadrature budget; the
@@ -221,39 +225,59 @@ class TestRun:
         assert not manifest["all_passed"]
         assert "note" not in manifest["cells"][0]
         assert "stalled" in manifest["cells"][1]["note"]
+        # the manifest says what kind of failure it was; results.csv not
+        assert "error_kind" not in manifest["cells"][0]
+        assert manifest["cells"][1]["error_kind"] == "numeric"
+        assert "error_kind" not in read(tmp_path / "out" / "results.csv")
 
 
 class TestFlowRatios:
-    @pytest.mark.parametrize("geom, N, budget", [
-        (torus(64), 10, None),
-        (torus((16, 16)), 4, None),
-        (waveguide(32, 16, trunc_length=4.0), 4, None),
+    # kept: for even q, the axis that keeps its config size while the
+    # other shrinks to its exact grid (None: not asserted)
+    @pytest.mark.parametrize("geom, N, budget, kept", [
+        (torus(64), 10, None, None),
+        (torus((16, 16)), 4, None, None),
+        (waveguide(32, 16, trunc_length=4.0), 4, None, None),
         # 4 steps of the 3 samples per block: time blocks 4, 4 and 1
-        (torus(64), 10, 4 * 3 * 64),
+        (torus(64), 10, 4 * 3 * 64, None),
         # 2 frames per block: sample chunks of 2 and 1, one step each
-        (torus((16, 16)), 4, 2 * 256),
+        (torus((16, 16)), 4, 2 * 256, None),
         # 1 frame per block
-        (waveguide(32, 16, trunc_length=4.0), 4, 512),
+        (waveguide(32, 16, trunc_length=4.0), 4, 512, None),
         # the periodic axis transformed first, then the free one
-        (waveguide(64, 8, trunc_length=1.0), 2, None),
-        (waveguide(64, 8, trunc_length=1.0), 2, 512),
+        (waveguide(64, 8, trunc_length=1.0), 2, None, None),
+        (waveguide(64, 8, trunc_length=1.0), 2, 512, None),
         # 3-D: two periodic passes before the free one
-        (waveguide(16, (8, 8), trunc_length=2.0), 2, None),
-        (waveguide(16, (8, 8), trunc_length=2.0), 2, 1024),
-        (torus((8, 8, 8)), 2, 2 * 512),
+        (waveguide(16, (8, 8), trunc_length=2.0), 2, None, None),
+        (waveguide(16, (8, 8), trunc_length=2.0), 2, 1024, None),
+        (torus((8, 8, 8)), 2, 2 * 512, None),
+        # for q in {2, 4, 8} the first axis (16 points, K = 7) keeps its
+        # size and the second (128 points, K = 8 or 4) shrinks; the last
+        # case blocks 2 to 7 exact-grid frames at a time
+        (torus((16, 128)), 8, None, 0),
+        (waveguide(16, 128, trunc_length=2.0), 4, None, 0),
+        (waveguide(16, 128, trunc_length=2.0), 4, 2 * 16 * 36, 0),
     ], ids=["torus-1d", "torus-2d", "waveguide", "torus-1d-time-blocks",
             "torus-2d-sample-chunks", "waveguide-sample-chunks",
             "waveguide-periodic-first", "waveguide-periodic-first-chunks",
-            "waveguide-3d", "waveguide-3d-chunks", "torus-3d-chunks"])
+            "waveguide-3d", "waveguide-3d-chunks", "torus-3d-chunks",
+            "torus-2d-exact-grid", "waveguide-exact-grid",
+            "waveguide-exact-grid-chunks"])
     @pytest.mark.parametrize("p, q", [(8, 8), (4, 4), (6, 2), (math.inf, 4),
                                       (4, math.inf)])
-    def test_matches_materialized_film(self, geom, N, budget, p, q,
+    def test_matches_materialized_film(self, geom, N, budget, kept, p, q,
                                        monkeypatch):
         # slow twin: scatter each row into the centered lattice, transform
         # back, propagate to every time and reduce the stored film
         if budget is not None:
             monkeypatch.setattr(geometry, "_BLOCK_ELEMENTS", budget)
         theta, time_pts = 2.5, 9
+        if kept is not None and q != math.inf:
+            # the stream runs on a strictly smaller grid, so the film on
+            # the config grid is an oracle of the exact-grid path
+            grid = BandFlow(geom, N, theta, q).grid
+            assert grid[kept] == geom.grid_sizes[kept]
+            assert math.prod(grid) < math.prod(geom.grid_sizes)
         mask = _band_multiplier(geom, N) == 1.0
         rng = np.random.default_rng(29)
         rows = rng.standard_normal((3, int(mask.sum()))) \
@@ -500,6 +524,15 @@ class TestCli:
                      id="duality-one-time"),
         pytest.param("duality-check", {"time_pts": 300}, "params.time_pts",
                      id="duality-gram-above-cap"),
+        # arrays beyond MATRIX_CAP elements, rejected before allocation
+        pytest.param("kernel-sweep", {"t_grid_pts": 10 ** 12},
+                     "params.t_grid_pts", id="kernel-time-grid-above-cap"),
+        pytest.param("kernel-sweep", {"x_grid_pts": 10 ** 12},
+                     "params.x_grid_pts", id="kernel-space-row-above-cap"),
+        pytest.param("ons-sweep", {"time_pts": 10 ** 12}, "params.time_pts",
+                     id="ons-film-above-cap"),
+        pytest.param("fixed-point", {"time_pts": 10 ** 12},
+                     "params.time_pts", id="fixed-point-film-above-cap"),
         pytest.param("duality-check", {"N": 0}, "params.N",
                      id="duality-N-zero"),
         pytest.param("duality-check", {"N": -2}, "params.N",
@@ -687,10 +720,26 @@ class TestCli:
         for name in ("results.csv", "summary.json", "manifest.json"):
             assert (out_dir / name).exists()
 
-    def assert_rejected(self, tmp_path, capsys, kind, params, field):
+    def test_film_cap_counts_grid_points(self, tmp_path, capsys):
+        # 2^20 times of a 16-point torus fill the cap exactly, so the
+        # driver's preflight accepts that film and rejects the 32-point
+        # one; a full band of 8191 members is above the cap
+        params = {"time_pts": 2 ** 20}
+        for kind in ("ons-sweep", "fixed-point"):
+            harness._DRIVERS[kind](validate_config({
+                "experiment": kind,
+                "geometry": {"kind": "torus", "grid_sizes": [16]},
+                "params": params}))
+            self.assert_rejected(tmp_path, capsys, kind, params,
+                                 "params.time_pts", grid=[32])
+        self.assert_rejected(tmp_path, capsys, "ons-sweep", {"N": [4096]},
+                             "params.N", grid=[8192])
+
+    def assert_rejected(self, tmp_path, capsys, kind, params, field,
+                        grid=(16,)):
         path = self.write_cfg(tmp_path, {
             "experiment": kind,
-            "geometry": {"kind": "torus", "grid_sizes": [16]},
+            "geometry": {"kind": "torus", "grid_sizes": list(grid)},
             "params": params})
         out_dir = tmp_path / "out"
         code = cli_main([kind, "--config", path, "--out", str(out_dir)])
