@@ -36,7 +36,6 @@ from .kernels import (                                   # noqa: F401
     dispersive_sup,
     kernel_exp_sum,
     vdc_integral_oracle,
-    waveguide_kernel,
 )
 from .norms import (                                     # noqa: F401
     AdmissiblePair,
@@ -69,7 +68,6 @@ from .ons import (                                       # noqa: F401
     generate_ons,
     lambda_family,
     ons_estimate_ratio,
-    sweep,
 )
 from .hartree import (                                   # noqa: F401
     DensityState,

@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -157,6 +158,10 @@ def _drv_kernel_sweep(echo):
                (p["t_grid_pts"] - 1) * scale + 1)
     _check_cap("params.x_grid_pts", "refined space row",
                p["x_grid_pts"] * scale)
+    # the largest N-sized array is the phase table of the levels
+    # arange(1, N + 1) ** theta: 2 x N once a time chunk of the sweep is
+    # one row (N >= 5 * 10^5), far below the cap for smaller N
+    _check_cap("params.N", "phase table", 2 * max(p["N"]))
     for th in p["theta"]:
         for n in p["N"]:
             top = _window_top(n, th)
@@ -245,6 +250,21 @@ def _drv_strichartz_fit(echo):
     if not pred.applicable:
         _reject("params.estimate", f"estimate not applicable: {pred.note}")
     sigma = pred.sigma
+    # preflight: the time grid and the random batch at the largest N; the
+    # Dirichlet grid is compared in log space, since a float N ** theta
+    # overflows once theta > 1023 at N = 2
+    _check_cap("params.time_pts", "time grid", p["time_pts"])
+    n_max = max(p["N"])
+    if p["family"] == "random":
+        _check_cap("params.samples", "random batch",
+                   p["samples"] * band_dimension(geom, n_max))
+    elif p["time_pts_scale"] > 0:
+        log_pow = p["theta"] * math.log(n_max)
+        if (log_pow + math.log(p["time_pts_scale"]) >= math.log(MATRIX_CAP)
+                or log_pow >= math.log(sys.float_info.max)):
+            _reject("params.time_pts_scale",
+                    f"time grid time_pts_scale * N^theta + 1 at N = "
+                    f"{n_max} exceeds cap {MATRIX_CAP}")
 
     def run_cell(cell, seed):
         N = cell["N"]
@@ -369,8 +389,9 @@ def _drv_duality_check(echo):
         _reject("params.interval", f"need finite [t0, t1] with t0 < t1, "
                                    f"got {t}")
     rows = p["time_pts"] * math.prod(geom.grid_sizes)
-    _check_cap("params.time_pts", f"space-time Gram {rows} x {rows}",
-               rows * rows)
+    band = band_dimension(geom, p["N"])
+    _check_cap("params.time_pts", f"extension matrix {rows} x {band}",
+               rows * band)
 
     def run_cell(cell, seed):
         t0, t1 = p["interval"]

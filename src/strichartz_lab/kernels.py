@@ -26,14 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, NumericFailureError
-from .geometry import (
-    GeometrySpec,
-    _band_multiplier,
-    _frac_product,
-    _phase_blocks,
-    fractional_symbol,
-    frequency_lattice,
-)
+from .geometry import _frac_product, _phase_blocks
 
 __all__ = [
     "KernelQuery",
@@ -42,7 +35,6 @@ __all__ = [
     "kernel_exp_sum",
     "dispersive_sup",
     "vdc_integral_oracle",
-    "waveguide_kernel",
 ]
 
 
@@ -264,32 +256,3 @@ def vdc_integral_oracle(theta: float, x: float, t: float, p: int, b: float,
             f"oscillatory quadrature stalled at error {total_err:.3e} "
             f"after {panels} panels (tol {tol:.1e})", best=result)
     return result
-
-
-# ---------------------------------------------------------------------------
-# full-lattice kernel (waveguide form)
-
-
-def waveguide_kernel(t: float, z, N: int, theta: float,
-                     geometry: GeometrySpec) -> complex:
-    """K_N(t, z) = sum over the frequency lattice of e^{2 pi i (z.xi + t phi)}
-    eta(xi/N)^2 d(xi).
-
-    On a pure torus geometry the cutoff is sharp, so this reduces to the
-    exponential sum; on a waveguide the smooth tensor bump is squared and
-    free axes carry the Riemann-sum measure 1/L.
-    """
-    if N < 1 or int(N) != N:
-        raise InvalidInputError("kernel order N must be a positive integer")
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    if z.shape != (geometry.dim,):
-        raise InvalidInputError(
-            f"evaluation point has {z.shape} coordinates, geometry needs "
-            f"{geometry.dim}")
-    lat = frequency_lattice(geometry)
-    mesh = lat.mesh()
-    phase = sum(z[ax] * mesh[ax] for ax in range(geometry.dim)) \
-        + _frac_product(t, fractional_symbol(geometry, theta))
-    weight = _band_multiplier(geometry, int(N)) ** 2
-    terms = np.exp(2j * np.pi * phase) * weight * geometry.dual_cell
-    return complex(np.sum(terms))

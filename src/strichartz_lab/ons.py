@@ -15,7 +15,7 @@ transforms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,8 +27,8 @@ from .geometry import (
     _band_multiplier,
     frequency_lattice,
 )
-from .norms import (ScalingFit, SigmaPrediction, classify_pair, fit_scaling,
-                    lq_norm, mixed_norm, predict_sigma)
+from .norms import (SigmaPrediction, classify_pair, lq_norm, mixed_norm,
+                    predict_sigma)
 from .seeding import derive_cell_seed
 
 __all__ = [
@@ -41,7 +41,6 @@ __all__ = [
     "lambda_family",
     "density_field",
     "ons_estimate_ratio",
-    "sweep",
 ]
 
 
@@ -267,26 +266,3 @@ def ons_estimate_ratio(cfg: OnsConfig) -> OnsRecord:
                 best_norm, best_label = val, fam.provenance
     return OnsRecord(cfg, True, lhs_norm=best_norm, lambda_norm=lam.norm,
                      best_family=best_label, prediction=prediction)
-
-
-def sweep(base: OnsConfig, axis: str, values) -> tuple[list[OnsRecord], ScalingFit | None]:
-    """Repeat the cell measurement along one axis; fit log-log slope when
-    the axis is N or M and every cell applies."""
-    if axis not in ("N", "M", "alpha_prime", "theta", "pq"):
-        raise InvalidInputError(f"unknown sweep axis {axis!r}")
-    records = []
-    for i, v in enumerate(values):
-        cell_seed = derive_cell_seed(base.seed, i)
-        if axis == "pq":
-            cfg = replace(base, p=float(v[0]), q=float(v[1]), seed=cell_seed)
-        elif axis in ("N", "M"):
-            cfg = replace(base, seed=cell_seed, **{axis: int(v)})
-        else:
-            cfg = replace(base, seed=cell_seed, **{axis: float(v)})
-        records.append(ons_estimate_ratio(cfg))
-    fit = None
-    if axis in ("N", "M") and records and all(r.applicable for r in records):
-        pts = [(v, r.ratio) for v, r in zip(values, records)]
-        if len(pts) >= 3 and all(p[1] and p[1] > 0 for p in pts):
-            fit = fit_scaling(pts)
-    return records, fit

@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see one PASS line
 per criterion (a failed assert prints the measured values instead).
 """
 
+import os
 import time
 
 import numpy as np
@@ -26,7 +27,7 @@ from strichartz_lab.hartree import (
 )
 from strichartz_lab.kernels import dispersive_sup, vdc_integral_oracle
 from strichartz_lab.norms import fit_scaling
-from strichartz_lab.ons import OnsConfig, band_dimension, sweep
+from strichartz_lab.ons import band_dimension
 from strichartz_lab.schatten import (
     DiscreteOperator,
     duality_check,
@@ -144,24 +145,22 @@ class TestCriterion4TorusStrichartzSlope:
 
 
 class TestCriterion5OrthonormalThreshold:
-    def test_alpha_threshold(self):
-        base = OnsConfig(theta=3.0, p=6.0, q=2.0, N=8, alpha_prime=4.0 / 3.0,
-                         estimate="theta-line-ons", geometry=torus(512),
-                         family_kinds=(("fourier-modes", 1),),
-                         lambda_kind="flat", admissibility="theta-line",
-                         time_pts=17, seed=0)
-        ns = [8, 16, 32, 64, 128]
-        _, fit_at = sweep(base, "N", ns)
-        from dataclasses import replace
-        _, fit_above = sweep(replace(base, alpha_prime=2.0), "N", ns)
+    def test_alpha_threshold(self, tmp_path):
+        # the shipped config: flat fourier-mode family on torus 512,
+        # N = 8 ... 128, alpha' = 4/3 (the edge 2q/(q+1)) and alpha' = 2
+        config = os.path.join(os.path.dirname(__file__), "..", "configs",
+                              "ons_threshold.json")
+        fits = run(config, str(tmp_path / "out")).summary["fits"]
+        slope_at = fits["slope_alpha_1.33333"]
+        slope_above = fits["slope_alpha_2"]
         sigma = 1.0 / 3.0
-        ok = (fit_at.slope <= sigma + 0.1 and fit_above.slope > sigma + 0.1
-              and abs(fit_at.slope - 0.25) < 0.05
-              and abs(fit_above.slope - 0.5) < 0.05)
+        ok = (slope_at <= sigma + 0.1 and slope_above > sigma + 0.1
+              and abs(slope_at - 0.25) < 0.05
+              and abs(slope_above - 0.5) < 0.05)
         report(5, "family-sum threshold",
                ok,
-               f"slope(a'=4/3)={fit_at.slope:.4f} <= {sigma + 0.1:.4f}; "
-               f"slope(a'=2)={fit_above.slope:.4f} > {sigma + 0.1:.4f} "
+               f"slope(a'=4/3)={slope_at:.4f} <= {sigma + 0.1:.4f}; "
+               f"slope(a'=2)={slope_above:.4f} > {sigma + 0.1:.4f} "
                f"(expected ~0.25 / ~0.5)")
 
 

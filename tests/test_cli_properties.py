@@ -164,8 +164,10 @@ def test_ons_sweep_cli_contract(grid, N, alpha_prime, theta, p, q, time_pts,
        alpha=st.lists(bounded("duality-check", "alpha", 6.0), min_size=1,
                       max_size=2),
        theta=bounded("duality-check", "theta", 4.0),
-       # 5000 times overflow the space-time Gram cap on every grid
-       time_pts=bounded("duality-check", "time_pts", 6) | st.just(5000),
+       # 5000 times fit the extension matrix cap on every grid; 10^6
+       # times overflow it on every grid
+       time_pts=bounded("duality-check", "time_pts", 6) | st.just(5000)
+       | st.just(10 ** 6),
        interval=st.tuples(st.floats(-1.0, 0.0), st.floats(0.5, 1.0)).map(list)
        | st.lists(st.floats(-1.0, 1.0) | st.just(math.inf), min_size=1,
                   max_size=3),

@@ -522,9 +522,10 @@ class TestCli:
                      id="ons-one-time"),
         pytest.param("duality-check", {"time_pts": 1}, "params.time_pts",
                      id="duality-one-time"),
-        pytest.param("duality-check", {"time_pts": 300}, "params.time_pts",
-                     id="duality-gram-above-cap"),
-        # arrays beyond MATRIX_CAP elements, rejected before allocation
+        # arrays beyond MATRIX_CAP elements, rejected before allocation:
+        # 10^6 times of the 16-point torus and 5 band columns at N = 2
+        pytest.param("duality-check", {"time_pts": 10 ** 6},
+                     "params.time_pts", id="duality-extension-above-cap"),
         pytest.param("kernel-sweep", {"t_grid_pts": 10 ** 12},
                      "params.t_grid_pts", id="kernel-time-grid-above-cap"),
         pytest.param("kernel-sweep", {"x_grid_pts": 10 ** 12},
@@ -533,6 +534,15 @@ class TestCli:
                      id="ons-film-above-cap"),
         pytest.param("fixed-point", {"time_pts": 10 ** 12},
                      "params.time_pts", id="fixed-point-film-above-cap"),
+        # N^theta = 128^400 overflows a float, let alone the time grid cap
+        pytest.param("strichartz-fit", {"theta": 400}, "params.time_pts_scale",
+                     id="fit-dirichlet-time-grid-above-cap"),
+        pytest.param("strichartz-fit", {"family": "random",
+                                        "samples": 10 ** 10},
+                     "params.samples", id="fit-random-batch-above-cap"),
+        # a nonempty window, so only the phase table of 2 x N levels fails
+        pytest.param("kernel-sweep", {"N": [10 ** 10], "t_min": 1e-30},
+                     "params.N", id="kernel-phase-table-above-cap"),
         pytest.param("duality-check", {"N": 0}, "params.N",
                      id="duality-N-zero"),
         pytest.param("duality-check", {"N": -2}, "params.N",
@@ -643,6 +653,20 @@ class TestCli:
     def test_bad_params_exit_2_no_artifacts(self, tmp_path, capsys, kind,
                                             params, field):
         self.assert_rejected(tmp_path, capsys, kind, params, field)
+
+    def test_duality_long_time_grid_runs(self, tmp_path):
+        # 300 times of the 16-point torus: a 4800 x 5 extension matrix,
+        # whose space-time Gram would be 4800 x 4800
+        path = self.write_cfg(tmp_path, {
+            "experiment": "duality-check",
+            "geometry": {"kind": "torus", "grid_sizes": [16]},
+            "params": {"time_pts": 300}})
+        out_dir = tmp_path / "out"
+        code = cli_main(["duality-check", "--config", path,
+                         "--out", str(out_dir)])
+        assert code == 0
+        for name in ("results.csv", "summary.json", "manifest.json"):
+            assert (out_dir / name).exists()
 
     @pytest.mark.parametrize("kind, key, opt", declared_bounds())
     def test_declared_bounds_exit_2_no_artifacts(self, tmp_path, capsys,

@@ -2,14 +2,12 @@ import numpy as np
 import pytest
 
 from strichartz_lab.errors import InvalidInputError, NumericFailureError
-from strichartz_lab.geometry import eta1, torus, waveguide
 from strichartz_lab.kernels import (
     KernelQuery,
     _scaled_kernel_max,
     dispersive_sup,
     kernel_exp_sum,
     vdc_integral_oracle,
-    waveguide_kernel,
 )
 
 
@@ -171,33 +169,3 @@ class TestVdcOracle:
         res = vdc_integral_oracle(2.5, 0.2, 3.0, 1, 2.0)
         ref = simpson_reference(2.5, 0.2, 3.0, 1, 2.0)
         assert abs(res.value - ref) < 1e-7
-
-
-class TestWaveguideKernel:
-    def test_reduces_to_exp_sum_on_torus(self):
-        geom = torus(64)
-        for (t, x) in [(0.0, 0.0), (0.01, 0.3), (-0.005, 0.77)]:
-            v = waveguide_kernel(t, [x], 8, 3.0, geom)
-            ref = kernel_exp_sum(KernelQuery(8, 3.0, t, x))
-            assert abs(v - ref) < 1e-12 * max(1.0, abs(ref))
-
-    def test_peak_value_torus(self):
-        geom = torus(64)
-        assert waveguide_kernel(0.0, [0.0], 5, 2.0, geom) == pytest.approx(11.0)
-
-    def test_separable_peak_on_waveguide(self):
-        geom = waveguide(64, 16, trunc_length=4.0)
-        N = 2
-        v = waveguide_kernel(0.0, [0.0, 0.0], N, 2.5, geom)
-        free = geom.axis_frequencies(0)
-        per = geom.axis_frequencies(1)
-        expected = (np.sum(np.where(free > free.min(), eta1(free / N) ** 2, 0.0))
-                    / geom.trunc_length) * \
-            np.sum(np.where(per > per.min(), eta1(per / N) ** 2, 0.0))
-        assert v == pytest.approx(expected, rel=1e-12)
-
-    def test_conjugate_symmetry_in_t(self):
-        geom = waveguide(32, 8, trunc_length=2.0)
-        a = waveguide_kernel(0.07, [0.3, 0.1], 3, 2.5, geom)
-        b = waveguide_kernel(-0.07, [0.3, 0.1], 3, 2.5, geom)
-        assert b == pytest.approx(np.conj(a), abs=1e-12)

@@ -12,8 +12,8 @@ from strichartz_lab.ons import (
     generate_ons,
     lambda_family,
     ons_estimate_ratio,
-    sweep,
 )
+from strichartz_lab.harness import run
 
 
 class TestGenerateOns:
@@ -209,21 +209,30 @@ class TestOnsEstimateRatio:
             per_member.append(mixed_norm(rho_j, 6.0, 2.0))
         assert total <= max(per_member) * (1 + 1e-10)
 
-    def test_flat_family_slope_below_threshold(self):
-        # alpha' at the admitted edge 2q/(q+1): slope stays under sigma + 0.1
-        records, fit = sweep(self.base_config(), "N", [8, 16, 32, 64])
-        assert fit is not None
-        sigma = records[0].prediction.sigma
-        assert sigma == pytest.approx(1.0 / 3.0)
-        assert fit.slope <= sigma + 0.1
-        assert 0.2 <= fit.slope <= 0.3  # flat family realizes 1 - 1/alpha'
+    @staticmethod
+    def sweep_slope(tmp_path, alpha_prime):
+        """sigma and the fitted slope of the base cell swept over N by the
+        ``ons-sweep`` driver."""
+        res = run({"experiment": "ons-sweep", "seed": 7,
+                   "geometry": {"kind": "torus", "grid_sizes": [128]},
+                   "params": {"theta": 3.0, "p": 6.0, "q": 2.0,
+                              "alpha_prime": [alpha_prime],
+                              "N": [8, 16, 32, 64], "time_pts": 17}},
+                  str(tmp_path / "out"))
+        return (res.rows[0]["sigma"],
+                res.summary["fits"][f"slope_alpha_{alpha_prime:g}"])
 
-    def test_above_threshold_growth_witness(self):
-        records, fit = sweep(self.base_config(alpha_prime=2.0), "N",
-                             [8, 16, 32, 64])
-        sigma = records[0].prediction.sigma
-        assert fit.slope > sigma + 0.1
-        assert 0.45 <= fit.slope <= 0.55
+    def test_flat_family_slope_below_threshold(self, tmp_path):
+        # alpha' at the admitted edge 2q/(q+1): slope stays under sigma + 0.1
+        sigma, slope = self.sweep_slope(tmp_path, 4.0 / 3.0)
+        assert sigma == pytest.approx(1.0 / 3.0)
+        assert slope <= sigma + 0.1
+        assert 0.2 <= slope <= 0.3  # flat family realizes 1 - 1/alpha'
+
+    def test_above_threshold_growth_witness(self, tmp_path):
+        sigma, slope = self.sweep_slope(tmp_path, 2.0)
+        assert slope > sigma + 0.1
+        assert 0.45 <= slope <= 0.55
 
     def test_lambda_scaling_exact(self):
         # lhs scales as M^{-1/alpha'} times the unit-weight norm (linearity)
@@ -236,24 +245,6 @@ class TestOnsEstimateRatio:
 
 
 class TestSweep:
-    def test_empty_axis(self):
-        cfg = OnsConfig(theta=3.0, p=6.0, q=2.0, N=8, alpha_prime=4.0 / 3.0,
-                        estimate="theta-line-ons", geometry=torus(64))
-        records, fit = sweep(cfg, "N", [])
-        assert records == [] and fit is None
-
-    def test_cells_reproduce_single_calls(self):
-        from dataclasses import replace
-        from strichartz_lab.seeding import derive_cell_seed
-        cfg = OnsConfig(theta=3.0, p=6.0, q=2.0, N=8, alpha_prime=4.0 / 3.0,
-                        estimate="theta-line-ons", geometry=torus(64),
-                        family_kinds=(("random-band", 2),), seed=99,
-                        time_pts=9)
-        records, _ = sweep(cfg, "N", [4, 8, 16])
-        single = ons_estimate_ratio(
-            replace(cfg, N=8, seed=derive_cell_seed(99, 1)))
-        assert records[1].lhs_norm == single.lhs_norm
-
     def test_dispersive_window_interval(self):
         # the shrinking-window mode measures over [-N^(1-theta)/2, +half]
         cfg = OnsConfig(theta=3.0, p=6.0, q=2.0, N=8, alpha_prime=4.0 / 3.0,
@@ -272,18 +263,16 @@ class TestSweep:
         expected = unit.lhs_norm * (2 * half) ** (1.0 / 6.0)
         assert rec.lhs_norm == pytest.approx(expected, rel=1e-10)
 
-    def test_theta_sweep_slopes_under_prediction(self):
-        cfg = OnsConfig(theta=3.0, p=6.0, q=2.0, N=8, alpha_prime=4.0 / 3.0,
-                        estimate="theta-line-ons", geometry=torus(256),
-                        admissibility="theta-line", time_pts=17)
+    def test_theta_sweep_slopes_under_prediction(self, tmp_path):
         for theta in (2.5, 3.0, 4.0):
             # stay on the theta line: theta/p + 1/q = 1 with q = 2
             p = 2.0 * theta
-            base = OnsConfig(theta=theta, p=p, q=2.0, N=8,
-                             alpha_prime=4.0 / 3.0,
-                             estimate="theta-line-ons", geometry=torus(256),
-                             admissibility="theta-line", time_pts=17)
-            records, fit = sweep(base, "N", [8, 16, 32])
-            sigma = records[0].prediction.sigma
+            res = run({"experiment": "ons-sweep",
+                       "geometry": {"kind": "torus", "grid_sizes": [256]},
+                       "params": {"theta": theta, "p": p, "q": 2.0,
+                                  "alpha_prime": [4.0 / 3.0],
+                                  "N": [8, 16, 32], "time_pts": 17}},
+                      str(tmp_path / f"theta_{theta:g}"))
+            sigma = res.rows[0]["sigma"]
             assert sigma == pytest.approx((theta - 1) / p)
-            assert fit.slope <= sigma + 0.1
+            assert res.summary["fits"]["slope_alpha_1.33333"] <= sigma + 0.1

@@ -10,6 +10,7 @@ from strichartz_lab.geometry import (
     waveguide,
 )
 from strichartz_lab.kernels import KernelQuery, kernel_exp_sum
+from strichartz_lab.ons import lambda_family
 from strichartz_lab.schatten import (
     DiscreteOperator,
     build_extension_matrix,
@@ -330,6 +331,48 @@ class TestDualityCheck:
         W2 = self.constant_weight(geom, 9, 2.0)
         rep = duality_check(W1, W2, 2, 2.0, geom, 5, theta=2.0)
         assert rep.dominance_ok is None
+
+    @pytest.mark.parametrize("geom", [
+        torus(16), torus((8, 8)), waveguide(16, 8, trunc_length=4.0),
+    ], ids=["torus16", "torus8x8", "waveguide"])
+    @pytest.mark.parametrize("alpha", [1.0, 2.0, 4.0, INF])
+    def test_band_side_against_dense_gram(self, geom, alpha):
+        # the oracle is the space-time form: the Schatten norm of the
+        # rows x rows matrix W1 E E* W2, and each family functional
+        # sum_j lambda_j ||W1 E q_j||^2 on the same sampled families
+        N, theta, time_pts, samples, seed = 2, 2.5, 5, 30, 4
+        rng = np.random.default_rng(40)
+        times = np.linspace(0.0, 1.0, time_pts)
+        shape = (time_pts,) + geom.grid_sizes
+        positive = SpaceTimeField(np.abs(rng.standard_normal(shape)) + 0.1,
+                                  times, geom)
+        signed = SpaceTimeField(rng.standard_normal(shape), times, geom)
+        E = build_extension_matrix(geom, N, (0.0, 1.0), time_pts,
+                                   theta).matrix
+        gram = E @ E.conj().T
+        for W1, W2 in ((positive, positive), (positive, signed)):
+            rep = duality_check(W1, W2, N, alpha, geom, samples, theta=theta,
+                                seed=seed)
+            w1 = W1.values.real.ravel()
+            w2 = W2.values.real.ravel()
+            dense = schatten_norm(
+                DiscreteOperator(w1[:, None] * gram * w2), alpha)
+            assert rep.operator_norm == pytest.approx(dense, rel=1e-12)
+
+            draws = np.random.default_rng(seed)
+            B = E.shape[1]
+            best = 0.0
+            for i in range(samples):
+                M = int(draws.integers(1, B + 1))
+                Q, _ = np.linalg.qr(draws.standard_normal((B, M))
+                                    + 1j * draws.standard_normal((B, M)))
+                lam = lambda_family(("flat", "power", "one-hot")[i % 3], M,
+                                    rep.alpha_conj)
+                images = (w1[:, None] * E) @ Q
+                best = max(best, float(np.sum(
+                    lam.values * np.sum(np.abs(images) ** 2, axis=0)))
+                    / lam.norm)
+            assert rep.max_sampled_ratio == pytest.approx(best, rel=1e-12)
 
     def test_grid_mismatch_rejected(self):
         geom = torus(16)
