@@ -50,7 +50,6 @@ from .norms import (                                     # noqa: F401
 from .schatten import (                                  # noqa: F401
     DiscreteOperator,
     DualityReport,
-    ExtensionMatrix,
     build_extension_matrix,
     duality_check,
     schatten_norm,

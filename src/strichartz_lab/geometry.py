@@ -521,13 +521,13 @@ class BandFlow:
         tag = np.full(geometry.grid_sizes, -1, dtype=np.int64)
         tag[mask] = np.arange(self.size)
         self._order = np.fft.ifftshift(tag)[np.ix_(*rows)].ravel()
-        self._levels, self._level_u = np.unique(self.phi[self._order],
-                                                return_inverse=True)
-        scale = np.full(geometry.grid_sizes, 1.0 / self.cell_volume)
+        self._levels, self._level = np.unique(self.phi, return_inverse=True)
+        self._level_u = self._level[self._order]
+        # lattice position of each band mode per axis, and its box-origin sign
+        self._sites = np.nonzero(mask)
         offset = _offset_phase(geometry)
-        if offset is not None:
-            scale = scale * offset
-        self._scale_u = scale[mask][self._order]
+        self._sign = np.ones(self.size) if offset is None else offset[mask]
+        self._scale_u = self._sign[self._order] / self.cell_volume
         # fullest axis first: the sparse axes stay pruned the longest
         self._passes = sorted(range(d),
                               key=lambda a: -self._box[a] / self.grid[a])
@@ -575,6 +575,43 @@ class BandFlow:
                     dst[:h], dst[len(dst) - len(src) // 2:] = src[:h], src[h:]
                     u = np.fft.ifft(pad[at], axis=a + 2, out=out[at])
                 yield ts, ss, u
+
+    def gram(self, times, w) -> np.ndarray:
+        """The (B, B) matrix E* diag(w) E, for E the folded extension matrix
+        of ``schatten.build_extension_matrix`` at ``times`` and a real film
+        ``w`` (T, *geometry grid), without forming E.  Two band modes pair
+        only through their index difference:
+
+            (E* w E)_bc = sum_t c_t conj(P_t[b]) P_t[c] w^_t[k_b - k_c],
+
+        with c_t the trapezoid weight times cell_volume * dual_cell, P_t the
+        flow phase times the box-origin sign, and w^_t the grid FFT of w at
+        time t.  Every difference k_b - k_c is a lattice index and the grid
+        sum is periodic in it, so the identity is exact.  Time blocks keep
+        the (k, B, B) products within ``_BLOCK_ELEMENTS`` (or one time)."""
+        from .norms import trapezoid_weights
+        geom = self.geometry
+        times = np.asarray(times, dtype=float)
+        w = np.asarray(w)
+        if w.shape != (len(times),) + geom.grid_sizes or \
+                np.iscomplexobj(w):
+            raise InvalidInputError(
+                f"weight film must be real with shape ({len(times)},)+"
+                f"{geom.grid_sizes}, got {w.dtype} {w.shape}")
+        c = trapezoid_weights(times) * (geom.cell_volume * geom.dual_cell)
+        pair = 0
+        for g, i in zip(geom.grid_sizes, self._sites):
+            pair = pair * g + (i[:, None] - i[None, :]) % g
+        B = self.size
+        k = max(1, _BLOCK_ELEMENTS // max(B * B, math.prod(geom.grid_sizes)))
+        axes = tuple(range(1, geom.dim + 1))
+        out = np.zeros((B, B), dtype=np.complex128)
+        for ts, phase in _phase_blocks(times, self._levels, k):
+            P = phase[:, self._level] * self._sign
+            wp = np.fft.fftn(w[ts], axes=axes).reshape(len(P), -1)[:, pair]
+            wp *= P[:, None, :]
+            out += np.einsum("tb,tbc->bc", P.conj() * c[ts, None], wp)
+        return out
 
 
 class GridMultiplier:

@@ -33,8 +33,7 @@ from .hartree import (DensityState, _fixed_point_exponents, evolve,
 from .kernels import _window_top, dispersive_sup, vdc_integral_oracle
 from .norms import (classify_pair, fit_scaling, frames_norm, lq_norm,
                     predict_sigma)
-from .ons import (OnsConfig, _prediction_setting, band_dimension,
-                  ons_estimate_ratio)
+from .ons import OnsConfig, band_dimension, ons_estimate_ratio
 from .schatten import (MATRIX_CAP, duality_check,
                        factored_sobolev_schatten_norm)
 from .seeding import derive_cell_seed, derive_cell_seeds
@@ -94,6 +93,17 @@ def _ons_density_state(geometry, M, band, theta, weights, seed) -> DensityState:
         members[ss] = u[0]
     return DensityState(members, np.asarray(weights, dtype=float),
                         geometry, theta)
+
+
+def _prediction(estimate, p, q, theta, geometry):
+    """``predict_sigma`` of an estimate on a geometry."""
+    setting = {"estimate": estimate, "p": p, "q": q, "theta": theta,
+               "manifold": geometry.kind}
+    if geometry.kind == "waveguide":
+        setting.update(n=geometry.n_free, m=geometry.n_periodic)
+    else:
+        setting["d"] = geometry.dim
+    return predict_sigma(setting)
 
 
 def _flow_ratios(geometry, N, coef_rows, theta, time_pts, p, q):
@@ -245,19 +255,25 @@ def _drv_strichartz_fit(echo):
               "wall_time_ms"]
     cells = [{"N": n} for n in p["N"]]
 
-    pred = predict_sigma(_prediction_setting(p["estimate"], p["p"], p["q"],
-                                             p["theta"], geom))
+    pred = _prediction(p["estimate"], p["p"], p["q"], p["theta"], geom)
     if not pred.applicable:
         _reject("params.estimate", f"estimate not applicable: {pred.note}")
     sigma = pred.sigma
-    # preflight: the time grid and the random batch at the largest N; the
-    # Dirichlet grid is compared in log space, since a float N ** theta
-    # overflows once theta > 1023 at N = 2
+    # preflight: the time grid and the random batch at the largest N, and
+    # the random family's normalization N^(sigma + sigma_margin), a finite
+    # positive float at every N; both powers are compared in log space,
+    # since a float N ** theta overflows once theta > 1023 at N = 2
     _check_cap("params.time_pts", "time grid", p["time_pts"])
     n_max = max(p["N"])
     if p["family"] == "random":
         _check_cap("params.samples", "random batch",
                    p["samples"] * band_dimension(geom, n_max))
+        log_norm = (sigma + p["sigma_margin"]) * math.log(n_max)
+        if not (math.log(sys.float_info.min) < log_norm
+                < math.log(sys.float_info.max)):
+            _reject("params.sigma_margin",
+                    f"N^(sigma + sigma_margin) at N = {n_max} is not a "
+                    f"positive finite float (sigma = {sigma:g})")
     elif p["time_pts_scale"] > 0:
         log_pow = p["theta"] * math.log(n_max)
         if (log_pow + math.log(p["time_pts_scale"]) >= math.log(MATRIX_CAP)
@@ -328,29 +344,33 @@ def _drv_ons_sweep(echo):
                p["time_pts"] * math.prod(geom.grid_sizes))
     dim = band_dimension(geom, max(p["N"]))
     _check_cap("params.N", f"family of {dim} band members", dim * dim)
+    # a pair off the configured admissibility line gives not-applicable
+    # rows; on it, the estimate must apply
+    applicable = not p["admissibility"] or p["admissibility"] in \
+        classify_pair(geom.dim, p["p"], p["q"], p["theta"]).kinds
+    if applicable:
+        pred = _prediction(p["estimate"], p["p"], p["q"], p["theta"], geom)
+        if not pred.applicable:
+            _reject("params.estimate", f"estimate not applicable: "
+                                       f"{pred.note}")
 
     def run_cell(cell, seed):
-        cfg = OnsConfig(
-            theta=p["theta"], p=p["p"], q=p["q"], N=cell["N"],
-            alpha_prime=cell["alpha_prime"], estimate=p["estimate"],
-            geometry=geom,
-            family_kinds=tuple((k, c) for k, c in p["family_kinds"]),
-            lambda_kind=p["lambda_kind"], interval_mode=p["interval_mode"],
-            time_pts=p["time_pts"], seed=seed,
-            admissibility=p["admissibility"] or None)
-        rec = ons_estimate_ratio(cfg)
         row = {"theta": p["theta"], "p": p["p"], "q": p["q"],
                "alpha_prime": cell["alpha_prime"], "N": cell["N"],
-               "M": cfg.M if cfg.M is not None
-               else band_dimension(geom, cell["N"]),
-               "applicable": rec.applicable}
-        if rec.applicable:
-            row.update(lhs_norm=rec.lhs_norm, lambda_norm=rec.lambda_norm,
-                       ratio=rec.ratio, sigma=rec.prediction.sigma,
-                       alpha_max=rec.prediction.alpha_max,
-                       best_family=rec.best_family)
-        else:
+               "M": band_dimension(geom, cell["N"]),
+               "applicable": applicable}
+        if not applicable:
             row["passed"] = True
+            return row
+        rec = ons_estimate_ratio(OnsConfig(
+            theta=p["theta"], p=p["p"], q=p["q"], N=cell["N"],
+            alpha_prime=cell["alpha_prime"], geometry=geom,
+            family_kinds=tuple((k, c) for k, c in p["family_kinds"]),
+            lambda_kind=p["lambda_kind"], interval_mode=p["interval_mode"],
+            time_pts=p["time_pts"], seed=seed))
+        row.update(lhs_norm=rec.lhs_norm, lambda_norm=rec.lambda_norm,
+                   ratio=rec.ratio, sigma=pred.sigma,
+                   alpha_max=pred.alpha_max, best_family=rec.best_family)
         return row
 
     def finalize(rows):
@@ -361,11 +381,9 @@ def _drv_ons_sweep(echo):
             if len(group) < 3:
                 continue
             fit = fit_scaling([(r["N"], r["ratio"]) for r in group])
-            sigma = group[0]["sigma"]
-            alpha_max = group[0]["alpha_max"]
-            within = alpha_max is None or a <= alpha_max + 1e-12
-            ok = fit.slope <= sigma + p["slope_tol"] if within \
-                else fit.slope > sigma + p["slope_tol"]
+            within = pred.alpha_max is None or a <= pred.alpha_max + 1e-12
+            ok = fit.slope <= pred.sigma + p["slope_tol"] if within \
+                else fit.slope > pred.sigma + p["slope_tol"]
             fits[f"slope_alpha_{a:g}"] = fit.slope
             fits[f"within_alpha_{a:g}"] = within
             for r in group:
@@ -388,30 +406,31 @@ def _drv_duality_check(echo):
     if not (len(t) == 2 and -math.inf < t[0] < t[1] < math.inf):
         _reject("params.interval", f"need finite [t0, t1] with t0 < t1, "
                                    f"got {t}")
-    rows = p["time_pts"] * math.prod(geom.grid_sizes)
+    # a cell holds its weight film and the band Gram
+    _check_cap("params.time_pts", "weight film",
+               p["time_pts"] * math.prod(geom.grid_sizes))
     band = band_dimension(geom, p["N"])
-    _check_cap("params.time_pts", f"extension matrix {rows} x {band}",
-               rows * band)
+    _check_cap("params.N", f"Gram of {band} band modes", band * band)
 
     def run_cell(cell, seed):
         t0, t1 = p["interval"]
         times = np.linspace(float(t0), float(t1), p["time_pts"])
         shape = (p["time_pts"],) + geom.grid_sizes
         if p["weight"] == "unit":
-            vals = np.ones(shape, dtype=complex)
+            vals = np.ones(shape)
         else:
             rng = np.random.default_rng(seed)
-            vals = (np.abs(rng.standard_normal(shape)) + 0.1).astype(complex)
+            vals = np.abs(rng.standard_normal(shape)) + 0.1
         W = SpaceTimeField(vals, times, geom)
-        rep = duality_check(W, W, p["N"], float(cell["alpha"]), geom,
-                            p["samples"], theta=p["theta"], seed=seed)
+        rep = duality_check(W, p["N"], float(cell["alpha"]), p["samples"],
+                            theta=p["theta"], seed=seed)
         sat = rep.max_sampled_ratio / rep.operator_norm \
             if rep.operator_norm > 0 else 0.0
         return {"alpha": cell["alpha"], "N": p["N"],
                 "operator_norm": rep.operator_norm,
                 "max_sampled_ratio": rep.max_sampled_ratio,
                 "saturation": sat, "dominance_ok": rep.dominance_ok,
-                "samples": rep.samples, "passed": bool(rep.dominance_ok)}
+                "samples": rep.samples, "passed": rep.dominance_ok}
 
     def finalize(rows):
         return {"all_dominated": all(r.get("dominance_ok") for r in rows)}

@@ -27,8 +27,7 @@ from .geometry import (
     _band_multiplier,
     frequency_lattice,
 )
-from .norms import (SigmaPrediction, classify_pair, lq_norm, mixed_norm,
-                    predict_sigma)
+from .norms import lq_norm, mixed_norm
 from .seeding import derive_cell_seed
 
 __all__ = [
@@ -183,7 +182,6 @@ class OnsConfig:
     q: float
     N: int
     alpha_prime: float
-    estimate: str                       # predict_sigma selector
     geometry: GeometrySpec
     M: int | None = None                # default: full band
     family_kinds: tuple = (("fourier-modes", 1),)
@@ -191,7 +189,6 @@ class OnsConfig:
     interval_mode: str = "unit"         # "unit" | "dispersive-window"
     time_pts: int = 33
     seed: int = 0
-    admissibility: str | None = None    # expected kind from classify_pair
 
     def resolved_interval(self) -> tuple[float, float]:
         if self.interval_mode == "unit":
@@ -205,50 +202,20 @@ class OnsConfig:
 
 @dataclass(frozen=True)
 class OnsRecord:
-    """Measured ratio of one cell, with the predicted envelope attached."""
+    """Measured density norm of one cell and the best family's label."""
 
     config: OnsConfig
-    applicable: bool
-    lhs_norm: float | None = None
-    lambda_norm: float | None = None
-    best_family: str | None = None
-    prediction: SigmaPrediction | None = None
-    note: str = ""
+    lhs_norm: float
+    lambda_norm: float
+    best_family: str
 
     @property
-    def ratio(self) -> float | None:
-        if self.lhs_norm is None or not self.lambda_norm:
-            return None
+    def ratio(self) -> float:
         return self.lhs_norm / self.lambda_norm
 
 
-def _prediction_setting(estimate: str, p: float, q: float, theta: float,
-                        geometry: GeometrySpec) -> dict:
-    """The ``predict_sigma`` setting of an estimate on a geometry."""
-    setting = {"estimate": estimate, "p": p, "q": q, "theta": theta,
-               "manifold": geometry.kind}
-    if geometry.kind == "waveguide":
-        setting.update(n=geometry.n_free, m=geometry.n_periodic)
-    else:
-        setting["d"] = geometry.dim
-    return setting
-
-
 def ons_estimate_ratio(cfg: OnsConfig) -> OnsRecord:
-    """Measure the density norm against the coefficient norm for one cell.
-
-    A pair that fails the configured admissibility identity yields a
-    not-applicable record without computing any norm.
-    """
-    d = cfg.geometry.dim
-    if cfg.admissibility is not None:
-        pair = classify_pair(d, cfg.p, cfg.q, cfg.theta)
-        if cfg.admissibility not in pair.kinds:
-            return OnsRecord(cfg, False,
-                             note=f"pair is {pair.kinds or 'off every line'}, "
-                                  f"needs {cfg.admissibility}")
-    prediction = predict_sigma(_prediction_setting(
-        cfg.estimate, cfg.p, cfg.q, cfg.theta, cfg.geometry))
+    """Measure the density norm against the coefficient norm for one cell."""
     M = cfg.M if cfg.M is not None else band_dimension(cfg.geometry, cfg.N)
     lam = lambda_family(cfg.lambda_kind, M, cfg.alpha_prime)
     interval = cfg.resolved_interval()
@@ -264,5 +231,4 @@ def ons_estimate_ratio(cfg: OnsConfig) -> OnsRecord:
             val = mixed_norm(rho, cfg.p, cfg.q)
             if val > best_norm:
                 best_norm, best_label = val, fam.provenance
-    return OnsRecord(cfg, True, lhs_norm=best_norm, lambda_norm=lam.norm,
-                     best_family=best_label, prediction=prediction)
+    return OnsRecord(cfg, best_norm, lam.norm, best_label)

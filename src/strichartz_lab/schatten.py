@@ -15,12 +15,13 @@ With that convention the adjoint of the extension matrix is literally
 the conjugate transpose, and multiplication by a space-time weight W is
 the diagonal matrix of its samples.
 
-The duality check works on the band side: with W_i E = Q_i R_i, the
-space-time operator W1 E E* W2 has the singular values of the B x B
-matrix R1 R2* (B the band dimension), and each family functional
-sum_j lambda_j ||W1 E q_j||^2 is sum_j lambda_j ||R1 q_j||^2.  The only
-matrix that grows with the time grid is E itself (rows x B).  The dense
-rows x rows form stays as the test oracle.
+The duality check works on the band side: W E E* W = (W E)(W E)* has
+the nonzero eigenvalues of the B x B Gram G = E* W^2 E (B the band
+dimension), and each family functional sum_j lambda_j ||W E q_j||^2 is
+sum_j lambda_j q_j* G q_j.  ``BandFlow.gram`` builds G from one FFT of the
+weight per time, since two band modes pair only through their lattice
+difference; no matrix grows with the time grid.  The dense extension
+matrix and the rows x rows form stay as test oracles.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from .ons import lambda_family
 
 __all__ = [
     "DiscreteOperator",
-    "ExtensionMatrix",
     "DualityReport",
     "MATRIX_CAP",
     "singular_values",
@@ -139,35 +139,15 @@ def factored_sobolev_schatten_norm(members, weights, alpha: float, s: float,
 # extension / restriction
 
 
-@dataclass(frozen=True, eq=False)
-class ExtensionMatrix:
-    """Folded matrix of the band-limited space-time extension operator.
-
-    Rows run over the (t, x) grid in C order; columns over the lattice
-    points of the band [-N, N]^d (Nyquist rows excluded), in C order of
-    the centered lattice.
-    """
-
-    matrix: np.ndarray            # (T * prod(grid), band)
-    xi: np.ndarray                # (band, d) frequencies per column
-    phi: np.ndarray               # (band,) symbol values per column
-    times: np.ndarray
-    geometry: GeometrySpec
-    N: int
-    theta: float
-
-    @property
-    def adjoint(self) -> np.ndarray:
-        return self.matrix.conj().T
-
-    @property
-    def band_size(self) -> int:
-        return self.matrix.shape[1]
-
-
 def build_extension_matrix(geometry: GeometrySpec, N: int, interval,
-                           time_pts: int, theta: float) -> ExtensionMatrix:
-    """Sampled extension operator from band coefficients to space-time."""
+                           time_pts: int, theta: float) -> np.ndarray:
+    """Folded matrix (T * prod(grid), B) of the sampled extension operator
+    from band coefficients to space-time.
+
+    Rows run over the (t, x) grid in C order; columns over the band in the
+    order of ``BandFlow(geometry, N, theta).xi``.  The dense twin of
+    ``BandFlow.gram``, kept as its test oracle.
+    """
     if N < 1 or int(N) != N:
         raise InvalidInputError("band scale N must be a positive integer")
     if time_pts < 2:
@@ -194,8 +174,7 @@ def build_extension_matrix(geometry: GeometrySpec, N: int, interval,
     for ts, ss, u in flow.blocks(np.eye(band), times):
         u = u.reshape(u.shape[:2] + (n_space,))
         mat[ts, :, ss] = u.transpose(0, 2, 1) * row_fac[ts, None, None]
-    return ExtensionMatrix(mat.reshape(rows, band), flow.xi, flow.phi, times,
-                           geometry, int(N), float(theta))
+    return mat.reshape(rows, band)
 
 
 # ---------------------------------------------------------------------------
@@ -206,12 +185,12 @@ def build_extension_matrix(geometry: GeometrySpec, N: int, interval,
 class DualityReport:
     """Operator-side norm against the best sampled family functional."""
 
-    operator_norm: float          # || W1 E E* W2 ||_{S^alpha}
+    operator_norm: float          # || W E E* W ||_{S^alpha}
     max_sampled_ratio: float      # max over samples of functional / ||lambda||
     alpha: float
     alpha_conj: float
     samples: int
-    dominance_ok: bool | None     # None unless W1 and W2 coincide
+    dominance_ok: bool
 
 
 def _conjugate(alpha: float) -> float:
@@ -222,41 +201,30 @@ def _conjugate(alpha: float) -> float:
     return alpha / (alpha - 1.0)
 
 
-def duality_check(W1: SpaceTimeField, W2: SpaceTimeField, N: int,
-                  alpha: float, geometry: GeometrySpec, sample_count: int,
+def duality_check(W: SpaceTimeField, N: int, alpha: float, sample_count: int,
                   theta: float = 2.0, seed: int = 0) -> DualityReport:
-    """Exact Schatten norm of W1 E E* W2 against sampled family functionals.
+    """Exact Schatten norm of W E E* W against sampled family functionals.
 
-    Weights act by multiplication on the space-time samples and must be
-    real.  For W1 = W2 the sampled side can never beat the operator side
-    (trace Hoelder at matrix scale); the report carries that flag.
+    The weight acts by multiplication on the space-time samples and must
+    be real.  The sampled side can never beat the operator side (trace
+    Hoelder at matrix scale); the report carries that flag.
     """
     if not alpha >= 1:
         raise InvalidInputError("Schatten exponent must be >= 1")
-    for W in (W1, W2):
-        if W.geometry != geometry:
-            raise InvalidInputError("weight geometry mismatch")
-        if np.max(np.abs(W.values.imag)) > 1e-10:
-            raise InvalidInputError("weights must be real-valued")
-    if W1.values.shape != W2.values.shape or \
-            not np.array_equal(W1.times, W2.times):
-        raise InvalidInputError("weights must share one space-time grid")
+    if N < 1 or int(N) != N:
+        raise InvalidInputError("band scale N must be a positive integer")
+    if np.max(np.abs(W.values.imag)) > 1e-10:
+        raise InvalidInputError("weights must be real-valued")
 
-    ext = build_extension_matrix(geometry, N, W1.interval, len(W1.times), theta)
-    # W_i E = Q_i R_i: W1 E E* W2 = Q1 (R1 R2*) Q2* has the singular values
-    # of the B x B core, and ||W1 E q|| = ||R1 q|| for a band vector q
-    def r_factor(W):
-        return np.linalg.qr(W.values.real.ravel()[:, None] * ext.matrix,
-                            mode="r")
-
-    same = W1.values is W2.values or np.array_equal(W1.values, W2.values)
-    R1 = r_factor(W1)
-    R2 = R1 if same else r_factor(W2)
-    lhs_op = schatten_norm(R1 @ R2.conj().T, alpha)
+    # W E E* W = (W E)(W E)* shares its nonzero eigenvalues with the
+    # positive B x B Gram G = E* W^2 E, and ||W E q||^2 = q* G q
+    w = W.values.real
+    G = BandFlow(W.geometry, int(N), theta).gram(W.times, w * w)
+    lhs_op = float(lq_norm(np.linalg.eigvalsh(G).clip(0), alpha))
 
     alpha_conj = _conjugate(alpha)
     rng = np.random.default_rng(seed)
-    B = ext.band_size
+    B = len(G)
     kinds = ("flat", "power", "one-hot")
     best = 0.0
     for i in range(sample_count):
@@ -264,10 +232,8 @@ def duality_check(W1: SpaceTimeField, W2: SpaceTimeField, N: int,
         raw = rng.standard_normal((B, M)) + 1j * rng.standard_normal((B, M))
         Q, _ = np.linalg.qr(raw)
         lam = lambda_family(kinds[i % 3], M, alpha_conj)
-        functional = float(np.sum(lam.values
-                                  * np.sum(np.abs(R1 @ Q) ** 2, axis=0)))
-        best = max(best, functional / lam.norm)
+        energies = np.sum(Q.conj() * (G @ Q), axis=0).real
+        best = max(best, float(np.sum(lam.values * energies)) / lam.norm)
 
-    dominance = bool(best <= lhs_op * (1 + 1e-8)) if same else None
-    return DualityReport(lhs_op, best, alpha, alpha_conj,
-                         sample_count, dominance)
+    return DualityReport(lhs_op, best, alpha, alpha_conj, sample_count,
+                         bool(best <= lhs_op * (1 + 1e-8)))

@@ -215,10 +215,10 @@ class TestCriterion7SchattenLayer:
         all_ok = True
         for W in (SpaceTimeField(np.ones((9, 16)), times, geom),
                   SpaceTimeField(vals, times, geom)):
-            rep = duality_check(W, W, 2, 4.0, geom, 200, theta=2.0, seed=5)
+            rep = duality_check(W, 2, 4.0, 200, theta=2.0, seed=5)
             all_ok = all_ok and bool(rep.dominance_ok)
         report(7, "operator-side dominance", all_ok,
-               "sampled side <= SVD side in 100% of 200-sample runs "
+               "sampled side <= operator side in 100% of 200-sample runs "
                "(16x9 grid, N=2)")
 
 

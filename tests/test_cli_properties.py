@@ -89,9 +89,16 @@ def test_kernel_sweep_cli_contract(theta, N, t_grid_pts, x_grid_pts, t_min,
        samples=bounded("strichartz-fit", "samples", 3),
        p=bounded("strichartz-fit", "p", 10.0),
        q=st.none() | bounded("strichartz-fit", "q", 10.0),
-       theta=bounded("strichartz-fit", "theta", 4.0))
+       theta=bounded("strichartz-fit", "theta", 4.0),
+       # N^(sigma + sigma_margin) overflows or underflows at +-1e300
+       sigma_margin=st.sampled_from([st.floats(-0.5, 0.5)] * 4
+                                    + [st.just(1e300), st.just(-1e300)])
+       .flatmap(lambda s: s))
+@example(grid=16, family="random", N=[2, 4], time_pts=5, time_pts_scale=4.0,
+         samples=2, p=4.0, q=None, theta=2.0, sigma_margin=-1e300)
 def test_strichartz_fit_cli_contract(grid, family, N, time_pts,
-                                     time_pts_scale, samples, p, q, theta):
+                                     time_pts_scale, samples, p, q, theta,
+                                     sigma_margin):
     # q = None draws a diagonal pair, the only kind the default estimate
     # accepts, so that some examples run end to end
     run_contract({"experiment": "strichartz-fit",
@@ -99,7 +106,8 @@ def test_strichartz_fit_cli_contract(grid, family, N, time_pts,
                   "params": {"family": family, "N": N, "time_pts": time_pts,
                              "time_pts_scale": time_pts_scale,
                              "samples": samples, "p": p,
-                             "q": p if q is None else q, "theta": theta}})
+                             "q": p if q is None else q, "theta": theta,
+                             "sigma_margin": sigma_margin}})
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -159,24 +167,32 @@ def test_ons_sweep_cli_contract(grid, N, alpha_prime, theta, p, q, time_pts,
 
 
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
-@given(grid=st.sampled_from([[8], [16], [4, 4]]),
+@given(geometry=st.sampled_from([
+           {"kind": "torus", "grid_sizes": [8]},
+           {"kind": "torus", "grid_sizes": [16]},
+           {"kind": "torus", "grid_sizes": [4, 4]},
+           # the box-origin sign of a free axis enters the band Gram
+           {"kind": "waveguide", "grid_sizes": [8, 4], "n_free": 1}]),
        N=bounded("duality-check", "N", 3),
        alpha=st.lists(bounded("duality-check", "alpha", 6.0), min_size=1,
                       max_size=2),
        theta=bounded("duality-check", "theta", 4.0),
-       # 5000 times fit the extension matrix cap on every grid; 10^6
-       # times overflow it on every grid
+       # 5000 times fit the weight film cap on every grid; 10^7 times
+       # overflow it on every grid
        time_pts=bounded("duality-check", "time_pts", 6) | st.just(5000)
-       | st.just(10 ** 6),
+       | st.just(10 ** 7),
        interval=st.tuples(st.floats(-1.0, 0.0), st.floats(0.5, 1.0)).map(list)
        | st.lists(st.floats(-1.0, 1.0) | st.just(math.inf), min_size=1,
                   max_size=3),
        weight=st.sampled_from(["unit", "random"]),
        samples=bounded("duality-check", "samples", 5))
-def test_duality_check_cli_contract(grid, N, alpha, theta, time_pts,
+@example(geometry={"kind": "waveguide", "grid_sizes": [8, 4], "n_free": 1},
+         N=3, alpha=[1.0, 4.0], theta=2.0, time_pts=5, interval=[0.0, 1.0],
+         weight="random", samples=5)
+def test_duality_check_cli_contract(geometry, N, alpha, theta, time_pts,
                                     interval, weight, samples):
     run_contract({"experiment": "duality-check",
-                  "geometry": {"kind": "torus", "grid_sizes": grid},
+                  "geometry": geometry,
                   "params": {"N": N, "alpha": alpha, "theta": theta,
                              "time_pts": time_pts, "interval": interval,
                              "weight": weight, "samples": samples}})

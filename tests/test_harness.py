@@ -523,9 +523,9 @@ class TestCli:
         pytest.param("duality-check", {"time_pts": 1}, "params.time_pts",
                      id="duality-one-time"),
         # arrays beyond MATRIX_CAP elements, rejected before allocation:
-        # 10^6 times of the 16-point torus and 5 band columns at N = 2
-        pytest.param("duality-check", {"time_pts": 10 ** 6},
-                     "params.time_pts", id="duality-extension-above-cap"),
+        # a weight film of 10^7 times of the 16-point torus
+        pytest.param("duality-check", {"time_pts": 10 ** 7},
+                     "params.time_pts", id="duality-weight-film-above-cap"),
         pytest.param("kernel-sweep", {"t_grid_pts": 10 ** 12},
                      "params.t_grid_pts", id="kernel-time-grid-above-cap"),
         pytest.param("kernel-sweep", {"x_grid_pts": 10 ** 12},
@@ -540,6 +540,16 @@ class TestCli:
         pytest.param("strichartz-fit", {"family": "random",
                                         "samples": 10 ** 10},
                      "params.samples", id="fit-random-batch-above-cap"),
+        # the random family's normalization N^(sigma + sigma_margin)
+        # overflows, or underflows to zero
+        pytest.param("strichartz-fit", {"family": "random", "N": [2, 4, 8],
+                                        "samples": 2, "time_pts": 5,
+                                        "sigma_margin": 1e300},
+                     "params.sigma_margin", id="fit-sigma-margin-overflow"),
+        pytest.param("strichartz-fit", {"family": "random", "N": [2, 4, 8],
+                                        "samples": 2, "time_pts": 5,
+                                        "sigma_margin": -1e300},
+                     "params.sigma_margin", id="fit-sigma-margin-underflow"),
         # a nonempty window, so only the phase table of 2 x N levels fails
         pytest.param("kernel-sweep", {"N": [10 ** 10], "t_min": 1e-30},
                      "params.N", id="kernel-phase-table-above-cap"),
@@ -610,6 +620,11 @@ class TestCli:
                      "params.estimate", id="fit-unknown-estimate"),
         pytest.param("ons-sweep", {"estimate": "nope"}, "params.estimate",
                      id="ons-unknown-estimate"),
+        # no admissibility check, and the theta-line estimate needs
+        # theta > 2
+        pytest.param("ons-sweep", {"theta": 2.0, "p": 6.0, "q": 2.0,
+                                   "admissibility": "", "N": [1, 2, 3]},
+                     "params.estimate", id="ons-estimate-not-applicable"),
         pytest.param("ons-sweep",
                      {"family_kinds": [["fourier-modes", 1], ["nope", 1]]},
                      "params.family_kinds", id="ons-unknown-family-kind"),
@@ -655,8 +670,8 @@ class TestCli:
         self.assert_rejected(tmp_path, capsys, kind, params, field)
 
     def test_duality_long_time_grid_runs(self, tmp_path):
-        # 300 times of the 16-point torus: a 4800 x 5 extension matrix,
-        # whose space-time Gram would be 4800 x 4800
+        # 300 times of the 16-point torus: a 4800-point weight film and a
+        # 5 x 5 band Gram, where the space-time Gram would be 4800 x 4800
         path = self.write_cfg(tmp_path, {
             "experiment": "duality-check",
             "geometry": {"kind": "torus", "grid_sizes": [16]},

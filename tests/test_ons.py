@@ -180,16 +180,24 @@ def member_fields(fam):
 class TestOnsEstimateRatio:
     def base_config(self, **kw):
         defaults = dict(theta=3.0, p=6.0, q=2.0, N=8, alpha_prime=4.0 / 3.0,
-                        estimate="theta-line-ons", geometry=torus(128),
+                        geometry=torus(128),
                         family_kinds=(("fourier-modes", 1),),
-                        admissibility="theta-line", time_pts=17, seed=7)
+                        time_pts=17, seed=7)
         defaults.update(kw)
         return OnsConfig(**defaults)
 
-    def test_inadmissible_pair_yields_marker(self):
-        rec = ons_estimate_ratio(self.base_config(p=4.0))
-        assert not rec.applicable
-        assert rec.lhs_norm is None
+    def test_inadmissible_pair_yields_marker(self, tmp_path):
+        # p = 4 is off the theta line: the driver marks every cell
+        # not-applicable and computes no norm, no ratio and no fit
+        res = run({"experiment": "ons-sweep",
+                   "geometry": {"kind": "torus", "grid_sizes": [128]},
+                   "params": {"p": 4.0, "N": [8, 16, 32], "time_pts": 17}},
+                  str(tmp_path / "out"))
+        assert res.exit_code == 0
+        for row in res.rows:
+            assert row["applicable"] is False
+            assert "lhs_norm" not in row and "ratio" not in row
+        assert res.summary["fits"] == {}
 
     def test_triangle_inequality_at_alpha_one(self):
         # summable weights: the weighted density norm is dominated by the
@@ -248,18 +256,17 @@ class TestSweep:
     def test_dispersive_window_interval(self):
         # the shrinking-window mode measures over [-N^(1-theta)/2, +half]
         cfg = OnsConfig(theta=3.0, p=6.0, q=2.0, N=8, alpha_prime=4.0 / 3.0,
-                        estimate="theta-line-ons", geometry=torus(64),
+                        geometry=torus(64),
                         interval_mode="dispersive-window", time_pts=9)
         half = 0.5 * 8.0 ** (1.0 - 3.0)
         assert cfg.resolved_interval() == (-half, half)
         rec = ons_estimate_ratio(cfg)
-        assert rec.applicable and rec.lhs_norm > 0
+        assert rec.lhs_norm > 0
         # over a window of measure N^(1-theta) the constant-density family
         # norm carries the interval factor |I|^(1/p)
         unit = ons_estimate_ratio(
             OnsConfig(theta=3.0, p=6.0, q=2.0, N=8, alpha_prime=4.0 / 3.0,
-                      estimate="theta-line-ons", geometry=torus(64),
-                      time_pts=9))
+                      geometry=torus(64), time_pts=9))
         expected = unit.lhs_norm * (2 * half) ** (1.0 / 6.0)
         assert rec.lhs_norm == pytest.approx(expected, rel=1e-10)
 

@@ -5,6 +5,7 @@ import pytest
 
 from strichartz_lab.errors import CapacityError, InvalidInputError
 from strichartz_lab.geometry import (
+    BandFlow,
     SpaceTimeField,
     torus,
     waveguide,
@@ -182,6 +183,14 @@ class TestFactoredSobolevSchatten:
                                            geom)
 
 
+def extension(geom, N, interval, time_pts, theta):
+    """The dense extension matrix with its band frequencies, symbol values
+    and time grid."""
+    flow = BandFlow(geom, N, theta)
+    E = build_extension_matrix(geom, N, interval, time_pts, theta)
+    return E, flow.xi, flow.phi, np.linspace(*interval, time_pts)
+
+
 class TestExtensionMatrix:
     def test_delta_coefficient_gives_plane_wave(self):
         # on the waveguide the box coordinates x in [-L/2, L/2) and the
@@ -190,15 +199,14 @@ class TestExtensionMatrix:
                  (waveguide(16, 8, trunc_length=4.0), [0.75, -1.0],
                   0.75 ** 3 + 1.0)]
         for geom, target, phi in cases:
-            ext = build_extension_matrix(geom, 2, (0.0, 1.0), 5, 3.0)
-            j = int(np.argwhere(np.all(ext.xi == target, axis=1)).ravel()[0])
-            assert ext.phi[j] == pytest.approx(phi)
+            E, xis, phis, t = extension(geom, 2, (0.0, 1.0), 5, 3.0)
+            j = int(np.argwhere(np.all(xis == target, axis=1)).ravel()[0])
+            assert phis[j] == pytest.approx(phi)
             n_space = int(np.prod(geom.grid_sizes))
-            col = ext.matrix[:, j].reshape(5, n_space)
+            col = E[:, j].reshape(5, n_space)
             x = np.stack([m.ravel() for m in np.meshgrid(
                 *[geom.axis_coordinates(ax) for ax in range(geom.dim)],
                 indexing="ij")], axis=-1)
-            t = ext.times
             expected = np.exp(2j * np.pi * ((x @ target)[None, :]
                                             + t[:, None] * phi))
             w_t = np.full(5, t[1] - t[0])
@@ -210,19 +218,20 @@ class TestExtensionMatrix:
     def test_adjoint_is_restriction(self):
         # E* F, computed directly as the weighted conjugate pairing
         geom = torus(8)
-        ext = build_extension_matrix(geom, 2, (0.0, 0.5), 4, 2.0)
+        E, xis, phis, t = extension(geom, 2, (0.0, 0.5), 4, 2.0)
         rng = np.random.default_rng(11)
         F = rng.standard_normal((4, 8)) + 1j * rng.standard_normal((4, 8))
-        w_t = np.full(4, ext.times[1] - ext.times[0])
+        w_t = np.full(4, t[1] - t[0])
         w_t[0] *= 0.5
         w_t[-1] *= 0.5
         x = geom.axis_coordinates(0)
         direct = []
-        for xi, phi in zip(ext.xi[:, 0], ext.phi):
-            phase = np.exp(-2j * np.pi * (x[None, :] * xi + ext.times[:, None] * phi))
+        for xi, phi in zip(xis[:, 0], phis):
+            phase = np.exp(-2j * np.pi * (x[None, :] * xi + t[:, None] * phi))
             direct.append(np.sum(F * phase * w_t[:, None]) * geom.cell_volume)
         direct = np.array(direct)
-        folded = ext.adjoint @ (np.sqrt(np.repeat(w_t, 8) * geom.cell_volume) * F.ravel())
+        folded = E.conj().T @ (np.sqrt(np.repeat(w_t, 8) * geom.cell_volume)
+                               * F.ravel())
         # unfold the coefficient side: divide by sqrt(dual cell) = 1 on torus
         assert np.max(np.abs(folded - direct)) < 1e-12
 
@@ -230,10 +239,9 @@ class TestExtensionMatrix:
         # E E* equals convolution by the exponential-sum kernel (torus)
         geom = torus(16)
         N, theta, T = 2, 3.0, 5
-        ext = build_extension_matrix(geom, N, (0.0, 1.0), T, theta)
-        gram = ext.matrix @ ext.adjoint
+        E, _, _, t = extension(geom, N, (0.0, 1.0), T, theta)
+        gram = E @ E.conj().T
         x = geom.axis_coordinates(0)
-        t = ext.times
         w_t = np.full(T, t[1] - t[0])
         w_t[0] *= 0.5
         w_t[-1] *= 0.5
@@ -250,28 +258,26 @@ class TestExtensionMatrix:
 
     def test_cstar_identity(self):
         geom = torus(16)
-        ext = build_extension_matrix(geom, 2, (0.0, 1.0), 9, 2.0)
-        op_norm = schatten_norm(DiscreteOperator(ext.matrix), INF)
-        gram_norm = schatten_norm(
-            DiscreteOperator(ext.matrix @ ext.adjoint), INF)
+        E = build_extension_matrix(geom, 2, (0.0, 1.0), 9, 2.0)
+        op_norm = schatten_norm(DiscreteOperator(E), INF)
+        gram_norm = schatten_norm(DiscreteOperator(E @ E.conj().T), INF)
         assert gram_norm == pytest.approx(op_norm ** 2, rel=1e-10)
 
     def test_restriction_gram_against_double_sum(self):
         # E* E on the band: entries are double sums over the (t, x) grid
         geom = torus(16)
-        ext = build_extension_matrix(geom, 2, (0.0, 1.0), 9, 2.0)
-        G = ext.adjoint @ ext.matrix
+        E, xis, phis, t = extension(geom, 2, (0.0, 1.0), 9, 2.0)
+        G = E.conj().T @ E
         # diagonal dominance: every coefficient pairs most strongly with itself
         off = G - np.diag(np.diag(G))
         assert np.max(np.abs(off)) < np.min(np.abs(np.diag(G)))
-        t = ext.times
         x = geom.axis_coordinates(0)
         w_t = np.full(9, t[1] - t[0])
         w_t[0] *= 0.5
         w_t[-1] *= 0.5
         a, b = 1, 3  # columns to cross-check by brute force
-        xi_a, xi_b = ext.xi[a, 0], ext.xi[b, 0]
-        ph_a, ph_b = ext.phi[a], ext.phi[b]
+        xi_a, xi_b = xis[a, 0], xis[b, 0]
+        ph_a, ph_b = phis[a], phis[b]
         acc = 0.0 + 0.0j
         for i, ti in enumerate(t):
             for xj in x:
@@ -286,11 +292,51 @@ class TestExtensionMatrix:
 
     def test_waveguide_band_columns(self):
         geom = waveguide(16, 8, trunc_length=4.0)
-        ext = build_extension_matrix(geom, 2, (0.0, 1.0), 3, 2.5)
+        E, xis, _, _ = extension(geom, 2, (0.0, 1.0), 3, 2.5)
         # free axis: lattice [-2, 1.75] at spacing 1/4 with the Nyquist row
         # -2.0 zeroed -> 15 columns; periodic axis: |xi| <= 2 -> 5 columns
-        assert ext.band_size == 15 * 5
-        assert np.max(np.abs(ext.xi)) <= 2.0
+        assert E.shape[1] == len(xis) == 15 * 5
+        assert np.max(np.abs(xis)) <= 2.0
+
+
+GRAM_GEOMETRIES = [
+    pytest.param(torus(16), id="torus-1d"),
+    pytest.param(torus((8, 8)), id="torus-2d"),
+    pytest.param(torus((8, 8, 8)), id="torus-3d"),
+    pytest.param(waveguide(16, 8, trunc_length=4.0), id="waveguide-2d"),
+    pytest.param(waveguide((8, 8), 8, trunc_length=2.0), id="waveguide-3d"),
+]
+
+
+class TestBandGram:
+    """``BandFlow.gram`` against E* diag(w) E of the dense extension
+    matrix."""
+
+    @pytest.mark.parametrize("geom", GRAM_GEOMETRIES)
+    @pytest.mark.parametrize("time_pts", [5, 61])
+    def test_matches_dense(self, geom, time_pts):
+        # 61 times span several time blocks on the 2-d grids (B = 49 at
+        # N = 3), with a phase table start that is not the first time
+        N, theta, interval = 3, 2.5, (0.1, 0.9)
+        E = build_extension_matrix(geom, N, interval, time_pts, theta)
+        times = np.linspace(*interval, time_pts)
+        rng = np.random.default_rng(50)
+        shape = (time_pts,) + geom.grid_sizes
+        for w in (np.abs(rng.standard_normal(shape)) + 0.1,
+                  rng.standard_normal(shape)):
+            dense = E.conj().T @ (w.ravel()[:, None] * E)
+            got = BandFlow(geom, N, theta).gram(times, w)
+            assert np.max(np.abs(got - dense)) <= 1e-12 * np.max(
+                np.abs(dense))
+
+    def test_rejects_complex_or_misshaped_weight(self):
+        geom = torus(16)
+        flow = BandFlow(geom, 2, 2.0)
+        times = np.linspace(0.0, 1.0, 4)
+        with pytest.raises(InvalidInputError):
+            flow.gram(times, np.ones((4, 16), dtype=complex))
+        with pytest.raises(InvalidInputError):
+            flow.gram(times, np.ones((3, 16)))
 
 
 class TestDualityCheck:
@@ -302,17 +348,17 @@ class TestDualityCheck:
     def test_zero_weight(self):
         geom = torus(16)
         W = self.constant_weight(geom, 9, 0.0)
-        rep = duality_check(W, W, 2, 4.0, geom, 10, theta=2.0)
+        rep = duality_check(W, 2, 4.0, 10, theta=2.0)
         assert rep.operator_norm == 0.0
         assert rep.max_sampled_ratio == 0.0
 
     def test_unit_weight_infinity_is_cstar(self):
         geom = torus(16)
         W = self.constant_weight(geom, 9)
-        rep = duality_check(W, W, 2, INF, geom, 20, theta=2.0)
-        ext = build_extension_matrix(geom, 2, (0.0, 1.0), 9, 2.0)
+        rep = duality_check(W, 2, INF, 20, theta=2.0)
+        E = build_extension_matrix(geom, 2, (0.0, 1.0), 9, 2.0)
         assert rep.operator_norm == pytest.approx(
-            schatten_norm(DiscreteOperator(ext.matrix), INF) ** 2, rel=1e-10)
+            schatten_norm(DiscreteOperator(E), INF) ** 2, rel=1e-10)
         assert rep.dominance_ok
 
     def test_dominance_with_random_weight(self):
@@ -321,16 +367,9 @@ class TestDualityCheck:
         times = np.linspace(0.0, 1.0, 9)
         vals = np.abs(rng.standard_normal((9, 16))) + 0.1
         W = SpaceTimeField(vals.astype(complex), times, geom)
-        rep = duality_check(W, W, 2, 4.0, geom, 200, theta=2.0, seed=3)
+        rep = duality_check(W, 2, 4.0, 200, theta=2.0, seed=3)
         assert rep.dominance_ok
         assert 0.0 < rep.max_sampled_ratio <= rep.operator_norm * (1 + 1e-8)
-
-    def test_distinct_weights_skip_dominance_flag(self):
-        geom = torus(16)
-        W1 = self.constant_weight(geom, 9, 1.0)
-        W2 = self.constant_weight(geom, 9, 2.0)
-        rep = duality_check(W1, W2, 2, 2.0, geom, 5, theta=2.0)
-        assert rep.dominance_ok is None
 
     @pytest.mark.parametrize("geom", [
         torus(16), torus((8, 8)), waveguide(16, 8, trunc_length=4.0),
@@ -338,8 +377,9 @@ class TestDualityCheck:
     @pytest.mark.parametrize("alpha", [1.0, 2.0, 4.0, INF])
     def test_band_side_against_dense_gram(self, geom, alpha):
         # the oracle is the space-time form: the Schatten norm of the
-        # rows x rows matrix W1 E E* W2, and each family functional
-        # sum_j lambda_j ||W1 E q_j||^2 on the same sampled families
+        # rows x rows matrix W E E* W, and each family functional
+        # sum_j lambda_j ||W E q_j||^2 on the same sampled families, for a
+        # positive and a signed weight
         N, theta, time_pts, samples, seed = 2, 2.5, 5, 30, 4
         rng = np.random.default_rng(40)
         times = np.linspace(0.0, 1.0, time_pts)
@@ -347,16 +387,13 @@ class TestDualityCheck:
         positive = SpaceTimeField(np.abs(rng.standard_normal(shape)) + 0.1,
                                   times, geom)
         signed = SpaceTimeField(rng.standard_normal(shape), times, geom)
-        E = build_extension_matrix(geom, N, (0.0, 1.0), time_pts,
-                                   theta).matrix
+        E = build_extension_matrix(geom, N, (0.0, 1.0), time_pts, theta)
         gram = E @ E.conj().T
-        for W1, W2 in ((positive, positive), (positive, signed)):
-            rep = duality_check(W1, W2, N, alpha, geom, samples, theta=theta,
-                                seed=seed)
-            w1 = W1.values.real.ravel()
-            w2 = W2.values.real.ravel()
+        for W in (positive, signed):
+            rep = duality_check(W, N, alpha, samples, theta=theta, seed=seed)
+            w = W.values.real.ravel()
             dense = schatten_norm(
-                DiscreteOperator(w1[:, None] * gram * w2), alpha)
+                DiscreteOperator(w[:, None] * gram * w), alpha)
             assert rep.operator_norm == pytest.approx(dense, rel=1e-12)
 
             draws = np.random.default_rng(seed)
@@ -368,17 +405,9 @@ class TestDualityCheck:
                                     + 1j * draws.standard_normal((B, M)))
                 lam = lambda_family(("flat", "power", "one-hot")[i % 3], M,
                                     rep.alpha_conj)
-                images = (w1[:, None] * E) @ Q
+                images = (w[:, None] * E) @ Q
                 best = max(best, float(np.sum(
                     lam.values * np.sum(np.abs(images) ** 2, axis=0)))
                     / lam.norm)
             assert rep.max_sampled_ratio == pytest.approx(best, rel=1e-12)
-
-    def test_grid_mismatch_rejected(self):
-        geom = torus(16)
-        other = torus(32)
-        W1 = self.constant_weight(geom, 9)
-        times = np.linspace(0.0, 1.0, 9)
-        W2 = SpaceTimeField(np.ones((9, 32)), times, other)
-        with pytest.raises(InvalidInputError):
-            duality_check(W1, W2, 2, 2.0, geom, 5)
+            assert rep.dominance_ok
