@@ -13,7 +13,6 @@ from .errors import (                                    # noqa: F401
 from .geometry import (                                  # noqa: F401
     BandFlow,
     Field,
-    FrequencyLattice,
     GeometrySpec,
     SpaceTimeField,
     SpectrumField,
@@ -21,7 +20,6 @@ from .geometry import (                                  # noqa: F401
     flow_phase,
     forward_transform,
     fractional_symbol,
-    frequency_lattice,
     inverse_transform,
     littlewood_paley,
     project_leq,

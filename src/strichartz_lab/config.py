@@ -55,7 +55,7 @@ _POTENTIAL_SCHEMA = {
     "sigma_w": _Opt("num", 1.0),
     "k0": _Opt("int", 1),
     "s": _Opt("num", 0.5),
-    "qprime": _Opt("num", 2.0),
+    "qprime": _Opt("num", 2.0, min=1),
 }
 
 _SCHEMAS: dict[str, dict[str, _Opt]] = {

@@ -41,14 +41,12 @@ _BLOCK_ELEMENTS = 1 << 16
 
 __all__ = [
     "GeometrySpec",
-    "FrequencyLattice",
     "Field",
     "SpectrumField",
     "SpaceTimeField",
     "torus",
     "waveguide",
     "eta1",
-    "frequency_lattice",
     "forward_transform",
     "inverse_transform",
     "fractional_symbol",
@@ -162,27 +160,22 @@ def waveguide(free_sizes, periodic_sizes, trunc_length=1.0) -> GeometrySpec:
                         trunc_length=float(trunc_length))
 
 
-@dataclass(frozen=True, eq=False)
-class FrequencyLattice:
-    """Centered frequency lattice of a geometry, one value array per axis."""
-
-    geometry: GeometrySpec
-    axes: tuple[np.ndarray, ...]
-
-    @property
-    def size(self) -> int:
-        return int(np.prod([len(a) for a in self.axes]))
-
-    def mesh(self) -> list[np.ndarray]:
-        return np.meshgrid(*self.axes, indexing="ij")
+@lru_cache(maxsize=64)
+def _mesh(geometry: GeometrySpec) -> tuple[np.ndarray, ...]:
+    """The centered frequency lattice over the grid: xi per axis, read-only."""
+    mesh = tuple(np.meshgrid(*map(geometry.axis_frequencies,
+                                  range(geometry.dim)), indexing="ij"))
+    for m in mesh:
+        m.setflags(write=False)
+    return mesh
 
 
 @lru_cache(maxsize=64)
-def frequency_lattice(geometry: GeometrySpec) -> FrequencyLattice:
-    axes = tuple(geometry.axis_frequencies(ax) for ax in range(geometry.dim))
-    for a in axes:
-        a.setflags(write=False)
-    return FrequencyLattice(geometry, axes)
+def _xi2(geometry: GeometrySpec) -> np.ndarray:
+    """|xi|^2 on the centered lattice, read-only."""
+    r2 = sum(m ** 2 for m in _mesh(geometry))
+    r2.setflags(write=False)
+    return r2
 
 
 @dataclass(frozen=True, eq=False)
@@ -334,26 +327,22 @@ def inverse_transform(s: SpectrumField) -> Field:
 
 @lru_cache(maxsize=256)
 def _symbol_cached(geometry: GeometrySpec, theta: float) -> np.ndarray:
-    lat = frequency_lattice(geometry)
-    mesh = lat.mesh()
-    if geometry.n_free == 0:
-        r2 = sum(m ** 2 for m in mesh)
-        sym = r2 ** (theta / 2.0)
+    h, nf = theta / 2.0, geometry.n_free
+    if nf == 0:
+        sym = _xi2(geometry) ** h
     else:
-        free2 = sum(mesh[ax] ** 2 for ax in range(geometry.n_free))
-        per2 = sum(mesh[ax] ** 2 for ax in range(geometry.n_free, geometry.dim))
-        sym = free2 ** (theta / 2.0) + per2 ** (theta / 2.0)
+        xi = _mesh(geometry)
+        sym = sum(m ** 2 for m in xi[:nf]) ** h \
+            + sum(m ** 2 for m in xi[nf:]) ** h
     sym.setflags(write=False)
     return sym
 
 
-def fractional_symbol(lattice: FrequencyLattice | GeometrySpec,
-                      theta: float) -> np.ndarray:
+def fractional_symbol(geometry: GeometrySpec, theta: float) -> np.ndarray:
     """Dispersion symbol phi on the lattice: |xi|^theta, split on waveguide."""
     if theta <= 0:
         raise InvalidInputError("dispersion order theta must be positive")
-    geom = lattice.geometry if isinstance(lattice, FrequencyLattice) else lattice
-    return _symbol_cached(geom, float(theta))
+    return _symbol_cached(geometry, float(theta))
 
 
 def _frac_product(t: float, sym: np.ndarray) -> np.ndarray:
@@ -415,10 +404,7 @@ def propagate(f: Field, t: float, theta: float) -> Field:
         raise InvalidInputError("propagation time must be finite")
     if t == 0.0:
         return f
-    sym = fractional_symbol(f.geometry, theta)
-    s = forward_transform(f)
-    coef = s.coefficients * flow_phase(t, sym)
-    return inverse_transform(SpectrumField(coef, f.geometry))
+    return _multiply(f, flow_phase(t, fractional_symbol(f.geometry, theta)))
 
 
 @lru_cache(maxsize=256)
@@ -441,13 +427,19 @@ def _band_multiplier(geometry: GeometrySpec, N: int) -> np.ndarray:
     return mult
 
 
+@lru_cache(maxsize=256)
+def _band_mask(geometry: GeometrySpec, N: int) -> np.ndarray:
+    """The sharp band [-N, N]^d (no Nyquist rows): where the cutoff is 1."""
+    mask = _band_multiplier(geometry, N) == 1.0
+    mask.setflags(write=False)
+    return mask
+
+
 def project_leq(f: Field, N: int) -> Field:
     """Frequency cutoff P_{<=N}."""
     if N < 1 or int(N) != N:
         raise InvalidInputError("cutoff scale N must be a positive integer")
-    s = forward_transform(f)
-    coef = s.coefficients * _band_multiplier(f.geometry, int(N))
-    return inverse_transform(SpectrumField(coef, f.geometry))
+    return _multiply(f, _band_multiplier(f.geometry, int(N)))
 
 
 def _exact_grid(grid_sizes, box, q) -> tuple[int, ...]:
@@ -505,11 +497,10 @@ class BandFlow:
 
     def __init__(self, geometry: GeometrySpec, N: int, theta: float,
                  q: float | None = None):
-        mask = _band_multiplier(geometry, int(N)) == 1.0
+        mask = _band_mask(geometry, int(N))
         d = geometry.dim
         self.geometry = geometry
-        self.xi = np.stack([m[mask] for m in frequency_lattice(geometry).mesh()],
-                           axis=-1)
+        self.xi = np.stack([m[mask] for m in _mesh(geometry)], axis=-1)
         self.phi = fractional_symbol(geometry, theta)[mask]
         rows = [np.flatnonzero(np.fft.ifftshift(mask.any(
             axis=tuple(b for b in range(d) if b != a)))) for a in range(d)]
@@ -604,14 +595,20 @@ class BandFlow:
             pair = pair * g + (i[:, None] - i[None, :]) % g
         B = self.size
         k = max(1, _BLOCK_ELEMENTS // max(B * B, math.prod(geom.grid_sizes)))
-        axes = tuple(range(1, geom.dim + 1))
         out = np.zeros((B, B), dtype=np.complex128)
         for ts, phase in _phase_blocks(times, self._levels, k):
             P = phase[:, self._level] * self._sign
-            wp = np.fft.fftn(w[ts], axes=axes).reshape(len(P), -1)[:, pair]
+            wp = _grid_fft(w[ts], geom.dim).reshape(len(P), -1)[:, pair]
             wp *= P[:, None, :]
             out += np.einsum("tb,tbc->bc", P.conj() * c[ts, None], wp)
         return out
+
+
+def _grid_fft(a: np.ndarray, d: int, inverse: bool = False) -> np.ndarray:
+    """fftn (ifftn) over the last d axes; numpy's 1-D call where d = 1
+    skips the per-call axis handling that dominates a small grid."""
+    f = (np.fft.ifftn, np.fft.ifft) if inverse else (np.fft.fftn, np.fft.fft)
+    return f[1](a) if d == 1 else f[0](a, axes=tuple(range(-d, 0)))
 
 
 class GridMultiplier:
@@ -626,12 +623,11 @@ class GridMultiplier:
         self.geometry = geometry
         self.m = np.fft.ifftshift(centered)
         self.m.setflags(write=False)
-        self._axes = tuple(range(-geometry.dim, 0))
 
     def __call__(self, values: np.ndarray) -> np.ndarray:
         """m(D) over the trailing grid axes; leading axes are a batch."""
-        return np.fft.ifftn(self.m * np.fft.fftn(values, axes=self._axes),
-                            axes=self._axes)
+        d = self.geometry.dim
+        return _grid_fft(self.m * _grid_fft(values, d), d, inverse=True)
 
     def sandwich(self, A: np.ndarray) -> np.ndarray:
         """m(D) A m(D)* for an (n, n) matrix on flattened grid vectors."""
@@ -644,6 +640,11 @@ class GridMultiplier:
         return on_rows(on_rows(A.conj()).conj().T).T
 
 
+def _multiply(f: Field, centered: np.ndarray) -> Field:
+    """m(D) f for m on the centered lattice."""
+    return Field(GridMultiplier(f.geometry, centered)(f.values), f.geometry)
+
+
 def littlewood_paley(f: Field, k: int) -> Field:
     """Dyadic frequency block at scale 2**k (k = 0 is the lowest block)."""
     if k < 0 or int(k) != k:
@@ -651,6 +652,5 @@ def littlewood_paley(f: Field, k: int) -> Field:
     k = int(k)
     if k == 0:
         return project_leq(f, 1)
-    hi = project_leq(f, 2 ** k)
-    lo = project_leq(f, 2 ** (k - 1))
-    return Field(hi.values - lo.values, f.geometry)
+    return _multiply(f, _band_multiplier(f.geometry, 2 ** k)
+                     - _band_multiplier(f.geometry, 2 ** (k - 1)))

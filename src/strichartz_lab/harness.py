@@ -26,13 +26,14 @@ import numpy as np
 
 from . import __version__
 from .config import build_potential, geometry_from_echo, load_config, validate_config
-from .errors import ConfigError, NumericFailureError
-from .geometry import _BLOCK_ELEMENTS, BandFlow, SpaceTimeField
+from .errors import (CapacityError, ConfigError, InvalidInputError,
+                     NumericFailureError)
+from .geometry import _BLOCK_ELEMENTS, BandFlow, SpaceTimeField, _xi2
 from .hartree import (DensityState, _fixed_point_exponents, evolve,
                       fixed_point_iterate, split_step)
 from .kernels import _window_top, dispersive_sup, vdc_integral_oracle
-from .norms import (classify_pair, fit_scaling, frames_norm, lq_norm,
-                    predict_sigma)
+from .norms import (_besov_top, classify_pair, fit_scaling, frames_norm,
+                    lq_norm, predict_sigma)
 from .ons import OnsConfig, band_dimension, ons_estimate_ratio
 from .schatten import (MATRIX_CAP, duality_check,
                        factored_sobolev_schatten_norm)
@@ -40,8 +41,14 @@ from .seeding import derive_cell_seed, derive_cell_seeds
 
 __all__ = ["run", "RunResult", "derive_cell_seed", "derive_cell_seeds"]
 
-# longest split-step run a hartree-run cell may request
+# longest split-step run a hartree-run cell or a fixed-point cross-check
+# may request
 _MAX_STEPS = 10 ** 6
+
+# the manifest's error_kind of a cell that raised, by exception class
+_ERROR_KINDS = {NumericFailureError: "numeric",
+                InvalidInputError: "invalid_input",
+                CapacityError: "capacity", Warning: "warning"}
 
 
 @dataclass
@@ -152,6 +159,26 @@ def _check_family(p, geom):
     if not (np.all(w >= 0) and np.all(np.diff(w) <= 1e-15)):
         _reject("params.weights", "weights must be nonnegative and "
                                   "nonincreasing")
+
+
+def _potential_besov(p, geom):
+    """The driver's potential and its Besov norm on ``geom``, after a
+    preflight, in log space, that the Gaussian exponent sigma_w^2 |xi|^2 / 2
+    and the Besov weight 2^(k s) at the top dyadic block k are finite."""
+    w = build_potential(p["potential"])
+    log_max = math.log(sys.float_info.max)
+    log_xi2 = math.log(0.5 * float(_xi2(geom).max()))
+    if w.kind == "gaussian" and w.sigma_w != 0 and \
+            not 2 * math.log(abs(w.sigma_w)) + log_xi2 < log_max:
+        _reject("params.potential.sigma_w",
+                f"the Gaussian multiplier exp(-sigma_w^2 |xi|^2 / 2) "
+                f"overflows its exponent, got sigma_w = {w.sigma_w:g}")
+    k_top = _besov_top(geom)
+    if not w.s * k_top * math.log(2.0) < log_max:
+        _reject("params.potential.s",
+                f"the Besov weight 2^(k s) at the top dyadic block k = "
+                f"{k_top} is not finite, got s = {w.s:g}")
+    return w, w.besov_norm(geom)
 
 
 def _drv_kernel_sweep(echo):
@@ -448,8 +475,7 @@ def _drv_hartree_run(echo):
         if not (dt > 0 and 0.5 < p["T"] / dt <= _MAX_STEPS):
             _reject("params.dt", f"need T / {_MAX_STEPS:g} <= dt < 2T = "
                                  f"{2 * p['T']:g}, got {dt:g}")
-    potential = build_potential(p["potential"])
-    w_besov = potential.besov_norm(geom)
+    potential, w_besov = _potential_besov(p, geom)
     header = ["experiment_id", "cell_index", "theta", "dt", "steps",
               "potential_besov", "mass_deviation", "gram_deviation",
               "energy_drift", "rho_norm_final", "halving_ratio", "passed",
@@ -510,8 +536,15 @@ def _drv_fixed_point(echo):
                             f"density line 2/p + d/q = d, d = {geom.dim}")
     _check_cap("params.time_pts", "density film",
                p["time_pts"] * math.prod(geom.grid_sizes))
-    potential = build_potential(p["potential"])
-    w_besov = potential.besov_norm(geom)
+    # the cross-check takes max(1, round(h / cross_check_dt)) split steps
+    # per node step h, about T / cross_check_dt in all: bound that float
+    # before any rounding (it is inf at cross_check_dt = 5e-324)
+    if p["T"] / p["cross_check_dt"] > _MAX_STEPS:
+        _reject("params.cross_check_dt",
+                f"the cross-check takes more than {_MAX_STEPS:g} split steps "
+                f"over T = {p['T']:g}, got cross_check_dt = "
+                f"{p['cross_check_dt']:g}")
+    potential, w_besov = _potential_besov(p, geom)
     header = ["experiment_id", "cell_index", "iteration", "residual",
               "ratio", "contractive", "converged", "cross_check_error",
               "passed", "wall_time_ms"]
@@ -625,12 +658,12 @@ def run(config, out_dir: str, seed: int | None = None,
         try:
             row = run_cell(cell, cell_seed)
             failed = False
-        except NumericFailureError as exc:
-            row = {"passed": False, "note": str(exc), "error_kind": "numeric"}
-            failed = True
-        except Warning as exc:
-            row = {"passed": False, "note": f"warning escalated: {exc}",
-                   "error_kind": "warning"}
+        except tuple(_ERROR_KINDS) as exc:
+            error_kind = next(k for cls, k in _ERROR_KINDS.items()
+                              if isinstance(exc, cls))
+            note = f"warning escalated: {exc}" if error_kind == "warning" \
+                else str(exc)
+            row = {"passed": False, "note": note, "error_kind": error_kind}
             failed = True
         row.setdefault("passed", True)
         row["cell_index"] = i

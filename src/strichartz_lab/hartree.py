@@ -40,9 +40,11 @@ from .geometry import (
     GeometrySpec,
     GridMultiplier,
     SpaceTimeField,
+    _grid_fft,
+    _mesh,
+    _xi2,
     flow_phase,
     fractional_symbol,
-    frequency_lattice,
 )
 from .norms import lq_norm, mixed_norm
 from .schatten import factored_sobolev_schatten_norm
@@ -125,21 +127,19 @@ class PotentialSpec:
 
     def multiplier(self, geometry: GeometrySpec) -> np.ndarray:
         """w-hat on the centered lattice; real and even by construction."""
-        mesh = frequency_lattice(geometry).mesh()
-        r2 = sum(m ** 2 for m in mesh)
         if self.kind == "zero":
             return np.zeros(geometry.grid_sizes)
         if self.kind == "identity":
             return np.ones(geometry.grid_sizes)
         if self.kind == "yukawa":
-            return (1.0 + r2) ** (-self.a)
+            return (1.0 + _xi2(geometry)) ** (-self.a)
         if self.kind == "gaussian":
-            return np.exp(-0.5 * (self.sigma_w ** 2) * r2)
+            return np.exp(-0.5 * (self.sigma_w ** 2) * _xi2(geometry))
         mult = np.zeros(geometry.grid_sizes)
-        first = mesh[0]
+        first, *rest = _mesh(geometry)
         rest_zero = np.ones(geometry.grid_sizes, dtype=bool)
-        for ax in range(1, geometry.dim):
-            rest_zero &= mesh[ax] == 0
+        for m in rest:
+            rest_zero &= m == 0
         mult[(first == self.k0) & rest_zero] = 0.5
         mult[(first == -self.k0) & rest_zero] = 0.5
         return mult
@@ -185,23 +185,16 @@ def free_flight(state: DensityState, t: float) -> DensityState:
     return DensityState(out, state.weights, state.geometry, state.theta)
 
 
-def _fft(a: np.ndarray, d: int, inverse: bool = False) -> np.ndarray:
-    """fftn (ifftn) over the last d axes; numpy's 1-D call where d = 1
-    skips the per-call axis handling that dominates a small grid."""
-    f = (np.fft.ifftn, np.fft.ifft) if inverse else (np.fft.fftn, np.fft.fft)
-    return f[1](a) if d == 1 else f[0](a, axes=tuple(range(-d, 0)))
-
-
 def _strang(c: np.ndarray, weights: np.ndarray, half: np.ndarray,
-            what: np.ndarray, dt: float) -> np.ndarray:
+            potential: GridMultiplier, dt: float) -> np.ndarray:
     """One Strang step on Fourier coefficients c (M, *grid), with the
-    unshifted multipliers ``half`` = exp(-i dt/2 phi) and ``what`` = w-hat:
-    half kinetic, full potential phase, half kinetic in four FFTs."""
-    d = what.ndim
-    v = _fft(half * c, d, inverse=True)
-    rho = (weights @ (np.abs(v) ** 2).reshape(len(v), -1)).reshape(what.shape)
-    pot = _fft(what * _fft(rho, d), d, inverse=True).real
-    return half * _fft(v * np.exp(-1j * dt * pot), d)
+    unshifted multiplier ``half`` = exp(-i dt/2 phi) and w * rho by
+    ``potential``: half kinetic, full potential phase, half kinetic in
+    four FFTs."""
+    d = half.ndim
+    v = _grid_fft(half * c, d, inverse=True)
+    rho = (weights @ (np.abs(v) ** 2).reshape(len(v), -1)).reshape(half.shape)
+    return half * _grid_fft(v * np.exp(-1j * dt * potential(rho).real), d)
 
 
 def split_step(state: DensityState, dt: float, w: PotentialSpec) -> DensityState:
@@ -215,11 +208,11 @@ def split_step(state: DensityState, dt: float, w: PotentialSpec) -> DensityState
     if dt == 0.0:
         return state
     geom = state.geometry
-    c = _strang(_fft(state.members, geom.dim), state.weights,
-                _kinetic(geom, state.theta, 0.5 * dt).m,
-                _potential(w, geom).m, dt)
-    return DensityState(_fft(c, geom.dim, inverse=True), state.weights, geom,
-                        state.theta)
+    c = _strang(_grid_fft(state.members, geom.dim), state.weights,
+                _kinetic(geom, state.theta, 0.5 * dt).m, _potential(w, geom),
+                dt)
+    return DensityState(_grid_fft(c, geom.dim, inverse=True), state.weights,
+                        geom, state.theta)
 
 
 def _energies(c: np.ndarray, state: DensityState, w: PotentialSpec):
@@ -230,16 +223,17 @@ def _energies(c: np.ndarray, state: DensityState, w: PotentialSpec):
     axes = tuple(range(-geom.dim, 0))
     phi = np.fft.ifftshift(fractional_symbol(geom, state.theta))
     kinetic = np.sum(phi * np.abs(c) ** 2, axis=axes) @ state.weights
-    rho = np.tensordot(np.abs(_fft(c, geom.dim, inverse=True)) ** 2,
+    rho = np.tensordot(np.abs(_grid_fft(c, geom.dim, inverse=True)) ** 2,
                        state.weights, axes=(1, 0))
     potential = 0.5 * np.sum(_potential(w, geom).m
-                             * np.abs(_fft(rho, geom.dim)) ** 2, axis=axes)
+                             * np.abs(_grid_fft(rho, geom.dim)) ** 2,
+                             axis=axes)
     return (kinetic + potential) * (geom.cell_volume / rho[0].size), rho
 
 
 def hartree_energy(state: DensityState, w: PotentialSpec) -> float:
     """E = sum_j lambda_j <u_j, phi(D) u_j> + (1/2) int (w * rho) rho."""
-    c = _fft(state.members[None], state.geometry.dim)
+    c = _grid_fft(state.members[None], state.geometry.dim)
     return float(_energies(c, state, w)[0][0])
 
 
@@ -283,7 +277,7 @@ def evolve(state: DensityState, T: float, dt: float, w: PotentialSpec,
     geom, M, d = state.geometry, state.size, state.geometry.dim
     n = math.prod(geom.grid_sizes)
     half = _kinetic(geom, state.theta, 0.5 * dt).m
-    what = _potential(w, geom).m
+    potential = _potential(w, geom)
     times = dt * np.arange(steps + 1)
     mass = np.empty((steps + 1, M))
     gram_dev, energy, rho_norm = np.empty((3, steps + 1))
@@ -302,10 +296,10 @@ def evolve(state: DensityState, T: float, dt: float, w: PotentialSpec,
         rho_norm[at] = lq_norm(rho, q_report, geom.cell_volume,
                                axis=tuple(range(1, d + 1)))
 
-    block[0] = c = _fft(state.members, d)
+    block[0] = c = _grid_fft(state.members, d)
     stop = steps + 1                  # one past the last finite step
     for i in range(1, stop):
-        after = _strang(c, state.weights, half, what, dt)
+        after = _strang(c, state.weights, half, potential, dt)
         if not np.isfinite(after).all():
             stop = i
             break
@@ -316,7 +310,7 @@ def evolve(state: DensityState, T: float, dt: float, w: PotentialSpec,
     record = TrajectoryRecord(
         times[:stop], mass[:stop], gram_dev[:stop], energy[:stop],
         rho_norm[:stop], q_report,
-        DensityState(_fft(c, d, inverse=True), state.weights, geom,
+        DensityState(_grid_fft(c, d, inverse=True), state.weights, geom,
                      state.theta))
     if stop <= steps:
         raise NumericFailureError(f"non-finite state at step {stop}",
@@ -487,6 +481,10 @@ def _xt_distance(pa: OperatorPath, ra: SpaceTimeField, pb: OperatorPath,
     return best + mixed_norm(drho, p, q)
 
 
+# a fixed-point residual at or below this is numerical zero
+_CONVERGED_FLOOR = 1e-13
+
+
 def _fixed_point_exponents(p: float, q: float) -> tuple[float, float]:
     """alpha' = 2q/(q+1) (2 at q = inf) and the default s: half the 1/p
     loss plus margin."""
@@ -495,16 +493,16 @@ def _fixed_point_exponents(p: float, q: float) -> tuple[float, float]:
 
 def fixed_point_iterate(gamma0: DensityState, w: PotentialSpec, T: float,
                         K: int, p: float, q: float, s: float | None = None,
-                        time_pts: int = 26, rank: int | None = None,
-                        converged_floor: float = 1e-13) -> FixedPointResult:
+                        time_pts: int = 26) -> FixedPointResult:
     """Iterate the integral-equation map from the free solution.
 
     Residuals are measured in the C0_t Sobolev-Schatten + L^p_t L^q_x
-    norm with alpha' = 2q/(q+1).  Contraction holds when every recorded
-    ratio stays below 1; a residual at or below ``converged_floor`` is
-    numerical zero and stops the run (ratios at the roundoff floor carry
-    no information).  Three consecutive growing residuals flag
-    divergence, reported rather than raised.
+    norm with alpha' = 2q/(q+1).  Each map keeps rank min(4M, n), n the
+    grid size (a rank-n cap keeps every eigendirection).  Contraction
+    holds when every recorded ratio stays below 1; a residual at or below
+    ``_CONVERGED_FLOOR`` is numerical zero and stops the run (ratios at
+    the roundoff floor carry no information).  Three consecutive growing
+    residuals flag divergence, reported rather than raised.
     """
     if K < 2:
         raise InvalidInputError("need at least two iterations")
@@ -514,9 +512,7 @@ def fixed_point_iterate(gamma0: DensityState, w: PotentialSpec, T: float,
         raise InvalidInputError("(p, q) must sit on the density line")
     alpha_prime, s_default = _fixed_point_exponents(p, q)
     s = s_default if s is None else s
-    if rank is None:
-        # 4M, but at most n: a rank-n cap keeps every eigendirection
-        rank = min(4 * gamma0.size, gamma0.members[0].size)
+    rank = min(4 * gamma0.size, gamma0.members[0].size)
 
     path, rho = free_path(gamma0, T, time_pts)
     iterates: list[DuhamelIterate] = []
@@ -532,14 +528,14 @@ def fixed_point_iterate(gamma0: DensityState, w: PotentialSpec, T: float,
         grew = grew + 1 if residuals and res > residuals[-1] else 0
         residuals.append(res)
         path, rho = new_path, new_rho
-        if res <= converged_floor:
+        if res <= _CONVERGED_FLOOR:
             converged = True
             break
         if grew >= 3:
             diverged = True
             break
     ratios = [it.ratio for it in iterates
-              if it.ratio is not None and it.residual > converged_floor]
+              if it.ratio is not None and it.residual > _CONVERGED_FLOOR]
     contractive = (not diverged) and all(r < 1 for r in ratios) \
         and (bool(ratios) or converged)
     return FixedPointResult(iterates, contractive, diverged, converged,

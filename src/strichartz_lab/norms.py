@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .geometry import Field, SpaceTimeField, littlewood_paley
+from .geometry import Field, GeometrySpec, SpaceTimeField, littlewood_paley
 
 __all__ = [
     "AdmissiblePair",
@@ -269,9 +269,7 @@ def _sel_theta_line_ons(s):
 
 def _vertical_decomposition(s, lower_iq: float):
     """Split (1/q,1/p) along a vertical chord between the density and
-    theta lines (d = 1); explicit decompositions override."""
-    if "decomposition" in s:
-        return s["decomposition"]
+    theta lines (d = 1)."""
     iq, ip = _inv(s["q"]), _inv(s["p"])
     theta = s["theta"]
     if iq < lower_iq - _TOL:
@@ -411,10 +409,9 @@ def predict_sigma(setting: dict) -> SigmaPrediction:
     """Loss exponent sigma and alpha' bound for a named estimate.
 
     ``setting`` carries: estimate (selector name), p, q, theta, and d
-    (torus) or n, m (waveguide); optionally sigma (tunable selectors) and
-    an explicit chord decomposition.  Parameters outside the selected
-    estimate's hypothesis yield a not-applicable prediction, never an
-    exception.
+    (torus) or n, m (waveguide); optionally sigma (tunable selectors).
+    Parameters outside the selected estimate's hypothesis yield a
+    not-applicable prediction, never an exception.
     """
     sel = setting.get("estimate")
     if sel not in SIGMA_SELECTORS:
@@ -465,6 +462,14 @@ def fit_scaling(points) -> ScalingFit:
 # Besov sup norm
 
 
+def _besov_top(geometry: GeometrySpec) -> int:
+    """Index of the top dyadic block: the blocks above it vanish on the
+    lattice."""
+    xi_max = max(float(np.max(np.abs(geometry.axis_frequencies(ax))))
+                 for ax in range(geometry.dim))
+    return max(1, int(math.ceil(math.log2(max(xi_max, 1.0)))) + 1)
+
+
 def besov_sup_norm(w: Field, s: float, qprime: float) -> float:
     """sup_k 2^{k s} || dyadic block k of w ||_{L^{q'}}.
 
@@ -472,12 +477,8 @@ def besov_sup_norm(w: Field, s: float, qprime: float) -> float:
     lattice, so the sup runs over finitely many k.
     """
     qprime = _check_exponent(qprime, "q'")
-    geom = w.geometry
-    xi_max = max(float(np.max(np.abs(geom.axis_frequencies(ax))))
-                 for ax in range(geom.dim))
-    k_top = max(1, int(math.ceil(math.log2(max(xi_max, 1.0)))) + 1)
     best = 0.0
-    for k in range(k_top + 1):
+    for k in range(_besov_top(w.geometry) + 1):
         block = littlewood_paley(w, k)
         best = max(best, 2.0 ** (k * s) * block.norm_lq(qprime))
     return best

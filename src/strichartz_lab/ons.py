@@ -20,13 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .geometry import (
-    BandFlow,
-    GeometrySpec,
-    SpaceTimeField,
-    _band_multiplier,
-    frequency_lattice,
-)
+from .geometry import (BandFlow, GeometrySpec, SpaceTimeField, _band_mask,
+                       _mesh, _xi2)
 from .norms import lq_norm, mixed_norm
 from .seeding import derive_cell_seed
 
@@ -43,13 +38,9 @@ __all__ = [
 ]
 
 
-def _band_mask(geometry: GeometrySpec, N: int) -> np.ndarray:
-    return _band_multiplier(geometry, int(N)) == 1.0
-
-
 def band_dimension(geometry: GeometrySpec, N: int) -> int:
     """Number of lattice points in the sharp band [-N, N]^d (no Nyquist)."""
-    return int(np.count_nonzero(_band_mask(geometry, N)))
+    return int(np.count_nonzero(_band_mask(geometry, int(N))))
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,11 +94,8 @@ def _band_order(geometry: GeometrySpec, N: int) -> np.ndarray:
     """Deterministic enumeration of band lattice points: by |xi|^2, ties
     broken lexicographically, so mode 0 comes first and conjugate pairs
     adjoin (0, -1, +1, -2, +2, ... on the one-dimensional torus)."""
-    mask = _band_mask(geometry, N)
-    mesh = frequency_lattice(geometry).mesh()
-    pts = np.stack([m[mask] for m in mesh], axis=-1)
-    r2 = np.sum(pts ** 2, axis=1)
-    keys = tuple(pts[:, ax] for ax in range(pts.shape[1] - 1, -1, -1)) + (r2,)
+    mask = _band_mask(geometry, int(N))
+    keys = [m[mask] for m in reversed(_mesh(geometry))] + [_xi2(geometry)[mask]]
     return np.lexsort(keys)
 
 

@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import CapacityError, InvalidInputError, NumericFailureError
 from .geometry import (BandFlow, GeometrySpec, GridMultiplier, SpaceTimeField,
-                       frequency_lattice)
+                       _xi2)
 from .norms import lq_norm, trapezoid_weights
 from .ons import lambda_family
 
@@ -103,8 +103,7 @@ def schatten_norm(A, alpha: float) -> float:
 @lru_cache(maxsize=32)
 def _bessel(geometry: GeometrySpec, s: float) -> GridMultiplier:
     """The multiplier <D>^s = (1 + |xi|^2)^(s/2)."""
-    r2 = sum(m ** 2 for m in frequency_lattice(geometry).mesh())
-    return GridMultiplier(geometry, (1.0 + r2) ** (s / 2.0))
+    return GridMultiplier(geometry, (1.0 + _xi2(geometry)) ** (s / 2.0))
 
 
 def sobolev_schatten_norm(A: DiscreteOperator, alpha: float, s: float,
@@ -220,6 +219,8 @@ def duality_check(W: SpaceTimeField, N: int, alpha: float, sample_count: int,
     # positive B x B Gram G = E* W^2 E, and ||W E q||^2 = q* G q
     w = W.values.real
     G = BandFlow(W.geometry, int(N), theta).gram(W.times, w * w)
+    if not np.isfinite(G).all():  # an overflowed symbol or weight
+        raise NumericFailureError("band Gram is not finite")
     lhs_op = float(lq_norm(np.linalg.eigvalsh(G).clip(0), alpha))
 
     alpha_conj = _conjugate(alpha)

@@ -64,6 +64,26 @@ def bounded(kind, key, hi):
     return st.sampled_from([valid] * 4 + rare).flatmap(lambda s: s)
 
 
+def now_and_then(strategy, *values):
+    """``strategy``, and now and then one of ``values``: an input that
+    overflows a float downstream, such as theta = 1000, whose symbol
+    |xi|^theta is inf at every |xi| >= 2."""
+    return st.sampled_from([strategy] * 4 + [st.sampled_from(values)]) \
+        .flatmap(lambda s: s)
+
+
+# potentials with their Besov metadata s and q' and the Gaussian width
+# sigma_w around their bounds: q' < 1, and an s or sigma_w whose Besov
+# weight 2^(k s) or Gaussian exponent sigma_w^2 |xi|^2 / 2 overflows
+POTENTIALS = st.fixed_dictionaries(
+    {"kind": st.sampled_from(["yukawa", "gaussian", "cosine", "zero"])},
+    optional={"s": now_and_then(st.floats(-2.0, 2.0), 1e300, math.inf),
+              "sigma_w": now_and_then(st.floats(-3.0, 3.0), 1e300,
+                                      math.nan),
+              "qprime": now_and_then(st.floats(1.0, 8.0), 0.5,
+                                     math.inf)})
+
+
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @given(theta=st.lists(bounded("kernel-sweep", "theta", 4.0), min_size=1,
                       max_size=2),
@@ -121,17 +141,35 @@ def test_vdc_oracle_cli_contract(theta, b, t, p):
                   "params": {"theta": theta, "b": b, "t": t, "p": p}})
 
 
+FIXED_POINT = dict(members=4, band=4, time_pts=26, iterations=6, q=None,
+                   theta=2.0, T=0.05, cross_check_dt=1e-3,
+                   potential={"kind": "yukawa"})
+
+
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
 @given(grid=st.sampled_from([[8], [16], [4, 4]]),
        members=st.integers(1, 4) | st.integers(1, 4) | st.integers(0, 6),
        band=st.integers(1, 3) | st.integers(1, 3) | st.integers(0, 4),
        time_pts=bounded("fixed-point", "time_pts", 8),
        iterations=bounded("fixed-point", "iterations", 4),
-       q=st.none() | st.none() | bounded("fixed-point", "q", 6.0))
+       q=st.none() | st.none() | bounded("fixed-point", "q", 6.0),
+       theta=now_and_then(bounded("fixed-point", "theta", 4.0), 1000.0),
+       T=bounded("fixed-point", "T", 0.1),
+       # at most 100 split steps per unit time, so that a run stays short,
+       # or a step count far beyond the cap
+       cross_check_dt=now_and_then(
+           bounded("fixed-point", "cross_check_dt", 0.05)
+           .filter(lambda dt: not 0 < dt < 0.01), 5e-324, 1e-300),
+       potential=POTENTIALS)
 # 4M = 12 eigendirections on an 8-point grid
-@example(grid=[8], members=3, band=2, time_pts=4, iterations=2, q=None)
+@example(grid=[8], **{**FIXED_POINT, "members": 3, "band": 2, "time_pts": 4,
+                      "iterations": 2})
+# a symbol that overflows, and cross-checks of inf and 2e297 split steps
+@example(grid=[16], **{**FIXED_POINT, "theta": 1000.0})
+@example(grid=[16], **{**FIXED_POINT, "cross_check_dt": 5e-324})
+@example(grid=[16], **{**FIXED_POINT, "cross_check_dt": 1e-300})
 def test_fixed_point_cli_contract(grid, members, band, time_pts, iterations,
-                                  q):
+                                  q, theta, T, cross_check_dt, potential):
     # q = None draws the density-line exponent at p = 4 (q = 2 in 1-D,
     # 4/3 in 2-D), so that some examples run end to end; one
     # nonincreasing weight per member
@@ -142,7 +180,10 @@ def test_fixed_point_cli_contract(grid, members, band, time_pts, iterations,
                                          for j in range(members)],
                              "time_pts": time_pts, "iterations": iterations,
                              "p": 4.0,
-                             "q": q or (2.0 if len(grid) == 1 else 4 / 3)}})
+                             "q": q or (2.0 if len(grid) == 1 else 4 / 3),
+                             "theta": theta, "T": T,
+                             "cross_check_dt": cross_check_dt,
+                             "potential": potential}})
 
 
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
@@ -150,20 +191,30 @@ def test_fixed_point_cli_contract(grid, members, band, time_pts, iterations,
        N=st.lists(bounded("ons-sweep", "N", 4), min_size=1, max_size=3),
        alpha_prime=st.lists(bounded("ons-sweep", "alpha_prime", 2.0),
                             min_size=1, max_size=2),
-       theta=bounded("ons-sweep", "theta", 4.0),
+       theta=now_and_then(bounded("ons-sweep", "theta", 4.0), 1000.0),
        p=bounded("ons-sweep", "p", 10.0),
        q=bounded("ons-sweep", "q", 10.0),
        time_pts=bounded("ons-sweep", "time_pts", 6),
        family=st.sampled_from(["fourier-modes", "random-band"]),
-       count=bounded("ons-sweep", "family_kinds", 2))
+       count=bounded("ons-sweep", "family_kinds", 2),
+       interval_mode=st.sampled_from(["unit", "dispersive-window"]))
+# on the theta line: a symbol that overflows at every N, and a dispersive
+# window 0.5 N^(1 - theta) that underflows to 0 at N = 16 and 32
+@example(grid=64, N=[8, 16, 32], alpha_prime=[4 / 3], theta=1000.0,
+         p=2000.0, q=2.0, time_pts=33, family="fourier-modes", count=1,
+         interval_mode="unit")
+@example(grid=64, N=[8, 16, 32], alpha_prime=[4 / 3], theta=300.0,
+         p=600.0, q=2.0, time_pts=33, family="fourier-modes", count=1,
+         interval_mode="dispersive-window")
 def test_ons_sweep_cli_contract(grid, N, alpha_prime, theta, p, q, time_pts,
-                                family, count):
+                                family, count, interval_mode):
     run_contract({"experiment": "ons-sweep",
                   "geometry": {"kind": "torus", "grid_sizes": [grid]},
                   "params": {"N": N, "alpha_prime": alpha_prime,
                              "theta": theta, "p": p, "q": q,
                              "time_pts": time_pts,
-                             "family_kinds": [[family, count]]}})
+                             "family_kinds": [[family, count]],
+                             "interval_mode": interval_mode}})
 
 
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
@@ -176,7 +227,7 @@ def test_ons_sweep_cli_contract(grid, N, alpha_prime, theta, p, q, time_pts,
        N=bounded("duality-check", "N", 3),
        alpha=st.lists(bounded("duality-check", "alpha", 6.0), min_size=1,
                       max_size=2),
-       theta=bounded("duality-check", "theta", 4.0),
+       theta=now_and_then(bounded("duality-check", "theta", 4.0), 1000.0),
        # 5000 times fit the weight film cap on every grid; 10^7 times
        # overflow it on every grid
        time_pts=bounded("duality-check", "time_pts", 6) | st.just(5000)
@@ -189,6 +240,10 @@ def test_ons_sweep_cli_contract(grid, N, alpha_prime, theta, p, q, time_pts,
 @example(geometry={"kind": "waveguide", "grid_sizes": [8, 4], "n_free": 1},
          N=3, alpha=[1.0, 4.0], theta=2.0, time_pts=5, interval=[0.0, 1.0],
          weight="random", samples=5)
+# a symbol that overflows: the band Gram is NaN
+@example(geometry={"kind": "torus", "grid_sizes": [16]}, N=2, alpha=[4.0],
+         theta=1000.0, time_pts=9, interval=[0.0, 1.0], weight="unit",
+         samples=5)
 def test_duality_check_cli_contract(geometry, N, alpha, theta, time_pts,
                                     interval, weight, samples):
     run_contract({"experiment": "duality-check",
@@ -202,15 +257,25 @@ def test_duality_check_cli_contract(geometry, N, alpha, theta, time_pts,
 @given(grid=st.sampled_from([[8], [16], [4, 4]]),
        members=st.integers(1, 3) | st.integers(0, 5),
        band=st.integers(1, 2) | st.integers(0, 4),
-       theta=st.lists(bounded("hartree-run", "theta", 4.0), min_size=1,
-                      max_size=2),
+       theta=st.lists(now_and_then(bounded("hartree-run", "theta", 4.0),
+                                   1000.0), min_size=1, max_size=2),
        T=bounded("hartree-run", "T", 0.05),
        dt=st.lists(st.floats(0.005, 0.02) | st.floats(-0.01, 0.2),
                    min_size=1, max_size=2),
        q_report=bounded("hartree-run", "q_report", 10.0),
-       kind=st.sampled_from(["yukawa", "gaussian", "cosine", "zero"]))
+       potential=POTENTIALS)
+# a symbol that overflows; a Besov exponent q' < 1, and a Gaussian
+# exponent and a Besov weight that overflow
+@example(grid=[16], members=4, band=2, theta=[1000.0], T=0.05, dt=[0.01],
+         q_report=2.0, potential={"kind": "yukawa"})
+@example(grid=[16], members=4, band=2, theta=[2.0], T=0.05, dt=[0.01],
+         q_report=2.0, potential={"kind": "yukawa", "qprime": 0.5})
+@example(grid=[16], members=4, band=2, theta=[2.0], T=0.05, dt=[0.01],
+         q_report=2.0, potential={"kind": "gaussian", "sigma_w": 1e300})
+@example(grid=[16], members=4, band=2, theta=[2.0], T=0.05, dt=[0.01],
+         q_report=2.0, potential={"kind": "yukawa", "s": 1e300})
 def test_hartree_run_cli_contract(grid, members, band, theta, T, dt,
-                                  q_report, kind):
+                                  q_report, potential):
     # one nonincreasing weight per member
     run_contract({"experiment": "hartree-run",
                   "geometry": {"kind": "torus", "grid_sizes": grid},
@@ -219,4 +284,4 @@ def test_hartree_run_cli_contract(grid, members, band, theta, T, dt,
                                          for j in range(members)],
                              "theta": theta, "T": T, "dt": dt,
                              "q_report": q_report,
-                             "potential": {"kind": kind}}})
+                             "potential": potential}})

@@ -16,7 +16,6 @@ from strichartz_lab.geometry import (
     flow_phase,
     forward_transform,
     fractional_symbol,
-    frequency_lattice,
     inverse_transform,
     littlewood_paley,
     project_leq,
@@ -64,11 +63,10 @@ class TestGeometrySpec:
 
     def test_lattice_symmetric_up_to_nyquist(self):
         for geom in (torus(16), waveguide(16, 8, trunc_length=4.0)):
-            lat = frequency_lattice(geom)
-            assert lat.size == int(np.prod(geom.grid_sizes))
-            for a in lat.axes:
+            for ax, xi in enumerate(geometry._mesh(geom)):
+                assert xi.shape == geom.grid_sizes and not xi.flags.writeable
                 # every frequency except the Nyquist row has its mirror
-                body = a[1:]
+                body = geom.axis_frequencies(ax)[1:]
                 assert np.allclose(np.sort(body), np.sort(-body))
 
     def test_cell_volumes(self):
@@ -128,10 +126,9 @@ class TestTransforms:
 class TestSymbol:
     def test_pythagorean_torus(self):
         geom = torus((16, 16))
-        sym = fractional_symbol(frequency_lattice(geom), 2.0)
-        lat = frequency_lattice(geom)
-        i = np.where(lat.axes[0] == 3)[0][0]
-        j = np.where(lat.axes[1] == 4)[0][0]
+        sym = fractional_symbol(geom, 2.0)
+        i = np.where(geom.axis_frequencies(0) == 3)[0][0]
+        j = np.where(geom.axis_frequencies(1) == 4)[0][0]
         assert sym[i, j] == 25.0
 
     def test_zero_frequency(self):
@@ -144,9 +141,8 @@ class TestSymbol:
     def test_split_sum_waveguide(self):
         geom = waveguide(8, 8, trunc_length=1.0)
         sym = fractional_symbol(geom, 3.0)
-        lat = frequency_lattice(geom)
-        i = np.where(lat.axes[0] == 2)[0][0]
-        j = np.where(lat.axes[1] == 1)[0][0]
+        i = np.where(geom.axis_frequencies(0) == 2)[0][0]
+        j = np.where(geom.axis_frequencies(1) == 1)[0][0]
         assert np.isclose(sym[i, j], 8.0 + 1.0)
 
     def test_even_in_each_axis(self):
@@ -345,8 +341,10 @@ class TestBandFlow:
         flow = BandFlow(geom, N, theta)
         mask = _band_multiplier(geom, N) == 1.0
         assert np.array_equal(flow.phi, fractional_symbol(geom, theta)[mask])
-        assert np.array_equal(flow.xi, np.stack(
-            [m[mask] for m in frequency_lattice(geom).mesh()], axis=-1))
+        mesh = np.meshgrid(*map(geom.axis_frequencies, range(geom.dim)),
+                           indexing="ij")
+        assert np.array_equal(flow.xi, np.stack([m[mask] for m in mesh],
+                                                axis=-1))
         rng = np.random.default_rng(17)
         rows = rng.standard_normal((3, flow.size)) \
             + 1j * rng.standard_normal((3, flow.size))
@@ -482,6 +480,29 @@ class TestGridMultiplier:
         A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         want = D @ A @ D.conj().T
         assert np.max(np.abs(M.sandwich(A) - want)) < 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("geom", [
+    pytest.param(torus(32), id="torus"),
+    pytest.param(torus((8, 16)), id="torus-2d"),
+    pytest.param(waveguide(16, 8, trunc_length=3.0), id="waveguide"),
+])
+def test_multipliers_match_transform_pair(geom):
+    # slow twin of the one-round-trip multipliers: forward transform,
+    # multiply on the centered lattice, inverse transform
+    f = random_field(geom, seed=37)
+
+    def twin(m):
+        coef = forward_transform(f).coefficients * m
+        return inverse_transform(SpectrumField(coef, geom)).values
+
+    sym = fractional_symbol(geom, 2.5)
+    cases = [(propagate(f, 0.3, 2.5), twin(flow_phase(0.3, sym))),
+             (project_leq(f, 3), twin(_band_multiplier(geom, 3)))]
+    cases += [(littlewood_paley(f, k), twin(_band_multiplier(geom, 2 ** k))
+               - twin(_band_multiplier(geom, 2 ** (k - 1)))) for k in (1, 2)]
+    for got, want in cases:
+        assert np.max(np.abs(got.values - want)) < 1e-12 * np.max(np.abs(want))
 
 
 class TestProjectors:

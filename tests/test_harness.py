@@ -2,6 +2,7 @@ import json
 import math
 import os
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -616,6 +617,32 @@ class TestCli:
         pytest.param("fixed-point", {"cross_check_dt": 0},
                      "params.cross_check_dt",
                      id="fixed-point-cross-check-dt-zero"),
+        # round(h / cross_check_dt) split steps per node: inf, and 2e297
+        pytest.param("fixed-point", {"cross_check_dt": 5e-324},
+                     "params.cross_check_dt",
+                     id="fixed-point-cross-check-steps-infinite"),
+        pytest.param("fixed-point", {"cross_check_dt": 1e-300},
+                     "params.cross_check_dt",
+                     id="fixed-point-cross-check-steps-above-cap"),
+        # the potential: a Besov exponent q' < 1, a Gaussian width whose
+        # square overflows, a Besov weight 2^(k s) that overflows
+        pytest.param("hartree-run",
+                     {"potential": {"kind": "yukawa", "qprime": 0.5}},
+                     "params.potential.qprime", id="hartree-qprime-below-1"),
+        pytest.param("hartree-run",
+                     {"potential": {"kind": "gaussian", "sigma_w": 1e300}},
+                     "params.potential.sigma_w",
+                     id="hartree-gaussian-exponent-overflow"),
+        pytest.param("hartree-run",
+                     {"potential": {"kind": "gaussian",
+                                    "sigma_w": math.nan}},
+                     "params.potential.sigma_w", id="hartree-sigma-w-nan"),
+        pytest.param("hartree-run",
+                     {"potential": {"kind": "yukawa", "s": 1e300}},
+                     "params.potential.s", id="hartree-besov-weight-overflow"),
+        pytest.param("fixed-point",
+                     {"potential": {"kind": "zero", "s": math.inf}},
+                     "params.potential.s", id="fixed-point-besov-weight-inf"),
         pytest.param("strichartz-fit", {"estimate": "nope"},
                      "params.estimate", id="fit-unknown-estimate"),
         pytest.param("ons-sweep", {"estimate": "nope"}, "params.estimate",
@@ -706,6 +733,44 @@ class TestCli:
             self.assert_rejected(tmp_path, capsys, kind,
                                  {key: params_entry(opt, value)},
                                  f"params.{key}")
+
+    @pytest.mark.parametrize("kind, grid, params, error_kind", [
+        # |xi|^1000 overflows at every N, so every flowed density is NaN
+        pytest.param("ons-sweep", [64], {"theta": 1000, "p": 2000, "q": 2,
+                                         "N": [8, 16, 32]},
+                     "invalid_input", id="ons-symbol-overflow"),
+        # the window 0.5 N^(1 - theta) underflows to 0 at N = 16 and 32
+        pytest.param("ons-sweep", [64], {"theta": 300, "p": 600, "q": 2,
+                                         "N": [8, 16, 32],
+                                         "interval_mode": "dispersive-window"},
+                     "invalid_input", id="ons-window-underflow"),
+        pytest.param("duality-check", [16], {"theta": 1000}, "numeric",
+                     id="duality-symbol-overflow"),
+        pytest.param("fixed-point", [16], {"theta": 1000}, "invalid_input",
+                     id="fixed-point-symbol-overflow"),
+        pytest.param("hartree-run", [16], {"theta": [1000]}, "invalid_input",
+                     id="hartree-symbol-overflow"),
+    ])
+    def test_overflowing_symbol_fails_the_cell(self, tmp_path, kind, grid,
+                                               params, error_kind):
+        # a schema-valid exponent whose symbol leaves the float range:
+        # each cell it breaks fails with its error_kind, and the run
+        # writes its artifacts
+        path = self.write_cfg(tmp_path, {
+            "experiment": kind, "geometry": {"kind": "torus",
+                                             "grid_sizes": grid},
+            "params": params})
+        out_dir = tmp_path / "out"
+        # the cells' overflow warnings are part of this run
+        with warnings.catch_warnings(record=True):
+            code = cli_main([kind, "--config", path, "--out", str(out_dir)])
+        assert code == 1
+        manifest = json.loads(read(out_dir / "manifest.json"))
+        failed = [c for c in manifest["cells"] if not c["passed"]]
+        assert failed and all(c["error_kind"] == error_kind and c["note"]
+                              for c in failed)
+        assert manifest["numeric_failures"] == len(failed)
+        assert "error_kind" not in read(out_dir / "results.csv")
 
     def test_fixed_point_overflow_is_numeric_failure(self, tmp_path):
         # the Duhamel core overflows: the cell fails with a note and the

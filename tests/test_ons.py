@@ -168,8 +168,8 @@ class TestDensityField:
 
 def member_fields(fam):
     """The members of a family as fields, through the transform pair."""
-    from strichartz_lab.geometry import SpectrumField, inverse_transform
-    from strichartz_lab.ons import _band_mask
+    from strichartz_lab.geometry import (SpectrumField, _band_mask,
+                                         inverse_transform)
     mask = _band_mask(fam.geometry, fam.band)
     for row in fam.coefficients:
         coef = np.zeros(fam.geometry.grid_sizes, dtype=complex)

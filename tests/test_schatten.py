@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from strichartz_lab.errors import CapacityError, InvalidInputError
+from strichartz_lab.errors import (CapacityError, InvalidInputError,
+                                   NumericFailureError)
 from strichartz_lab.geometry import (
     BandFlow,
     SpaceTimeField,
@@ -351,6 +352,14 @@ class TestDualityCheck:
         rep = duality_check(W, 2, 4.0, 10, theta=2.0)
         assert rep.operator_norm == 0.0
         assert rep.max_sampled_ratio == 0.0
+
+    def test_overflowed_gram_is_numeric_failure(self):
+        # |xi|^1000 overflows, so the band Gram is NaN: eigvalsh would
+        # raise LinAlgError
+        W = self.constant_weight(torus(16), 9)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NumericFailureError, match="not finite"):
+            duality_check(W, 2, 4.0, 10, theta=1000.0)
 
     def test_unit_weight_infinity_is_cstar(self):
         geom = torus(16)
