@@ -57,8 +57,6 @@ from .schatten import (                                  # noqa: F401
 )
 from .ons import (                                       # noqa: F401
     LambdaSequence,
-    OnsConfig,
-    OnsRecord,
     OrthonormalFamily,
     band_dimension,
     density_field,

@@ -53,7 +53,7 @@ _POTENTIAL_SCHEMA = {
                  choices=("yukawa", "gaussian", "cosine", "identity", "zero")),
     "a": _Opt("num", 1.0),
     "sigma_w": _Opt("num", 1.0),
-    "k0": _Opt("int", 1),
+    "k0": _Opt("int", 1, finite=True),
     "s": _Opt("num", 0.5),
     "qprime": _Opt("num", 2.0, min=1),
 }
@@ -71,7 +71,7 @@ _SCHEMAS: dict[str, dict[str, _Opt]] = {
     "vdc-oracle": {
         "theta": _Opt("num", 3.0, min=2, finite=True),
         "x": _Opt("num", 0.0),
-        "p": _Opt("int", 0),
+        "p": _Opt("int", 0, finite=True),
         "b": _Opt("num", 2.0, min=1, strict=True),
         "t": _Opt("list-num", [10.0, 100.0, 1000.0], finite=True),
         "tol": _Opt("num", 1e-8),
@@ -81,7 +81,7 @@ _SCHEMAS: dict[str, dict[str, _Opt]] = {
         "theta": _Opt("num", 2.0, **_POSITIVE),
         "p": _Opt("num", 8.0, min=1),
         "q": _Opt("num", 8.0, min=1),
-        "N": _Opt("list-int", [8, 16, 32, 64, 128], min=1),
+        "N": _Opt("list-int", [8, 16, 32, 64, 128], min=1, finite=True),
         "family": _Opt("str", "dirichlet", choices=("dirichlet", "random")),
         "samples": _Opt("int", 100, min=1),
         "time_pts": _Opt("int", 257, min=2),
@@ -97,7 +97,7 @@ _SCHEMAS: dict[str, dict[str, _Opt]] = {
         "p": _Opt("num", 6.0, min=1),
         "q": _Opt("num", 2.0, min=1),
         "alpha_prime": _Opt("list-num", [4.0 / 3.0], min=1),
-        "N": _Opt("list-int", [8, 16, 32, 64, 128], min=1),
+        "N": _Opt("list-int", [8, 16, 32, 64, 128], min=1, finite=True),
         "estimate": _Opt("str", "theta-line-ons", choices=_ESTIMATES),
         # a norms.classify_pair kind, or "" for no check
         "admissibility": _Opt("str", "theta-line",
@@ -112,7 +112,7 @@ _SCHEMAS: dict[str, dict[str, _Opt]] = {
         "slope_tol": _Opt("num", 0.1),
     },
     "duality-check": {
-        "N": _Opt("int", 2, min=1),
+        "N": _Opt("int", 2, min=1, finite=True),
         "alpha": _Opt("list-num", [4.0], min=1),
         "theta": _Opt("num", 2.0, **_POSITIVE),
         "time_pts": _Opt("int", 9, min=2),
@@ -123,7 +123,7 @@ _SCHEMAS: dict[str, dict[str, _Opt]] = {
     "hartree-run": {
         "theta": _Opt("list-num", [2.0, 3.0], **_POSITIVE),
         "members": _Opt("int", 4),
-        "band": _Opt("int", 2),
+        "band": _Opt("int", 2, finite=True),
         "weights": _Opt("list-num", [0.4, 0.3, 0.2, 0.1]),
         "potential": _Opt("obj", {"kind": "yukawa"}),
         "T": _Opt("num", 1.0, **_POSITIVE),
@@ -137,7 +137,7 @@ _SCHEMAS: dict[str, dict[str, _Opt]] = {
     "fixed-point": {
         "theta": _Opt("num", 2.0, **_POSITIVE),
         "members": _Opt("int", 4),
-        "band": _Opt("int", 4),
+        "band": _Opt("int", 4, finite=True),
         "weights": _Opt("list-num", [0.4, 0.3, 0.2, 0.1]),
         "target_norm": _Opt("num", 0.1, **_POSITIVE),
         "potential": _Opt("obj", {"kind": "yukawa"}),
@@ -211,6 +211,14 @@ def _check_bound(val, opt: _Opt, key: str, field: str) -> None:
                               f"{key}{bound}, got {got}", field=field)
 
 
+def check_seed(seed: int, field: str) -> None:
+    """Reject a global seed that is not a 64-bit word, the type of the
+    per-cell seed derivation (``seeding.derive_cell_seeds``)."""
+    if not 0 <= seed < 2 ** 64:
+        raise ConfigError(f"{field}: need 0 <= seed < 2^64, got {seed}",
+                          field=field)
+
+
 def _apply_schema(obj: dict, schema: dict[str, _Opt], path: str) -> dict:
     if not isinstance(obj, dict):
         raise ConfigError(f"{path}: expected an object", field=path)
@@ -274,6 +282,7 @@ def build_potential(cfg: dict) -> PotentialSpec:
 def validate_config(raw: dict) -> dict:
     """Validate a config dict; returns the fully-defaulted echo."""
     top = _apply_schema(raw, _TOP_SCHEMA, "config")
+    check_seed(top["seed"], "config.seed")
     kind = top["experiment"]
     params = _apply_schema(top["params"] or {}, _SCHEMAS[kind], "params")
     if "potential" in params:

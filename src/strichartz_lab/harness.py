@@ -25,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .config import build_potential, geometry_from_echo, load_config, validate_config
+from .config import (build_potential, check_seed, geometry_from_echo,
+                     load_config, validate_config)
 from .errors import (CapacityError, ConfigError, InvalidInputError,
                      NumericFailureError)
 from .geometry import _BLOCK_ELEMENTS, BandFlow, SpaceTimeField, _xi2
@@ -34,7 +35,7 @@ from .hartree import (DensityState, _fixed_point_exponents, evolve,
 from .kernels import _window_top, dispersive_sup, vdc_integral_oracle
 from .norms import (_besov_top, classify_pair, fit_scaling, frames_norm,
                     lq_norm, predict_sigma)
-from .ons import OnsConfig, band_dimension, ons_estimate_ratio
+from .ons import band_dimension, ons_estimate_ratio
 from .schatten import (MATRIX_CAP, duality_check,
                        factored_sobolev_schatten_norm)
 from .seeding import derive_cell_seed, derive_cell_seeds
@@ -389,15 +390,17 @@ def _drv_ons_sweep(echo):
         if not applicable:
             row["passed"] = True
             return row
-        rec = ons_estimate_ratio(OnsConfig(
-            theta=p["theta"], p=p["p"], q=p["q"], N=cell["N"],
-            alpha_prime=cell["alpha_prime"], geometry=geom,
-            family_kinds=tuple((k, c) for k, c in p["family_kinds"]),
-            lambda_kind=p["lambda_kind"], interval_mode=p["interval_mode"],
-            time_pts=p["time_pts"], seed=seed))
-        row.update(lhs_norm=rec.lhs_norm, lambda_norm=rec.lambda_norm,
-                   ratio=rec.ratio, sigma=pred.sigma,
-                   alpha_max=pred.alpha_max, best_family=rec.best_family)
+        interval = (0.0, 1.0)
+        if p["interval_mode"] == "dispersive-window":
+            half = 0.5 * _window_top(cell["N"], p["theta"])
+            interval = (-half, half)
+        lhs, lam_norm, best = ons_estimate_ratio(
+            geom, cell["N"], p["theta"], p["p"], p["q"], cell["alpha_prime"],
+            interval, p["time_pts"], p["family_kinds"], p["lambda_kind"],
+            seed)
+        row.update(lhs_norm=lhs, lambda_norm=lam_norm, ratio=lhs / lam_norm,
+                   sigma=pred.sigma, alpha_max=pred.alpha_max,
+                   best_family=best)
         return row
 
     def finalize(rows):
@@ -563,7 +566,7 @@ def _drv_fixed_point(echo):
                                      p["p"], p["q"], s=s,
                                      time_pts=p["time_pts"])
         # cross check against the split-step route on the same nodes
-        rho_fp = result.final.rho
+        rho_fp = result.final.path.rho
         nodes = rho_fp.times
         h = nodes[1] - nodes[0]
         sub = max(1, int(round(h / p["cross_check_dt"])))
@@ -646,6 +649,7 @@ def run(config, out_dir: str, seed: int | None = None,
     echo = load_config(config) if isinstance(config, str) \
         else validate_config(config)
     if seed is not None:
+        check_seed(int(seed), "seed")
         echo["seed"] = int(seed)
     kind = echo["experiment"]
     header, cells, run_cell, finalize = _DRIVERS[kind](echo)

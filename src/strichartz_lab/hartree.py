@@ -324,11 +324,13 @@ def evolve(state: DensityState, T: float, dt: float, w: PotentialSpec,
 
 @dataclass(frozen=True, eq=False)
 class OperatorPath:
-    """Hermitian finite-rank operator per time node, eigen-factored.
+    """Hermitian finite-rank operator per time node, eigen-factored, with
+    its density film.
 
     ``weights[i]`` are signed eigenvalues (the iteration can leave the
     positive cone), ``members[i]`` the corresponding orthonormal
-    eigenvectors as rows over the flattened grid.
+    eigenvectors as rows over the flattened grid, ``rho.values[i]`` the
+    density of node i.
     """
 
     times: np.ndarray
@@ -337,11 +339,7 @@ class OperatorPath:
     geometry: GeometrySpec
     theta: float
     truncation_mass: np.ndarray   # trace-norm mass discarded per node
-
-    def density(self, i: int) -> np.ndarray:
-        rho = np.sum(self.weights[i][:, None] * np.abs(self.members[i]) ** 2,
-                     axis=0) / self.geometry.cell_volume
-        return rho.reshape(self.geometry.grid_sizes)
+    rho: SpaceTimeField
 
 
 # core eigenvalues at most this times the largest are eigh roundoff
@@ -363,10 +361,10 @@ def _truncate_hermitian(core: np.ndarray, rank: int, rtol: float = math.inf):
     return vals[:keep], vecs[:, :keep], float(np.sum(np.abs(vals[keep:])))
 
 
-def duhamel_map(path: OperatorPath, rho: SpaceTimeField,
-                gamma0: DensityState, w: PotentialSpec,
-                rank: int) -> tuple[OperatorPath, SpaceTimeField]:
-    """One application of the integral-equation map.
+def duhamel_map(path: OperatorPath, gamma0: DensityState, w: PotentialSpec,
+                rank: int) -> OperatorPath:
+    """One application of the integral-equation map to ``path`` and its
+    density.
 
     In the interaction picture gamma0 - i int_0^t is held as Q core Q*.
     Each node folds its commutator integrand (from the path's factors)
@@ -381,8 +379,6 @@ def duhamel_map(path: OperatorPath, rho: SpaceTimeField,
         raise CapacityError(f"rank cap {rank} exceeds grid dimension {n}")
     if path.geometry != geom:
         raise InvalidInputError("operator path and data live on one geometry")
-    if not np.array_equal(path.times, rho.times):
-        raise InvalidInputError("operator path and density share one grid")
     times = path.times
     nt = len(times)
     h = times[1] - times[0]
@@ -393,8 +389,9 @@ def duhamel_map(path: OperatorPath, rho: SpaceTimeField,
     Q = gamma0.members.reshape(-1, n).T * math.sqrt(geom.cell_volume)
     core = np.diag(gamma0.weights)
     new_weights, new_members, new_mass = [], [], []
+    rho = np.empty((nt,) + geom.grid_sizes)
     for i in range(nt):
-        pot = potential(rho.values[i].real).real.ravel()
+        pot = potential(path.rho.values[i].real).real.ravel()
         V = path.members[i]
         t = float(times[i] - times[0])
         # U(-t) [pot, g_i] U(t), U(t) = exp(-i t phi(D)), from the factors
@@ -413,19 +410,19 @@ def duhamel_map(path: OperatorPath, rho: SpaceTimeField,
         new_weights.append(vals)
         new_members.append(_kinetic(geom, theta, t)(
             (Q @ vecs).T.reshape(rows)).reshape(-1, n))
+        rho[i] = (np.sum(vals[:, None] * np.abs(new_members[i]) ** 2, axis=0)
+                  / geom.cell_volume).reshape(geom.grid_sizes)
         if i + 1 < nt:
             vals, vecs, mass = _truncate_hermitian(core + half, rank,
                                                    _RECOMPRESS_RTOL)
             Q, core = Q @ vecs, np.diag(vals)
             dropped += mass
         new_mass.append(dropped)
-    out_path = OperatorPath(times, new_weights, new_members, geom, theta,
-                            np.array(new_mass))
-    rho_out = np.stack([out_path.density(i) for i in range(nt)])
-    return out_path, SpaceTimeField(rho_out, times, geom)
+    return OperatorPath(times, new_weights, new_members, geom, theta,
+                        np.array(new_mass), SpaceTimeField(rho, times, geom))
 
 
-def free_path(gamma0: DensityState, T: float, time_pts: int) -> tuple[OperatorPath, SpaceTimeField]:
+def free_path(gamma0: DensityState, T: float, time_pts: int) -> OperatorPath:
     """Flow-conjugated initial operator: the w = 0 solution."""
     geom = gamma0.geometry
     times = np.linspace(0.0, float(T), time_pts)
@@ -437,9 +434,8 @@ def free_path(gamma0: DensityState, T: float, time_pts: int) -> tuple[OperatorPa
         members.append(st.members.reshape(st.size, -1)
                        * math.sqrt(geom.cell_volume))
         rho[i] = st.density()
-    path = OperatorPath(times, weights, members, geom, gamma0.theta,
-                        np.zeros(time_pts))
-    return path, SpaceTimeField(rho, times, geom)
+    return OperatorPath(times, weights, members, geom, gamma0.theta,
+                        np.zeros(time_pts), SpaceTimeField(rho, times, geom))
 
 
 @dataclass(frozen=True, eq=False)
@@ -448,7 +444,6 @@ class DuhamelIterate:
 
     index: int
     path: OperatorPath
-    rho: SpaceTimeField
     residual: float               # C0_t Sobolev-Schatten + L^p_t L^q_x
     ratio: float | None           # residual_k / residual_{k-1}
 
@@ -467,9 +462,8 @@ class FixedPointResult:
         return self.iterates[-1]
 
 
-def _xt_distance(pa: OperatorPath, ra: SpaceTimeField, pb: OperatorPath,
-                 rb: SpaceTimeField, alpha_prime: float, s: float,
-                 p: float, q: float) -> float:
+def _xt_distance(pa: OperatorPath, pb: OperatorPath, alpha_prime: float,
+                 s: float, p: float, q: float) -> float:
     geom = pa.geometry
     best = 0.0
     for i in range(len(pa.times)):
@@ -477,7 +471,7 @@ def _xt_distance(pa: OperatorPath, ra: SpaceTimeField, pb: OperatorPath,
             np.concatenate([pa.members[i], pb.members[i]]),
             np.concatenate([pa.weights[i], -pb.weights[i]]),
             alpha_prime, s, geom))
-    drho = SpaceTimeField(ra.values - rb.values, ra.times, geom)
+    drho = SpaceTimeField(pa.rho.values - pb.rho.values, pa.times, geom)
     return best + mixed_norm(drho, p, q)
 
 
@@ -514,20 +508,20 @@ def fixed_point_iterate(gamma0: DensityState, w: PotentialSpec, T: float,
     s = s_default if s is None else s
     rank = min(4 * gamma0.size, gamma0.members[0].size)
 
-    path, rho = free_path(gamma0, T, time_pts)
+    path = free_path(gamma0, T, time_pts)
     iterates: list[DuhamelIterate] = []
     residuals: list[float] = []
     grew = 0
     diverged = False
     converged = False
     for k in range(1, K + 1):
-        new_path, new_rho = duhamel_map(path, rho, gamma0, w, rank)
-        res = _xt_distance(new_path, new_rho, path, rho, alpha_prime, s, p, q)
+        new_path = duhamel_map(path, gamma0, w, rank)
+        res = _xt_distance(new_path, path, alpha_prime, s, p, q)
         ratio = res / residuals[-1] if residuals and residuals[-1] > 0 else None
-        iterates.append(DuhamelIterate(k, new_path, new_rho, res, ratio))
+        iterates.append(DuhamelIterate(k, new_path, res, ratio))
         grew = grew + 1 if residuals and res > residuals[-1] else 0
         residuals.append(res)
-        path, rho = new_path, new_rho
+        path = new_path
         if res <= _CONVERGED_FLOOR:
             converged = True
             break

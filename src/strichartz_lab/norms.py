@@ -360,12 +360,8 @@ def _sel_waveguide_ons(s):
         return _na(tag, "needs p > (d+1)/d")
     if d >= 2 and not q < (d + 1) / (d - 1):
         return _na(tag, "needs q below the critical exponent")
-    if theta > 3 + m / n:
-        sigma = (1 + n * (theta - 2) / (m + n)) * _inv(p)
-    elif theta > 1:
-        sigma = 2 * _inv(p)
-    else:
-        sigma = 2 * (2 - theta) * _inv(p)
+    kappa = _waveguide_kappa(theta, n, m)
+    sigma = 2 * (2 - theta) * _inv(p) if kappa is None else kappa * _inv(p)
     return SigmaPrediction(sigma, tag,
                            alpha_max=2 * q / (q + 1) if q != math.inf else 2.0)
 

@@ -28,8 +28,6 @@ from .seeding import derive_cell_seed
 __all__ = [
     "OrthonormalFamily",
     "LambdaSequence",
-    "OnsConfig",
-    "OnsRecord",
     "band_dimension",
     "generate_ons",
     "lambda_family",
@@ -161,62 +159,26 @@ def density_field(family: OrthonormalFamily, lam: LambdaSequence, theta: float,
     return SpaceTimeField(rho, times, geom)
 
 
-@dataclass(frozen=True)
-class OnsConfig:
-    """One measurement cell for the family-summed estimate."""
-
-    theta: float
-    p: float
-    q: float
-    N: int
-    alpha_prime: float
-    geometry: GeometrySpec
-    M: int | None = None                # default: full band
-    family_kinds: tuple = (("fourier-modes", 1),)
-    lambda_kind: str = "flat"
-    interval_mode: str = "unit"         # "unit" | "dispersive-window"
-    time_pts: int = 33
-    seed: int = 0
-
-    def resolved_interval(self) -> tuple[float, float]:
-        if self.interval_mode == "unit":
-            return (0.0, 1.0)
-        if self.interval_mode == "dispersive-window":
-            half = 0.5 * float(self.N) ** (1.0 - self.theta)
-            return (-half, half)
-        raise InvalidInputError(
-            f"unknown interval mode {self.interval_mode!r}")
-
-
-@dataclass(frozen=True)
-class OnsRecord:
-    """Measured density norm of one cell and the best family's label."""
-
-    config: OnsConfig
-    lhs_norm: float
-    lambda_norm: float
-    best_family: str
-
-    @property
-    def ratio(self) -> float:
-        return self.lhs_norm / self.lambda_norm
-
-
-def ons_estimate_ratio(cfg: OnsConfig) -> OnsRecord:
-    """Measure the density norm against the coefficient norm for one cell."""
-    M = cfg.M if cfg.M is not None else band_dimension(cfg.geometry, cfg.N)
-    lam = lambda_family(cfg.lambda_kind, M, cfg.alpha_prime)
-    interval = cfg.resolved_interval()
-
+def ons_estimate_ratio(geometry: GeometrySpec, N: int, theta: float,
+                       p: float, q: float, alpha_prime: float,
+                       interval=(0.0, 1.0), time_pts: int = 33,
+                       family_kinds=(("fourier-modes", 1),),
+                       lambda_kind: str = "flat",
+                       seed: int = 0) -> tuple[float, float, str]:
+    """One cell of the family-summed estimate over the full band of N:
+    the largest density norm over ``family_kinds`` ((kind, draws) pairs),
+    the coefficient norm, and the label of the family that attained it."""
+    M = band_dimension(geometry, N)
+    lam = lambda_family(lambda_kind, M, alpha_prime)
     best_norm, best_label = -1.0, ""
     cell = 0
-    for kind, count in cfg.family_kinds:
-        for rep in range(count):
-            seed = derive_cell_seed(cfg.seed, cell)
+    for kind, count in family_kinds:
+        for _ in range(count):
+            fam = generate_ons(kind, M, N, geometry,
+                               seed=derive_cell_seed(seed, cell))
             cell += 1
-            fam = generate_ons(kind, M, cfg.N, cfg.geometry, seed=seed)
-            rho = density_field(fam, lam, cfg.theta, interval, cfg.time_pts)
-            val = mixed_norm(rho, cfg.p, cfg.q)
+            rho = density_field(fam, lam, theta, interval, time_pts)
+            val = mixed_norm(rho, p, q)
             if val > best_norm:
                 best_norm, best_label = val, fam.provenance
-    return OnsRecord(cfg, best_norm, lam.norm, best_label)
+    return best_norm, lam.norm, best_label

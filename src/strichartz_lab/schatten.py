@@ -59,8 +59,6 @@ class DiscreteOperator:
     """Matrix on a weighted space, weights already folded in."""
 
     matrix: np.ndarray
-    row_space: str = ""
-    col_space: str = ""
 
     def __post_init__(self):
         m = np.array(self.matrix, dtype=np.complex128)
@@ -77,8 +75,7 @@ def spatial_kernel_operator(kernel: np.ndarray,
     """Operator on L2 of the grid from an integral kernel K(x, y)."""
     n = int(np.prod(geometry.grid_sizes))
     K = np.asarray(kernel, dtype=np.complex128).reshape(n, n)
-    return DiscreteOperator(K * geometry.cell_volume,
-                            row_space="grid", col_space="grid")
+    return DiscreteOperator(K * geometry.cell_volume)
 
 
 def singular_values(A: DiscreteOperator | np.ndarray) -> np.ndarray:

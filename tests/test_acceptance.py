@@ -265,7 +265,7 @@ class TestCriterion9FixedPointContraction:
         ratios_ok = result.contractive and all(r < 0.5 for r in ratios) \
             and (len(result.iterates) >= 6 or result.converged)
 
-        rho_fp = result.final.rho
+        rho_fp = result.final.path.rho
         nodes = rho_fp.times
         sub = int(round((nodes[1] - nodes[0]) / 1e-3))
         dt = (nodes[1] - nodes[0]) / sub

@@ -19,8 +19,9 @@ from strichartz_lab.config import schema_document  # noqa: E402
 ARTIFACTS = ("results.csv", "summary.json", "manifest.json")
 
 
-def run_contract(cfg):
-    """Run ``cfg`` through the CLI and check the exit code and artifacts."""
+def run_contract(cfg, *options):
+    """Run ``cfg`` through the CLI, with extra ``options``, and check the
+    exit code and artifacts."""
     kind = cfg["experiment"]
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "cfg.json")
@@ -30,7 +31,8 @@ def run_contract(cfg):
         # refinement warnings are part of a normal run here
         with warnings.catch_warnings(record=True):
             warnings.simplefilter("always")
-            code = cli_main([kind, "--config", path, "--out", out_dir])
+            code = cli_main([kind, "--config", path, "--out", out_dir,
+                             *options])
         written = [os.path.exists(os.path.join(out_dir, name))
                    for name in ARTIFACTS]
     assert code in (0, 1, 2)
@@ -116,6 +118,10 @@ def test_kernel_sweep_cli_contract(theta, N, t_grid_pts, x_grid_pts, t_min,
        .flatmap(lambda s: s))
 @example(grid=16, family="random", N=[2, 4], time_pts=5, time_pts_scale=4.0,
          samples=2, p=4.0, q=None, theta=2.0, sigma_margin=-1e300)
+# an N beyond the float range
+@example(grid=16, family="random", N=[2, 10 ** 400], time_pts=5,
+         time_pts_scale=4.0, samples=2, p=4.0, q=None, theta=2.0,
+         sigma_margin=0.0)
 def test_strichartz_fit_cli_contract(grid, family, N, time_pts,
                                      time_pts_scale, samples, p, q, theta,
                                      sigma_margin):
@@ -135,10 +141,18 @@ def test_strichartz_fit_cli_contract(grid, family, N, time_pts,
        b=bounded("vdc-oracle", "b", 2.5),
        t=st.lists(bounded("vdc-oracle", "t", 100.0), min_size=1,
                   max_size=2),
-       p=st.integers(-3, 3))
-def test_vdc_oracle_cli_contract(theta, b, t, p):
-    run_contract({"experiment": "vdc-oracle",
-                  "params": {"theta": theta, "b": b, "t": t, "p": p}})
+       p=st.integers(-3, 3),
+       seed=st.integers(0, 2 ** 64 - 1),
+       cli_seed=st.none() | st.integers(0, 2 ** 64 - 1))
+# a p beyond the float range; config and --seed seeds outside [0, 2^64)
+@example(theta=3.0, b=2.0, t=[10.0], p=10 ** 400, seed=0, cli_seed=None)
+@example(theta=3.0, b=2.0, t=[10.0], p=0, seed=-1, cli_seed=None)
+@example(theta=3.0, b=2.0, t=[10.0], p=0, seed=2 ** 64, cli_seed=None)
+@example(theta=3.0, b=2.0, t=[10.0], p=0, seed=0, cli_seed=-5)
+def test_vdc_oracle_cli_contract(theta, b, t, p, seed, cli_seed):
+    run_contract({"experiment": "vdc-oracle", "seed": seed,
+                  "params": {"theta": theta, "b": b, "t": t, "p": p}},
+                 *([] if cli_seed is None else ["--seed", str(cli_seed)]))
 
 
 FIXED_POINT = dict(members=4, band=4, time_pts=26, iterations=6, q=None,
@@ -168,6 +182,10 @@ FIXED_POINT = dict(members=4, band=4, time_pts=26, iterations=6, q=None,
 @example(grid=[16], **{**FIXED_POINT, "theta": 1000.0})
 @example(grid=[16], **{**FIXED_POINT, "cross_check_dt": 5e-324})
 @example(grid=[16], **{**FIXED_POINT, "cross_check_dt": 1e-300})
+# a band and a cosine frequency beyond the float range
+@example(grid=[16], **{**FIXED_POINT, "band": 10 ** 400})
+@example(grid=[16], **{**FIXED_POINT,
+                       "potential": {"kind": "cosine", "k0": 10 ** 400}})
 def test_fixed_point_cli_contract(grid, members, band, time_pts, iterations,
                                   q, theta, T, cross_check_dt, potential):
     # q = None draws the density-line exponent at p = 4 (q = 2 in 1-D,
@@ -206,6 +224,10 @@ def test_fixed_point_cli_contract(grid, members, band, time_pts, iterations,
 @example(grid=64, N=[8, 16, 32], alpha_prime=[4 / 3], theta=300.0,
          p=600.0, q=2.0, time_pts=33, family="fourier-modes", count=1,
          interval_mode="dispersive-window")
+# an N beyond the float range
+@example(grid=64, N=[8, 10 ** 400], alpha_prime=[4 / 3], theta=3.0, p=6.0,
+         q=2.0, time_pts=33, family="fourier-modes", count=1,
+         interval_mode="unit")
 def test_ons_sweep_cli_contract(grid, N, alpha_prime, theta, p, q, time_pts,
                                 family, count, interval_mode):
     run_contract({"experiment": "ons-sweep",
@@ -244,6 +266,10 @@ def test_ons_sweep_cli_contract(grid, N, alpha_prime, theta, p, q, time_pts,
 @example(geometry={"kind": "torus", "grid_sizes": [16]}, N=2, alpha=[4.0],
          theta=1000.0, time_pts=9, interval=[0.0, 1.0], weight="unit",
          samples=5)
+# an N beyond the float range
+@example(geometry={"kind": "torus", "grid_sizes": [16]}, N=10 ** 400,
+         alpha=[4.0], theta=2.0, time_pts=9, interval=[0.0, 1.0],
+         weight="unit", samples=5)
 def test_duality_check_cli_contract(geometry, N, alpha, theta, time_pts,
                                     interval, weight, samples):
     run_contract({"experiment": "duality-check",
@@ -274,6 +300,11 @@ def test_duality_check_cli_contract(geometry, N, alpha, theta, time_pts,
          q_report=2.0, potential={"kind": "gaussian", "sigma_w": 1e300})
 @example(grid=[16], members=4, band=2, theta=[2.0], T=0.05, dt=[0.01],
          q_report=2.0, potential={"kind": "yukawa", "s": 1e300})
+# a band and a cosine frequency beyond the float range
+@example(grid=[16], members=4, band=10 ** 400, theta=[2.0], T=0.05,
+         dt=[0.01], q_report=2.0, potential={"kind": "yukawa"})
+@example(grid=[16], members=4, band=2, theta=[2.0], T=0.05, dt=[0.01],
+         q_report=2.0, potential={"kind": "cosine", "k0": 10 ** 400})
 def test_hartree_run_cli_contract(grid, members, band, theta, T, dt,
                                   q_report, potential):
     # one nonincreasing weight per member

@@ -188,6 +188,14 @@ class TestRun:
         a = read(tmp_path / "s1" / "results.csv")
         b = read(tmp_path / "s2" / "results.csv")
         assert strip_timing(a) != strip_timing(b)
+        # both ends of the uint64 range run, from the config and as the
+        # override
+        top = 2 ** 64 - 1
+        assert run({**cfg, "seed": top},
+                   str(tmp_path / "s3")).summary["seed"] == top
+        assert run(cfg, str(tmp_path / "s4"), seed=top).summary["seed"] == top
+        assert run({**cfg, "seed": top}, str(tmp_path / "s5"),
+                   seed=0).summary["seed"] == 0
 
     def test_env_threads_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("STRICHARTZ_LAB_THREADS", "4")
@@ -691,10 +699,53 @@ class TestCli:
                      id="hartree-T-beyond-float"),
         pytest.param("strichartz-fit", {"p": 10 ** 400}, "params.p",
                      id="fit-p-beyond-float"),
+        # integer keys that reach a float conversion
+        pytest.param("strichartz-fit", {"family": "random",
+                                        "N": [2, 10 ** 400]},
+                     "params.N", id="fit-random-N-beyond-float"),
+        pytest.param("ons-sweep", {"N": [8, 10 ** 400]}, "params.N",
+                     id="ons-N-beyond-float"),
+        pytest.param("duality-check", {"N": 10 ** 400}, "params.N",
+                     id="duality-N-beyond-float"),
+        pytest.param("hartree-run", {"band": 10 ** 400}, "params.band",
+                     id="hartree-band-beyond-float"),
+        pytest.param("fixed-point", {"band": 10 ** 400}, "params.band",
+                     id="fixed-point-band-beyond-float"),
+        pytest.param("hartree-run",
+                     {"potential": {"kind": "cosine", "k0": 10 ** 400}},
+                     "params.potential.k0", id="hartree-k0-beyond-float"),
+        pytest.param("vdc-oracle", {"p": 10 ** 400}, "params.p",
+                     id="vdc-p-beyond-float"),
     ])
     def test_bad_params_exit_2_no_artifacts(self, tmp_path, capsys, kind,
                                             params, field):
         self.assert_rejected(tmp_path, capsys, kind, params, field)
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64],
+                             ids=["negative", "beyond-u64"])
+    def test_config_seed_out_of_range_exits_2_no_artifacts(self, tmp_path,
+                                                           capsys, seed):
+        # cell seeds are derived in uint64 arithmetic
+        path = self.write_cfg(tmp_path, {**SMALL_KERNEL, "seed": seed})
+        out_dir = tmp_path / "out"
+        code = cli_main(["kernel-sweep", "--config", path,
+                         "--out", str(out_dir)])
+        assert code == 2
+        assert not out_dir.exists()
+        assert capsys.readouterr().err.startswith(
+            "config error: config.seed:")
+
+    @pytest.mark.parametrize("seed", [-5, 2 ** 64],
+                             ids=["negative", "beyond-u64"])
+    def test_seed_override_out_of_range_exits_2_no_artifacts(self, tmp_path,
+                                                             capsys, seed):
+        path = self.write_cfg(tmp_path, SMALL_KERNEL)
+        out_dir = tmp_path / "out"
+        code = cli_main(["kernel-sweep", "--config", path,
+                         "--out", str(out_dir), "--seed", str(seed)])
+        assert code == 2
+        assert not out_dir.exists()
+        assert capsys.readouterr().err.startswith("config error: seed:")
 
     def test_duality_long_time_grid_runs(self, tmp_path):
         # 300 times of the 16-point torus: a 4800-point weight film and a

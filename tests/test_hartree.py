@@ -367,10 +367,12 @@ def state_matrix(state):
     return (flat.T * state.weights) @ flat.conj() * state.geometry.cell_volume
 
 
-def dense_truncation_duhamel(path, rho, gamma0, w, rank):
+def dense_truncation_duhamel(path, gamma0, w, rank):
     """The dense route of the factored map: the same integrand and
     trapezoid, accumulated as an n x n matrix, truncated by an n x n eigh
-    to the ``rank`` eigendirections of largest |eigenvalue|."""
+    to the ``rank`` eigendirections of largest |eigenvalue|; the density
+    film is the diagonal of each truncated matrix."""
+    from strichartz_lab.geometry import SpaceTimeField
     geom = gamma0.geometry
     n = int(np.prod(geom.grid_sizes))
     rows = (-1,) + geom.grid_sizes
@@ -380,9 +382,9 @@ def dense_truncation_duhamel(path, rho, gamma0, w, rank):
     g0 = state_matrix(gamma0)
     integ = np.zeros_like(g0)
     prev = None
-    weights, members, mass = [], [], []
+    weights, members, mass, dens = [], [], [], []
     for i in range(len(times)):
-        pot = potential(rho.values[i].real).real.ravel()
+        pot = potential(path.rho.values[i].real).real.ravel()
         V = path.members[i]
         t = float(times[i] - times[0])
         A, B = _kinetic(geom, gamma0.theta, -t)(
@@ -399,11 +401,15 @@ def dense_truncation_duhamel(path, rho, gamma0, w, rank):
         members.append(_kinetic(geom, gamma0.theta, t)(
             vecs[:, order[:rank]].T.reshape(rows)).reshape(-1, n))
         mass.append(float(np.sum(np.abs(vals[order[rank:]]))))
+        V = members[-1]
+        dens.append(((V.T * weights[-1]) @ V.conj()).diagonal().real
+                    .reshape(geom.grid_sizes) / geom.cell_volume)
     return OperatorPath(times, weights, members, geom, gamma0.theta,
-                        np.array(mass))
+                        np.array(mass),
+                        SpaceTimeField(np.stack(dens), times, geom))
 
 
-def dense_duhamel_oracle(path, rho, gamma0, w):
+def dense_duhamel_oracle(path, gamma0, w):
     """Independent dense-matrix route: explicit propagator matrices (the
     Kronecker product of the per-axis DFT matrices), plain trapezoid, no
     interaction picture, no truncation, no factors."""
@@ -431,7 +437,7 @@ def dense_duhamel_oracle(path, rho, gamma0, w):
     for i, t in enumerate(times):
         acc = np.zeros((n, n), dtype=complex)
         for j in range(i + 1):
-            rho_hat = F @ rho.values[j].real.ravel()
+            rho_hat = F @ path.rho.values[j].real.ravel()
             pot = (Finv @ (wmult * rho_hat)).real
             g_j = path_matrix(path, j)
             comm = np.diag(pot) @ g_j - g_j @ np.diag(pot)
@@ -450,12 +456,12 @@ def two_member_state(geom, weights, seed):
 
 def check_zero_potential_fixed_point(geom, seed):
     st = two_member_state(geom, [0.6, 0.4], seed)
-    path, rho = free_path(st, 0.05, 6)
-    new_path, new_rho = duhamel_map(path, rho, st, ZERO, rank=8)
+    path = free_path(st, 0.05, 6)
+    new_path = duhamel_map(path, st, ZERO, rank=8)
     for i in range(6):
         assert np.max(np.abs(path_matrix(new_path, i)
                              - path_matrix(path, i))) < 1e-12
-    assert np.max(np.abs(new_rho.values - rho.values)) < 1e-12
+    assert np.max(np.abs(new_path.rho.values - path.rho.values)) < 1e-12
 
 
 def check_zero_path_free_conjugation(geom, seed):
@@ -463,14 +469,15 @@ def check_zero_path_free_conjugation(geom, seed):
     n = int(np.prod(geom.grid_sizes))
     st = two_member_state(geom, [0.6, 0.4], seed)
     times = np.linspace(0.0, 0.05, 6)
+    # the zero operator, carrying a density film unrelated to it
+    any_rho = SpaceTimeField(np.abs(np.random.default_rng(0).standard_normal(
+        (6,) + geom.grid_sizes)), times, geom)
     zero_path = OperatorPath(
         times, [np.zeros(1) for _ in times],
         [np.zeros((1, n), dtype=complex) for _ in times], geom, 2.0,
-        np.zeros(6))
-    any_rho = SpaceTimeField(np.abs(np.random.default_rng(0).standard_normal(
-        (6,) + geom.grid_sizes)), times, geom)
-    new_path, _ = duhamel_map(zero_path, any_rho, st, YUKAWA, rank=8)
-    free, _ = free_path(st, 0.05, 6)
+        np.zeros(6), any_rho)
+    new_path = duhamel_map(zero_path, st, YUKAWA, rank=8)
+    free = free_path(st, 0.05, 6)
     for i in range(6):
         assert np.max(np.abs(path_matrix(new_path, i)
                              - path_matrix(free, i))) < 1e-12
@@ -478,9 +485,9 @@ def check_zero_path_free_conjugation(geom, seed):
 
 def check_dense_matrix_oracle(geom, seed):
     st = two_member_state(geom, [0.06, 0.04], seed)
-    path, rho = free_path(st, 0.05, 9)
-    new_path, new_rho = duhamel_map(path, rho, st, YUKAWA, rank=8)
-    oracle = dense_duhamel_oracle(path, rho, st, YUKAWA)
+    path = free_path(st, 0.05, 9)
+    new_path = duhamel_map(path, st, YUKAWA, rank=8)
+    oracle = dense_duhamel_oracle(path, st, YUKAWA)
     for i in range(9):
         assert np.max(np.abs(path_matrix(new_path, i) - oracle[i])) < 1e-8
     # truncation at rank 4M barely bites at this coupling
@@ -492,18 +499,20 @@ def check_dense_truncation(geom, members, weights, rank):
     # integral is far above roundoff
     st = ons_state(geom, members, 4 if geom.dim == 1 else 2, 2.0, weights,
                    seed=13)
-    path, rho = free_path(st, 0.5, 9)
+    path = free_path(st, 0.5, 9)
     masses = []
     for _ in range(2):
-        new_path, new_rho = duhamel_map(path, rho, st, YUKAWA, rank)
-        dense = dense_truncation_duhamel(path, rho, st, YUKAWA, rank)
+        new_path = duhamel_map(path, st, YUKAWA, rank)
+        dense = dense_truncation_duhamel(path, st, YUKAWA, rank)
         for i in range(9):
             assert np.max(np.abs(path_matrix(new_path, i)
                                  - path_matrix(dense, i))) < 1e-12
         assert np.max(np.abs(new_path.truncation_mass
                              - dense.truncation_mass)) < 1e-12
+        assert np.max(np.abs(new_path.rho.values
+                             - dense.rho.values)) < 1e-12
         masses.append(np.max(dense.truncation_mass))
-        path, rho = new_path, new_rho
+        path = new_path
     return masses
 
 
@@ -545,7 +554,7 @@ class TestDuhamel:
         geom = torus(8)
         n = 8
         st = ons_state(geom, 3, 2, 2.0, [0.3, 0.2, 0.1], seed=19)
-        path, rho = free_path(st, 0.5, 6)
+        path = free_path(st, 0.5, 6)
         widths = []
         qr = np.linalg.qr
 
@@ -556,7 +565,7 @@ class TestDuhamel:
 
         monkeypatch.setattr(np.linalg, "qr", recording_qr)
         for _ in range(2):
-            path, rho = duhamel_map(path, rho, st, YUKAWA, rank=n)
+            path = duhamel_map(path, st, YUKAWA, rank=n)
         assert max(cols for cols, _ in widths) > n
         assert max(basis for _, basis in widths) <= n
         assert all(len(lam) <= n for lam in path.weights)
@@ -565,7 +574,7 @@ class TestDuhamel:
         # 2-D: every eigh acts on the small core, never on an n x n matrix
         geom = torus((8, 8))
         st = two_member_state(geom, [0.6, 0.4], 13)
-        path, rho = free_path(st, 0.5, 9)
+        path = free_path(st, 0.5, 9)
         sizes = []
         eigh = np.linalg.eigh
 
@@ -575,15 +584,15 @@ class TestDuhamel:
 
         monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
         for _ in range(2):
-            path, rho = duhamel_map(path, rho, st, YUKAWA, rank=8)
+            path = duhamel_map(path, st, YUKAWA, rank=8)
         assert sizes and max(sizes) < 64
 
     def test_rank_cap_guard(self):
         geom = torus(32)
         st = ons_state(geom, 2, 4, 2.0, [0.6, 0.4], seed=14)
-        path, rho = free_path(st, 0.05, 4)
+        path = free_path(st, 0.05, 4)
         with pytest.raises(CapacityError):
-            duhamel_map(path, rho, st, YUKAWA, rank=64)
+            duhamel_map(path, st, YUKAWA, rank=64)
 
     def test_default_rank_capped_at_grid(self):
         # 4M = 12 directions exceed the 8 grid points: keep all of them
@@ -651,7 +660,7 @@ class TestFixedPoint:
         st = ons_state(geom, 2, 3, 2.0, [0.06, 0.04], seed=18)
         T, nt = 0.05, 11
         result = fixed_point_iterate(st, YUKAWA, T, 6, 4.0, 2.0, time_pts=nt)
-        rho_fp = result.final.rho
+        rho_fp = result.final.path.rho
         dt = T / ((nt - 1) * 20)
         cur = st
         worst = 0.0

@@ -6,7 +6,6 @@ from strichartz_lab.errors import InvalidInputError
 from strichartz_lab.geometry import propagate, torus, waveguide
 from strichartz_lab.norms import mixed_norm
 from strichartz_lab.ons import (
-    OnsConfig,
     band_dimension,
     density_field,
     generate_ons,
@@ -184,7 +183,7 @@ class TestOnsEstimateRatio:
                         family_kinds=(("fourier-modes", 1),),
                         time_pts=17, seed=7)
         defaults.update(kw)
-        return OnsConfig(**defaults)
+        return defaults
 
     def test_inadmissible_pair_yields_marker(self, tmp_path):
         # p = 4 is off the theta line: the driver marks every cell
@@ -245,30 +244,34 @@ class TestOnsEstimateRatio:
     def test_lambda_scaling_exact(self):
         # lhs scales as M^{-1/alpha'} times the unit-weight norm (linearity)
         cfg = self.base_config(N=8)
-        rec_43 = ons_estimate_ratio(cfg)
-        rec_2 = ons_estimate_ratio(self.base_config(N=8, alpha_prime=2.0))
-        M = band_dimension(cfg.geometry, cfg.N)
-        assert rec_2.lhs_norm / rec_43.lhs_norm == pytest.approx(
+        lhs_43, _, _ = ons_estimate_ratio(**cfg)
+        lhs_2, _, _ = ons_estimate_ratio(**self.base_config(N=8,
+                                                            alpha_prime=2.0))
+        M = band_dimension(cfg["geometry"], cfg["N"])
+        assert lhs_2 / lhs_43 == pytest.approx(
             M ** (1.0 / (4.0 / 3.0) - 0.5), rel=1e-9)
 
 
 class TestSweep:
-    def test_dispersive_window_interval(self):
-        # the shrinking-window mode measures over [-N^(1-theta)/2, +half]
-        cfg = OnsConfig(theta=3.0, p=6.0, q=2.0, N=8, alpha_prime=4.0 / 3.0,
-                        geometry=torus(64),
-                        interval_mode="dispersive-window", time_pts=9)
+    def test_dispersive_window_interval(self, tmp_path):
+        # the shrinking-window mode measures over [-N^(1-theta)/2, +half];
+        # the ons-sweep driver passes that interval to the cell
+        res = run({"experiment": "ons-sweep",
+                   "geometry": {"kind": "torus", "grid_sizes": [64]},
+                   "params": {"N": [8], "time_pts": 9,
+                              "interval_mode": "dispersive-window"}},
+                  str(tmp_path / "out"))
         half = 0.5 * 8.0 ** (1.0 - 3.0)
-        assert cfg.resolved_interval() == (-half, half)
-        rec = ons_estimate_ratio(cfg)
-        assert rec.lhs_norm > 0
+        window, _, _ = ons_estimate_ratio(torus(64), 8, 3.0, 6.0, 2.0,
+                                          4.0 / 3.0, (-half, half), 9)
+        assert window > 0
+        assert res.rows[0]["lhs_norm"] == window
         # over a window of measure N^(1-theta) the constant-density family
         # norm carries the interval factor |I|^(1/p)
-        unit = ons_estimate_ratio(
-            OnsConfig(theta=3.0, p=6.0, q=2.0, N=8, alpha_prime=4.0 / 3.0,
-                      geometry=torus(64), time_pts=9))
-        expected = unit.lhs_norm * (2 * half) ** (1.0 / 6.0)
-        assert rec.lhs_norm == pytest.approx(expected, rel=1e-10)
+        unit, _, _ = ons_estimate_ratio(torus(64), 8, 3.0, 6.0, 2.0,
+                                        4.0 / 3.0, time_pts=9)
+        expected = unit * (2 * half) ** (1.0 / 6.0)
+        assert window == pytest.approx(expected, rel=1e-10)
 
     def test_theta_sweep_slopes_under_prediction(self, tmp_path):
         for theta in (2.5, 3.0, 4.0):
