@@ -36,7 +36,6 @@ from .kernels import (                                   # noqa: F401
     vdc_integral_oracle,
 )
 from .norms import (                                     # noqa: F401
-    AdmissiblePair,
     ScalingFit,
     SigmaPrediction,
     besov_sup_norm,

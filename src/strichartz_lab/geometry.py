@@ -229,14 +229,17 @@ class SpectrumField:
 
 @dataclass(frozen=True, eq=False)
 class SpaceTimeField:
-    """A time-sampled family of fields over a uniform time grid."""
+    """A time-sampled family of fields over a uniform time grid: float64
+    values for a real input (a density or a weight), complex128 for a
+    complex one."""
 
     values: np.ndarray           # shape (T, *grid)
     times: np.ndarray            # uniform, strictly increasing, endpoints in
     geometry: GeometrySpec
 
     def __post_init__(self):
-        vals = np.array(self.values, dtype=np.complex128)
+        vals = np.array(self.values, dtype=np.complex128
+                        if np.iscomplexobj(self.values) else np.float64)
         times = np.array(self.times, dtype=float)
         if times.ndim != 1 or len(times) < 2:
             raise InvalidInputError("need at least two time samples")

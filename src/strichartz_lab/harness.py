@@ -103,17 +103,6 @@ def _ons_density_state(geometry, M, band, theta, weights, seed) -> DensityState:
                         geometry, theta)
 
 
-def _prediction(estimate, p, q, theta, geometry):
-    """``predict_sigma`` of an estimate on a geometry."""
-    setting = {"estimate": estimate, "p": p, "q": q, "theta": theta,
-               "manifold": geometry.kind}
-    if geometry.kind == "waveguide":
-        setting.update(n=geometry.n_free, m=geometry.n_periodic)
-    else:
-        setting["d"] = geometry.dim
-    return predict_sigma(setting)
-
-
 def _flow_ratios(geometry, N, coef_rows, theta, time_pts, p, q):
     """Strichartz quotients ||U(t) f_s||_{L^p_t L^q_x} / ||f_s||_2 for a
     batch of band coefficient vectors, reduced block by block without
@@ -143,6 +132,15 @@ def _check_cap(field, what, elements):
     if elements > MATRIX_CAP:
         _reject(field, f"{what} of {elements} elements exceeds cap "
                        f"{MATRIX_CAP}")
+
+
+def _prediction(estimate, p, q, theta, geometry):
+    """``predict_sigma`` of the configured estimate on ``geometry``; a
+    config whose estimate does not apply there is rejected."""
+    try:
+        return predict_sigma(estimate, geometry, p, q, theta)
+    except InvalidInputError as exc:
+        _reject("params.estimate", str(exc))
 
 
 def _check_family(p, geom):
@@ -283,10 +281,8 @@ def _drv_strichartz_fit(echo):
               "wall_time_ms"]
     cells = [{"N": n} for n in p["N"]]
 
-    pred = _prediction(p["estimate"], p["p"], p["q"], p["theta"], geom)
-    if not pred.applicable:
-        _reject("params.estimate", f"estimate not applicable: {pred.note}")
-    sigma = pred.sigma
+    sigma = _prediction(p["estimate"], p["p"], p["q"], p["theta"],
+                        geom).sigma
     # preflight: the time grid and the random batch at the largest N, and
     # the random family's normalization N^(sigma + sigma_margin), a finite
     # positive float at every N; both powers are compared in log space,
@@ -367,20 +363,21 @@ def _drv_ons_sweep(echo):
               "slope", "within_threshold", "passed", "wall_time_ms"]
     cells = [{"alpha_prime": a, "N": n}
              for a in p["alpha_prime"] for n in p["N"]]
-    # a cell holds its density film and a full-band family
+    # a cell holds its density film and a full-band family, and draws
+    # every configured family at the largest N
     _check_cap("params.time_pts", "density film",
                p["time_pts"] * math.prod(geom.grid_sizes))
     dim = band_dimension(geom, max(p["N"]))
     _check_cap("params.N", f"family of {dim} band members", dim * dim)
+    draws = sum(count for _, count in p["family_kinds"])
+    _check_cap("params.family_kinds", f"{draws} family draws",
+               draws * dim * dim)
     # a pair off the configured admissibility line gives not-applicable
     # rows; on it, the estimate must apply
     applicable = not p["admissibility"] or p["admissibility"] in \
-        classify_pair(geom.dim, p["p"], p["q"], p["theta"]).kinds
-    if applicable:
-        pred = _prediction(p["estimate"], p["p"], p["q"], p["theta"], geom)
-        if not pred.applicable:
-            _reject("params.estimate", f"estimate not applicable: "
-                                       f"{pred.note}")
+        classify_pair(geom.dim, p["p"], p["q"], p["theta"])
+    pred = _prediction(p["estimate"], p["p"], p["q"], p["theta"], geom) \
+        if applicable else None
 
     def run_cell(cell, seed):
         row = {"theta": p["theta"], "p": p["p"], "q": p["q"],
@@ -411,7 +408,10 @@ def _drv_ons_sweep(echo):
             if len(group) < 3:
                 continue
             fit = fit_scaling([(r["N"], r["ratio"]) for r in group])
-            within = pred.alpha_max is None or a <= pred.alpha_max + 1e-12
+            # alpha' at an open bound lies outside it
+            within = pred.alpha_max is None or (
+                a < pred.alpha_max - 1e-12 if pred.alpha_open
+                else a <= pred.alpha_max + 1e-12)
             ok = fit.slope <= pred.sigma + p["slope_tol"] if within \
                 else fit.slope > pred.sigma + p["slope_tol"]
             fits[f"slope_alpha_{a:g}"] = fit.slope
@@ -436,11 +436,14 @@ def _drv_duality_check(echo):
     if not (len(t) == 2 and -math.inf < t[0] < t[1] < math.inf):
         _reject("params.interval", f"need finite [t0, t1] with t0 < t1, "
                                    f"got {t}")
-    # a cell holds its weight film and the band Gram
+    # a cell holds its weight film and the band Gram, and applies the
+    # Gram to each sampled family
     _check_cap("params.time_pts", "weight film",
                p["time_pts"] * math.prod(geom.grid_sizes))
     band = band_dimension(geom, p["N"])
     _check_cap("params.N", f"Gram of {band} band modes", band * band)
+    _check_cap("params.samples", f"{p['samples']} Gram products",
+               p["samples"] * band * band)
 
     def run_cell(cell, seed):
         t0, t1 = p["interval"]
@@ -533,8 +536,7 @@ def _drv_fixed_point(echo):
     # the initial state is rescaled to Sobolev-Schatten norm target_norm
     if not any(p["weights"]):
         _reject("params.weights", "some weight must be positive")
-    if "density" not in classify_pair(geom.dim, p["p"], p["q"],
-                                      p["theta"]).kinds:
+    if "density" not in classify_pair(geom.dim, p["p"], p["q"], p["theta"]):
         _reject("params.q", f"(p, q) = ({p['p']:g}, {p['q']:g}) is off the "
                             f"density line 2/p + d/q = d, d = {geom.dim}")
     _check_cap("params.time_pts", "density film",
@@ -576,7 +578,7 @@ def _drv_fixed_point(echo):
         for i in range(1, len(nodes)):
             for _ in range(sub):
                 cur = split_step(cur, dt, potential)
-            diff = cur.density() - rho_fp.values[i].real
+            diff = cur.density() - rho_fp.values[i]
             worst = max(worst, float(lq_norm(diff, 2, geom.cell_volume)))
         ratios = [it.ratio for it in result.iterates if it.ratio is not None]
         ok = (result.contractive and not result.diverged

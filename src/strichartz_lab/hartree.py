@@ -391,7 +391,7 @@ def duhamel_map(path: OperatorPath, gamma0: DensityState, w: PotentialSpec,
     new_weights, new_members, new_mass = [], [], []
     rho = np.empty((nt,) + geom.grid_sizes)
     for i in range(nt):
-        pot = potential(path.rho.values[i].real).real.ravel()
+        pot = potential(path.rho.values[i]).real.ravel()
         V = path.members[i]
         t = float(times[i] - times[0])
         # U(-t) [pot, g_i] U(t), U(t) = exp(-i t phi(D)), from the factors
@@ -501,8 +501,8 @@ def fixed_point_iterate(gamma0: DensityState, w: PotentialSpec, T: float,
     if K < 2:
         raise InvalidInputError("need at least two iterations")
     from .norms import classify_pair
-    pair = classify_pair(gamma0.geometry.dim, p, q, gamma0.theta)
-    if "density" not in pair.kinds:
+    if "density" not in classify_pair(gamma0.geometry.dim, p, q,
+                                      gamma0.theta):
         raise InvalidInputError("(p, q) must sit on the density line")
     alpha_prime, s_default = _fixed_point_exponents(p, q)
     s = s_default if s is None else s

@@ -10,11 +10,6 @@ Exponent conventions: Lebesgue exponents are floats in [1, inf] with
 
 and a pair may satisfy several at once (e.g. the density and theta lines
 cross at theta = 2); the classifier reports every identity that holds.
-
-The region taxonomy lives on the density line, in (1/q, 1/p) coordinates:
-A = ((d-1)/(d+1), d/(d+1)) is the critical point, C = ((d-2)/d, 1) the
-endpoint, the open segment with q below the critical exponent is
-subcritical and above it supercritical.
 """
 
 from __future__ import annotations
@@ -28,7 +23,6 @@ from .errors import InvalidInputError
 from .geometry import Field, GeometrySpec, SpaceTimeField, littlewood_paley
 
 __all__ = [
-    "AdmissiblePair",
     "SigmaPrediction",
     "ScalingFit",
     "lq_norm",
@@ -141,54 +135,19 @@ def mixed_norm(F: SpaceTimeField, p: float, q: float) -> float:
 # admissibility
 
 
-@dataclass(frozen=True)
-class AdmissiblePair:
-    """Classification of a Lebesgue pair against the scaling identities."""
-
-    p: float
-    q: float
-    d: int
-    theta: float
-    kinds: tuple[str, ...]        # every identity satisfied, possibly empty
-    region: str                   # on the density line: subcritical /
-                                  # critical-A / supercritical / keel-tao-C;
-                                  # otherwise off-line
-
-    @property
-    def kind(self) -> str:
-        """Single label: the unique kind, 'multiple', or 'none'."""
-        if len(self.kinds) == 1:
-            return self.kinds[0]
-        return "multiple" if self.kinds else "none"
-
-
-def classify_pair(d: int, p: float, q: float, theta: float) -> AdmissiblePair:
+def classify_pair(d: int, p: float, q: float, theta: float) -> tuple[str, ...]:
+    """The identities of ``ADMISSIBILITY_KINDS`` that (p, q) satisfies in
+    dimension d, possibly none."""
     if d < 1:
         raise InvalidInputError("dimension must be >= 1")
     if theta <= 0:
         raise InvalidInputError("theta must be positive")
-    p = _check_exponent(p, "p")
-    q = _check_exponent(q, "q")
-    ip, iq = _inv(p), _inv(q)
+    ip = _inv(_check_exponent(p, "p"))
+    iq = _inv(_check_exponent(q, "q"))
     residuals = (2 * ip + d * iq - d, theta * ip + d * iq - d,
                  2 * ip + d * iq - d / 2)
-    kinds = [k for k, r in zip(ADMISSIBILITY_KINDS, residuals)
-             if abs(r) < _TOL]
-
-    region = "off-line"
-    if "density" in kinds:
-        point_a = ((d - 1) / (d + 1), d / (d + 1))
-        point_c = ((d - 2) / d, 1.0) if d >= 2 else None
-        if abs(iq - point_a[0]) < _TOL and abs(ip - point_a[1]) < _TOL:
-            region = "critical-A"
-        elif d >= 3 and point_c and abs(iq - point_c[0]) < _TOL \
-                and abs(ip - point_c[1]) < _TOL:
-            region = "keel-tao-C"
-        elif iq > point_a[0]:           # q below the critical exponent
-            region = "subcritical"
-        else:
-            region = "supercritical"
-    return AdmissiblePair(p, q, d, theta, tuple(kinds), region)
+    return tuple(k for k, r in zip(ADMISSIBILITY_KINDS, residuals)
+                 if abs(r) < _TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -201,141 +160,113 @@ class SigmaPrediction:
 
     ``alpha_max`` is the largest admitted l^{alpha'} exponent, None for
     single-function estimates; ``alpha_open`` marks a strict (open) bound.
-    ``applicable`` is False when the queried parameters fall outside the
-    selected estimate's hypothesis, with the reason in ``note``.
     """
 
-    sigma: float | None
-    theorem_tag: str
+    sigma: float
     alpha_max: float | None = None
     alpha_open: bool = False
-    applicable: bool = True
-    note: str = ""
 
     def __post_init__(self):
-        if self.applicable:
-            if self.sigma is None or self.sigma < 0:
-                raise InvalidInputError("loss exponent must be >= 0")
-            if self.alpha_max is not None and self.alpha_max < 1:
-                raise InvalidInputError("alpha' bound must be >= 1")
+        if self.sigma < 0:
+            raise InvalidInputError("loss exponent must be >= 0")
+        if self.alpha_max is not None and self.alpha_max < 1:
+            raise InvalidInputError("alpha' bound must be >= 1")
 
 
-def _na(tag: str, note: str) -> SigmaPrediction:
-    return SigmaPrediction(None, tag, applicable=False, note=note)
+def _require(ok: bool, reason: str) -> None:
+    """Reject parameters outside the selected estimate's hypothesis."""
+    if not ok:
+        raise InvalidInputError(f"estimate not applicable: {reason}")
 
 
-def _sel_diagonal_schrodinger(s):
+def _duality_alpha(q: float) -> float:
+    """alpha' = 2q/(q+1) of the duality form (2 at q = inf)."""
+    return 2 * q / (q + 1) if q != math.inf else 2.0
+
+
+def _sel_diagonal_schrodinger(p, q, theta, n, m, sigma):
     """Classical flow, diagonal space-time exponent, frequency cutoff."""
-    tag = "diagonal-schrodinger-cutoff"
-    p, q, d = s["p"], s["q"], s["d"]
-    if p != q:
-        return _na(tag, "diagonal estimate needs p = q")
-    if not (2 <= p):
-        return _na(tag, "needs p >= 2")
+    d = n + m
+    _require(p == q, "diagonal estimate needs p = q")
+    _require(2 <= p, "needs p >= 2")
     crit = 2 * (d + 2) / d
-    sigma = 0.0 if p <= crit else d / 2 - (d + 2) * _inv(p)
-    return SigmaPrediction(max(0.0, sigma), tag)
+    loss = 0.0 if p <= crit else d / 2 - (d + 2) * _inv(p)
+    return SigmaPrediction(max(0.0, loss))
 
 
-def _sel_fractional_single(s):
+def _sel_fractional_single(p, q, theta, n, m, sigma):
     """Fractional single-function estimate on torus or full space."""
-    tag = "fractional-single"
-    p, q, d, theta = s["p"], s["q"], s["d"], s["theta"]
-    if s.get("manifold", "torus") == "waveguide":
-        return _na(tag, "stated for torus / full space only")
-    if theta == 1:
-        return _na(tag, "theta = 1 excluded")
-    if not (2 <= p and 2 <= q < math.inf):
-        return _na(tag, "needs 2 <= p <= inf, 2 <= q < inf")
-    if 2 * _inv(p) + d * _inv(q) > d / 2 + _TOL:
-        return _na(tag, "needs 2/p + d/q <= d/2")
-    sigma = _inv(p) if theta > 1 else (2 - theta) * _inv(p)
-    return SigmaPrediction(sigma, tag)
+    d = n + m
+    _require(n == 0, "stated for torus / full space only")
+    _require(theta != 1, "theta = 1 excluded")
+    _require(2 <= p and 2 <= q < math.inf,
+             "needs 2 <= p <= inf, 2 <= q < inf")
+    _require(2 * _inv(p) + d * _inv(q) <= d / 2 + _TOL,
+             "needs 2/p + d/q <= d/2")
+    return SigmaPrediction(_inv(p) if theta > 1 else (2 - theta) * _inv(p))
 
 
-def _sel_theta_line_ons(s):
+def _sel_theta_line_ons(p, q, theta, n, m, sigma):
     """One-dimensional orthonormal-family estimate on the theta line."""
-    tag = "theta-line-ons"
-    p, q, theta = s["p"], s["q"], s["theta"]
-    if s.get("d", 1) != 1:
-        return _na(tag, "one-dimensional estimate")
-    if not theta > 2:
-        return _na(tag, "needs theta > 2")
-    if abs(theta * _inv(p) + _inv(q) - 1.0) > _TOL:
-        return _na(tag, "pair not on the theta line")
-    return SigmaPrediction((theta - 1) * _inv(p), tag,
-                           alpha_max=2 * q / (q + 1) if q != math.inf else 2.0)
+    _require(n + m == 1, "one-dimensional estimate")
+    _require(theta > 2, "needs theta > 2")
+    _require(abs(theta * _inv(p) + _inv(q) - 1.0) <= _TOL,
+             "pair not on the theta line")
+    return SigmaPrediction((theta - 1) * _inv(p), alpha_max=_duality_alpha(q))
 
 
-def _vertical_decomposition(s, lower_iq: float):
-    """Split (1/q,1/p) along a vertical chord between the density and
-    theta lines (d = 1)."""
-    iq, ip = _inv(s["q"]), _inv(s["p"])
-    theta = s["theta"]
+def _vertical_decomposition(p, q, theta, lower_iq: float):
+    """Split (1/q, 1/p) along a vertical chord between the density and
+    theta lines (d = 1): the weight tau of the theta-line end and the p of
+    each end, or None off the chord."""
+    iq, ip = _inv(q), _inv(p)
     if iq < lower_iq - _TOL:
         return None
     top = (1 - iq) / 2.0          # density line at this 1/q
     bot = (1 - iq) / theta        # theta line at this 1/q
     if not (bot - _TOL <= ip <= top + _TOL) or top <= bot:
         return None
-    tau = (top - ip) / (top - bot)
-    tau = min(1.0, max(0.0, tau))
-    q0 = q1 = s["q"]
+    tau = min(1.0, max(0.0, (top - ip) / (top - bot)))
     p0 = 1.0 / top if top > 0 else math.inf
     p1 = 1.0 / bot if bot > 0 else math.inf
-    return {"tau": tau, "p0": p0, "q0": q0, "p1": p1, "q1": q1}
+    return tau, p0, p1
 
 
-def _sel_interpolated_region_ons(s):
-    """Interpolation of the two line estimates across the triangle."""
-    tag = "interpolated-region-ons"
-    if s.get("d", 1) != 1 or not s["theta"] > 2:
-        return _na(tag, "one-dimensional, theta > 2")
-    if _inv(s["q"]) < _TOL and abs(_inv(s["p"]) - 0.5) < _TOL:
-        return _na(tag, "critical corner excluded")
-    dec = _vertical_decomposition(s, 0.0)
-    if dec is None:
-        return _na(tag, "point admits no chord decomposition")
-    tau, p0, q0, p1, q1 = dec["tau"], dec["p0"], dec["q0"], dec["p1"], dec["q1"]
-    theta = s["theta"]
-    sigma = (1 - tau) * _inv(p0) + tau * (theta - 1) * _inv(p1)
-    a0 = 2 * q0 / (q0 + 1) if q0 != math.inf else 2.0
-    a1 = 2 * q1 / (q1 + 1) if q1 != math.inf else 2.0
-    return SigmaPrediction(sigma, tag, alpha_max=(1 - tau) * a0 + tau * a1)
+def _sel_interpolated_region_ons(p, q, theta, n, m, sigma):
+    """Interpolation of the two line estimates across the triangle; both
+    ends share q, so the alpha' bound is the duality bound of q."""
+    _require(n + m == 1 and theta > 2, "one-dimensional, theta > 2")
+    _require(not (_inv(q) < _TOL and abs(_inv(p) - 0.5) < _TOL),
+             "critical corner excluded")
+    dec = _vertical_decomposition(p, q, theta, 0.0)
+    _require(dec is not None, "point admits no chord decomposition")
+    tau, p0, p1 = dec
+    loss = (1 - tau) * _inv(p0) + tau * (theta - 1) * _inv(p1)
+    return SigmaPrediction(loss, alpha_max=_duality_alpha(q))
 
 
-def _sel_tunable_loss_ons(s):
+def _sel_tunable_loss_ons(p, q, theta, n, m, sigma):
     """Chosen loss sigma against an alpha' threshold that grows with it."""
-    tag = "tunable-loss-ons"
-    if s.get("d", 1) != 1 or not s["theta"] > 2:
-        return _na(tag, "one-dimensional, theta > 2")
-    dec = _vertical_decomposition(s, 1.0 / 3.0)
-    if dec is None:
-        return _na(tag, "point outside the tunable region")
-    tau, p1 = dec["tau"], dec["p1"]
-    theta = s["theta"]
+    _require(n + m == 1 and theta > 2, "one-dimensional, theta > 2")
+    dec = _vertical_decomposition(p, q, theta, 1.0 / 3.0)
+    _require(dec is not None, "point outside the tunable region")
+    tau, _, p1 = dec
     lo, hi = tau * (theta - 1) * _inv(p1), (theta - 1) * _inv(p1)
-    sigma = s.get("sigma")
-    if sigma is None:
-        sigma = hi
-    if not (lo < sigma <= hi + _TOL):
-        return _na(tag, f"sigma must lie in ({lo:.6g}, {hi:.6g}]")
+    sigma = hi if sigma is None else sigma
+    _require(lo < sigma <= hi + _TOL,
+             f"sigma must lie in ({lo:.6g}, {hi:.6g}]")
     alpha = 2 * (theta - 1) / (2 * (theta - 1) - sigma * theta)
-    return SigmaPrediction(sigma, tag, alpha_max=alpha, alpha_open=True)
+    return SigmaPrediction(sigma, alpha_max=alpha, alpha_open=True)
 
 
-def _sel_waveguide_single(s):
+def _sel_waveguide_single(p, q, theta, n, m, sigma):
     """Single-function estimate on the waveguide, sharp scaling line."""
-    tag = "waveguide-single"
-    p, q, theta = s["p"], s["q"], s["theta"]
-    n, m = s["n"], s["m"]
     d = n + m
-    if not theta > 1:
-        return _na(tag, "needs theta > 1")
-    if p < 2 or abs(_inv(p) - (d / 2) * (0.5 - _inv(q))) > _TOL:
-        return _na(tag, "needs p >= 2 with 1/p = (d/2)(1/2 - 1/q)")
-    sigma = max(0.0, d / 2 - (d + 2) * _inv(q))
-    return SigmaPrediction(sigma, tag)
+    _require(n > 0, "stated for the waveguide only")
+    _require(theta > 1, "needs theta > 1")
+    _require(p >= 2 and abs(_inv(p) - (d / 2) * (0.5 - _inv(q))) <= _TOL,
+             "needs p >= 2 with 1/p = (d/2)(1/2 - 1/q)")
+    return SigmaPrediction(max(0.0, d / 2 - (d + 2) * _inv(q)))
 
 
 def _waveguide_kappa(theta: float, n: int, m: int) -> float | None:
@@ -346,46 +277,35 @@ def _waveguide_kappa(theta: float, n: int, m: int) -> float | None:
     return None
 
 
-def _sel_waveguide_ons(s):
+def _sel_waveguide_ons(p, q, theta, n, m, sigma):
     """Orthonormal-family estimate on the waveguide density line."""
-    tag = "waveguide-ons"
-    p, q, theta = s["p"], s["q"], s["theta"]
-    n, m = s["n"], s["m"]
     d = n + m
-    if theta == 1:
-        return _na(tag, "theta = 1 excluded")
-    if abs(2 * _inv(p) + d * _inv(q) - d) > _TOL:
-        return _na(tag, "pair not on the density line")
-    if p != math.inf and not p > (d + 1) / d:
-        return _na(tag, "needs p > (d+1)/d")
-    if d >= 2 and not q < (d + 1) / (d - 1):
-        return _na(tag, "needs q below the critical exponent")
+    _require(n > 0, "stated for the waveguide only")
+    _require(theta != 1, "theta = 1 excluded")
+    _require(abs(2 * _inv(p) + d * _inv(q) - d) <= _TOL,
+             "pair not on the density line")
+    _require(p == math.inf or p > (d + 1) / d, "needs p > (d+1)/d")
+    _require(d < 2 or q < (d + 1) / (d - 1),
+             "needs q below the critical exponent")
     kappa = _waveguide_kappa(theta, n, m)
-    sigma = 2 * (2 - theta) * _inv(p) if kappa is None else kappa * _inv(p)
-    return SigmaPrediction(sigma, tag,
-                           alpha_max=2 * q / (q + 1) if q != math.inf else 2.0)
+    loss = 2 * (2 - theta) * _inv(p) if kappa is None else kappa * _inv(p)
+    return SigmaPrediction(loss, alpha_max=_duality_alpha(q))
 
 
-def _sel_waveguide_tunable_ons(s):
+def _sel_waveguide_tunable_ons(p, q, theta, n, m, sigma):
     """Waveguide estimate trading a smaller loss for a smaller alpha'."""
-    tag = "waveguide-tunable-ons"
-    p, q, theta = s["p"], s["q"], s["theta"]
-    n, m = s["n"], s["m"]
     d = n + m
+    _require(n > 0, "stated for the waveguide only")
     kappa = _waveguide_kappa(theta, n, m)
-    if kappa is None:
-        return _na(tag, "needs theta > 1")
-    if not (1 <= q <= (d + 2) / d + _TOL):
-        return _na(tag, "needs q <= (d+2)/d")
-    if abs(2 * _inv(p) + d * _inv(q) - d) > _TOL:
-        return _na(tag, "pair not on the density line")
+    _require(kappa is not None, "needs theta > 1")
+    _require(1 <= q <= (d + 2) / d + _TOL, "needs q <= (d+2)/d")
+    _require(abs(2 * _inv(p) + d * _inv(q) - d) <= _TOL,
+             "pair not on the density line")
     sigma_1 = kappa * _inv(p)
-    sigma = s.get("sigma")
-    if sigma is None:
-        sigma = sigma_1
-    if not (0 < sigma <= sigma_1 + _TOL):
-        return _na(tag, f"sigma must lie in (0, {sigma_1:.6g}]")
-    return SigmaPrediction(sigma, tag, alpha_max=d / (d - sigma / kappa),
+    sigma = sigma_1 if sigma is None else sigma
+    _require(0 < sigma <= sigma_1 + _TOL,
+             f"sigma must lie in (0, {sigma_1:.6g}]")
+    return SigmaPrediction(sigma, alpha_max=d / (d - sigma / kappa),
                            alpha_open=True)
 
 
@@ -401,25 +321,24 @@ SIGMA_SELECTORS = {
 }
 
 
-def predict_sigma(setting: dict) -> SigmaPrediction:
-    """Loss exponent sigma and alpha' bound for a named estimate.
+def predict_sigma(estimate: str, geometry: GeometrySpec, p: float, q: float,
+                  theta: float, sigma: float | None = None) -> SigmaPrediction:
+    """Loss exponent sigma and alpha' bound of a named estimate on a
+    geometry R^n x T^m (n = 0 on the torus), at the pair (p, q) and
+    dispersion theta; ``sigma`` picks the loss of a tunable estimate (its
+    largest by default).
 
-    ``setting`` carries: estimate (selector name), p, q, theta, and d
-    (torus) or n, m (waveguide); optionally sigma (tunable selectors).
-    Parameters outside the selected estimate's hypothesis yield a
-    not-applicable prediction, never an exception.
+    Raises InvalidInputError for an unknown estimate, and with an
+    "estimate not applicable" reason where the parameters fall outside the
+    estimate's hypothesis.
     """
-    sel = setting.get("estimate")
-    if sel not in SIGMA_SELECTORS:
+    if estimate not in SIGMA_SELECTORS:
         raise InvalidInputError(
-            f"unknown estimate selector {sel!r}; choose from "
+            f"unknown estimate selector {estimate!r}; choose from "
             f"{sorted(SIGMA_SELECTORS)}")
-    s = dict(setting)
-    s["p"] = _check_exponent(s["p"], "p")
-    s["q"] = _check_exponent(s["q"], "q")
-    if "n" in s and "m" in s and "d" not in s:
-        s["d"] = s["n"] + s["m"]
-    return SIGMA_SELECTORS[sel](s)
+    return SIGMA_SELECTORS[estimate](
+        _check_exponent(p, "p"), _check_exponent(q, "q"), theta,
+        geometry.n_free, geometry.n_periodic, sigma)
 
 
 # ---------------------------------------------------------------------------

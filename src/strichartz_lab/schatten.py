@@ -209,7 +209,7 @@ def duality_check(W: SpaceTimeField, N: int, alpha: float, sample_count: int,
         raise InvalidInputError("Schatten exponent must be >= 1")
     if N < 1 or int(N) != N:
         raise InvalidInputError("band scale N must be a positive integer")
-    if np.max(np.abs(W.values.imag)) > 1e-10:
+    if np.iscomplexobj(W.values) and np.max(np.abs(W.values.imag)) > 1e-10:
         raise InvalidInputError("weights must be real-valued")
 
     # W E E* W = (W E)(W E)* shares its nonzero eigenvalues with the

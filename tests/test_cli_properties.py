@@ -15,6 +15,7 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from strichartz_lab.cli import main as cli_main  # noqa: E402
 from strichartz_lab.config import schema_document  # noqa: E402
+from strichartz_lab.norms import SIGMA_SELECTORS  # noqa: E402
 
 ARTIFACTS = ("results.csv", "summary.json", "manifest.json")
 
@@ -77,6 +78,19 @@ def now_and_then(strategy, *values):
 # potentials with their Besov metadata s and q' and the Gaussian width
 # sigma_w around their bounds: q' < 1, and an s or sigma_w whose Besov
 # weight 2^(k s) or Gaussian exponent sigma_w^2 |xi|^2 / 2 overflows
+# the geometries of the band sweeps, by grid: tori, and a waveguide with
+# one free axis on which the torus estimates do not apply
+def geometry_of(grid):
+    if len(grid) == 1:
+        return {"kind": "torus", "grid_sizes": grid}
+    return {"kind": "waveguide", "grid_sizes": grid, "n_free": 1}
+
+
+GRIDS = st.sampled_from([[16], [32], [16, 8]])
+# the default estimate (None), or now and then any other
+ESTIMATES = now_and_then(st.none(), *sorted(SIGMA_SELECTORS))
+
+
 POTENTIALS = st.fixed_dictionaries(
     {"kind": st.sampled_from(["yukawa", "gaussian", "cosine", "zero"])},
     optional={"s": now_and_then(st.floats(-2.0, 2.0), 1e300, math.inf),
@@ -103,7 +117,8 @@ def test_kernel_sweep_cli_contract(theta, N, t_grid_pts, x_grid_pts, t_min,
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
-@given(grid=st.sampled_from([16, 32]),
+@given(grid=GRIDS,
+       estimate=ESTIMATES,
        family=st.sampled_from(["dirichlet", "random"]),
        N=st.lists(bounded("strichartz-fit", "N", 6), min_size=1, max_size=3),
        time_pts=bounded("strichartz-fit", "time_pts", 20),
@@ -116,24 +131,37 @@ def test_kernel_sweep_cli_contract(theta, N, t_grid_pts, x_grid_pts, t_min,
        sigma_margin=st.sampled_from([st.floats(-0.5, 0.5)] * 4
                                     + [st.just(1e300), st.just(-1e300)])
        .flatmap(lambda s: s))
-@example(grid=16, family="random", N=[2, 4], time_pts=5, time_pts_scale=4.0,
-         samples=2, p=4.0, q=None, theta=2.0, sigma_margin=-1e300)
-# an N beyond the float range
-@example(grid=16, family="random", N=[2, 10 ** 400], time_pts=5,
+@example(grid=[16], estimate=None, family="random", N=[2, 4], time_pts=5,
          time_pts_scale=4.0, samples=2, p=4.0, q=None, theta=2.0,
+         sigma_margin=-1e300)
+# an N beyond the float range
+@example(grid=[16], estimate=None, family="random", N=[2, 10 ** 400],
+         time_pts=5, time_pts_scale=4.0, samples=2, p=4.0, q=None, theta=2.0,
          sigma_margin=0.0)
-def test_strichartz_fit_cli_contract(grid, family, N, time_pts,
+# each waveguide estimate on the torus, at a pair on its line
+@example(grid=[64], estimate="waveguide-single", family="dirichlet",
+         N=[2, 4], time_pts=5, time_pts_scale=0.0, samples=1, p=4.0, q=4.0,
+         theta=2.5, sigma_margin=0.0)
+@example(grid=[64], estimate="waveguide-ons", family="dirichlet", N=[2, 4],
+         time_pts=5, time_pts_scale=0.0, samples=1, p=4.0, q=2.0, theta=2.5,
+         sigma_margin=0.0)
+@example(grid=[64], estimate="waveguide-tunable-ons", family="dirichlet",
+         N=[2, 4], time_pts=5, time_pts_scale=0.0, samples=1, p=4.0, q=2.0,
+         theta=2.5, sigma_margin=0.0)
+def test_strichartz_fit_cli_contract(grid, estimate, family, N, time_pts,
                                      time_pts_scale, samples, p, q, theta,
                                      sigma_margin):
     # q = None draws a diagonal pair, the only kind the default estimate
     # accepts, so that some examples run end to end
     run_contract({"experiment": "strichartz-fit",
-                  "geometry": {"kind": "torus", "grid_sizes": [grid]},
+                  "geometry": geometry_of(grid),
                   "params": {"family": family, "N": N, "time_pts": time_pts,
                              "time_pts_scale": time_pts_scale,
                              "samples": samples, "p": p,
                              "q": p if q is None else q, "theta": theta,
-                             "sigma_margin": sigma_margin}})
+                             "sigma_margin": sigma_margin,
+                             **({} if estimate is None
+                                else {"estimate": estimate})}})
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -205,7 +233,8 @@ def test_fixed_point_cli_contract(grid, members, band, time_pts, iterations,
 
 
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
-@given(grid=st.sampled_from([16, 32]),
+@given(grid=GRIDS,
+       estimate=ESTIMATES,
        N=st.lists(bounded("ons-sweep", "N", 4), min_size=1, max_size=3),
        alpha_prime=st.lists(bounded("ons-sweep", "alpha_prime", 2.0),
                             min_size=1, max_size=2),
@@ -218,25 +247,37 @@ def test_fixed_point_cli_contract(grid, members, band, time_pts, iterations,
        interval_mode=st.sampled_from(["unit", "dispersive-window"]))
 # on the theta line: a symbol that overflows at every N, and a dispersive
 # window 0.5 N^(1 - theta) that underflows to 0 at N = 16 and 32
-@example(grid=64, N=[8, 16, 32], alpha_prime=[4 / 3], theta=1000.0,
-         p=2000.0, q=2.0, time_pts=33, family="fourier-modes", count=1,
-         interval_mode="unit")
-@example(grid=64, N=[8, 16, 32], alpha_prime=[4 / 3], theta=300.0,
-         p=600.0, q=2.0, time_pts=33, family="fourier-modes", count=1,
-         interval_mode="dispersive-window")
+@example(grid=[64], estimate=None, N=[8, 16, 32], alpha_prime=[4 / 3],
+         theta=1000.0, p=2000.0, q=2.0, time_pts=33, family="fourier-modes",
+         count=1, interval_mode="unit")
+@example(grid=[64], estimate=None, N=[8, 16, 32], alpha_prime=[4 / 3],
+         theta=300.0, p=600.0, q=2.0, time_pts=33, family="fourier-modes",
+         count=1, interval_mode="dispersive-window")
 # an N beyond the float range
-@example(grid=64, N=[8, 10 ** 400], alpha_prime=[4 / 3], theta=3.0, p=6.0,
-         q=2.0, time_pts=33, family="fourier-modes", count=1,
-         interval_mode="unit")
-def test_ons_sweep_cli_contract(grid, N, alpha_prime, theta, p, q, time_pts,
-                                family, count, interval_mode):
+@example(grid=[64], estimate=None, N=[8, 10 ** 400], alpha_prime=[4 / 3],
+         theta=3.0, p=6.0, q=2.0, time_pts=33, family="fourier-modes",
+         count=1, interval_mode="unit")
+# each waveguide estimate on the torus, at a pair on the theta line
+@example(grid=[64], estimate="waveguide-single", N=[8, 16, 32],
+         alpha_prime=[4 / 3], theta=3.0, p=6.0, q=2.0, time_pts=33,
+         family="fourier-modes", count=1, interval_mode="unit")
+@example(grid=[64], estimate="waveguide-ons", N=[8, 16, 32],
+         alpha_prime=[4 / 3], theta=3.0, p=6.0, q=2.0, time_pts=33,
+         family="fourier-modes", count=1, interval_mode="unit")
+@example(grid=[64], estimate="waveguide-tunable-ons", N=[8, 16, 32],
+         alpha_prime=[4 / 3], theta=3.0, p=6.0, q=2.0, time_pts=33,
+         family="fourier-modes", count=1, interval_mode="unit")
+def test_ons_sweep_cli_contract(grid, estimate, N, alpha_prime, theta, p, q,
+                                time_pts, family, count, interval_mode):
     run_contract({"experiment": "ons-sweep",
-                  "geometry": {"kind": "torus", "grid_sizes": [grid]},
+                  "geometry": geometry_of(grid),
                   "params": {"N": N, "alpha_prime": alpha_prime,
                              "theta": theta, "p": p, "q": q,
                              "time_pts": time_pts,
                              "family_kinds": [[family, count]],
-                             "interval_mode": interval_mode}})
+                             "interval_mode": interval_mode,
+                             **({} if estimate is None
+                                else {"estimate": estimate})}})
 
 
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)

@@ -432,6 +432,23 @@ class TestDrivers:
         assert res.rows[0]["sigma"] == 1.0
         assert res.summary["fits"]["slope_alpha_1.33333"] <= 1.0 + 0.1
 
+    def test_ons_open_alpha_bound_excludes_its_endpoint(self, tmp_path):
+        # tunable-loss-ons at (p, q) = (5, 2), theta = 3 admits alpha' < 4/3
+        # at its top loss 1/3: 4/3 itself lies outside the open bound
+        cfg = {"experiment": "ons-sweep",
+               "geometry": {"kind": "torus", "grid_sizes": [64]},
+               "params": {"theta": 3.0, "p": 5.0, "q": 2.0,
+                          "alpha_prime": [1.2, 4.0 / 3.0], "N": [2, 4, 8],
+                          "estimate": "tunable-loss-ons",
+                          "admissibility": "", "time_pts": 9}}
+        res = run(cfg, str(tmp_path / "out"))
+        fits = res.summary["fits"]
+        assert res.rows[0]["alpha_max"] == pytest.approx(4.0 / 3.0)
+        assert fits["within_alpha_1.2"] is True
+        assert fits["within_alpha_1.33333"] is False
+        assert all(r["within_threshold"] == (r["alpha_prime"] == 1.2)
+                   for r in res.rows)
+
     def test_ons_na_cells_pass_through(self, tmp_path):
         # q off the theta line: cells are recorded as not-applicable
         cfg = {"experiment": "ons-sweep",
@@ -660,6 +677,19 @@ class TestCli:
         pytest.param("ons-sweep", {"theta": 2.0, "p": 6.0, "q": 2.0,
                                    "admissibility": "", "N": [1, 2, 3]},
                      "params.estimate", id="ons-estimate-not-applicable"),
+        # a waveguide estimate on the torus geometry
+        pytest.param("strichartz-fit", {"estimate": "waveguide-single",
+                                        "p": 4.0, "q": 4.0},
+                     "params.estimate", id="fit-waveguide-estimate-on-torus"),
+        pytest.param("ons-sweep", {"estimate": "waveguide-ons"},
+                     "params.estimate", id="ons-waveguide-estimate-on-torus"),
+        # loop counts whose work, counted in Gram or family elements,
+        # exceeds the cap
+        pytest.param("duality-check", {"samples": 10 ** 44},
+                     "params.samples", id="duality-samples-above-cap"),
+        pytest.param("ons-sweep",
+                     {"family_kinds": [["random-band", 10 ** 45]]},
+                     "params.family_kinds", id="ons-family-draws-above-cap"),
         pytest.param("ons-sweep",
                      {"family_kinds": [["fourier-modes", 1], ["nope", 1]]},
                      "params.family_kinds", id="ons-unknown-family-kind"),

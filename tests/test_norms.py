@@ -9,6 +9,7 @@ from strichartz_lab.geometry import (
     SpaceTimeField,
     propagate,
     torus,
+    waveguide,
 )
 from strichartz_lab.norms import (
     besov_sup_norm,
@@ -133,42 +134,26 @@ class TestMixedNorm:
 
 class TestClassifyPair:
     def test_critical_point_two_dims(self):
-        pair = classify_pair(2, 1.5, 3.0, 2.0)
         # A = (1/3, 2/3) in (1/q, 1/p): q = 3, p = 3/2
-        assert pair.region == "critical-A"
-        assert "density" in pair.kinds
-
-    def test_keel_tao_point(self):
-        pair = classify_pair(3, 1.0, 3.0, 2.0)
-        assert pair.region == "keel-tao-C"
-
-    def test_critical_point_one_dim(self):
-        # d = 1: A sits at (1/q, 1/p) = (0, 1/2)
-        pair = classify_pair(1, 2.0, INF, 2.0)
-        assert pair.region == "critical-A"
+        assert "density" in classify_pair(2, 1.5, 3.0, 2.0)
 
     def test_density_admissible_d1(self):
-        pair = classify_pair(1, 4.0, 2.0, 3.0)
-        assert pair.kinds == ("density",)
-        assert pair.region == "subcritical"
+        assert classify_pair(1, 4.0, 2.0, 3.0) == ("density",)
 
     def test_theta_line(self):
-        pair = classify_pair(1, 6.0, 2.0, 3.0)  # 3/6 + 1/2 = 1
-        assert pair.kinds == ("theta-line",)
+        # 3/6 + 1/2 = 1
+        assert classify_pair(1, 6.0, 2.0, 3.0) == ("theta-line",)
 
     def test_multi_membership_at_theta_two(self):
-        pair = classify_pair(1, 4.0, 2.0, 2.0)
-        assert set(pair.kinds) == {"density", "theta-line"}
-        assert pair.kind == "multiple"
+        kinds = classify_pair(1, 4.0, 2.0, 2.0)
+        assert set(kinds) == {"density", "theta-line"}
 
     def test_sharp_schrodinger(self):
-        pair = classify_pair(2, 4.0, 4.0, 2.0)  # 2/4 + 2/4 = 1 = d/2
-        assert "sharp-schrodinger" in pair.kinds
+        # 2/4 + 2/4 = 1 = d/2
+        assert "sharp-schrodinger" in classify_pair(2, 4.0, 4.0, 2.0)
 
     def test_off_line(self):
-        pair = classify_pair(1, 10.0, 10.0, 2.0)
-        assert pair.kinds == ()
-        assert pair.region == "off-line"
+        assert classify_pair(1, 10.0, 10.0, 2.0) == ()
 
     def test_identities_mutually_exclusive_generically(self):
         rng = np.random.default_rng(7)
@@ -176,16 +161,16 @@ class TestClassifyPair:
         for _ in range(200):
             p = float(rng.uniform(1, 20))
             q = float(rng.uniform(1, 20))
-            pair = classify_pair(2, p, q, 2.7)
-            hits += len(pair.kinds) > 1
+            hits += len(classify_pair(2, p, q, 2.7)) > 1
         assert hits == 0
+
+
+WAVEGUIDE_1_1 = waveguide(8, 8)   # n = m = 1
 
 
 class TestPredictSigma:
     def test_theta_line_ons_reference_point(self):
-        pred = predict_sigma({"estimate": "theta-line-ons", "d": 1,
-                              "theta": 3.0, "p": 6.0, "q": 2.0})
-        assert pred.applicable
+        pred = predict_sigma("theta-line-ons", torus(16), 6.0, 2.0, 3.0)
         assert pred.sigma == pytest.approx(1.0 / 3.0)
         assert pred.alpha_max == pytest.approx(4.0 / 3.0)
         assert not pred.alpha_open
@@ -193,80 +178,86 @@ class TestPredictSigma:
     def test_waveguide_ons_steep_dispersion(self):
         # n = m = 1, theta = 5 > 3 + m/n: sigma = (1 + 1*(5-2)/2)/p = (5/2)/p
         # on the d = 2 density line: 2/p + 2/q = 2 with (p, q) = (2, 2)
-        pred = predict_sigma({"estimate": "waveguide-ons", "n": 1, "m": 1,
-                              "theta": 5.0, "p": 2.0, "q": 2.0})
-        assert pred.applicable
+        pred = predict_sigma("waveguide-ons", WAVEGUIDE_1_1, 2.0, 2.0, 5.0)
         assert pred.sigma == pytest.approx((5.0 / 2.0) / 2.0)
         assert pred.alpha_max == pytest.approx(4.0 / 3.0)
 
     def test_fractional_single_low_dispersion(self):
-        pred = predict_sigma({"estimate": "fractional-single", "d": 1,
-                              "theta": 0.5, "p": 8.0, "q": 4.0})
-        assert pred.applicable
+        pred = predict_sigma("fractional-single", torus(16), 8.0, 4.0, 0.5)
         assert pred.sigma == pytest.approx((2 - 0.5) / 8.0)
 
     def test_diagonal_schrodinger_cases(self):
-        low = predict_sigma({"estimate": "diagonal-schrodinger-cutoff",
-                             "d": 1, "theta": 2.0, "p": 4.0, "q": 4.0})
-        assert low.applicable and low.sigma == 0.0
-        high = predict_sigma({"estimate": "diagonal-schrodinger-cutoff",
-                              "d": 1, "theta": 2.0, "p": 8.0, "q": 8.0})
+        low = predict_sigma("diagonal-schrodinger-cutoff", torus(16),
+                            4.0, 4.0, 2.0)
+        assert low.sigma == 0.0
+        high = predict_sigma("diagonal-schrodinger-cutoff", torus(16),
+                             8.0, 8.0, 2.0)
         assert high.sigma == pytest.approx(0.5 - 3.0 / 8.0)
 
     def test_waveguide_case_boundary_continuous(self):
         # the two branch formulas agree exactly at theta = 3 + m/n
-        for (n, m, p) in [(1, 1, 4.0), (2, 1, 6.0), (1, 2, 5.0)]:
+        for (free, periodic, p) in [((8,), (8,), 4.0), ((8, 8), (8,), 6.0),
+                                    ((8,), (8, 8), 5.0)]:
+            geom = waveguide(free, periodic)
+            n, m = geom.n_free, geom.n_periodic
             theta_c = 3.0 + m / n
             q = 1.0 / (1 - 2 / (p * (n + m)))  # density line
-            steep = predict_sigma({"estimate": "waveguide-ons", "n": n, "m": m,
-                                   "theta": theta_c + 1e-9, "p": p, "q": q})
-            flat = predict_sigma({"estimate": "waveguide-ons", "n": n, "m": m,
-                                  "theta": theta_c, "p": p, "q": q})
-            assert flat.applicable and steep.applicable
+            steep = predict_sigma("waveguide-ons", geom, p, q, theta_c + 1e-9)
+            flat = predict_sigma("waveguide-ons", geom, p, q, theta_c)
             assert flat.sigma == pytest.approx(2.0 / p, abs=1e-12)
             assert steep.sigma == pytest.approx(flat.sigma, abs=1e-8)
 
     def test_tunable_loss_alpha_threshold(self):
         # interior point of the tunable wedge: q = 2 (chord from the density
         # line at 1/p = 1/4 down to the theta line at 1/p = 1/6), p = 5
-        setting = {"estimate": "tunable-loss-ons", "d": 1, "theta": 3.0,
-                   "p": 5.0, "q": 2.0, "sigma": 1.0 / 3.0}
-        pred = predict_sigma(setting)
-        assert pred.applicable
+        pred = predict_sigma("tunable-loss-ons", torus(16), 5.0, 2.0, 3.0,
+                             sigma=1.0 / 3.0)
         assert pred.alpha_open
         # alpha' < 2(theta-1)/(2(theta-1) - sigma theta) = 4/3 at the top loss
         assert pred.alpha_max == pytest.approx(4.0 / 3.0)
 
     def test_tunable_loss_degenerate_on_theta_line(self):
         # on the theta line itself the admissible loss interval is empty
-        pred = predict_sigma({"estimate": "tunable-loss-ons", "d": 1,
-                              "theta": 3.0, "p": 6.0, "q": 2.0,
-                              "sigma": 1.0 / 3.0})
-        assert not pred.applicable
+        with pytest.raises(InvalidInputError, match="not applicable"):
+            predict_sigma("tunable-loss-ons", torus(16), 6.0, 2.0, 3.0,
+                          sigma=1.0 / 3.0)
 
     def test_waveguide_single_zero_loss_branch(self):
-        pred = predict_sigma({"estimate": "waveguide-single", "n": 1, "m": 1,
-                              "theta": 2.5, "p": 4.0, "q": 4.0})
-        assert pred.applicable and pred.sigma == 0.0
+        pred = predict_sigma("waveguide-single", WAVEGUIDE_1_1, 4.0, 4.0, 2.5)
+        assert pred.sigma == 0.0
         assert pred.alpha_max is None
 
     def test_waveguide_tunable_alpha(self):
-        pred = predict_sigma({"estimate": "waveguide-tunable-ons", "n": 1,
-                              "m": 1, "theta": 3.0, "p": 2.0, "q": 2.0,
-                              "sigma": 0.5})
-        assert pred.applicable
+        pred = predict_sigma("waveguide-tunable-ons", WAVEGUIDE_1_1,
+                             2.0, 2.0, 3.0, sigma=0.5)
         # kappa = 2, alpha' < d/(d - sigma/kappa) = 2/(2 - 1/4)
         assert pred.alpha_max == pytest.approx(2.0 / (2.0 - 0.25))
 
     def test_hypothesis_mismatch_is_not_applicable(self):
-        pred = predict_sigma({"estimate": "theta-line-ons", "d": 1,
-                              "theta": 3.0, "p": 4.0, "q": 2.0})
-        assert not pred.applicable and pred.note
+        with pytest.raises(InvalidInputError,
+                           match="estimate not applicable: pair not on"):
+            predict_sigma("theta-line-ons", torus(16), 4.0, 2.0, 3.0)
+
+    @pytest.mark.parametrize("estimate, geometry, reason", [
+        ("waveguide-single", torus(16), "stated for the waveguide only"),
+        ("waveguide-ons", torus(16), "stated for the waveguide only"),
+        ("waveguide-tunable-ons", torus(16), "stated for the waveguide only"),
+        ("fractional-single", WAVEGUIDE_1_1,
+         "stated for torus / full space only"),
+    ])
+    def test_estimate_on_the_other_geometry_not_applicable(
+            self, estimate, geometry, reason):
+        # pairs on every line the estimates ask for, so only the geometry
+        # rules them out
+        for p, q, theta in [(4.0, 4.0, 2.5), (2.0, 2.0, 3.0),
+                            (6.0, 2.0, 3.0), (8.0, 4.0, 0.5)]:
+            with pytest.raises(InvalidInputError,
+                               match=f"estimate not applicable: {reason}"):
+                predict_sigma(estimate, geometry, p, q, theta)
 
     def test_unknown_selector_rejected(self):
         with pytest.raises(InvalidInputError):
-            predict_sigma({"estimate": "nope", "p": 2.0, "q": 2.0,
-                           "theta": 2.0, "d": 1})
+            predict_sigma("nope", torus(16), 2.0, 2.0, 2.0)
 
 
 class TestFitScaling:
