@@ -29,6 +29,7 @@ which is C-infinity, even, identically 1 on [-1, 1] and supported in
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -538,37 +539,64 @@ class BandFlow:
         s = min(samples, max(1, _BLOCK_ELEMENTS // points))
         return min(steps, max(1, _BLOCK_ELEMENTS // (s * points))), s
 
-    def blocks(self, rows: np.ndarray, times):
-        """Yield ``(time slice, sample slice, values)``: ``values`` (k, s,
-        *grid) is U(times[time slice]) f on ``grid`` for the rows[sample
-        slice] of ``rows`` (S, B), the band coefficients of S samples.  The
+    def blocks(self, rows: np.ndarray, times, reduce=None, ordered_map=map):
+        """An iterator of ``(time slice, sample slice, values)``: ``values``
+        (k, s, *grid) is U(times[time slice]) f on ``grid`` for the
+        rows[sample slice] of ``rows`` (S, B), the band coefficients of S
+        samples.  The
         chunks of a time block share its phase, from ``_phase_blocks`` (one
-        exact phase per block); ``values`` is overwritten next."""
+        exact phase per block); ``values`` is overwritten next.
+
+        Each (time block, sample chunk) pair is one item, computed by a
+        function that ``ordered_map`` applies to the items in stream order:
+        the builtin ``map`` by default, or any map that yields its results
+        in item order, however many threads compute them.  An item runs on
+        pass buffers of the thread computing it, allocated once per thread
+        per stream.  With ``reduce``, an item yields ``reduce(values)``,
+        computed on that thread; a map that runs items concurrently needs a
+        ``reduce`` whose result does not share the buffers.
+        """
         rows = np.asarray(rows)
         times = np.asarray(times, dtype=float)
         S, T = rows.shape[0], len(times)
         k, s = self.block_shape(S, T)
-        # per axis: one inverse FFT over the band rows of the axes to come,
-        # from a zero-padded (k, s, ...) buffer of its own, never in place,
-        # so its zeros outlive the block (a ragged block fills a prefix).
-        # n band rows: the (n + 1) // 2 lowest and n // 2 highest unshifted.
-        dims, passes = list(self._box), []
-        for a in self._passes:
-            dims[a] = self.grid[a]
-            passes.append((a, *np.zeros((2, k, s, *dims), np.complex128)))
-        for ts, phase in _phase_blocks(times, self._levels, k):
-            phase = phase[:, self._level_u]
-            phase *= self._scale_u
-            for ss in (slice(j, min(j + s, S)) for j in range(0, S, s)):
-                u = rows[ss].take(self._order, axis=1) * phase[:, None]
-                u = u.reshape(u.shape[:2] + self._box)
-                at = np.s_[:u.shape[0], :u.shape[1]]
-                for a, pad, out in passes:
-                    dst, src = (np.moveaxis(v, a + 2, 0) for v in (pad[at], u))
-                    h = (len(src) + 1) // 2
-                    dst[:h], dst[len(dst) - len(src) // 2:] = src[:h], src[h:]
-                    u = np.fft.ifft(pad[at], axis=a + 2, out=out[at])
-                yield ts, ss, u
+        local = threading.local()
+
+        def passes():
+            # per axis: one inverse FFT over the band rows of the axes to
+            # come, from a zero-padded (k, s, ...) buffer of its own, never
+            # in place, so its zeros outlive the block (a ragged block fills
+            # a prefix).
+            if not hasattr(local, "passes"):
+                dims, local.passes = list(self._box), []
+                for a in self._passes:
+                    dims[a] = self.grid[a]
+                    local.passes.append(
+                        (a, *np.zeros((2, k, s, *dims), np.complex128)))
+            return local.passes
+
+        def items():
+            for ts, phase in _phase_blocks(times, self._levels, k):
+                phase = phase[:, self._level_u]
+                phase *= self._scale_u
+                for j in range(0, S, s):
+                    yield ts, slice(j, min(j + s, S)), phase
+
+        def block(item):
+            # n band rows: the (n + 1) // 2 lowest and n // 2 highest
+            # unshifted
+            ts, ss, phase = item
+            u = rows[ss].take(self._order, axis=1) * phase[:, None]
+            u = u.reshape(u.shape[:2] + self._box)
+            at = np.s_[:u.shape[0], :u.shape[1]]
+            for a, pad, out in passes():
+                dst, src = (np.moveaxis(v, a + 2, 0) for v in (pad[at], u))
+                h = (len(src) + 1) // 2
+                dst[:h], dst[len(dst) - len(src) // 2:] = src[:h], src[h:]
+                u = np.fft.ifft(pad[at], axis=a + 2, out=out[at])
+            return ts, ss, u if reduce is None else reduce(u)
+
+        return ordered_map(block, items())
 
     def gram(self, times, w) -> np.ndarray:
         """The (B, B) matrix E* diag(w) E, for E the folded extension matrix

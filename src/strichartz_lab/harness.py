@@ -17,6 +17,7 @@ import json
 import math
 import os
 import sys
+import threading
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -107,15 +108,33 @@ def _flow_ratios(geometry, N, coef_rows, theta, time_pts, p, q):
     """Strichartz quotients ||U(t) f_s||_{L^p_t L^q_x} / ||f_s||_2 for a
     batch of band coefficient vectors, reduced block by block without
     materializing the space-time films (the time grid can be very fine),
-    on the exact grid of ``q`` (``BandFlow``).
+    on the exact grid of ``q`` (``BandFlow``).  The blocks go through the
+    ordered map of the cell running on this thread (``run``), so idle
+    threads of a threaded run help compute them.
     """
     times = np.linspace(0.0, 1.0, time_pts)
     flow = BandFlow(geometry, N, theta, q)
     step = max(1, _BLOCK_ELEMENTS // coef_rows.shape[1])  # rows per l2 chunk
     l2 = np.concatenate([lq_norm(coef_rows[j:j + step], 2, geometry.dual_cell,
                                  1) for j in range(0, len(coef_rows), step)])
-    return frames_norm(flow.blocks(coef_rows, times), times, p, q,
-                       flow.cell_volume, len(coef_rows)) / l2
+    ordered_map = getattr(_cell, "map", map)
+    return frames_norm(
+        lambda reduce: flow.blocks(coef_rows, times, reduce, ordered_map),
+        times, p, q, flow.cell_volume, len(coef_rows)) / l2
+
+
+def _standard_complex(rng, samples, dim):
+    """A (samples, dim) batch of standard complex normals: the real parts,
+    then the imaginary parts, each drawn in chunks of ``_BLOCK_ELEMENTS //
+    dim`` rows, so no float temporary holds a whole part.  The generator
+    draws the same stream as one ``standard_normal((samples, dim))`` per
+    part."""
+    rows = np.empty((samples, dim), dtype=np.complex128)
+    step = max(1, _BLOCK_ELEMENTS // dim)
+    for part in (rows.real, rows.imag):
+        for j in range(0, samples, step):
+            part[j:j + step] = rng.standard_normal(part[j:j + step].shape)
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -320,10 +339,8 @@ def _drv_strichartz_fit(echo):
                                      p["p"], p["q"])[0])
             value = raw
         else:
-            rng = np.random.default_rng(seed)
-            rows = np.empty((p["samples"], dim), dtype=np.complex128)
-            rows.real = rng.standard_normal(rows.shape)
-            rows.imag = rng.standard_normal(rows.shape)
+            rows = _standard_complex(np.random.default_rng(seed),
+                                     p["samples"], dim)
             ratios = _flow_ratios(geom, N, rows, p["theta"], p["time_pts"],
                                   p["p"], p["q"])
             raw = float(np.max(ratios))
@@ -378,6 +395,17 @@ def _drv_ons_sweep(echo):
         classify_pair(geom.dim, p["p"], p["q"], p["theta"])
     pred = _prediction(p["estimate"], p["p"], p["q"], p["theta"], geom) \
         if applicable else None
+    # a band that fills the grid stops growing with N: a slope over
+    # repeated bands would be fitted to a constant
+    seen = {}
+    for n in p["N"]:
+        modes = band_dimension(geom, n)
+        if modes in seen:
+            _reject("params.N", f"N = {seen[modes]} and N = {n} give the same "
+                                f"band of {modes} modes on grid "
+                                f"{list(geom.grid_sizes)}; each N must add "
+                                f"band modes")
+        seen[modes] = n
 
     def run_cell(cell, seed):
         row = {"theta": p["theta"], "p": p["p"], "q": p["q"],
@@ -627,6 +655,99 @@ _DRIVERS = {
 }
 
 
+# per thread: the ordered map of the cell the thread runs (``run``)
+_cell = threading.local()
+
+
+def _ordered_map(pool, helpers):
+    """A ``map`` that yields its results in item order while up to
+    ``helpers`` tasks on ``pool`` compute items beside the calling thread.
+
+    The caller computes items itself and submits the helpers when the map
+    is first iterated; they queue behind the tasks already waiting on the
+    pool (whole cells), so a cell is helped only once no cell waits.  One
+    lock guards the items iterator (a generator) and the results not yet
+    yielded.  An exception from an item, on any thread, or from the
+    iterator stops the taking of items and is raised in the caller at its
+    item's position, after the items before it: what a serial ``map``
+    raises.  When the caller is done, or stops early, it cancels the
+    helpers that never started and waits for the running ones, which stop
+    within one item.
+    """
+    def ordered_map(fn, items):
+        items = iter(items)
+        lock = threading.Condition()
+        done = {}       # item index -> (exception or None, result)
+        taken = 0       # items taken from the iterator so far
+        more = True     # the iterator may hold more, and nothing failed
+
+        def take():
+            # under lock: the next (index, item), or None
+            nonlocal taken, more
+            if not more:
+                return None
+            try:
+                item = next(items)
+            except StopIteration:
+                more = False
+                return None
+            except BaseException as exc:
+                done[taken], more = (exc, None), False
+                taken += 1
+                return None
+            taken += 1
+            return taken - 1, item
+
+        def compute(job):
+            nonlocal more
+            try:
+                out = (None, fn(job[1]))
+            except BaseException as exc:
+                out = (exc, None)
+            with lock:
+                done[job[0]] = out
+                more = more and out[0] is None
+                lock.notify_all()
+
+        def helper():
+            while True:
+                with lock:
+                    job = take()
+                if job is None:
+                    return
+                compute(job)
+
+        futures = [pool.submit(helper) for _ in range(helpers)]
+        try:
+            i = 0
+            while True:
+                with lock:
+                    job = None if i in done else take()
+                    if job is None:
+                        while i not in done and i < taken:
+                            lock.wait()
+                        if i not in done:
+                            return
+                        error, result = done.pop(i)
+                if job is not None:
+                    compute(job)
+                    continue
+                if error is not None:
+                    raise error
+                yield result
+                i += 1
+        finally:
+            with lock:
+                more = False
+            # a cancelled future counts as done only once a pool thread
+            # dequeues it, so wait on the running helpers alone
+            for f in futures:
+                if not f.cancel():
+                    f.result()
+
+    return ordered_map
+
+
 def _resolve_threads(threads: int | None) -> int:
     if threads is not None:
         return max(1, int(threads))
@@ -657,10 +778,13 @@ def run(config, out_dir: str, seed: int | None = None,
     header, cells, run_cell, finalize = _DRIVERS[kind](echo)
     n_threads = _resolve_threads(threads)
 
+    ordered_map = map   # a threaded run binds its pool below
+
     def timed_cell(i):
         cell = cells[i]
         cell_seed = derive_cell_seed(echo["seed"], i)
         t0 = time.perf_counter()
+        _cell.map = ordered_map
         try:
             row = run_cell(cell, cell_seed)
             failed = False
@@ -671,6 +795,8 @@ def run(config, out_dir: str, seed: int | None = None,
                 else str(exc)
             row = {"passed": False, "note": note, "error_kind": error_kind}
             failed = True
+        finally:
+            del _cell.map
         row.setdefault("passed", True)
         row["cell_index"] = i
         row["experiment_id"] = kind
@@ -681,10 +807,12 @@ def run(config, out_dir: str, seed: int | None = None,
     # whole sweep, not per cell, so threaded runs behave like serial ones
     with warnings.catch_warnings():
         warnings.simplefilter("error" if strict else "default")
-        if n_threads == 1 or len(cells) <= 1:
+        if n_threads == 1:
             results = [timed_cell(i) for i in range(len(cells))]
         else:
+            # cells first, then the items of running cells' streams
             with ThreadPoolExecutor(max_workers=n_threads) as pool:
+                ordered_map = _ordered_map(pool, n_threads - 1)
                 results = list(pool.map(timed_cell, range(len(cells))))
     rows = [r for r, _ in results]
     numeric_failures = sum(1 for _, failed in results if failed)

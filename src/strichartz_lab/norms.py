@@ -94,13 +94,18 @@ def trapezoid_weights(times) -> np.ndarray:
     return w
 
 
-def frames_norm(blocks, times, p: float, q: float, measure: float,
+def frames_norm(stream, times, p: float, q: float, measure: float,
                 batch: int = 1):
     """L^p_t L^q_x norms (batch,) of a batch of samples, reduced block by
     block as they arrive: Riemann sum in space with cell ``measure``,
-    trapezoid in time.  Blocks are ``(time slice, sample slice, values (k,
-    s, *grid))`` as yielded by ``BandFlow.blocks``; either exponent may be
-    inf, realized as a max.
+    trapezoid in time; either exponent may be inf, realized as a max.
+
+    ``stream(reduce)`` yields ``(time slice, sample slice, reduce(values))``
+    for blocks ``values`` (k, s, *grid), as ``BandFlow.blocks(rows, times,
+    reduce)`` does: ``reduce`` is the Lebesgue sum over the grid axes, so
+    it runs wherever a block is computed and only the (k, s) space norms
+    come back.  They are added in stream order, so the norms do not depend
+    on which thread computed a block.
 
     ``measure`` is the cell volume of the grid the blocks were sampled on,
     ``BandFlow.cell_volume``.  A stream built with an even integer q
@@ -115,8 +120,8 @@ def frames_norm(blocks, times, p: float, q: float, measure: float,
     q = _check_exponent(q, "q")
     weights = trapezoid_weights(times)
     acc = np.zeros(batch)
-    for ts, ss, u in blocks:
-        g = _lebesgue(u, q, measure, tuple(range(2, u.ndim)))
+    for ts, ss, g in stream(
+            lambda u: _lebesgue(u, q, measure, tuple(range(2, u.ndim)))):
         if p == math.inf:
             acc[ss] = np.maximum(acc[ss], g.max(axis=0))
         else:
@@ -126,8 +131,9 @@ def frames_norm(blocks, times, p: float, q: float, measure: float,
 
 def mixed_norm(F: SpaceTimeField, p: float, q: float) -> float:
     """L^p_t L^q_x norm of a space-time field: one ``frames_norm`` block."""
-    block = (slice(None), slice(None), F.values[:, None])
-    return float(frames_norm([block], F.times, p, q,
+    def stream(reduce):
+        return [(slice(None), slice(None), reduce(F.values[:, None]))]
+    return float(frames_norm(stream, F.times, p, q,
                              F.geometry.cell_volume)[0])
 
 

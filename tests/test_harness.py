@@ -1,16 +1,21 @@
 import json
 import math
 import os
+import sys
+import threading
+import time
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from strichartz_lab import geometry, harness
+from strichartz_lab import geometry, harness, norms
 from strichartz_lab.cli import main as cli_main
 from strichartz_lab.config import load_config, schema_document, validate_config
-from strichartz_lab.errors import ConfigError
+from strichartz_lab.errors import (ConfigError, InvalidInputError,
+                                   NumericFailureError)
 from strichartz_lab.geometry import (BandFlow, SpaceTimeField,
                                      SpectrumField, _band_multiplier,
                                      inverse_transform, propagate, torus,
@@ -316,6 +321,198 @@ class TestFlowRatios:
         finally:
             tracemalloc.stop()
         assert peak < rows.nbytes
+
+
+class TestPooledStream:
+    @staticmethod
+    def pooled(threads):
+        pool = ThreadPoolExecutor(max_workers=threads)
+        return pool, harness._ordered_map(pool, threads - 1)
+
+    @staticmethod
+    def run_bounded(cfg, out, threads):
+        """``run`` on a thread of its own, asserted to end within 60 s."""
+        result = []
+        worker = threading.Thread(target=lambda: result.append(
+            run(cfg, str(out), threads=threads)), daemon=True)
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive()
+        return result[0]
+
+    @pytest.mark.parametrize("geom, N, samples, steps, budget", [
+        # sample chunks of 128, 128 and 44 rows, one step each
+        (torus(512), 64, 300, 5, None),
+        # 2 frames per block: sample chunks of 2 and 1, one step each
+        (torus((16, 16)), 4, 5, 4, 2 * 256),
+        # 4 steps of the 3 samples per block: time blocks 4, 4 and 1
+        (torus(64), 10, 3, 9, 4 * 3 * 64),
+        (waveguide(32, 16, trunc_length=4.0), 4, 6, 5, 512),
+        (waveguide(16, (8, 8), trunc_length=2.0), 2, 3, 4, 1024),
+    ], ids=["torus-1d-chunks", "torus-2d-chunks", "torus-1d-time-blocks",
+            "waveguide-frames", "waveguide-3d-chunks"])
+    @pytest.mark.parametrize("threads", [2, 8])
+    def test_blocks_match_serial(self, geom, N, samples, steps, budget,
+                                 threads, monkeypatch):
+        # the pooled map yields the serial generator's (time slice, sample
+        # slice) sequence with the same values, bit for bit
+        if budget is not None:
+            monkeypatch.setattr(geometry, "_BLOCK_ELEMENTS", budget)
+        flow = BandFlow(geom, N, 2.5)
+        rng = np.random.default_rng(41)
+        rows = rng.standard_normal((samples, flow.size)) \
+            + 1j * rng.standard_normal((samples, flow.size))
+        times = np.linspace(0.0, 1.0, steps)
+        serial = [(ts, ss, u.copy()) for ts, ss, u in flow.blocks(rows, times)]
+        pool, ordered_map = self.pooled(threads)
+        with pool:
+            pooled = list(flow.blocks(rows, times, np.copy, ordered_map))
+        assert len(pooled) == len(serial) > 1
+        for (ts, ss, u), (pts, pss, pu) in zip(serial, pooled):
+            assert (pts, pss) == (ts, ss)
+            assert np.array_equal(pu, u)
+
+    def test_ordered_map_stress(self):
+        # more helpers than cores and a short switch interval: every item
+        # is computed exactly once and the results come back in order
+        calls = []
+
+        def square(x):
+            calls.append(x)
+            return x * x
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pool, ordered_map = self.pooled(8)
+            with pool:
+                for _ in range(5):
+                    calls.clear()
+                    out = list(ordered_map(square, iter(range(3000))))
+                    assert out == [x * x for x in range(3000)]
+                    assert sorted(calls) == list(range(3000))
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_ordered_map_raises_in_order_and_stops(self):
+        # an item that raises, on any thread, is raised where a serial map
+        # raises it, after the items before it; no item after the failure
+        # is taken once it is seen, and no helper outlives the map
+        def fail_at(bad):
+            def fn(x):
+                if x == bad:
+                    raise NumericFailureError(f"item {x}")
+                return x
+            return fn
+
+        pool, ordered_map = self.pooled(4)
+        with pool:
+            for bad in (0, 1, 17, 499):
+                seen = []
+                with pytest.raises(NumericFailureError, match=f"item {bad}$"):
+                    for x in ordered_map(fail_at(bad), range(500)):
+                        seen.append(x)
+                assert seen == list(range(bad))
+            # the iterator itself raising
+            def items():
+                yield from range(5)
+                raise InvalidInputError("iterator")
+            with pytest.raises(InvalidInputError, match="iterator"):
+                list(ordered_map(lambda x: x, items()))
+            # a caller that stops early cancels or waits for its helpers
+            taken = []
+            stream = ordered_map(lambda x: taken.append(x) or x, range(10 ** 6))
+            assert next(stream) == 0
+            stream.close()
+            count = len(taken)
+            time.sleep(0.05)
+            assert len(taken) == count < 10 ** 6
+
+    @pytest.mark.parametrize("geometry_cfg", [
+        {"kind": "waveguide", "grid_sizes": [128, 32], "n_free": 1,
+         "trunc_length": 4.0},
+        {"kind": "torus", "grid_sizes": [128]},
+    ], ids=["waveguide", "torus"])
+    def test_random_fit_same_bytes_at_any_thread_count(self, tmp_path,
+                                                       geometry_cfg):
+        # 8 threads is more than the cells, and at the small N more than
+        # the items of a cell's stream
+        cfg = {"experiment": "strichartz-fit", "seed": 12,
+               "geometry": geometry_cfg,
+               "params": {"theta": 2.5, "p": 4.0, "q": 4.0, "N": [4, 8, 16],
+                          "family": "random", "samples": 40,
+                          "time_pts": 9}}
+        if geometry_cfg["kind"] == "waveguide":
+            cfg["params"]["estimate"] = "waveguide-single"
+        outs = []
+        for threads in (1, 2, 8):
+            out = tmp_path / f"t{threads}"
+            self.run_bounded(cfg, out, threads)
+            outs.append((strip_timing(read(out / "results.csv")),
+                         json.loads(read(out / "summary.json"))["fits"],
+                         read(out / "manifest.json")))
+        assert outs[1] == outs[0] and outs[2] == outs[0]
+
+    def test_helper_failure_fails_the_cell(self, tmp_path, monkeypatch):
+        # a NumericFailureError raised while a helper reduces a block fails
+        # the cell (error_kind numeric); the run writes all three
+        # artifacts, exits 1 and does not hang.  The cell's thread waits
+        # at its first block until a helper has raised.
+        in_cell = threading.local()
+        helper_raised = threading.Event()
+        lebesgue = norms._lebesgue
+        driver = harness._DRIVERS["strichartz-fit"]
+
+        def flagged(echo):
+            header, cells, run_cell, finalize = driver(echo)
+
+            def cell(c, seed):
+                in_cell.on = True
+                try:
+                    return run_cell(c, seed)
+                finally:
+                    in_cell.on = False
+            return header, cells, cell, finalize
+
+        def reduce(values, q, measure, axis):
+            if isinstance(axis, tuple) and axis[0] == 2:  # a block's sum
+                if getattr(in_cell, "on", False):
+                    helper_raised.wait(timeout=30)
+                else:
+                    helper_raised.set()
+                    raise NumericFailureError("helper block")
+            return lebesgue(values, q, measure, axis)
+
+        monkeypatch.setitem(harness._DRIVERS, "strichartz-fit", flagged)
+        monkeypatch.setattr(norms, "_lebesgue", reduce)
+        cfg = {"experiment": "strichartz-fit", "seed": 3,
+               "geometry": {"kind": "torus", "grid_sizes": [512]},
+               "params": {"theta": 2.0, "p": 4.0, "q": 4.0, "N": [64],
+                          "family": "random", "samples": 300,
+                          "time_pts": 9}}
+        result = self.run_bounded(cfg, tmp_path / "out", 2)
+        assert helper_raised.is_set()
+        assert result.exit_code == 1
+        for name in ("results.csv", "summary.json", "manifest.json"):
+            assert (tmp_path / "out" / name).exists()
+        manifest = json.loads(read(tmp_path / "out" / "manifest.json"))
+        assert manifest["numeric_failures"] == 1
+        assert manifest["cells"][0]["error_kind"] == "numeric"
+        assert manifest["cells"][0]["note"] == "helper block"
+
+    def test_chunked_draw_is_the_one_shot_draw(self):
+        # three chunks of 65 rows, the last one ragged
+        dim = 1000
+        step = harness._BLOCK_ELEMENTS // dim
+        samples = 2 * step + 30
+        rows = harness._standard_complex(np.random.default_rng(7), samples,
+                                         dim)
+        rng = np.random.default_rng(7)
+        want = np.empty((samples, dim), dtype=np.complex128)
+        want.real = rng.standard_normal(want.shape)
+        want.imag = rng.standard_normal(want.shape)
+        assert step == 65
+        assert np.array_equal(rows, want)
 
 
 class TestDrivers:
@@ -746,6 +943,11 @@ class TestCli:
                      "params.potential.k0", id="hartree-k0-beyond-float"),
         pytest.param("vdc-oracle", {"p": 10 ** 400}, "params.p",
                      id="vdc-p-beyond-float"),
+        # the default N = 8 ... 128 on the 16-point torus: every band is
+        # the full grid of 15 modes, and the slope would fit a constant
+        pytest.param("ons-sweep", {}, "params.N", id="ons-saturated-band"),
+        pytest.param("ons-sweep", {"N": [2, 4, 4]}, "params.N",
+                     id="ons-repeated-N"),
     ])
     def test_bad_params_exit_2_no_artifacts(self, tmp_path, capsys, kind,
                                             params, field):
@@ -908,9 +1110,11 @@ class TestCli:
     def test_film_cap_counts_grid_points(self, tmp_path, capsys):
         # 2^20 times of a 16-point torus fill the cap exactly, so the
         # driver's preflight accepts that film and rejects the 32-point
-        # one; a full band of 8191 members is above the cap
-        params = {"time_pts": 2 ** 20}
-        for kind in ("ons-sweep", "fixed-point"):
+        # one; a full band of 8191 members is above the cap.  The sweep
+        # takes N below 8, where the bands of the 16-point torus still grow
+        for kind, sweep in (("ons-sweep", {"N": [2, 4, 7]}),
+                            ("fixed-point", {})):
+            params = {"time_pts": 2 ** 20, **sweep}
             harness._DRIVERS[kind](validate_config({
                 "experiment": kind,
                 "geometry": {"kind": "torus", "grid_sizes": [16]},
