@@ -65,7 +65,6 @@ from .ons import (                                       # noqa: F401
 )
 from .hartree import (                                   # noqa: F401
     DensityState,
-    DuhamelIterate,
     FixedPointResult,
     OperatorPath,
     PotentialSpec,

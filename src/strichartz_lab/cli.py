@@ -38,7 +38,8 @@ def _build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--threads", type=int, default=None,
                             help="worker threads, shared by the cells and "
                                  "the block items of running cells' flow "
-                                 "streams; results do not depend on it "
+                                 "streams, at most the CPUs the process "
+                                 "may use; results do not depend on it "
                                  "(default: STRICHARTZ_LAB_THREADS or 1)")
             sp.add_argument("--strict", action="store_true",
                             help="escalate warnings to cell failures")

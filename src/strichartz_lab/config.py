@@ -270,8 +270,7 @@ def build_potential(cfg: dict) -> PotentialSpec:
     p = _apply_schema(cfg, _POTENTIAL_SCHEMA, "params.potential")
     try:
         return PotentialSpec(p["kind"], a=float(p["a"]),
-                             sigma_w=float(p["sigma_w"]), k0=int(p["k0"]),
-                             s=float(p["s"]), qprime=float(p["qprime"]))
+                             sigma_w=float(p["sigma_w"]), k0=int(p["k0"]))
     except ConfigError:
         raise
     except Exception as exc:

@@ -260,10 +260,6 @@ class SpaceTimeField:
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "times", times)
 
-    @property
-    def interval(self) -> tuple[float, float]:
-        return float(self.times[0]), float(self.times[-1])
-
 
 # ---------------------------------------------------------------------------
 # smooth bump

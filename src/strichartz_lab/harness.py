@@ -34,9 +34,9 @@ from .geometry import _BLOCK_ELEMENTS, BandFlow, SpaceTimeField, _xi2
 from .hartree import (DensityState, _fixed_point_exponents, evolve,
                       fixed_point_iterate, split_step)
 from .kernels import _window_top, dispersive_sup, vdc_integral_oracle
-from .norms import (_besov_top, classify_pair, fit_scaling, frames_norm,
-                    lq_norm, predict_sigma)
-from .ons import band_dimension, ons_estimate_ratio
+from .norms import (_besov_top, besov_sup_norm, classify_pair, fit_scaling,
+                    frames_norm, lq_norm, predict_sigma)
+from .ons import _standard_complex, band_dimension, ons_estimate_ratio
 from .schatten import (MATRIX_CAP, duality_check,
                        factored_sobolev_schatten_norm)
 from .seeding import derive_cell_seed, derive_cell_seeds
@@ -123,20 +123,6 @@ def _flow_ratios(geometry, N, coef_rows, theta, time_pts, p, q):
         times, p, q, flow.cell_volume, len(coef_rows)) / l2
 
 
-def _standard_complex(rng, samples, dim):
-    """A (samples, dim) batch of standard complex normals: the real parts,
-    then the imaginary parts, each drawn in chunks of ``_BLOCK_ELEMENTS //
-    dim`` rows, so no float temporary holds a whole part.  The generator
-    draws the same stream as one ``standard_normal((samples, dim))`` per
-    part."""
-    rows = np.empty((samples, dim), dtype=np.complex128)
-    step = max(1, _BLOCK_ELEMENTS // dim)
-    for part in (rows.real, rows.imag):
-        for j in range(0, samples, step):
-            part[j:j + step] = rng.standard_normal(part[j:j + step].shape)
-    return rows
-
-
 # ---------------------------------------------------------------------------
 # drivers: each returns (header, cells, run_cell, finalize)
 
@@ -191,12 +177,14 @@ def _potential_besov(p, geom):
         _reject("params.potential.sigma_w",
                 f"the Gaussian multiplier exp(-sigma_w^2 |xi|^2 / 2) "
                 f"overflows its exponent, got sigma_w = {w.sigma_w:g}")
+    s = float(p["potential"]["s"])
     k_top = _besov_top(geom)
-    if not w.s * k_top * math.log(2.0) < log_max:
+    if not s * k_top * math.log(2.0) < log_max:
         _reject("params.potential.s",
                 f"the Besov weight 2^(k s) at the top dyadic block k = "
-                f"{k_top} is not finite, got s = {w.s:g}")
-    return w, w.besov_norm(geom)
+                f"{k_top} is not finite, got s = {s:g}")
+    return w, besov_sup_norm(w.field(geom), s,
+                             float(p["potential"]["qprime"]))
 
 
 def _drv_kernel_sweep(echo):
@@ -593,10 +581,9 @@ def _drv_fixed_point(echo):
         st = DensityState(st.members, st.weights * (p["target_norm"] / norm0),
                           geom, p["theta"])
         result = fixed_point_iterate(st, potential, p["T"], p["iterations"],
-                                     p["p"], p["q"], s=s,
-                                     time_pts=p["time_pts"])
+                                     p["p"], p["q"], time_pts=p["time_pts"])
         # cross check against the split-step route on the same nodes
-        rho_fp = result.final.path.rho
+        rho_fp = result.path.rho
         nodes = rho_fp.times
         h = nodes[1] - nodes[0]
         sub = max(1, int(round(h / p["cross_check_dt"])))
@@ -608,17 +595,16 @@ def _drv_fixed_point(echo):
                 cur = split_step(cur, dt, potential)
             diff = cur.density() - rho_fp.values[i]
             worst = max(worst, float(lq_norm(diff, 2, geom.cell_volume)))
-        ratios = [it.ratio for it in result.iterates if it.ratio is not None]
+        ratios = [r for _, r in result.iterates if r is not None]
         ok = (result.contractive and not result.diverged
               and all(r <= p["ratio_max"] for r in ratios)
               and worst <= p["cross_check_tol"])
-        return {"iterates": [(it.index, it.residual, it.ratio)
-                             for it in result.iterates],
+        return {"iterates": result.iterates,
                 "contractive": result.contractive,
                 "converged": result.converged,
                 "cross_check_error": worst, "passed": ok,
                 "truncation_mass": float(
-                    np.max(result.final.path.truncation_mass))}
+                    np.max(result.path.truncation_mass))}
 
     def finalize(rows):
         # expand the single run into one row per iteration
@@ -629,7 +615,7 @@ def _drv_fixed_point(echo):
                 "converged": base["converged"],
                 "cross_check_error": base["cross_check_error"],
                 "potential_besov": w_besov}
-        for (k, res, ratio) in base["iterates"]:
+        for k, (res, ratio) in enumerate(base["iterates"], 1):
             rows.append({"iteration": k, "residual": res, "ratio": ratio,
                          "contractive": base["contractive"],
                          "converged": base["converged"],
@@ -749,15 +735,17 @@ def _ordered_map(pool, helpers):
 
 
 def _resolve_threads(threads: int | None) -> int:
-    if threads is not None:
-        return max(1, int(threads))
+    """``threads``, else STRICHARTZ_LAB_THREADS, else 1; at most the CPUs
+    the process may run on (a pool starts a thread per waiting task)."""
     env = os.environ.get("STRICHARTZ_LAB_THREADS")
-    if env:
+    if threads is None and env:
         try:
-            return max(1, int(env))
+            threads = int(env)
         except ValueError:
             warnings.warn(f"ignoring non-integer STRICHARTZ_LAB_THREADS={env!r}")
-    return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
+        else os.cpu_count() or 1
+    return max(1, min(int(threads or 1), cpus))
 
 
 def run(config, out_dir: str, seed: int | None = None,

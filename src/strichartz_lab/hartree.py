@@ -46,7 +46,7 @@ from .geometry import (
     flow_phase,
     fractional_symbol,
 )
-from .norms import lq_norm, mixed_norm
+from .norms import _duality_alpha, classify_pair, lq_norm, mixed_norm
 from .schatten import factored_sobolev_schatten_norm
 
 __all__ = [
@@ -54,7 +54,6 @@ __all__ = [
     "PotentialSpec",
     "TrajectoryRecord",
     "OperatorPath",
-    "DuhamelIterate",
     "FixedPointResult",
     "convolve_potential",
     "free_flight",
@@ -115,8 +114,6 @@ class PotentialSpec:
     a: float = 1.0               # yukawa: (1 + |xi|^2)^(-a)
     sigma_w: float = 1.0         # gaussian width
     k0: int = 1                  # cosine: w(x) = cos(2 pi k0 x_1)
-    s: float = 0.5               # Besov reporting metadata
-    qprime: float = 2.0
 
     def __post_init__(self):
         if self.kind not in ("yukawa", "gaussian", "cosine", "identity", "zero"):
@@ -149,10 +146,6 @@ class PotentialSpec:
         w = inverse_transform(SpectrumField(
             self.multiplier(geometry).astype(complex), geometry))
         return Field(w.values.real, geometry)
-
-    def besov_norm(self, geometry: GeometrySpec) -> float:
-        from .norms import besov_sup_norm
-        return besov_sup_norm(self.field(geometry), self.s, self.qprime)
 
 
 @lru_cache(maxsize=64)
@@ -246,7 +239,6 @@ class TrajectoryRecord:
     gram_deviation: np.ndarray    # operator-norm drift from the initial Gram
     energy: np.ndarray
     rho_norm: np.ndarray          # ||rho(t)||_{L^q}
-    q_report: float
     final_state: DensityState
 
     @property
@@ -309,7 +301,7 @@ def evolve(state: DensityState, T: float, dt: float, w: PotentialSpec,
     flush(stop)
     record = TrajectoryRecord(
         times[:stop], mass[:stop], gram_dev[:stop], energy[:stop],
-        rho_norm[:stop], q_report,
+        rho_norm[:stop],
         DensityState(_grid_fft(c, d, inverse=True), state.weights, geom,
                      state.theta))
     if stop <= steps:
@@ -337,7 +329,6 @@ class OperatorPath:
     weights: list                 # i -> (r_i,)
     members: list                 # i -> (r_i, n_space)
     geometry: GeometrySpec
-    theta: float
     truncation_mass: np.ndarray   # trace-norm mass discarded per node
     rho: SpaceTimeField
 
@@ -418,7 +409,7 @@ def duhamel_map(path: OperatorPath, gamma0: DensityState, w: PotentialSpec,
             Q, core = Q @ vecs, np.diag(vals)
             dropped += mass
         new_mass.append(dropped)
-    return OperatorPath(times, new_weights, new_members, geom, theta,
+    return OperatorPath(times, new_weights, new_members, geom,
                         np.array(new_mass), SpaceTimeField(rho, times, geom))
 
 
@@ -434,32 +425,22 @@ def free_path(gamma0: DensityState, T: float, time_pts: int) -> OperatorPath:
         members.append(st.members.reshape(st.size, -1)
                        * math.sqrt(geom.cell_volume))
         rho[i] = st.density()
-    return OperatorPath(times, weights, members, geom, gamma0.theta,
+    return OperatorPath(times, weights, members, geom,
                         np.zeros(time_pts), SpaceTimeField(rho, times, geom))
 
 
 @dataclass(frozen=True, eq=False)
-class DuhamelIterate:
-    """One fixed-point iterate with its distance to the previous one."""
-
-    index: int
-    path: OperatorPath
-    residual: float               # C0_t Sobolev-Schatten + L^p_t L^q_x
-    ratio: float | None           # residual_k / residual_{k-1}
-
-
-@dataclass(frozen=True, eq=False)
 class FixedPointResult:
+    """The last iterate's path and one ``(residual, ratio)`` pair per
+    iteration: the C0_t Sobolev-Schatten + L^p_t L^q_x distance to the
+    previous iterate and its quotient by the previous distance (None
+    where that is not positive)."""
+
+    path: OperatorPath
     iterates: list
     contractive: bool
     diverged: bool
     converged: bool               # residual fell below the numeric floor
-    alpha_prime: float
-    s: float
-
-    @property
-    def final(self) -> DuhamelIterate:
-        return self.iterates[-1]
 
 
 def _xt_distance(pa: OperatorPath, pb: OperatorPath, alpha_prime: float,
@@ -480,57 +461,54 @@ _CONVERGED_FLOOR = 1e-13
 
 
 def _fixed_point_exponents(p: float, q: float) -> tuple[float, float]:
-    """alpha' = 2q/(q+1) (2 at q = inf) and the default s: half the 1/p
-    loss plus margin."""
-    return 2.0 / (1.0 + 1.0 / q), 0.5 / p + 0.05
+    """alpha' of the duality form and s: half the 1/p loss plus margin."""
+    return _duality_alpha(q), 0.5 / p + 0.05
 
 
 def fixed_point_iterate(gamma0: DensityState, w: PotentialSpec, T: float,
-                        K: int, p: float, q: float, s: float | None = None,
+                        K: int, p: float, q: float,
                         time_pts: int = 26) -> FixedPointResult:
     """Iterate the integral-equation map from the free solution.
 
     Residuals are measured in the C0_t Sobolev-Schatten + L^p_t L^q_x
-    norm with alpha' = 2q/(q+1).  Each map keeps rank min(4M, n), n the
-    grid size (a rank-n cap keeps every eigendirection).  Contraction
-    holds when every recorded ratio stays below 1; a residual at or below
-    ``_CONVERGED_FLOOR`` is numerical zero and stops the run (ratios at
-    the roundoff floor carry no information).  Three consecutive growing
-    residuals flag divergence, reported rather than raised.
+    norm with alpha' = 2q/(q+1) and s = 1/(2p) + 0.05.  Each map keeps
+    rank min(4M, n), n the grid size (a rank-n cap keeps every
+    eigendirection).  Only the previous and the current path are held.
+    Contraction holds when every recorded ratio stays below 1; a residual
+    at or below ``_CONVERGED_FLOOR`` is numerical zero and stops the run
+    (ratios at the roundoff floor carry no information).  Three
+    consecutive growing residuals flag divergence, reported rather than
+    raised.
     """
     if K < 2:
         raise InvalidInputError("need at least two iterations")
-    from .norms import classify_pair
     if "density" not in classify_pair(gamma0.geometry.dim, p, q,
                                       gamma0.theta):
         raise InvalidInputError("(p, q) must sit on the density line")
-    alpha_prime, s_default = _fixed_point_exponents(p, q)
-    s = s_default if s is None else s
+    alpha_prime, s = _fixed_point_exponents(p, q)
     rank = min(4 * gamma0.size, gamma0.members[0].size)
 
     path = free_path(gamma0, T, time_pts)
-    iterates: list[DuhamelIterate] = []
-    residuals: list[float] = []
+    iterates = []
     grew = 0
     diverged = False
     converged = False
-    for k in range(1, K + 1):
+    for _ in range(K):
         new_path = duhamel_map(path, gamma0, w, rank)
         res = _xt_distance(new_path, path, alpha_prime, s, p, q)
-        ratio = res / residuals[-1] if residuals and residuals[-1] > 0 else None
-        iterates.append(DuhamelIterate(k, new_path, res, ratio))
-        grew = grew + 1 if residuals and res > residuals[-1] else 0
-        residuals.append(res)
         path = new_path
+        # nan before the first residual: no ratio, no growth
+        prev = iterates[-1][0] if iterates else math.nan
+        iterates.append((res, res / prev if prev > 0 else None))
+        grew = grew + 1 if res > prev else 0
         if res <= _CONVERGED_FLOOR:
             converged = True
             break
         if grew >= 3:
             diverged = True
             break
-    ratios = [it.ratio for it in iterates
-              if it.ratio is not None and it.residual > _CONVERGED_FLOOR]
+    ratios = [ratio for res, ratio in iterates
+              if ratio is not None and res > _CONVERGED_FLOOR]
     contractive = (not diverged) and all(r < 1 for r in ratios) \
         and (bool(ratios) or converged)
-    return FixedPointResult(iterates, contractive, diverged, converged,
-                            alpha_prime, s)
+    return FixedPointResult(path, iterates, contractive, diverged, converged)

@@ -60,8 +60,6 @@ class KernelQuery:
 class DispersiveReport:
     """Measured sup of |t|**(1/theta) |K_N| over the dispersive window."""
 
-    N: int
-    theta: float
     window: tuple[float, float]
     sup_value: float
     argmax: tuple[float, float]       # (t*, x*)
@@ -171,7 +169,7 @@ def dispersive_sup(N: int, theta: float, t_grid_pts: int = 512,
     ts, xs = grids(0)
     sup0, arg0 = _scaled_kernel_max(N, theta, ts, xs)
     if not check_refinement:
-        return DispersiveReport(N, theta, (t_min, top), sup0, arg0,
+        return DispersiveReport((t_min, top), sup0, arg0,
                                 len(ts) * len(xs), False)
     ts, xs = grids(1)
     sup1, arg1 = _scaled_kernel_max(N, theta, ts, xs)
@@ -183,7 +181,7 @@ def dispersive_sup(N: int, theta: float, t_grid_pts: int = 512,
         refined = True
         ts, xs = grids(2)
         sup1, arg1 = _scaled_kernel_max(N, theta, ts, xs)
-    return DispersiveReport(N, theta, (t_min, top), sup1, arg1,
+    return DispersiveReport((t_min, top), sup1, arg1,
                             len(ts) * len(xs), refined)
 
 

@@ -356,9 +356,7 @@ class ScalingFit:
     """OLS fit of log(value) against log(N)."""
 
     slope: float
-    intercept: float
     max_residual: float
-    points: tuple[tuple[float, float], ...]
 
 
 def fit_scaling(points) -> ScalingFit:
@@ -375,8 +373,7 @@ def fit_scaling(points) -> ScalingFit:
     A = np.stack([x, np.ones_like(x)], axis=1)
     (slope, intercept), *_ = np.linalg.lstsq(A, y, rcond=None)
     resid = np.max(np.abs(y - (intercept + slope * x)))
-    return ScalingFit(float(slope), float(intercept), float(resid),
-                      tuple(pts))
+    return ScalingFit(float(slope), float(resid))
 
 
 # ---------------------------------------------------------------------------

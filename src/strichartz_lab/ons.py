@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .geometry import (BandFlow, GeometrySpec, SpaceTimeField, _band_mask,
-                       _mesh, _xi2)
+from .geometry import (_BLOCK_ELEMENTS, BandFlow, GeometrySpec,
+                       SpaceTimeField, _band_mask, _mesh, _xi2)
 from .norms import lq_norm, mixed_norm
 from .seeding import derive_cell_seed
 
@@ -97,6 +97,20 @@ def _band_order(geometry: GeometrySpec, N: int) -> np.ndarray:
     return np.lexsort(keys)
 
 
+def _standard_complex(rng, rows, cols):
+    """A (rows, cols) matrix of standard complex normals: the real parts,
+    then the imaginary parts, each drawn in chunks of ``_BLOCK_ELEMENTS //
+    cols`` rows, so no float temporary holds a whole part.  The generator
+    draws the same stream as one ``standard_normal((rows, cols))`` per
+    part."""
+    out = np.empty((rows, cols), dtype=np.complex128)
+    step = max(1, _BLOCK_ELEMENTS // cols)
+    for part in (out.real, out.imag):
+        for j in range(0, rows, step):
+            part[j:j + step] = rng.standard_normal(part[j:j + step].shape)
+    return out
+
+
 def generate_ons(kind: str, M: int, N: int, geometry: GeometrySpec,
                  seed: int = 0) -> OrthonormalFamily:
     """Orthonormal family on the band: lattice modes or a seeded random one."""
@@ -114,9 +128,8 @@ def generate_ons(kind: str, M: int, N: int, geometry: GeometrySpec,
             coef[j, order[j]] = 1.0 / math.sqrt(w)
         return OrthonormalFamily(coef, geometry, int(N), "fourier-modes")
     if kind == "random-band":
-        rng = np.random.default_rng(seed)
-        raw = rng.standard_normal((dim, M)) + 1j * rng.standard_normal((dim, M))
-        Q, _ = np.linalg.qr(raw)
+        Q, _ = np.linalg.qr(_standard_complex(np.random.default_rng(seed),
+                                              dim, M))
         coef = (Q / math.sqrt(w)).T
         return OrthonormalFamily(coef, geometry, int(N),
                                  f"random-band({seed})")

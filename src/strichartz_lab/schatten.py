@@ -36,7 +36,7 @@ from .errors import CapacityError, InvalidInputError, NumericFailureError
 from .geometry import (BandFlow, GeometrySpec, GridMultiplier, SpaceTimeField,
                        _xi2)
 from .norms import lq_norm, trapezoid_weights
-from .ons import lambda_family
+from .ons import _standard_complex, lambda_family
 
 __all__ = [
     "DiscreteOperator",
@@ -183,8 +183,6 @@ class DualityReport:
 
     operator_norm: float          # || W E E* W ||_{S^alpha}
     max_sampled_ratio: float      # max over samples of functional / ||lambda||
-    alpha: float
-    alpha_conj: float
     samples: int
     dominance_ok: bool
 
@@ -227,11 +225,10 @@ def duality_check(W: SpaceTimeField, N: int, alpha: float, sample_count: int,
     best = 0.0
     for i in range(sample_count):
         M = int(rng.integers(1, B + 1))
-        raw = rng.standard_normal((B, M)) + 1j * rng.standard_normal((B, M))
-        Q, _ = np.linalg.qr(raw)
+        Q, _ = np.linalg.qr(_standard_complex(rng, B, M))
         lam = lambda_family(kinds[i % 3], M, alpha_conj)
         energies = np.sum(Q.conj() * (G @ Q), axis=0).real
         best = max(best, float(np.sum(lam.values * energies)) / lam.norm)
 
-    return DualityReport(lhs_op, best, alpha, alpha_conj, sample_count,
+    return DualityReport(lhs_op, best, sample_count,
                          bool(best <= lhs_op * (1 + 1e-8)))

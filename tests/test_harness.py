@@ -11,7 +11,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from strichartz_lab import geometry, harness, norms
+from strichartz_lab import geometry, harness, norms, ons
 from strichartz_lab.cli import main as cli_main
 from strichartz_lab.config import load_config, schema_document, validate_config
 from strichartz_lab.errors import (ConfigError, InvalidInputError,
@@ -23,6 +23,13 @@ from strichartz_lab.geometry import (BandFlow, SpaceTimeField,
 from strichartz_lab.harness import _flow_ratios, run
 from strichartz_lab.norms import mixed_norm
 from strichartz_lab.seeding import derive_cell_seed, derive_cell_seeds
+
+
+@pytest.fixture
+def eight_cpus(monkeypatch):
+    """Let ``run`` start 8 threads on a host of any CPU count."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)),
+                        raising=False)
 
 
 def read(path):
@@ -170,7 +177,7 @@ class TestRun:
         b = strip_timing(read(tmp_path / "b" / "results.csv"))
         assert a == b
 
-    def test_serial_matches_threaded(self, tmp_path):
+    def test_serial_matches_threaded(self, tmp_path, eight_cpus):
         cfg = {"experiment": "ons-sweep", "seed": 3,
                "geometry": {"kind": "torus", "grid_sizes": [128]},
                "params": {"N": [4, 8, 16], "alpha_prime": [4.0 / 3.0, 2.0],
@@ -206,6 +213,52 @@ class TestRun:
         monkeypatch.setenv("STRICHARTZ_LAB_THREADS", "4")
         res = run(SMALL_KERNEL, str(tmp_path / "out"))
         assert res.exit_code == 0
+
+    def test_threads_clamped_to_cpus(self, monkeypatch):
+        # a pool starts one OS thread per waiting task, so a flag or
+        # environment value above the CPU count resolves to the CPU count;
+        # only the resolved count is checked, no thread is started
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                            raising=False)
+        monkeypatch.delenv("STRICHARTZ_LAB_THREADS", raising=False)
+        assert harness._resolve_threads(10 ** 4) == 3
+        assert harness._resolve_threads(10 ** 400) == 3
+        assert harness._resolve_threads(2) == 2
+        assert harness._resolve_threads(None) == 1
+        monkeypatch.setenv("STRICHARTZ_LAB_THREADS", str(10 ** 4))
+        assert harness._resolve_threads(None) == 3
+        assert harness._resolve_threads(2) == 2
+        monkeypatch.setenv("STRICHARTZ_LAB_THREADS", "2")
+        assert harness._resolve_threads(None) == 2
+        # without an affinity mask, the CPU count bounds the threads
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        assert harness._resolve_threads(10 ** 4) == 5
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert harness._resolve_threads(10 ** 4) == 1
+
+    def test_run_pool_sized_by_cpus(self, tmp_path, monkeypatch):
+        # run sizes its pool by the clamped count and writes the serial
+        # bytes; the recorded pool never holds more than 2 workers, so a
+        # broken clamp starts no more threads either
+        sizes = []
+
+        def pool(max_workers):
+            sizes.append(max_workers)
+            return ThreadPoolExecutor(max_workers=min(max_workers, 2))
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+        monkeypatch.setattr(harness, "ThreadPoolExecutor", pool)
+        run(SMALL_KERNEL, str(tmp_path / "serial"), threads=1)
+        run(SMALL_KERNEL, str(tmp_path / "many"), threads=10 ** 4)
+        assert sizes == [2]
+        for name in ("results.csv", "manifest.json"):
+            want = read(tmp_path / "serial" / name)
+            got = read(tmp_path / "many" / name)
+            if name == "results.csv":
+                want, got = strip_timing(want), strip_timing(got)
+            assert got == want
 
     def test_strict_escalates_warnings(self, tmp_path):
         # this cell's sup moves >= 2% under grid doubling, which warns and
@@ -434,7 +487,8 @@ class TestPooledStream:
         {"kind": "torus", "grid_sizes": [128]},
     ], ids=["waveguide", "torus"])
     def test_random_fit_same_bytes_at_any_thread_count(self, tmp_path,
-                                                       geometry_cfg):
+                                                       geometry_cfg,
+                                                       eight_cpus):
         # 8 threads is more than the cells, and at the small N more than
         # the items of a cell's stream
         cfg = {"experiment": "strichartz-fit", "seed": 12,
@@ -505,8 +559,7 @@ class TestPooledStream:
         dim = 1000
         step = harness._BLOCK_ELEMENTS // dim
         samples = 2 * step + 30
-        rows = harness._standard_complex(np.random.default_rng(7), samples,
-                                         dim)
+        rows = ons._standard_complex(np.random.default_rng(7), samples, dim)
         rng = np.random.default_rng(7)
         want = np.empty((samples, dim), dtype=np.complex128)
         want.real = rng.standard_normal(want.shape)

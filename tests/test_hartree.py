@@ -1,4 +1,6 @@
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -30,7 +32,7 @@ from strichartz_lab.hartree import (
     hartree_energy,
     split_step,
 )
-from strichartz_lab.norms import lq_norm
+from strichartz_lab.norms import besov_sup_norm, lq_norm
 from strichartz_lab.ons import generate_ons
 
 
@@ -96,11 +98,13 @@ class TestPotential:
     def test_besov_metadata(self):
         # cosine at mode 8: single block k = 3, norm 2^{3s} / sqrt(2)
         geom = torus(64)
-        w = PotentialSpec("cosine", k0=8, s=1.0, qprime=2.0)
-        assert w.besov_norm(geom) == pytest.approx(8.0 / np.sqrt(2), rel=1e-10)
+        w = PotentialSpec("cosine", k0=8)
+        assert besov_sup_norm(w.field(geom), 1.0, 2.0) == pytest.approx(
+            8.0 / np.sqrt(2), rel=1e-10)
         from strichartz_lab.geometry import waveguide
-        yuk = PotentialSpec("yukawa", a=1.0, s=0.5, qprime=2.0)
-        assert yuk.besov_norm(waveguide(32, 8, trunc_length=4.0)) > 0
+        yuk = PotentialSpec("yukawa", a=1.0)
+        assert besov_sup_norm(yuk.field(waveguide(32, 8, trunc_length=4.0)),
+                              0.5, 2.0) > 0
 
     def test_complex_density_rejected(self):
         geom = torus(16)
@@ -404,8 +408,7 @@ def dense_truncation_duhamel(path, gamma0, w, rank):
         V = members[-1]
         dens.append(((V.T * weights[-1]) @ V.conj()).diagonal().real
                     .reshape(geom.grid_sizes) / geom.cell_volume)
-    return OperatorPath(times, weights, members, geom, gamma0.theta,
-                        np.array(mass),
+    return OperatorPath(times, weights, members, geom, np.array(mass),
                         SpaceTimeField(np.stack(dens), times, geom))
 
 
@@ -474,7 +477,7 @@ def check_zero_path_free_conjugation(geom, seed):
         (6,) + geom.grid_sizes)), times, geom)
     zero_path = OperatorPath(
         times, [np.zeros(1) for _ in times],
-        [np.zeros((1, n), dtype=complex) for _ in times], geom, 2.0,
+        [np.zeros((1, n), dtype=complex) for _ in times], geom,
         np.zeros(6), any_rho)
     new_path = duhamel_map(zero_path, st, YUKAWA, rank=8)
     free = free_path(st, 0.05, 6)
@@ -600,8 +603,8 @@ class TestDuhamel:
         st = ons_state(geom, 3, 2, 2.0, [0.03, 0.02, 0.01], seed=19)
         result = fixed_point_iterate(st, YUKAWA, 0.05, 3, 4.0, 2.0,
                                      time_pts=6)
-        assert len(result.final.path.weights[-1]) == 8
-        assert np.max(result.final.path.truncation_mass) == 0.0
+        assert len(result.path.weights[-1]) == 8
+        assert np.max(result.path.truncation_mass) == 0.0
 
 
 class TestFixedPoint:
@@ -609,15 +612,35 @@ class TestFixedPoint:
         geom = torus(32)
         st = ons_state(geom, 2, 4, 2.0, [0.6, 0.4], seed=15)
         result = fixed_point_iterate(st, ZERO, 0.05, 3, 4.0, 2.0)
-        assert result.iterates[0].residual < 1e-10
+        assert result.iterates[0][0] < 1e-10
 
     def test_small_data_contracts(self):
         geom = torus(32)
         st = ons_state(geom, 4, 4, 2.0, [0.04, 0.03, 0.02, 0.01], seed=16)
         result = fixed_point_iterate(st, YUKAWA, 0.05, 6, 4.0, 2.0)
         assert result.contractive and not result.diverged
-        ratios = [it.ratio for it in result.iterates if it.ratio is not None]
+        ratios = [r for _, r in result.iterates if r is not None]
         assert all(r < 0.5 for r in ratios)
+
+    def test_holds_only_the_last_path(self, monkeypatch):
+        # of the paths the map returns, only the last one outlives the
+        # iteration
+        made = []
+
+        def recording(*args, **kwargs):
+            out = duhamel_map(*args, **kwargs)
+            made.append(weakref.ref(out))
+            return out
+
+        monkeypatch.setattr(hartree, "duhamel_map", recording)
+        geom = torus(32)
+        # data large enough that no residual reaches the roundoff floor
+        st = ons_state(geom, 4, 4, 2.0, [4.0, 3.0, 2.0, 1.0], seed=16)
+        result = fixed_point_iterate(st, YUKAWA, 0.05, 6, 4.0, 2.0)
+        gc.collect()
+        assert len(made) == len(result.iterates) == 6
+        alive = [ref() for ref in made if ref() is not None]
+        assert len(alive) == 1 and alive[0] is result.path
 
     def test_large_data_long_horizon_flagged(self):
         geom = torus(32)
@@ -660,7 +683,7 @@ class TestFixedPoint:
         st = ons_state(geom, 2, 3, 2.0, [0.06, 0.04], seed=18)
         T, nt = 0.05, 11
         result = fixed_point_iterate(st, YUKAWA, T, 6, 4.0, 2.0, time_pts=nt)
-        rho_fp = result.final.path.rho
+        rho_fp = result.path.rho
         dt = T / ((nt - 1) * 20)
         cur = st
         worst = 0.0

@@ -33,6 +33,16 @@ class TestGenerateOns:
         assert np.array_equal(a.coefficients, b.coefficients)
         assert not np.array_equal(a.coefficients, c.coefficients)
 
+    def test_random_band_is_the_qr_of_one_complex_draw(self):
+        # the real parts, then the imaginary parts, of one (band, M) draw
+        geom = torus(64)
+        fam = generate_ons("random-band", 12, 8, geom, seed=42)
+        rng = np.random.default_rng(42)
+        Q, _ = np.linalg.qr(rng.standard_normal((17, 12))
+                            + 1j * rng.standard_normal((17, 12)))
+        assert np.array_equal(fam.coefficients,
+                              (Q / np.sqrt(geom.dual_cell)).T)
+
     def test_waveguide_weighted_orthonormality(self):
         geom = waveguide(32, 8, trunc_length=4.0)
         fam = generate_ons("random-band", 6, 2, geom, seed=1)

@@ -405,6 +405,7 @@ class TestDualityCheck:
                 DiscreteOperator(w[:, None] * gram * w), alpha)
             assert rep.operator_norm == pytest.approx(dense, rel=1e-12)
 
+            alpha_conj = 1.0 / (1.0 - 1.0 / alpha) if alpha > 1 else INF
             draws = np.random.default_rng(seed)
             B = E.shape[1]
             best = 0.0
@@ -413,7 +414,7 @@ class TestDualityCheck:
                 Q, _ = np.linalg.qr(draws.standard_normal((B, M))
                                     + 1j * draws.standard_normal((B, M)))
                 lam = lambda_family(("flat", "power", "one-hot")[i % 3], M,
-                                    rep.alpha_conj)
+                                    alpha_conj)
                 images = (w[:, None] * E) @ Q
                 best = max(best, float(np.sum(
                     lam.values * np.sum(np.abs(images) ** 2, axis=0)))
