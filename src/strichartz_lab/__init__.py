@@ -55,8 +55,6 @@ from .schatten import (                                  # noqa: F401
     spatial_kernel_operator,
 )
 from .ons import (                                       # noqa: F401
-    LambdaSequence,
-    OrthonormalFamily,
     band_dimension,
     density_field,
     generate_ons,

@@ -36,7 +36,8 @@ from .hartree import (DensityState, _fixed_point_exponents, evolve,
 from .kernels import _window_top, dispersive_sup, vdc_integral_oracle
 from .norms import (_besov_top, besov_sup_norm, classify_pair, fit_scaling,
                     frames_norm, lq_norm, predict_sigma)
-from .ons import _standard_complex, band_dimension, ons_estimate_ratio
+from .ons import (_standard_complex, band_dimension, generate_ons,
+                  ons_estimate_ratio)
 from .schatten import (MATRIX_CAP, duality_check,
                        factored_sobolev_schatten_norm)
 from .seeding import derive_cell_seed, derive_cell_seeds
@@ -94,11 +95,10 @@ def _json_default(value):
 
 
 def _ons_density_state(geometry, M, band, theta, weights, seed) -> DensityState:
-    from .ons import generate_ons
-    fam = generate_ons("random-band", M, band, geometry, seed=seed)
+    coef = generate_ons("random-band", M, band, geometry, seed=seed)
     members = np.empty((M,) + geometry.grid_sizes, dtype=np.complex128)
     flow = BandFlow(geometry, band, theta)
-    for _, ss, u in flow.blocks(fam.coefficients, [0.0]):
+    for _, ss, u in flow.blocks(coef, [0.0]):
         members[ss] = u[0]
     return DensityState(members, np.asarray(weights, dtype=float),
                         geometry, theta)
@@ -163,6 +163,34 @@ def _check_family(p, geom):
     if not (np.all(w >= 0) and np.all(np.diff(w) <= 1e-15)):
         _reject("params.weights", "weights must be nonnegative and "
                                   "nonincreasing")
+
+
+def _check_bands(p, geom):
+    """Preflight of the slope sweeps: a band that fills the grid stops
+    growing with N, and a slope over repeated bands would be fitted to a
+    constant."""
+    seen = {}
+    for n in p["N"]:
+        modes = band_dimension(geom, n)
+        if modes in seen:
+            _reject("params.N", f"N = {seen[modes]} and N = {n} give the same "
+                                f"band of {modes} modes on grid "
+                                f"{list(geom.grid_sizes)}; each N must add "
+                                f"band modes")
+        seen[modes] = n
+
+
+def _slope_fit(group, key, sweep):
+    """``fit_scaling`` of ``key`` over N in a sweep group, or None below 3
+    rows.  A sweep of fewer than 3 N is never judged, so its rows fail
+    with a note; a longer one loses rows only to failed cells."""
+    if len(group) >= 3:
+        return fit_scaling([(r["N"], r[key]) for r in group])
+    if len(sweep) < 3:
+        for r in group:
+            r.update(passed=False, note=f"the slope fit needs 3 or more N, "
+                                        f"got {len(sweep)}")
+    return None
 
 
 def _potential_besov(p, geom):
@@ -312,6 +340,7 @@ def _drv_strichartz_fit(echo):
             _reject("params.time_pts_scale",
                     f"time grid time_pts_scale * N^theta + 1 at N = "
                     f"{n_max} exceeds cap {MATRIX_CAP}")
+    _check_bands(p, geom)
 
     def run_cell(cell, seed):
         N = cell["N"]
@@ -340,20 +369,21 @@ def _drv_strichartz_fit(echo):
     def finalize(rows):
         fits = {"sigma": sigma}
         rows = [r for r in rows if "max_ratio_raw" in r]
-        if len(rows) >= 3:
-            raw_fit = fit_scaling([(r["N"], r["max_ratio_raw"]) for r in rows])
-            fits["slope_raw"] = raw_fit.slope
-            fits["slope_residual"] = raw_fit.max_residual
-            if p["family"] == "dirichlet":
-                ok = -1e-9 <= raw_fit.slope <= sigma + p["slope_tol"]
-            else:
-                values = [r["value"] for r in rows]
-                spread = max(values) / min(values)
-                fits["normalized_spread"] = spread
-                ok = spread <= p["spread_max"] and \
-                    raw_fit.slope <= sigma + p["slope_tol"]
-            for r in rows:
-                r["passed"] = ok
+        raw_fit = _slope_fit(rows, "max_ratio_raw", p["N"])
+        if raw_fit is None:
+            return fits
+        fits["slope_raw"] = raw_fit.slope
+        fits["slope_residual"] = raw_fit.max_residual
+        if p["family"] == "dirichlet":
+            ok = -1e-9 <= raw_fit.slope <= sigma + p["slope_tol"]
+        else:
+            values = [r["value"] for r in rows]
+            spread = max(values) / min(values)
+            fits["normalized_spread"] = spread
+            ok = spread <= p["spread_max"] and \
+                raw_fit.slope <= sigma + p["slope_tol"]
+        for r in rows:
+            r["passed"] = ok
         return fits
 
     return header, cells, run_cell, finalize
@@ -383,17 +413,7 @@ def _drv_ons_sweep(echo):
         classify_pair(geom.dim, p["p"], p["q"], p["theta"])
     pred = _prediction(p["estimate"], p["p"], p["q"], p["theta"], geom) \
         if applicable else None
-    # a band that fills the grid stops growing with N: a slope over
-    # repeated bands would be fitted to a constant
-    seen = {}
-    for n in p["N"]:
-        modes = band_dimension(geom, n)
-        if modes in seen:
-            _reject("params.N", f"N = {seen[modes]} and N = {n} give the same "
-                                f"band of {modes} modes on grid "
-                                f"{list(geom.grid_sizes)}; each N must add "
-                                f"band modes")
-        seen[modes] = n
+    _check_bands(p, geom)
 
     def run_cell(cell, seed):
         row = {"theta": p["theta"], "p": p["p"], "q": p["q"],
@@ -421,9 +441,9 @@ def _drv_ons_sweep(echo):
         for a in p["alpha_prime"]:
             group = [r for r in rows
                      if r.get("alpha_prime") == a and r.get("applicable")]
-            if len(group) < 3:
+            fit = _slope_fit(group, "ratio", p["N"])
+            if fit is None:
                 continue
-            fit = fit_scaling([(r["N"], r["ratio"]) for r in group])
             # alpha' at an open bound lies outside it
             within = pred.alpha_max is None or (
                 a < pred.alpha_max - 1e-12 if pred.alpha_open
@@ -479,7 +499,7 @@ def _drv_duality_check(echo):
                 "operator_norm": rep.operator_norm,
                 "max_sampled_ratio": rep.max_sampled_ratio,
                 "saturation": sat, "dominance_ok": rep.dominance_ok,
-                "samples": rep.samples, "passed": rep.dominance_ok}
+                "samples": p["samples"], "passed": rep.dominance_ok}
 
     def finalize(rows):
         return {"all_dominated": all(r.get("dominance_ok") for r in rows)}
@@ -583,8 +603,7 @@ def _drv_fixed_point(echo):
         result = fixed_point_iterate(st, potential, p["T"], p["iterations"],
                                      p["p"], p["q"], time_pts=p["time_pts"])
         # cross check against the split-step route on the same nodes
-        rho_fp = result.path.rho
-        nodes = rho_fp.times
+        nodes = result.path.times
         h = nodes[1] - nodes[0]
         sub = max(1, int(round(h / p["cross_check_dt"])))
         dt = h / sub
@@ -593,7 +612,7 @@ def _drv_fixed_point(echo):
         for i in range(1, len(nodes)):
             for _ in range(sub):
                 cur = split_step(cur, dt, potential)
-            diff = cur.density() - rho_fp.values[i]
+            diff = cur.density() - result.path.rho[i]
             worst = max(worst, float(lq_norm(diff, 2, geom.cell_volume)))
         ratios = [r for _, r in result.iterates if r is not None]
         ok = (result.contractive and not result.diverged

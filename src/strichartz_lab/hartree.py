@@ -321,8 +321,8 @@ class OperatorPath:
 
     ``weights[i]`` are signed eigenvalues (the iteration can leave the
     positive cone), ``members[i]`` the corresponding orthonormal
-    eigenvectors as rows over the flattened grid, ``rho.values[i]`` the
-    density of node i.
+    eigenvectors as rows over the flattened grid, ``rho[i]`` the density
+    of node i.
     """
 
     times: np.ndarray
@@ -330,7 +330,7 @@ class OperatorPath:
     members: list                 # i -> (r_i, n_space)
     geometry: GeometrySpec
     truncation_mass: np.ndarray   # trace-norm mass discarded per node
-    rho: SpaceTimeField
+    rho: np.ndarray               # (T, *grid) float, on ``times``
 
 
 # core eigenvalues at most this times the largest are eigh roundoff
@@ -382,7 +382,7 @@ def duhamel_map(path: OperatorPath, gamma0: DensityState, w: PotentialSpec,
     new_weights, new_members, new_mass = [], [], []
     rho = np.empty((nt,) + geom.grid_sizes)
     for i in range(nt):
-        pot = potential(path.rho.values[i]).real.ravel()
+        pot = potential(path.rho[i]).real.ravel()
         V = path.members[i]
         t = float(times[i] - times[0])
         # U(-t) [pot, g_i] U(t), U(t) = exp(-i t phi(D)), from the factors
@@ -410,7 +410,7 @@ def duhamel_map(path: OperatorPath, gamma0: DensityState, w: PotentialSpec,
             dropped += mass
         new_mass.append(dropped)
     return OperatorPath(times, new_weights, new_members, geom,
-                        np.array(new_mass), SpaceTimeField(rho, times, geom))
+                        np.array(new_mass), rho)
 
 
 def free_path(gamma0: DensityState, T: float, time_pts: int) -> OperatorPath:
@@ -425,8 +425,8 @@ def free_path(gamma0: DensityState, T: float, time_pts: int) -> OperatorPath:
         members.append(st.members.reshape(st.size, -1)
                        * math.sqrt(geom.cell_volume))
         rho[i] = st.density()
-    return OperatorPath(times, weights, members, geom,
-                        np.zeros(time_pts), SpaceTimeField(rho, times, geom))
+    return OperatorPath(times, weights, members, geom, np.zeros(time_pts),
+                        rho)
 
 
 @dataclass(frozen=True, eq=False)
@@ -452,7 +452,7 @@ def _xt_distance(pa: OperatorPath, pb: OperatorPath, alpha_prime: float,
             np.concatenate([pa.members[i], pb.members[i]]),
             np.concatenate([pa.weights[i], -pb.weights[i]]),
             alpha_prime, s, geom))
-    drho = SpaceTimeField(pa.rho.values - pb.rho.values, pa.times, geom)
+    drho = SpaceTimeField(pa.rho - pb.rho, pa.times, geom)
     return best + mixed_norm(drho, p, q)
 
 

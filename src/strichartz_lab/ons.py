@@ -15,7 +15,6 @@ transforms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,8 +25,6 @@ from .norms import lq_norm, mixed_norm
 from .seeding import derive_cell_seed
 
 __all__ = [
-    "OrthonormalFamily",
-    "LambdaSequence",
     "band_dimension",
     "generate_ons",
     "lambda_family",
@@ -39,53 +36,6 @@ __all__ = [
 def band_dimension(geometry: GeometrySpec, N: int) -> int:
     """Number of lattice points in the sharp band [-N, N]^d (no Nyquist)."""
     return int(np.count_nonzero(_band_mask(geometry, int(N))))
-
-
-@dataclass(frozen=True, eq=False)
-class OrthonormalFamily:
-    """M orthonormal members, stored as coefficient vectors on the band."""
-
-    coefficients: np.ndarray        # (M, band_dim), weighted-orthonormal
-    geometry: GeometrySpec
-    band: int                       # N
-    provenance: str                 # "fourier-modes" | "random-band(seed)"
-
-    @property
-    def size(self) -> int:
-        return self.coefficients.shape[0]
-
-    def gram(self) -> np.ndarray:
-        w = self.geometry.dual_cell
-        return (self.coefficients.conj() @ self.coefficients.T) * w
-
-    def gram_deviation(self) -> float:
-        g = self.gram()
-        return float(np.linalg.norm(g - np.eye(self.size), ord=2))
-
-
-@dataclass(frozen=True)
-class LambdaSequence:
-    """Nonincreasing nonnegative coefficients with their l^alpha' norm."""
-
-    values: np.ndarray
-    alpha_prime: float
-
-    def __post_init__(self):
-        v = np.array(self.values, dtype=float)
-        if np.any(v < 0):
-            raise InvalidInputError("coefficients must be nonnegative")
-        if np.any(np.diff(v) > 1e-15):
-            raise InvalidInputError("coefficients must be nonincreasing")
-        if not self.alpha_prime >= 1:
-            raise InvalidInputError("alpha' must be >= 1")
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-
-    @property
-    def norm(self) -> float:
-        if not len(self.values):
-            return 0.0
-        return float(lq_norm(self.values, self.alpha_prime))
 
 
 def _band_order(geometry: GeometrySpec, N: int) -> np.ndarray:
@@ -112,8 +62,10 @@ def _standard_complex(rng, rows, cols):
 
 
 def generate_ons(kind: str, M: int, N: int, geometry: GeometrySpec,
-                 seed: int = 0) -> OrthonormalFamily:
-    """Orthonormal family on the band: lattice modes or a seeded random one."""
+                 seed: int = 0) -> np.ndarray:
+    """Orthonormal family on the band, lattice modes or a seeded random
+    one, as its (M, band_dim) coefficient rows over the band mask in C
+    order, orthonormal in the dual cell measure."""
     if M < 1:
         raise InvalidInputError("family size must be >= 1")
     dim = band_dimension(geometry, N)
@@ -126,50 +78,51 @@ def generate_ons(kind: str, M: int, N: int, geometry: GeometrySpec,
         coef = np.zeros((M, dim), dtype=np.complex128)
         for j in range(M):
             coef[j, order[j]] = 1.0 / math.sqrt(w)
-        return OrthonormalFamily(coef, geometry, int(N), "fourier-modes")
+        return coef
     if kind == "random-band":
         Q, _ = np.linalg.qr(_standard_complex(np.random.default_rng(seed),
                                               dim, M))
-        coef = (Q / math.sqrt(w)).T
-        return OrthonormalFamily(coef, geometry, int(N),
-                                 f"random-band({seed})")
+        return (Q / math.sqrt(w)).T
     raise InvalidInputError(f"unknown family kind {kind!r}")
 
 
 def lambda_family(kind: str, M: int, alpha_prime: float,
-                  beta: float = 1.0) -> LambdaSequence:
-    """Canonical coefficient sequences, normalized to unit l^alpha' norm."""
+                  beta: float = 1.0) -> np.ndarray:
+    """Canonical coefficient sequences (M,), nonnegative and nonincreasing,
+    normalized to unit l^alpha' norm."""
     if M < 1:
         raise InvalidInputError("sequence length must be >= 1")
+    if not alpha_prime >= 1:
+        raise InvalidInputError("alpha' must be >= 1")
     if kind == "flat":
-        vals = np.full(M, M ** (-1.0 / alpha_prime))
-    elif kind == "one-hot":
+        return np.full(M, M ** (-1.0 / alpha_prime))
+    if kind == "one-hot":
         vals = np.zeros(M)
         vals[0] = 1.0
-    elif kind == "power":
+        return vals
+    if kind == "power":
         vals = np.arange(1, M + 1, dtype=float) ** (-beta)
-        vals /= lq_norm(vals, alpha_prime)
-    else:
-        raise InvalidInputError(f"unknown coefficient family {kind!r}")
-    return LambdaSequence(vals, alpha_prime)
+        return vals / lq_norm(vals, alpha_prime)
+    raise InvalidInputError(f"unknown coefficient family {kind!r}")
 
 
-def density_field(family: OrthonormalFamily, lam: LambdaSequence, theta: float,
-                  interval, time_pts: int) -> SpaceTimeField:
-    """rho(t, x) = sum_j lambda_j |U(t) P_{<=N} f_j(x)|^2 over a block
-    stream of the members (``BandFlow.blocks``), accumulated per time block
-    chunk by chunk; linearity in lambda and per-frame mass conservation are
-    exact by construction.
+def density_field(geometry: GeometrySpec, N: int, coefficients: np.ndarray,
+                  weights: np.ndarray, theta: float, interval,
+                  time_pts: int) -> SpaceTimeField:
+    """rho(t, x) = sum_j lambda_j |U(t) P_{<=N} f_j(x)|^2 for members f_j
+    given by their band coefficient rows and lambda_j by ``weights``,
+    over a block stream of the members (``BandFlow.blocks``), accumulated
+    per time block chunk by chunk; linearity in lambda and per-frame mass
+    conservation are exact by construction.
     """
-    if len(lam.values) != family.size:
+    if len(weights) != len(coefficients):
         raise InvalidInputError("coefficient count must match family size")
-    geom = family.geometry
     times = np.linspace(float(interval[0]), float(interval[1]), time_pts)
-    rho = np.zeros((time_pts,) + geom.grid_sizes)
-    flow = BandFlow(geom, family.band, theta)
-    for ts, ss, u in flow.blocks(family.coefficients, times):
-        rho[ts] += np.tensordot(lam.values[ss], np.abs(u) ** 2, axes=(0, 1))
-    return SpaceTimeField(rho, times, geom)
+    rho = np.zeros((time_pts,) + geometry.grid_sizes)
+    flow = BandFlow(geometry, N, theta)
+    for ts, ss, u in flow.blocks(coefficients, times):
+        rho[ts] += np.tensordot(weights[ss], np.abs(u) ** 2, axes=(0, 1))
+    return SpaceTimeField(rho, times, geometry)
 
 
 def ons_estimate_ratio(geometry: GeometrySpec, N: int, theta: float,
@@ -180,18 +133,22 @@ def ons_estimate_ratio(geometry: GeometrySpec, N: int, theta: float,
                        seed: int = 0) -> tuple[float, float, str]:
     """One cell of the family-summed estimate over the full band of N:
     the largest density norm over ``family_kinds`` ((kind, draws) pairs),
-    the coefficient norm, and the label of the family that attained it."""
+    the coefficient norm, and the label of the family that attained it
+    (``fourier-modes`` or ``random-band(<seed>)``)."""
     M = band_dimension(geometry, N)
     lam = lambda_family(lambda_kind, M, alpha_prime)
     best_norm, best_label = -1.0, ""
     cell = 0
     for kind, count in family_kinds:
         for _ in range(count):
-            fam = generate_ons(kind, M, N, geometry,
-                               seed=derive_cell_seed(seed, cell))
+            fam_seed = derive_cell_seed(seed, cell)
             cell += 1
-            rho = density_field(fam, lam, theta, interval, time_pts)
+            coef = generate_ons(kind, M, N, geometry, seed=fam_seed)
+            rho = density_field(geometry, N, coef, lam, theta, interval,
+                                time_pts)
             val = mixed_norm(rho, p, q)
             if val > best_norm:
-                best_norm, best_label = val, fam.provenance
-    return best_norm, lam.norm, best_label
+                best_norm = val
+                best_label = kind if kind == "fourier-modes" \
+                    else f"random-band({fam_seed})"
+    return best_norm, float(lq_norm(lam, alpha_prime)), best_label

@@ -183,7 +183,6 @@ class DualityReport:
 
     operator_norm: float          # || W E E* W ||_{S^alpha}
     max_sampled_ratio: float      # max over samples of functional / ||lambda||
-    samples: int
     dominance_ok: bool
 
 
@@ -228,7 +227,7 @@ def duality_check(W: SpaceTimeField, N: int, alpha: float, sample_count: int,
         Q, _ = np.linalg.qr(_standard_complex(rng, B, M))
         lam = lambda_family(kinds[i % 3], M, alpha_conj)
         energies = np.sum(Q.conj() * (G @ Q), axis=0).real
-        best = max(best, float(np.sum(lam.values * energies)) / lam.norm)
+        best = max(best, float(np.sum(lam * energies))
+                   / float(lq_norm(lam, alpha_conj)))
 
-    return DualityReport(lhs_op, best, sample_count,
-                         bool(best <= lhs_op * (1 + 1e-8)))
+    return DualityReport(lhs_op, best, bool(best <= lhs_op * (1 + 1e-8)))

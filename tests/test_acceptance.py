@@ -264,8 +264,7 @@ class TestCriterion9FixedPointContraction:
         ratios_ok = result.contractive and all(r < 0.5 for r in ratios) \
             and (len(result.iterates) >= 6 or result.converged)
 
-        rho_fp = result.path.rho
-        nodes = rho_fp.times
+        nodes = result.path.times
         sub = int(round((nodes[1] - nodes[0]) / 1e-3))
         dt = (nodes[1] - nodes[0]) / sub
         cur = st
@@ -273,7 +272,7 @@ class TestCriterion9FixedPointContraction:
         for i in range(1, len(nodes)):
             for _ in range(sub):
                 cur = split_step(cur, dt, YUKAWA)
-            diff = cur.density() - rho_fp.values[i].real
+            diff = cur.density() - result.path.rho[i]
             worst = max(worst, float(np.sqrt(np.sum(diff ** 2)
                                              * geom.cell_volume)))
         elapsed = time.time() - t0

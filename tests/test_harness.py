@@ -1006,6 +1006,37 @@ class TestCli:
                                             params, field):
         self.assert_rejected(tmp_path, capsys, kind, params, field)
 
+    def test_fit_over_repeated_bands_exits_2_no_artifacts(self, tmp_path,
+                                                          capsys):
+        # on the 32-point torus N = 16, 32 and 64 all give the full band
+        # of 31 modes: the slope would be fitted to a constant
+        self.assert_rejected(tmp_path, capsys, "strichartz-fit",
+                             {"family": "random", "N": [4, 8, 16, 32, 64]},
+                             "params.N", grid=[32])
+
+    @pytest.mark.parametrize("kind, params", [
+        pytest.param("strichartz-fit", {"family": "dirichlet", "N": [8, 16]},
+                     id="fit"),
+        pytest.param("ons-sweep", {"N": [4, 8]}, id="ons"),
+    ])
+    def test_sweep_too_short_to_fit_fails(self, tmp_path, kind, params):
+        # no slope gate judges a sweep of two N: its rows fail with a note
+        # and the run writes its artifacts
+        path = self.write_cfg(tmp_path, {
+            "experiment": kind,
+            "geometry": {"kind": "torus", "grid_sizes": [64]},
+            "params": params})
+        out_dir = tmp_path / "out"
+        code = cli_main([kind, "--config", path, "--out", str(out_dir)])
+        assert code == 1
+        for name in ("results.csv", "summary.json", "manifest.json"):
+            assert (out_dir / name).exists()
+        manifest = json.loads(read(out_dir / "manifest.json"))
+        assert manifest["numeric_failures"] == 0
+        assert [c["passed"] for c in manifest["cells"]] == [False, False]
+        assert all(c["note"] == "the slope fit needs 3 or more N, got 2"
+                   for c in manifest["cells"])
+
     @pytest.mark.parametrize("seed", [-1, 2 ** 64],
                              ids=["negative", "beyond-u64"])
     def test_config_seed_out_of_range_exits_2_no_artifacts(self, tmp_path,

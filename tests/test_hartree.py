@@ -44,7 +44,7 @@ def ons_state(geom, M, N, theta, weights, seed=None):
     from strichartz_lab.geometry import _band_multiplier
     mask = _band_multiplier(geom, N) == 1.0
     members = []
-    for row in fam.coefficients:
+    for row in fam:
         coef = np.zeros(geom.grid_sizes, dtype=complex)
         coef[mask] = row
         members.append(inverse_transform(SpectrumField(coef, geom)).values)
@@ -376,7 +376,6 @@ def dense_truncation_duhamel(path, gamma0, w, rank):
     trapezoid, accumulated as an n x n matrix, truncated by an n x n eigh
     to the ``rank`` eigendirections of largest |eigenvalue|; the density
     film is the diagonal of each truncated matrix."""
-    from strichartz_lab.geometry import SpaceTimeField
     geom = gamma0.geometry
     n = int(np.prod(geom.grid_sizes))
     rows = (-1,) + geom.grid_sizes
@@ -388,7 +387,7 @@ def dense_truncation_duhamel(path, gamma0, w, rank):
     prev = None
     weights, members, mass, dens = [], [], [], []
     for i in range(len(times)):
-        pot = potential(path.rho.values[i].real).real.ravel()
+        pot = potential(path.rho[i]).real.ravel()
         V = path.members[i]
         t = float(times[i] - times[0])
         A, B = _kinetic(geom, gamma0.theta, -t)(
@@ -409,7 +408,7 @@ def dense_truncation_duhamel(path, gamma0, w, rank):
         dens.append(((V.T * weights[-1]) @ V.conj()).diagonal().real
                     .reshape(geom.grid_sizes) / geom.cell_volume)
     return OperatorPath(times, weights, members, geom, np.array(mass),
-                        SpaceTimeField(np.stack(dens), times, geom))
+                        np.stack(dens))
 
 
 def dense_duhamel_oracle(path, gamma0, w):
@@ -440,7 +439,7 @@ def dense_duhamel_oracle(path, gamma0, w):
     for i, t in enumerate(times):
         acc = np.zeros((n, n), dtype=complex)
         for j in range(i + 1):
-            rho_hat = F @ path.rho.values[j].real.ravel()
+            rho_hat = F @ path.rho[j].ravel()
             pot = (Finv @ (wmult * rho_hat)).real
             g_j = path_matrix(path, j)
             comm = np.diag(pot) @ g_j - g_j @ np.diag(pot)
@@ -464,17 +463,16 @@ def check_zero_potential_fixed_point(geom, seed):
     for i in range(6):
         assert np.max(np.abs(path_matrix(new_path, i)
                              - path_matrix(path, i))) < 1e-12
-    assert np.max(np.abs(new_path.rho.values - path.rho.values)) < 1e-12
+    assert np.max(np.abs(new_path.rho - path.rho)) < 1e-12
 
 
 def check_zero_path_free_conjugation(geom, seed):
-    from strichartz_lab.geometry import SpaceTimeField
     n = int(np.prod(geom.grid_sizes))
     st = two_member_state(geom, [0.6, 0.4], seed)
     times = np.linspace(0.0, 0.05, 6)
     # the zero operator, carrying a density film unrelated to it
-    any_rho = SpaceTimeField(np.abs(np.random.default_rng(0).standard_normal(
-        (6,) + geom.grid_sizes)), times, geom)
+    any_rho = np.abs(np.random.default_rng(0).standard_normal(
+        (6,) + geom.grid_sizes))
     zero_path = OperatorPath(
         times, [np.zeros(1) for _ in times],
         [np.zeros((1, n), dtype=complex) for _ in times], geom,
@@ -512,8 +510,7 @@ def check_dense_truncation(geom, members, weights, rank):
                                  - path_matrix(dense, i))) < 1e-12
         assert np.max(np.abs(new_path.truncation_mass
                              - dense.truncation_mass)) < 1e-12
-        assert np.max(np.abs(new_path.rho.values
-                             - dense.rho.values)) < 1e-12
+        assert np.max(np.abs(new_path.rho - dense.rho)) < 1e-12
         masses.append(np.max(dense.truncation_mass))
         path = new_path
     return masses
@@ -683,13 +680,12 @@ class TestFixedPoint:
         st = ons_state(geom, 2, 3, 2.0, [0.06, 0.04], seed=18)
         T, nt = 0.05, 11
         result = fixed_point_iterate(st, YUKAWA, T, 6, 4.0, 2.0, time_pts=nt)
-        rho_fp = result.path.rho
         dt = T / ((nt - 1) * 20)
         cur = st
         worst = 0.0
         for i in range(1, nt):
             for _ in range(20):
                 cur = split_step(cur, dt, YUKAWA)
-            diff = cur.density() - rho_fp.values[i].real
+            diff = cur.density() - result.path.rho[i]
             worst = max(worst, np.sqrt(np.sum(diff ** 2) * geom.cell_volume))
         assert worst < 1e-4

@@ -4,7 +4,7 @@ import pytest
 from strichartz_lab import geometry
 from strichartz_lab.errors import InvalidInputError
 from strichartz_lab.geometry import propagate, torus, waveguide
-from strichartz_lab.norms import mixed_norm
+from strichartz_lab.norms import lq_norm, mixed_norm
 from strichartz_lab.ons import (
     band_dimension,
     density_field,
@@ -15,12 +15,19 @@ from strichartz_lab.ons import (
 from strichartz_lab.harness import run
 
 
+def gram_deviation(coef, geom):
+    """Operator-norm distance of the rows' Gram in the dual cell measure
+    from the identity."""
+    gram = coef.conj() @ coef.T * geom.dual_cell
+    return float(np.linalg.norm(gram - np.eye(len(coef)), ord=2))
+
+
 class TestGenerateOns:
     def test_fourier_modes_exactly_orthonormal(self):
         geom = torus(32)
         fam = generate_ons("fourier-modes", 9, 4, geom)
-        assert fam.size == 9
-        assert fam.gram_deviation() == pytest.approx(0.0, abs=1e-14)
+        assert fam.shape == (9, 9)
+        assert gram_deviation(fam, geom) == pytest.approx(0.0, abs=1e-14)
         # full band on T^1 has 2N+1 members
         assert band_dimension(geom, 4) == 9
 
@@ -29,9 +36,9 @@ class TestGenerateOns:
         a = generate_ons("random-band", 12, 8, geom, seed=42)
         b = generate_ons("random-band", 12, 8, geom, seed=42)
         c = generate_ons("random-band", 12, 8, geom, seed=43)
-        assert a.gram_deviation() < 1e-10
-        assert np.array_equal(a.coefficients, b.coefficients)
-        assert not np.array_equal(a.coefficients, c.coefficients)
+        assert gram_deviation(a, geom) < 1e-10
+        assert np.array_equal(a, b)
+        assert not np.array_equal(a, c)
 
     def test_random_band_is_the_qr_of_one_complex_draw(self):
         # the real parts, then the imaginary parts, of one (band, M) draw
@@ -40,13 +47,21 @@ class TestGenerateOns:
         rng = np.random.default_rng(42)
         Q, _ = np.linalg.qr(rng.standard_normal((17, 12))
                             + 1j * rng.standard_normal((17, 12)))
-        assert np.array_equal(fam.coefficients,
-                              (Q / np.sqrt(geom.dual_cell)).T)
+        assert np.array_equal(fam, (Q / np.sqrt(geom.dual_cell)).T)
 
     def test_waveguide_weighted_orthonormality(self):
         geom = waveguide(32, 8, trunc_length=4.0)
         fam = generate_ons("random-band", 6, 2, geom, seed=1)
-        assert fam.gram_deviation() < 1e-10
+        assert gram_deviation(fam, geom) < 1e-10
+
+    @pytest.mark.xfail(strict=True, reason="the waveguide band mask is "
+                       "eta1(xi / N) == 1, which holds up to |xi / N| of "
+                       "about 1.026, not the sharp box")
+    def test_waveguide_band_is_the_sharp_box(self):
+        # [-8, 8]^2 on the 512 x 128 waveguide of length 8: 129 free
+        # frequencies (spacing 1/8) times 17 periodic modes
+        geom = waveguide(512, 128, trunc_length=8.0)
+        assert band_dimension(geom, 8) == 129 * 17
 
     def test_band_overflow_rejected(self):
         geom = torus(32)
@@ -61,7 +76,7 @@ class TestGenerateOns:
         from strichartz_lab.geometry import _band_multiplier
         mask = _band_multiplier(geom, 8) == 1.0
         fields = []
-        for row in fam.coefficients:
+        for row in fam:
             coef = np.zeros(64, dtype=complex)
             coef[mask] = row
             fields.append(inverse_transform(SpectrumField(coef, geom)))
@@ -75,24 +90,24 @@ class TestGenerateOns:
 class TestLambdaFamily:
     def test_flat_unit_norm(self):
         lam = lambda_family("flat", 16, 4.0 / 3.0)
-        assert np.allclose(lam.values, 16 ** (-0.75))
-        assert lam.norm == pytest.approx(1.0)
-        assert np.allclose(lam.values, 0.125)
+        assert np.allclose(lam, 16 ** (-0.75))
+        assert lq_norm(lam, 4.0 / 3.0) == pytest.approx(1.0)
+        assert np.allclose(lam, 0.125)
 
     def test_one_hot(self):
         for ap in (1.0, 1.5, 2.0, np.inf):
             lam = lambda_family("one-hot", 8, ap)
-            assert lam.norm == pytest.approx(1.0)
+            assert lq_norm(lam, ap) == pytest.approx(1.0)
 
     def test_power(self):
         lam = lambda_family("power", 4, 2.0, beta=1.0)
         raw = np.array([1.0, 0.5, 1.0 / 3.0, 0.25])
-        assert np.allclose(lam.values, raw / np.sum(raw ** 2) ** 0.5)
+        assert np.allclose(lam, raw / np.sum(raw ** 2) ** 0.5)
 
-    def test_nonincreasing_enforced(self):
-        from strichartz_lab.ons import LambdaSequence
-        with pytest.raises(InvalidInputError):
-            LambdaSequence(np.array([0.1, 0.5]), 2.0)
+    def test_alpha_prime_below_one_rejected(self):
+        for kind in ("flat", "one-hot", "power"):
+            with pytest.raises(InvalidInputError, match="alpha'"):
+                lambda_family(kind, 4, 0.5)
 
 
 class TestDensityField:
@@ -100,7 +115,7 @@ class TestDensityField:
         geom = torus(32)
         fam = generate_ons("fourier-modes", 1, 4, geom)
         lam = lambda_family("one-hot", 1, 2.0)
-        rho = density_field(fam, lam, 2.0, (0.0, 1.0), 5)
+        rho = density_field(geom, 4, fam, lam, 2.0, (0.0, 1.0), 5)
         # lone mode: |U(t) e_0|^2 = 1 everywhere
         assert np.max(np.abs(rho.values - 1.0)) < 1e-12
 
@@ -110,28 +125,25 @@ class TestDensityField:
         M = band_dimension(geom, N)
         fam = generate_ons("fourier-modes", M, N, geom)
         lam = lambda_family("flat", M, 1.0)  # weights 1/M summing to 1
-        rho = density_field(fam, lam, 3.0, (0.0, 1.0), 7)
+        rho = density_field(geom, N, fam, lam, 3.0, (0.0, 1.0), 7)
         # unimodular modes: rho = M * (1/M) = 1 for every (t, x)
         assert np.max(np.abs(rho.values - 1.0)) < 1e-12
 
     def test_full_band_unit_weights_density_counts_modes(self):
-        from strichartz_lab.ons import LambdaSequence
         geom = torus(64)
         N = 4
         M = band_dimension(geom, N)  # 2N+1
         fam = generate_ons("fourier-modes", M, N, geom)
-        rho = density_field(fam, LambdaSequence(np.ones(M), 2.0), 2.0,
-                            (0.0, 1.0), 5)
+        rho = density_field(geom, N, fam, np.ones(M), 2.0, (0.0, 1.0), 5)
         assert np.max(np.abs(rho.values - (2 * N + 1))) < 1e-11
 
     def test_linear_in_lambda(self):
         geom = torus(32)
         fam = generate_ons("random-band", 4, 4, geom, seed=9)
-        from strichartz_lab.ons import LambdaSequence
-        lam1 = LambdaSequence(np.array([0.4, 0.3, 0.2, 0.1]), 2.0)
-        lam2 = LambdaSequence(3.0 * lam1.values, 2.0)
-        r1 = density_field(fam, lam1, 2.5, (0.0, 0.5), 5)
-        r2 = density_field(fam, lam2, 2.5, (0.0, 0.5), 5)
+        lam1 = np.array([0.4, 0.3, 0.2, 0.1])
+        lam2 = 3.0 * lam1
+        r1 = density_field(geom, 4, fam, lam1, 2.5, (0.0, 0.5), 5)
+        r2 = density_field(geom, 4, fam, lam2, 2.5, (0.0, 0.5), 5)
         assert np.max(np.abs(r2.values - 3.0 * r1.values)) < 1e-12
 
     def test_real_nonnegative_and_mass_identity(self):
@@ -140,11 +152,11 @@ class TestDensityField:
             M = 5
             fam = generate_ons("random-band", M, 3, geom, seed=11)
             lam = lambda_family("power", M, 1.5)
-            rho = density_field(fam, lam, 2.5, (0.0, 1.0), 9)
+            rho = density_field(geom, 3, fam, lam, 2.5, (0.0, 1.0), 9)
             assert np.max(np.abs(rho.values.imag)) == 0.0
             assert np.min(rho.values.real) >= -1e-14
             # per-frame mass = sum_j lambda_j ||f_j||^2 = sum lambda (ONS)
-            expected = float(np.sum(lam.values))
+            expected = float(np.sum(lam))
             masses = np.sum(rho.values.real, axis=tuple(range(1, 1 + geom.dim))) \
                 * geom.cell_volume
             assert np.max(np.abs(masses - expected)) < 1e-10
@@ -163,27 +175,28 @@ class TestDensityField:
         M = 7
         fam = generate_ons("random-band", M, N, geom, seed=5)
         lam = lambda_family("power", M, 1.5)
-        whole = density_field(fam, lam, 2.5, (0.0, 1.0), 9).values
+        whole = density_field(geom, N, fam, lam, 2.5, (0.0, 1.0), 9).values
         if budget is not None:
             monkeypatch.setattr(geometry, "_BLOCK_ELEMENTS", budget)
-        chunked = density_field(fam, lam, 2.5, (0.0, 1.0), 9).values
+        chunked = density_field(geom, N, fam, lam, 2.5, (0.0, 1.0), 9).values
         assert np.max(np.abs(chunked - whole)) <= 1e-12 * np.max(np.abs(whole))
         # and the single-chunk sum is the per-member sum
         slow = sum(w * np.abs(np.stack([propagate(f, t, 2.5).values
                                         for t in np.linspace(0, 1, 9)])) ** 2
-                   for w, f in zip(lam.values, member_fields(fam)))
+                   for w, f in zip(lam, member_fields(geom, N, fam)))
         assert np.max(np.abs(whole - slow)) <= 1e-12 * np.max(np.abs(slow))
 
 
-def member_fields(fam):
-    """The members of a family as fields, through the transform pair."""
+def member_fields(geom, N, fam):
+    """The members of a family on band N as fields, through the transform
+    pair."""
     from strichartz_lab.geometry import (SpectrumField, _band_mask,
                                          inverse_transform)
-    mask = _band_mask(fam.geometry, fam.band)
-    for row in fam.coefficients:
-        coef = np.zeros(fam.geometry.grid_sizes, dtype=complex)
+    mask = _band_mask(geom, N)
+    for row in fam:
+        coef = np.zeros(geom.grid_sizes, dtype=complex)
         coef[mask] = row
-        yield inverse_transform(SpectrumField(coef, fam.geometry))
+        yield inverse_transform(SpectrumField(coef, geom))
 
 
 class TestOnsEstimateRatio:
@@ -211,18 +224,15 @@ class TestOnsEstimateRatio:
     def test_triangle_inequality_at_alpha_one(self):
         # summable weights: the weighted density norm is dominated by the
         # worst single member (convexity), for a generic random family
-        from strichartz_lab.ons import LambdaSequence, OrthonormalFamily
         geom = torus(128)
         fam = generate_ons("random-band", 5, 8, geom, seed=33)
         lam = lambda_family("flat", 5, 1.0)
-        rho = density_field(fam, lam, 3.0, (0.0, 1.0), 17)
+        rho = density_field(geom, 8, fam, lam, 3.0, (0.0, 1.0), 17)
         total = mixed_norm(rho, 6.0, 2.0)
         per_member = []
         for j in range(5):
-            sub = OrthonormalFamily(fam.coefficients[j:j + 1], geom, 8,
-                                    "row")
-            rho_j = density_field(sub, LambdaSequence(np.ones(1), 1.0),
-                                  3.0, (0.0, 1.0), 17)
+            rho_j = density_field(geom, 8, fam[j:j + 1], np.ones(1), 3.0,
+                                  (0.0, 1.0), 17)
             per_member.append(mixed_norm(rho_j, 6.0, 2.0))
         assert total <= max(per_member) * (1 + 1e-10)
 

@@ -12,6 +12,7 @@ from strichartz_lab.geometry import (
     waveguide,
 )
 from strichartz_lab.kernels import KernelQuery, kernel_exp_sum
+from strichartz_lab.norms import lq_norm
 from strichartz_lab.ons import lambda_family
 from strichartz_lab.schatten import (
     DiscreteOperator,
@@ -417,7 +418,7 @@ class TestDualityCheck:
                                     alpha_conj)
                 images = (w[:, None] * E) @ Q
                 best = max(best, float(np.sum(
-                    lam.values * np.sum(np.abs(images) ** 2, axis=0)))
-                    / lam.norm)
+                    lam * np.sum(np.abs(images) ** 2, axis=0)))
+                    / lq_norm(lam, alpha_conj))
             assert rep.max_sampled_ratio == pytest.approx(best, rel=1e-12)
             assert rep.dominance_ok
