@@ -14,7 +14,6 @@ from .geometry import (                                  # noqa: F401
     BandFlow,
     Field,
     GeometrySpec,
-    SpaceTimeField,
     SpectrumField,
     eta1,
     flow_phase,
@@ -45,7 +44,6 @@ from .norms import (                                     # noqa: F401
     predict_sigma,
 )
 from .schatten import (                                  # noqa: F401
-    DiscreteOperator,
     DualityReport,
     build_extension_matrix,
     duality_check,

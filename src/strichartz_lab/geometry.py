@@ -44,7 +44,6 @@ __all__ = [
     "GeometrySpec",
     "Field",
     "SpectrumField",
-    "SpaceTimeField",
     "torus",
     "waveguide",
     "eta1",
@@ -226,39 +225,6 @@ class SpectrumField:
         """Weighted little-l2 norm (dual cell measure on free axes)."""
         from .norms import lq_norm
         return float(lq_norm(self.coefficients, 2, self.geometry.dual_cell))
-
-
-@dataclass(frozen=True, eq=False)
-class SpaceTimeField:
-    """A time-sampled family of fields over a uniform time grid: float64
-    values for a real input (a density or a weight), complex128 for a
-    complex one."""
-
-    values: np.ndarray           # shape (T, *grid)
-    times: np.ndarray            # uniform, strictly increasing, endpoints in
-    geometry: GeometrySpec
-
-    def __post_init__(self):
-        vals = np.array(self.values, dtype=np.complex128
-                        if np.iscomplexobj(self.values) else np.float64)
-        times = np.array(self.times, dtype=float)
-        if times.ndim != 1 or len(times) < 2:
-            raise InvalidInputError("need at least two time samples")
-        dt = np.diff(times)
-        if not np.all(dt > 0):
-            raise InvalidInputError("times must be strictly increasing")
-        if not np.allclose(dt, dt[0], rtol=1e-9, atol=1e-15):
-            raise InvalidInputError("time grid must be uniform")
-        if vals.shape != (len(times),) + self.geometry.grid_sizes:
-            raise InvalidInputError(
-                f"frame block shape {vals.shape} does not match "
-                f"({len(times)},)+{self.geometry.grid_sizes}")
-        if not np.all(np.isfinite(vals)):
-            raise InvalidInputError("space-time field has non-finite entries")
-        vals.setflags(write=False)
-        times.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "times", times)
 
 
 # ---------------------------------------------------------------------------

@@ -30,10 +30,11 @@ from .config import (build_potential, check_seed, geometry_from_echo,
                      load_config, validate_config)
 from .errors import (CapacityError, ConfigError, InvalidInputError,
                      NumericFailureError)
-from .geometry import _BLOCK_ELEMENTS, BandFlow, SpaceTimeField, _xi2
+from .geometry import _BLOCK_ELEMENTS, BandFlow, _xi2
 from .hartree import (DensityState, _fixed_point_exponents, evolve,
                       fixed_point_iterate, split_step)
-from .kernels import _window_top, dispersive_sup, vdc_integral_oracle
+from .kernels import (OscillatoryIntegral, _window_top, dispersive_sup,
+                      vdc_integral_oracle)
 from .norms import (_besov_top, besov_sup_norm, classify_pair, fit_scaling,
                     frames_norm, lq_norm, predict_sigma)
 from .ons import (_standard_complex, band_dimension, generate_ons,
@@ -139,6 +140,15 @@ def _check_cap(field, what, elements):
                        f"{MATRIX_CAP}")
 
 
+def _judge(rows, ok, why):
+    """Fail ``rows`` unless ``ok``; a row it fails notes ``why`` (the gate
+    and its numbers) unless it already says why it failed."""
+    for r in rows:
+        r["passed"] = bool(ok and r.get("passed", True))
+        if not ok:
+            r.setdefault("note", why)
+
+
 def _prediction(estimate, p, q, theta, geometry):
     """``predict_sigma`` of the configured estimate on ``geometry``; a
     config whose estimate does not apply there is rejected."""
@@ -187,9 +197,8 @@ def _slope_fit(group, key, sweep):
     if len(group) >= 3:
         return fit_scaling([(r["N"], r[key]) for r in group])
     if len(sweep) < 3:
-        for r in group:
-            r.update(passed=False, note=f"the slope fit needs 3 or more N, "
-                                        f"got {len(sweep)}")
+        _judge(group, False, f"the slope fit needs 3 or more N, got "
+                             f"{len(sweep)}")
     return None
 
 
@@ -262,10 +271,10 @@ def _drv_kernel_sweep(echo):
             sups = [r["sup_value"] for r in group]
             ratio = max(sups) / min(sups)
             fits[f"sup_ratio_theta_{th:g}"] = ratio
-            ok = ratio <= p["max_ratio"]
             for r in group:
                 r["group_ratio"] = ratio
-                r["passed"] = ok and r.get("passed", True)
+            _judge(group, ratio <= p["max_ratio"], f"sup ratio {ratio:.6g} "
+                   f"> max_ratio {p['max_ratio']:g}")
         return fits
 
     return header, cells, run_cell, finalize
@@ -282,28 +291,23 @@ def _drv_vdc_oracle(echo):
         _reject("params.t", "need every |t| >= 1e-12")
 
     def run_cell(cell, seed):
+        # the oracle returns only a value within tol; a stalled one raises
         res = vdc_integral_oracle(p["theta"], p["x"], cell["t"], p["p"],
                                   p["b"], tol=p["tol"])
         return {"theta": p["theta"], "x": p["x"], "p": p["p"], "b": p["b"],
-                "t": cell["t"], "value_re": res.value.real,
-                "value_im": res.value.imag, "abs_value": abs(res.value),
-                "envelope": res.envelope, "ratio": res.ratio,
-                "error_estimate": res.error_estimate, "panels": res.panels,
-                "passed": res.error_estimate <= p["tol"]}
+                "t": cell["t"], **res.estimate(), "abs_value": abs(res.value),
+                "envelope": res.envelope, "ratio": res.ratio}
 
     def finalize(rows):
-        ratios = [r["ratio"] for r in rows if r.get("ratio")]
-        fits = {}
-        if ratios and len(ratios) == len(rows):
-            spread = max(ratios) / min(ratios)
-            fits["envelope_ratio_spread"] = spread
-            ok = spread <= p["max_ratio"]
-            for r in rows:
-                r["passed"] = bool(r.get("passed", False)) and ok
-        elif len(ratios) != len(rows):
-            for r in rows:
-                r["passed"] = False
-        return fits
+        # the spread of the cells that converged; a stalled cell fails alone
+        group = [r for r in rows if "ratio" in r]
+        if not group:
+            return {}
+        ratios = [r["ratio"] for r in group]
+        spread = max(ratios) / min(ratios) if min(ratios) > 0 else math.inf
+        _judge(group, spread <= p["max_ratio"], f"envelope ratio spread "
+               f"{spread:.6g} > max_ratio {p['max_ratio']:g}")
+        return {"envelope_ratio_spread": spread}
 
     return header, cells, run_cell, finalize
 
@@ -374,16 +378,20 @@ def _drv_strichartz_fit(echo):
             return fits
         fits["slope_raw"] = raw_fit.slope
         fits["slope_residual"] = raw_fit.max_residual
+        top = sigma + p["slope_tol"]
         if p["family"] == "dirichlet":
-            ok = -1e-9 <= raw_fit.slope <= sigma + p["slope_tol"]
+            ok = -1e-9 <= raw_fit.slope <= top
+            why = f"slope_raw {raw_fit.slope:.6g} outside [-1e-9, " \
+                  f"sigma + slope_tol = {top:.6g}]"
         else:
             values = [r["value"] for r in rows]
             spread = max(values) / min(values)
             fits["normalized_spread"] = spread
-            ok = spread <= p["spread_max"] and \
-                raw_fit.slope <= sigma + p["slope_tol"]
-        for r in rows:
-            r["passed"] = ok
+            ok = spread <= p["spread_max"] and raw_fit.slope <= top
+            why = f"normalized spread {spread:.6g} > spread_max " \
+                  f"{p['spread_max']:g} or slope_raw {raw_fit.slope:.6g} " \
+                  f"> sigma + slope_tol = {top:.6g}"
+        _judge(rows, ok, why)
         return fits
 
     return header, cells, run_cell, finalize
@@ -448,14 +456,16 @@ def _drv_ons_sweep(echo):
             within = pred.alpha_max is None or (
                 a < pred.alpha_max - 1e-12 if pred.alpha_open
                 else a <= pred.alpha_max + 1e-12)
-            ok = fit.slope <= pred.sigma + p["slope_tol"] if within \
-                else fit.slope > pred.sigma + p["slope_tol"]
+            top = pred.sigma + p["slope_tol"]
             fits[f"slope_alpha_{a:g}"] = fit.slope
             fits[f"within_alpha_{a:g}"] = within
             for r in group:
                 r["slope"] = fit.slope
                 r["within_threshold"] = within
-                r["passed"] = ok
+            _judge(group, fit.slope <= top if within else fit.slope > top,
+                   f"slope {fit.slope:.6g} {'>' if within else '<='} sigma "
+                   f"+ slope_tol = {top:.6g} at alpha' {a:g} "
+                   f"{'within' if within else 'beyond'} alpha_max")
         return fits
 
     return header, cells, run_cell, finalize
@@ -490,16 +500,19 @@ def _drv_duality_check(echo):
         else:
             rng = np.random.default_rng(seed)
             vals = np.abs(rng.standard_normal(shape)) + 0.1
-        W = SpaceTimeField(vals, times, geom)
-        rep = duality_check(W, p["N"], float(cell["alpha"]), p["samples"],
-                            theta=p["theta"], seed=seed)
+        rep = duality_check(geom, times, vals, p["N"], float(cell["alpha"]),
+                            p["samples"], theta=p["theta"], seed=seed)
         sat = rep.max_sampled_ratio / rep.operator_norm \
             if rep.operator_norm > 0 else 0.0
-        return {"alpha": cell["alpha"], "N": p["N"],
-                "operator_norm": rep.operator_norm,
-                "max_sampled_ratio": rep.max_sampled_ratio,
-                "saturation": sat, "dominance_ok": rep.dominance_ok,
-                "samples": p["samples"], "passed": rep.dominance_ok}
+        row = {"alpha": cell["alpha"], "N": p["N"],
+               "operator_norm": rep.operator_norm,
+               "max_sampled_ratio": rep.max_sampled_ratio,
+               "saturation": sat, "dominance_ok": rep.dominance_ok,
+               "samples": p["samples"]}
+        _judge([row], rep.dominance_ok, f"max_sampled_ratio "
+               f"{rep.max_sampled_ratio:.6g} > operator_norm "
+               f"{rep.operator_norm:.6g} beyond rel tol 1e-8")
+        return row
 
     def finalize(rows):
         return {"all_dominated": all(r.get("dominance_ok") for r in rows)}
@@ -533,16 +546,18 @@ def _drv_hartree_run(echo):
                                 p["weights"], state_seed)
         rec = evolve(st, p["T"], cell["dt"], potential,
                      q_report=p["q_report"])
-        ok = (rec.mass_deviation < p["mass_tol"]
-              and rec.max_gram_deviation < p["gram_tol"]
-              and rec.energy_drift < p["energy_tol"])
-        return {"theta": cell["theta"], "dt": cell["dt"],
-                "steps": len(rec.times) - 1,
-                "potential_besov": w_besov,
-                "mass_deviation": rec.mass_deviation,
-                "gram_deviation": rec.max_gram_deviation,
-                "energy_drift": rec.energy_drift,
-                "rho_norm_final": rec.rho_norm[-1], "passed": ok}
+        row = {"theta": cell["theta"], "dt": cell["dt"],
+               "steps": len(rec.times) - 1,
+               "potential_besov": w_besov,
+               "mass_deviation": rec.mass_deviation,
+               "gram_deviation": rec.max_gram_deviation,
+               "energy_drift": rec.energy_drift,
+               "rho_norm_final": rec.rho_norm[-1]}
+        over = [f"{k} {row[k]:.6g} >= {tol} {p[tol]:g}" for k, tol in (
+            ("mass_deviation", "mass_tol"), ("gram_deviation", "gram_tol"),
+            ("energy_drift", "energy_tol")) if not row[k] < p[tol]]
+        _judge([row], not over, "; ".join(over))
+        return row
 
     def finalize(rows):
         fits = {"potential_besov": w_besov}
@@ -556,10 +571,11 @@ def _drv_hartree_run(echo):
                 halvings = math.log2(group[0]["dt"] / group[-1]["dt"])
                 per_halving = ratio ** (1.0 / halvings) if halvings > 0 else ratio
                 fits[f"drift_halving_ratio_theta_{th:g}"] = per_halving
-                ok = per_halving >= p["halving_min"]
                 for r in group:
                     r["halving_ratio"] = per_halving
-                    r["passed"] = bool(r["passed"]) and ok
+                _judge(group, per_halving >= p["halving_min"],
+                       f"drift halving ratio {per_halving:.6g} < "
+                       f"halving_min {p['halving_min']:g}")
         return fits
 
     return header, cells, run_cell, finalize
@@ -615,36 +631,35 @@ def _drv_fixed_point(echo):
             diff = cur.density() - result.path.rho[i]
             worst = max(worst, float(lq_norm(diff, 2, geom.cell_volume)))
         ratios = [r for _, r in result.iterates if r is not None]
-        ok = (result.contractive and not result.diverged
-              and all(r <= p["ratio_max"] for r in ratios)
-              and worst <= p["cross_check_tol"])
-        return {"iterates": result.iterates,
-                "contractive": result.contractive,
-                "converged": result.converged,
-                "cross_check_error": worst, "passed": ok,
-                "truncation_mass": float(
-                    np.max(result.path.truncation_mass))}
+        # contractive excludes diverged
+        over = [why for bad, why in (
+            (not result.contractive, "not contractive"),
+            (not all(r <= p["ratio_max"] for r in ratios),
+             f"ratio {max(ratios, default=0):.6g} > ratio_max "
+             f"{p['ratio_max']:g}"),
+            (not worst <= p["cross_check_tol"],
+             f"cross_check_error {worst:.6g} > cross_check_tol "
+             f"{p['cross_check_tol']:g}")) if bad]
+        row = {"iterates": result.iterates,
+               "contractive": result.contractive,
+               "converged": result.converged, "cross_check_error": worst,
+               "truncation_mass": float(np.max(result.path.truncation_mass))}
+        _judge([row], not over, "; ".join(over))
+        return row
 
     def finalize(rows):
         # expand the single run into one row per iteration
         if not rows or "iterates" not in rows[0]:
             return {}
         base = rows.pop(0)
-        fits = {"contractive": base["contractive"],
+        iterates = base.pop("iterates")
+        rows.extend({**base, "iteration": k, "residual": res, "ratio": ratio,
+                     "cell_index": k - 1}
+                    for k, (res, ratio) in enumerate(iterates, 1))
+        return {"contractive": base["contractive"],
                 "converged": base["converged"],
                 "cross_check_error": base["cross_check_error"],
                 "potential_besov": w_besov}
-        for k, (res, ratio) in enumerate(base["iterates"], 1):
-            rows.append({"iteration": k, "residual": res, "ratio": ratio,
-                         "contractive": base["contractive"],
-                         "converged": base["converged"],
-                         "cross_check_error": base["cross_check_error"],
-                         "passed": base["passed"],
-                         "truncation_mass": base["truncation_mass"],
-                         "wall_time_ms": base.get("wall_time_ms"),
-                         "cell_index": k - 1,
-                         "experiment_id": base.get("experiment_id")})
-        return fits
 
     return header, cells, run_cell, finalize
 
@@ -801,6 +816,8 @@ def run(config, out_dir: str, seed: int | None = None,
             note = f"warning escalated: {exc}" if error_kind == "warning" \
                 else str(exc)
             row = {"passed": False, "note": note, "error_kind": error_kind}
+            if isinstance(getattr(exc, "best", None), OscillatoryIntegral):
+                row["best"] = exc.best.estimate()
             failed = True
         finally:
             del _cell.map
@@ -838,6 +855,8 @@ def run(config, out_dir: str, seed: int | None = None,
         "cells_passed": cells_passed,
         "fits": fits,
         "duration_ms": (time.perf_counter() - t_start) * 1e3,
+        "environment": {"python": sys.version.split()[0],
+                        "numpy": np.__version__, "threads": n_threads},
     }
     with open(os.path.join(out_dir, "summary.json"), "w",
               encoding="utf-8") as fh:
@@ -849,7 +868,7 @@ def run(config, out_dir: str, seed: int | None = None,
         "numeric_failures": numeric_failures,
         "cells": [{"cell_index": r["cell_index"],
                    "passed": bool(r.get("passed")),
-                   **{k: r[k] for k in ("note", "error_kind",
+                   **{k: r[k] for k in ("note", "error_kind", "best",
                                         "truncation_mass") if k in r}}
                   for r in rows],
     }

@@ -39,7 +39,6 @@ from .geometry import (
     Field,
     GeometrySpec,
     GridMultiplier,
-    SpaceTimeField,
     _grid_fft,
     _mesh,
     _xi2,
@@ -452,8 +451,8 @@ def _xt_distance(pa: OperatorPath, pb: OperatorPath, alpha_prime: float,
             np.concatenate([pa.members[i], pb.members[i]]),
             np.concatenate([pa.weights[i], -pb.weights[i]]),
             alpha_prime, s, geom))
-    drho = SpaceTimeField(pa.rho - pb.rho, pa.times, geom)
-    return best + mixed_norm(drho, p, q)
+    return best + mixed_norm(pa.rho - pb.rho, pa.times, p, q,
+                             geom.cell_volume)
 
 
 # a fixed-point residual at or below this is numerical zero

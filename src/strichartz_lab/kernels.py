@@ -81,6 +81,12 @@ class OscillatoryIntegral:
     def ratio(self) -> float:
         return abs(self.value) / self.envelope
 
+    def estimate(self) -> dict:
+        """The value as ``value_re`` and ``value_im``, ``error_estimate``
+        and ``panels``, as plain floats and an int."""
+        return {"value_re": self.value.real, "value_im": self.value.imag,
+                "error_estimate": self.error_estimate, "panels": self.panels}
+
 
 def _exp_sum_terms(N: int, theta: float, t: float, x) -> np.ndarray:
     # x reduced mod 1 (the sum is 1-periodic) and t*|n|^theta reduced with

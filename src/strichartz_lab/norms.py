@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .geometry import Field, GeometrySpec, SpaceTimeField, littlewood_paley
+from .geometry import Field, GeometrySpec, littlewood_paley
 
 __all__ = [
     "SigmaPrediction",
@@ -85,10 +85,18 @@ def lq_norm(values, q: float, measure: float = 1.0, axis=None):
 
 
 def trapezoid_weights(times) -> np.ndarray:
-    """Trapezoid weights of a uniform time grid."""
-    if len(times) < 2:
+    """Trapezoid weights of a time grid: at least two times, strictly
+    increasing and uniform to 1e-9 relative (plus 1e-15)."""
+    dt = np.diff(times)
+    if dt.ndim != 1 or len(dt) < 1:
         raise InvalidInputError("need at least two time samples")
-    w = np.full(len(times), times[1] - times[0])
+    if not dt.min() > 0:
+        raise InvalidInputError("times must be strictly increasing")
+    h = dt[0]
+    if not max(dt.max() - h, h - dt.min()) <= 1e-15 + 1e-9 * h:
+        raise InvalidInputError("time grid must be uniform")
+    del dt  # no more than two time-grid arrays live at once
+    w = np.full(len(times), h)
     w[0] *= 0.5
     w[-1] *= 0.5
     return w
@@ -129,12 +137,16 @@ def frames_norm(stream, times, p: float, q: float, measure: float,
     return acc if p == math.inf else acc ** (1.0 / p)
 
 
-def mixed_norm(F: SpaceTimeField, p: float, q: float) -> float:
-    """L^p_t L^q_x norm of a space-time field: one ``frames_norm`` block."""
+def mixed_norm(film, times, p: float, q: float, measure: float) -> float:
+    """L^p_t L^q_x norm of a film (T, *grid) sampled at ``times`` on a grid
+    of cell volume ``measure``: one ``frames_norm`` block."""
+    film = np.asarray(film)
+    if len(film) != len(times):
+        raise InvalidInputError(f"{len(film)} frames for {len(times)} times")
+
     def stream(reduce):
-        return [(slice(None), slice(None), reduce(F.values[:, None]))]
-    return float(frames_norm(stream, F.times, p, q,
-                             F.geometry.cell_volume)[0])
+        return [(slice(None), slice(None), reduce(film[:, None]))]
+    return float(frames_norm(stream, times, p, q, measure)[0])
 
 
 # ---------------------------------------------------------------------------

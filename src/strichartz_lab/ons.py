@@ -19,8 +19,8 @@ import math
 import numpy as np
 
 from .errors import InvalidInputError
-from .geometry import (_BLOCK_ELEMENTS, BandFlow, GeometrySpec,
-                       SpaceTimeField, _band_mask, _mesh, _xi2)
+from .geometry import (_BLOCK_ELEMENTS, BandFlow, GeometrySpec, _band_mask,
+                       _mesh, _xi2)
 from .norms import lq_norm, mixed_norm
 from .seeding import derive_cell_seed
 
@@ -107,22 +107,22 @@ def lambda_family(kind: str, M: int, alpha_prime: float,
 
 
 def density_field(geometry: GeometrySpec, N: int, coefficients: np.ndarray,
-                  weights: np.ndarray, theta: float, interval,
-                  time_pts: int) -> SpaceTimeField:
-    """rho(t, x) = sum_j lambda_j |U(t) P_{<=N} f_j(x)|^2 for members f_j
-    given by their band coefficient rows and lambda_j by ``weights``,
-    over a block stream of the members (``BandFlow.blocks``), accumulated
-    per time block chunk by chunk; linearity in lambda and per-frame mass
-    conservation are exact by construction.
+                  weights: np.ndarray, theta: float, times) -> np.ndarray:
+    """rho(t, x) = sum_j lambda_j |U(t) P_{<=N} f_j(x)|^2, the finite
+    (T, *grid) film at ``times``, for members f_j given by their band
+    coefficient rows and lambda_j by ``weights``, over a block stream of
+    the members (``BandFlow.blocks``), accumulated per time block chunk by
+    chunk; linearity in lambda and per-frame mass conservation are exact.
     """
     if len(weights) != len(coefficients):
         raise InvalidInputError("coefficient count must match family size")
-    times = np.linspace(float(interval[0]), float(interval[1]), time_pts)
-    rho = np.zeros((time_pts,) + geometry.grid_sizes)
+    rho = np.zeros((len(times),) + geometry.grid_sizes)
     flow = BandFlow(geometry, N, theta)
     for ts, ss, u in flow.blocks(coefficients, times):
         rho[ts] += np.tensordot(weights[ss], np.abs(u) ** 2, axes=(0, 1))
-    return SpaceTimeField(rho, times, geometry)
+    if not np.isfinite(rho).all():
+        raise InvalidInputError("density film has non-finite entries")
+    return rho
 
 
 def ons_estimate_ratio(geometry: GeometrySpec, N: int, theta: float,
@@ -137,6 +137,7 @@ def ons_estimate_ratio(geometry: GeometrySpec, N: int, theta: float,
     (``fourier-modes`` or ``random-band(<seed>)``)."""
     M = band_dimension(geometry, N)
     lam = lambda_family(lambda_kind, M, alpha_prime)
+    times = np.linspace(float(interval[0]), float(interval[1]), time_pts)
     best_norm, best_label = -1.0, ""
     cell = 0
     for kind, count in family_kinds:
@@ -144,9 +145,8 @@ def ons_estimate_ratio(geometry: GeometrySpec, N: int, theta: float,
             fam_seed = derive_cell_seed(seed, cell)
             cell += 1
             coef = generate_ons(kind, M, N, geometry, seed=fam_seed)
-            rho = density_field(geometry, N, coef, lam, theta, interval,
-                                time_pts)
-            val = mixed_norm(rho, p, q)
+            rho = density_field(geometry, N, coef, lam, theta, times)
+            val = mixed_norm(rho, times, p, q, geometry.cell_volume)
             if val > best_norm:
                 best_norm = val
                 best_label = kind if kind == "fourier-modes" \

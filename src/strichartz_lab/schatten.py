@@ -33,13 +33,11 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import CapacityError, InvalidInputError, NumericFailureError
-from .geometry import (BandFlow, GeometrySpec, GridMultiplier, SpaceTimeField,
-                       _xi2)
+from .geometry import BandFlow, GeometrySpec, GridMultiplier, _xi2
 from .norms import lq_norm, trapezoid_weights
 from .ons import _standard_complex, lambda_family
 
 __all__ = [
-    "DiscreteOperator",
     "DualityReport",
     "MATRIX_CAP",
     "singular_values",
@@ -54,35 +52,22 @@ __all__ = [
 MATRIX_CAP = 4096 * 4096
 
 
-@dataclass(frozen=True, eq=False)
-class DiscreteOperator:
-    """Matrix on a weighted space, weights already folded in."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.array(self.matrix, dtype=np.complex128)
-        if m.ndim != 2:
-            raise InvalidInputError("operator matrix must be 2-d")
-        if not np.all(np.isfinite(m)):
-            raise InvalidInputError("operator matrix has non-finite entries")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-
 def spatial_kernel_operator(kernel: np.ndarray,
-                            geometry: GeometrySpec) -> DiscreteOperator:
-    """Operator on L2 of the grid from an integral kernel K(x, y)."""
+                            geometry: GeometrySpec) -> np.ndarray:
+    """The (n, n) matrix on L2 of the grid of an integral kernel K(x, y)."""
     n = int(np.prod(geometry.grid_sizes))
     K = np.asarray(kernel, dtype=np.complex128).reshape(n, n)
-    return DiscreteOperator(K * geometry.cell_volume)
+    return K * geometry.cell_volume
 
 
-def singular_values(A: DiscreteOperator | np.ndarray) -> np.ndarray:
-    """Nonincreasing singular values; count = min(rows, cols)."""
-    m = A.matrix if isinstance(A, DiscreteOperator) else np.asarray(A)
+def singular_values(A) -> np.ndarray:
+    """Nonincreasing singular values of a finite 2-d matrix; count =
+    min(rows, cols).  An inf entry would make every value NaN."""
+    A = np.asarray(A)
+    if A.ndim != 2 or not np.isfinite(A).all():
+        raise InvalidInputError("operator must be a finite 2-d matrix")
     try:
-        return np.linalg.svd(m, compute_uv=False)
+        return np.linalg.svd(A, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise NumericFailureError(f"SVD did not converge: {exc}") from exc
 
@@ -103,17 +88,16 @@ def _bessel(geometry: GeometrySpec, s: float) -> GridMultiplier:
     return GridMultiplier(geometry, (1.0 + _xi2(geometry)) ** (s / 2.0))
 
 
-def sobolev_schatten_norm(A: DiscreteOperator, alpha: float, s: float,
+def sobolev_schatten_norm(A: np.ndarray, alpha: float, s: float,
                           geometry: GeometrySpec) -> float:
-    """Schatten norm of the operator conjugated by <D>^s on both sides."""
+    """Schatten norm of <D>^s A <D>^s for an (n, n) grid operator A."""
     n = int(np.prod(geometry.grid_sizes))
-    if A.matrix.shape != (n, n):
+    if np.shape(A) != (n, n):
         raise InvalidInputError(
             "operator must act on the spatial grid of the given geometry")
     if s == 0.0:
         return schatten_norm(A, alpha)
-    return schatten_norm(
-        DiscreteOperator(_bessel(geometry, s).sandwich(A.matrix)), alpha)
+    return schatten_norm(_bessel(geometry, s).sandwich(np.asarray(A)), alpha)
 
 
 def factored_sobolev_schatten_norm(members, weights, alpha: float, s: float,
@@ -146,12 +130,8 @@ def build_extension_matrix(geometry: GeometrySpec, N: int, interval,
     """
     if N < 1 or int(N) != N:
         raise InvalidInputError("band scale N must be a positive integer")
-    if time_pts < 2:
-        raise InvalidInputError("need at least two time samples")
-    t0, t1 = float(interval[0]), float(interval[1])
-    if not t1 > t0:
-        raise InvalidInputError("empty time interval")
-    times = np.linspace(t0, t1, time_pts)
+    times = np.linspace(float(interval[0]), float(interval[1]), time_pts)
+    weights = trapezoid_weights(times)
 
     flow = BandFlow(geometry, int(N), theta)
     band = flow.size
@@ -165,7 +145,7 @@ def build_extension_matrix(geometry: GeometrySpec, N: int, interval,
     # dual_cell * exp(2 pi i (x.xi_b + t phi_b)); the folds then give row
     # factors sqrt(w_t * cell_volume) and the column factor sqrt(dual_cell)
     col_fac = 1.0 / math.sqrt(geometry.dual_cell)
-    row_fac = np.sqrt(trapezoid_weights(times) * geometry.cell_volume) * col_fac
+    row_fac = np.sqrt(weights * geometry.cell_volume) * col_fac
     mat = np.empty((time_pts, n_space, band), dtype=np.complex128)
     for ts, ss, u in flow.blocks(np.eye(band), times):
         u = u.reshape(u.shape[:2] + (n_space,))
@@ -194,25 +174,27 @@ def _conjugate(alpha: float) -> float:
     return alpha / (alpha - 1.0)
 
 
-def duality_check(W: SpaceTimeField, N: int, alpha: float, sample_count: int,
-                  theta: float = 2.0, seed: int = 0) -> DualityReport:
-    """Exact Schatten norm of W E E* W against sampled family functionals.
-
-    The weight acts by multiplication on the space-time samples and must
-    be real.  The sampled side can never beat the operator side (trace
-    Hoelder at matrix scale); the report carries that flag.
+def duality_check(geometry: GeometrySpec, times, w, N: int, alpha: float,
+                  sample_count: int, theta: float = 2.0,
+                  seed: int = 0) -> DualityReport:
+    """Exact Schatten norm of W E E* W against sampled family functionals,
+    W the real weight film ``w`` (T, *grid) at ``times``, acting by
+    multiplication on the space-time samples.  The sampled side can never
+    beat the operator side (trace Hoelder at matrix scale); the report
+    carries that flag.
     """
     if not alpha >= 1:
         raise InvalidInputError("Schatten exponent must be >= 1")
     if N < 1 or int(N) != N:
         raise InvalidInputError("band scale N must be a positive integer")
-    if np.iscomplexobj(W.values) and np.max(np.abs(W.values.imag)) > 1e-10:
+    w = np.asarray(w)
+    if np.iscomplexobj(w) and np.max(np.abs(w.imag)) > 1e-10:
         raise InvalidInputError("weights must be real-valued")
 
     # W E E* W = (W E)(W E)* shares its nonzero eigenvalues with the
     # positive B x B Gram G = E* W^2 E, and ||W E q||^2 = q* G q
-    w = W.values.real
-    G = BandFlow(W.geometry, int(N), theta).gram(W.times, w * w)
+    w = w.real
+    G = BandFlow(geometry, int(N), theta).gram(times, w * w)
     if not np.isfinite(G).all():  # an overflowed symbol or weight
         raise NumericFailureError("band Gram is not finite")
     lhs_op = float(lq_norm(np.linalg.eigvalsh(G).clip(0), alpha))

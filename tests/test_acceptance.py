@@ -29,13 +29,11 @@ from strichartz_lab.kernels import dispersive_sup, vdc_integral_oracle
 from strichartz_lab.norms import fit_scaling
 from strichartz_lab.ons import band_dimension
 from strichartz_lab.schatten import (
-    DiscreteOperator,
     duality_check,
     schatten_norm,
     sobolev_schatten_norm,
     spatial_kernel_operator,
 )
-from strichartz_lab.geometry import SpaceTimeField
 
 YUKAWA = PotentialSpec("yukawa", a=1.0)
 
@@ -213,9 +211,9 @@ class TestCriterion7SchattenLayer:
         rng = np.random.default_rng(70)
         vals = (np.abs(rng.standard_normal((9, 16))) + 0.1).astype(complex)
         all_ok = True
-        for W in (SpaceTimeField(np.ones((9, 16)), times, geom),
-                  SpaceTimeField(vals, times, geom)):
-            rep = duality_check(W, 2, 4.0, 200, theta=2.0, seed=5)
+        for W in (np.ones((9, 16)), vals):
+            rep = duality_check(geom, times, W, 2, 4.0, 200, theta=2.0,
+                                seed=5)
             all_ok = all_ok and bool(rep.dominance_ok)
         report(7, "operator-side dominance", all_ok,
                "sampled side <= operator side in 100% of 200-sample runs "
@@ -254,8 +252,7 @@ class TestCriterion9FixedPointContraction:
         st = _ons_density_state(geom, 4, 4, 2.0, [0.4, 0.3, 0.2, 0.1], seed=1)
         flat = st.members.reshape(st.size, -1)
         gamma = (flat.T * st.weights) @ flat.conj() * geom.cell_volume
-        norm0 = sobolev_schatten_norm(DiscreteOperator(gamma),
-                                      alpha_prime, s, geom)
+        norm0 = sobolev_schatten_norm(gamma, alpha_prime, s, geom)
         st = DensityState(st.members, st.weights * (0.1 / norm0), geom, 2.0)
         result = fixed_point_iterate(st, YUKAWA, 0.05, 6, p, q, time_pts=26)
         ratios = [r for _, r in result.iterates if r is not None]

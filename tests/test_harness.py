@@ -1,6 +1,8 @@
+import functools
 import json
 import math
 import os
+import platform
 import sys
 import threading
 import time
@@ -11,13 +13,13 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from strichartz_lab import geometry, harness, norms, ons
+from strichartz_lab import geometry, harness, kernels, norms, ons
 from strichartz_lab.cli import main as cli_main
 from strichartz_lab.config import load_config, schema_document, validate_config
 from strichartz_lab.errors import (ConfigError, InvalidInputError,
                                    NumericFailureError)
-from strichartz_lab.geometry import (BandFlow, SpaceTimeField,
-                                     SpectrumField, _band_multiplier,
+from strichartz_lab.geometry import (BandFlow, SpectrumField,
+                                     _band_multiplier,
                                      inverse_transform, propagate, torus,
                                      waveguide)
 from strichartz_lab.harness import _flow_ratios, run
@@ -355,11 +357,10 @@ class TestFlowRatios:
             coef = np.zeros(geom.grid_sizes, dtype=complex)
             coef[mask] = row
             f = inverse_transform(SpectrumField(coef, geom))
-            film = SpaceTimeField(
-                np.stack([propagate(f, t, theta).values for t in times]),
-                times, geom)
-            assert ratio == pytest.approx(mixed_norm(film, p, q)
-                                          / f.norm_l2(), rel=1e-12)
+            film = np.stack([propagate(f, t, theta).values for t in times])
+            assert ratio == pytest.approx(
+                mixed_norm(film, times, p, q, geom.cell_volume)
+                / f.norm_l2(), rel=1e-12)
 
     def test_memory_below_one_batch(self):
         # the stream holds a few block buffers, never a second copy of
@@ -707,6 +708,77 @@ class TestDrivers:
         res = run(cfg, str(tmp_path / "out"))
         assert res.exit_code == 0
         assert all(not r["applicable"] for r in res.rows)
+
+    @pytest.fixture
+    def small_panel_budget(self, monkeypatch):
+        """A vdc-oracle at t = 1e7 stalls at once: its first 8192 panels
+        exceed a budget of 1000."""
+        monkeypatch.setattr(harness, "vdc_integral_oracle", functools.partial(
+            kernels.vdc_integral_oracle, max_panels=1000))
+
+    @pytest.mark.parametrize("cfg", [
+        pytest.param({"experiment": "kernel-sweep",
+                      "params": {"theta": [2.5], "N": [8, 16],
+                                 "max_ratio": 1.0}}, id="kernel-sweep"),
+        pytest.param({"experiment": "strichartz-fit",
+                      "geometry": {"kind": "torus", "grid_sizes": [128]},
+                      "params": {"N": [8, 16, 32], "time_pts": 65,
+                                 "family": "dirichlet", "slope_tol": -1.0}},
+                     id="strichartz-fit"),
+        pytest.param({"experiment": "hartree-run",
+                      "geometry": {"kind": "torus", "grid_sizes": [32]},
+                      "params": {"theta": [2.0], "T": 0.1, "dt": [1e-3, 5e-4],
+                                 "members": 2, "band": 2,
+                                 "weights": [0.6, 0.4],
+                                 "energy_tol": 1e-30}}, id="hartree-run"),
+        pytest.param({"experiment": "vdc-oracle",
+                      "params": {"t": [10.0, 1e7]}}, id="vdc-oracle"),
+        pytest.param({"experiment": "fixed-point", "seed": 9,
+                      "params": {"members": 2, "band": 2,
+                                 "weights": [0.6, 0.4], "T": 0.05,
+                                 "iterations": 3, "time_pts": 6,
+                                 "cross_check_tol": 1e-300}},
+                     id="fixed-point"),
+    ])
+    def test_failed_gate_notes_every_failed_cell(self, tmp_path, cfg,
+                                                 small_panel_budget):
+        # each failed cell says why in the manifest; results.csv has no note
+        res = run(cfg, str(tmp_path / "out"))
+        assert res.exit_code == 1
+        manifest = json.loads(read(tmp_path / "out" / "manifest.json"))
+        failed = [c for c in manifest["cells"] if not c["passed"]]
+        assert failed and all(c.get("note") for c in failed)
+        assert "note" not in read(tmp_path / "out" / "results.csv")
+
+    def test_stalled_vdc_cell_keeps_its_best(self, tmp_path,
+                                             small_panel_budget):
+        # the stalled cell fails alone, with its quadrature's best estimate
+        cfg = {"experiment": "vdc-oracle", "params": {"t": [10.0, 1e7]}}
+        res = run(cfg, str(tmp_path / "out"))
+        manifest = json.loads(read(tmp_path / "out" / "manifest.json"))
+        ok, stalled = manifest["cells"]
+        assert ok == {"cell_index": 0, "passed": True}
+        assert manifest["numeric_failures"] == 1
+        assert stalled["error_kind"] == "numeric"
+        assert "stalled" in stalled["note"]
+        best = stalled["best"]
+        assert set(best) == {"value_re", "value_im", "error_estimate",
+                             "panels"}
+        assert best["panels"] == 8192 and best["error_estimate"] > 1e-8
+        assert math.isfinite(best["value_re"] + best["value_im"])
+        # the table keeps an empty row for the stalled cell
+        assert "value_re" not in res.rows[1]
+        assert "best" not in read(tmp_path / "out" / "results.csv")
+
+    def test_summary_records_environment(self, tmp_path, eight_cpus):
+        cfg = {"experiment": "vdc-oracle", "params": {"t": [10.0, 100.0]}}
+        for threads in (1, 2):
+            res = run(cfg, str(tmp_path / "out"), threads=threads)
+            assert res.summary["environment"] == {
+                "python": platform.python_version(),
+                "numpy": np.__version__, "threads": threads}
+        summary = json.loads(read(tmp_path / "out" / "summary.json"))
+        assert summary["environment"]["threads"] == 2
 
 
 class TestCli:

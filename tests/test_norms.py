@@ -6,7 +6,6 @@ import pytest
 from strichartz_lab.errors import InvalidInputError
 from strichartz_lab.geometry import (
     Field,
-    SpaceTimeField,
     propagate,
     torus,
     waveguide,
@@ -18,24 +17,25 @@ from strichartz_lab.norms import (
     lq_norm,
     mixed_norm,
     predict_sigma,
+    trapezoid_weights,
 )
 
 INF = math.inf
 
 
 def propagated_film(f, theta, times):
-    frames = np.stack([propagate(f, float(t), theta).values for t in times])
-    return SpaceTimeField(frames, times, f.geometry)
+    return np.stack([propagate(f, float(t), theta).values for t in times])
 
 
 class TestMixedNorm:
     def test_constant_field_unit_interval(self):
         geom = torus(32)
         times = np.linspace(0.0, 1.0, 9)
-        F = SpaceTimeField(np.ones((9, 32)), times, geom)
+        F = np.ones((9, 32))
         for p in (1, 2, 4, INF):
             for q in (1, 2, 8, INF):
-                assert mixed_norm(F, p, q) == pytest.approx(1.0)
+                assert mixed_norm(F, times, p, q, geom.cell_volume) == \
+                    pytest.approx(1.0)
 
     def test_unimodular_wave_scales_with_interval(self):
         geom = torus(32)
@@ -44,30 +44,31 @@ class TestMixedNorm:
         times = np.linspace(0.0, 0.5, 17)
         F = propagated_film(f, 2.0, times)
         for p in (1, 2, 4):
-            assert mixed_norm(F, p, 6) == pytest.approx(0.5 ** (1 / p), rel=1e-12)
+            assert mixed_norm(F, times, p, 6, geom.cell_volume) == \
+                pytest.approx(0.5 ** (1 / p), rel=1e-12)
 
     def test_p2_q2_is_space_time_l2(self):
         geom = torus(16)
         rng = np.random.default_rng(3)
         times = np.linspace(0.0, 1.0, 11)
         vals = rng.standard_normal((11, 16)) + 1j * rng.standard_normal((11, 16))
-        F = SpaceTimeField(vals, times, geom)
         direct = np.sqrt(np.trapezoid(
             np.sum(np.abs(vals) ** 2, axis=1) * geom.cell_volume, times))
-        assert mixed_norm(F, 2, 2) == pytest.approx(direct, rel=1e-12)
+        assert mixed_norm(vals, times, 2, 2, geom.cell_volume) == \
+            pytest.approx(direct, rel=1e-12)
 
     def test_homogeneous_and_monotone(self):
         geom = torus(16)
         rng = np.random.default_rng(4)
         times = np.linspace(0.0, 1.0, 7)
         a = rng.standard_normal((7, 16)) + 1j * rng.standard_normal((7, 16))
-        Fa = SpaceTimeField(a, times, geom)
-        Fc = SpaceTimeField(3.5 * a, times, geom)
-        dominating = SpaceTimeField(np.abs(a) * 2.0, times, geom)
+        dominating = np.abs(a) * 2.0
+        h = geom.cell_volume
         for (p, q) in [(2, 4), (INF, 2), (3, INF)]:
-            assert mixed_norm(Fc, p, q) == pytest.approx(
-                3.5 * mixed_norm(Fa, p, q), rel=1e-12)
-            assert mixed_norm(dominating, p, q) >= mixed_norm(Fa, p, q)
+            assert mixed_norm(3.5 * a, times, p, q, h) == pytest.approx(
+                3.5 * mixed_norm(a, times, p, q, h), rel=1e-12)
+            assert mixed_norm(dominating, times, p, q, h) >= \
+                mixed_norm(a, times, p, q, h)
 
     def test_holder_interpolation_consistency(self):
         # || F ||_{p_tau, q_tau} <= ||F||_{p0,q0}^{1-tau} ||F||_{p1,q1}^{tau}
@@ -79,23 +80,32 @@ class TestMixedNorm:
         qt = 1.0 / ((1 - tau) / q0 + tau / q1)
         for trial in range(20):
             vals = rng.standard_normal((9, 16)) + 1j * rng.standard_normal((9, 16))
-            F = SpaceTimeField(vals, times, geom)
-            lhs = mixed_norm(F, pt, qt)
-            rhs = mixed_norm(F, p0, q0) ** (1 - tau) * mixed_norm(F, p1, q1) ** tau
+            h = geom.cell_volume
+            lhs = mixed_norm(vals, times, pt, qt, h)
+            rhs = mixed_norm(vals, times, p0, q0, h) ** (1 - tau) * \
+                mixed_norm(vals, times, p1, q1, h) ** tau
             assert lhs <= rhs * (1 + 1e-10)
 
     @pytest.mark.parametrize("q", [0.5, -INF])
     @pytest.mark.parametrize("norm", [
-        pytest.param(lambda F, q: lq_norm(F.values, q), id="lq_norm"),
-        pytest.param(lambda F, q: mixed_norm(F, 2, q), id="mixed_norm"),
-        pytest.param(lambda F, q: Field(F.values[0], F.geometry).norm_lq(q),
+        pytest.param(lambda F, t, g, q: lq_norm(F, q), id="lq_norm"),
+        pytest.param(lambda F, t, g, q: mixed_norm(F, t, 2, q, g.cell_volume),
+                     id="mixed_norm"),
+        pytest.param(lambda F, t, g, q: Field(F[0], g).norm_lq(q),
                      id="Field.norm_lq"),
     ])
     def test_rejects_exponent_below_one(self, norm, q):
         geom = torus(16)
-        F = SpaceTimeField(np.ones((3, 16)), np.linspace(0.0, 1.0, 3), geom)
+        F = np.ones((3, 16))
         with pytest.raises(InvalidInputError):
-            norm(F, q)
+            norm(F, np.linspace(0.0, 1.0, 3), geom, q)
+
+    @pytest.mark.parametrize("p", [2, INF])
+    def test_rejects_film_off_its_time_grid(self, p):
+        geom = torus(16)
+        with pytest.raises(InvalidInputError, match="3 frames for 5 times"):
+            mixed_norm(np.ones((3, 16)), np.linspace(0.0, 1.0, 5), p, 2,
+                       geom.cell_volume)
 
     @pytest.mark.parametrize("q", [2, 3, 4, 8, INF])
     def test_lq_norm_bit_identical_to_power_formula(self, q):
@@ -123,13 +133,30 @@ class TestMixedNorm:
         coef[band] = rng.standard_normal(band.sum()) + 1j * rng.standard_normal(band.sum())
         from strichartz_lab.geometry import SpectrumField, inverse_transform
         f = inverse_transform(SpectrumField(coef, geom))
-        coarse = propagated_film(f, 2.0, np.linspace(0, 1, 129))
-        fine = propagated_film(f, 2.0, np.linspace(0, 1, 257))
+        t_coarse, t_fine = np.linspace(0, 1, 129), np.linspace(0, 1, 257)
+        coarse = propagated_film(f, 2.0, t_coarse)
+        fine = propagated_film(f, 2.0, t_fine)
         for p in (2, 4, 8, INF):
             for q in (2, 4, 8, INF):
-                a = mixed_norm(coarse, p, q)
-                b = mixed_norm(fine, p, q)
+                a = mixed_norm(coarse, t_coarse, p, q, geom.cell_volume)
+                b = mixed_norm(fine, t_fine, p, q, geom.cell_volume)
                 assert abs(a - b) < 0.01 * b
+
+
+class TestTrapezoidWeights:
+    def test_uniform_grid(self):
+        w = trapezoid_weights(np.linspace(0.0, 1.0, 5))
+        assert np.allclose(w, [0.125, 0.25, 0.25, 0.25, 0.125])
+
+    @pytest.mark.parametrize("times, match", [
+        ([0.5], "two time samples"),
+        ([0.0, 0.5, 0.5, 1.0], "strictly increasing"),
+        ([1.0, 0.5, 0.0], "strictly increasing"),
+        ([0.0, 0.3, 1.7], "uniform"),
+    ], ids=["one-time", "repeated", "decreasing", "nonuniform"])
+    def test_rejects_bad_grids(self, times, match):
+        with pytest.raises(InvalidInputError, match=match):
+            trapezoid_weights(times)
 
 
 class TestClassifyPair:

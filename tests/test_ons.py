@@ -115,9 +115,9 @@ class TestDensityField:
         geom = torus(32)
         fam = generate_ons("fourier-modes", 1, 4, geom)
         lam = lambda_family("one-hot", 1, 2.0)
-        rho = density_field(geom, 4, fam, lam, 2.0, (0.0, 1.0), 5)
+        rho = density_field(geom, 4, fam, lam, 2.0, np.linspace(0.0, 1.0, 5))
         # lone mode: |U(t) e_0|^2 = 1 everywhere
-        assert np.max(np.abs(rho.values - 1.0)) < 1e-12
+        assert np.max(np.abs(rho - 1.0)) < 1e-12
 
     def test_full_band_flat_weights_constant_density(self):
         geom = torus(64)
@@ -125,26 +125,27 @@ class TestDensityField:
         M = band_dimension(geom, N)
         fam = generate_ons("fourier-modes", M, N, geom)
         lam = lambda_family("flat", M, 1.0)  # weights 1/M summing to 1
-        rho = density_field(geom, N, fam, lam, 3.0, (0.0, 1.0), 7)
+        rho = density_field(geom, N, fam, lam, 3.0, np.linspace(0.0, 1.0, 7))
         # unimodular modes: rho = M * (1/M) = 1 for every (t, x)
-        assert np.max(np.abs(rho.values - 1.0)) < 1e-12
+        assert np.max(np.abs(rho - 1.0)) < 1e-12
 
     def test_full_band_unit_weights_density_counts_modes(self):
         geom = torus(64)
         N = 4
         M = band_dimension(geom, N)  # 2N+1
         fam = generate_ons("fourier-modes", M, N, geom)
-        rho = density_field(geom, N, fam, np.ones(M), 2.0, (0.0, 1.0), 5)
-        assert np.max(np.abs(rho.values - (2 * N + 1))) < 1e-11
+        rho = density_field(geom, N, fam, np.ones(M), 2.0,
+                            np.linspace(0.0, 1.0, 5))
+        assert np.max(np.abs(rho - (2 * N + 1))) < 1e-11
 
     def test_linear_in_lambda(self):
         geom = torus(32)
         fam = generate_ons("random-band", 4, 4, geom, seed=9)
         lam1 = np.array([0.4, 0.3, 0.2, 0.1])
         lam2 = 3.0 * lam1
-        r1 = density_field(geom, 4, fam, lam1, 2.5, (0.0, 0.5), 5)
-        r2 = density_field(geom, 4, fam, lam2, 2.5, (0.0, 0.5), 5)
-        assert np.max(np.abs(r2.values - 3.0 * r1.values)) < 1e-12
+        r1 = density_field(geom, 4, fam, lam1, 2.5, np.linspace(0.0, 0.5, 5))
+        r2 = density_field(geom, 4, fam, lam2, 2.5, np.linspace(0.0, 0.5, 5))
+        assert np.max(np.abs(r2 - 3.0 * r1)) < 1e-12
 
     def test_real_nonnegative_and_mass_identity(self):
         for geom in (torus(64), torus((16, 16)),
@@ -152,12 +153,13 @@ class TestDensityField:
             M = 5
             fam = generate_ons("random-band", M, 3, geom, seed=11)
             lam = lambda_family("power", M, 1.5)
-            rho = density_field(geom, 3, fam, lam, 2.5, (0.0, 1.0), 9)
-            assert np.max(np.abs(rho.values.imag)) == 0.0
-            assert np.min(rho.values.real) >= -1e-14
+            rho = density_field(geom, 3, fam, lam, 2.5,
+                                np.linspace(0.0, 1.0, 9))
+            assert np.max(np.abs(rho.imag)) == 0.0
+            assert np.min(rho.real) >= -1e-14
             # per-frame mass = sum_j lambda_j ||f_j||^2 = sum lambda (ONS)
             expected = float(np.sum(lam))
-            masses = np.sum(rho.values.real, axis=tuple(range(1, 1 + geom.dim))) \
+            masses = np.sum(rho.real, axis=tuple(range(1, 1 + geom.dim))) \
                 * geom.cell_volume
             assert np.max(np.abs(masses - expected)) < 1e-10
 
@@ -175,10 +177,11 @@ class TestDensityField:
         M = 7
         fam = generate_ons("random-band", M, N, geom, seed=5)
         lam = lambda_family("power", M, 1.5)
-        whole = density_field(geom, N, fam, lam, 2.5, (0.0, 1.0), 9).values
+        times = np.linspace(0.0, 1.0, 9)
+        whole = density_field(geom, N, fam, lam, 2.5, times)
         if budget is not None:
             monkeypatch.setattr(geometry, "_BLOCK_ELEMENTS", budget)
-        chunked = density_field(geom, N, fam, lam, 2.5, (0.0, 1.0), 9).values
+        chunked = density_field(geom, N, fam, lam, 2.5, times)
         assert np.max(np.abs(chunked - whole)) <= 1e-12 * np.max(np.abs(whole))
         # and the single-chunk sum is the per-member sum
         slow = sum(w * np.abs(np.stack([propagate(f, t, 2.5).values
@@ -227,13 +230,15 @@ class TestOnsEstimateRatio:
         geom = torus(128)
         fam = generate_ons("random-band", 5, 8, geom, seed=33)
         lam = lambda_family("flat", 5, 1.0)
-        rho = density_field(geom, 8, fam, lam, 3.0, (0.0, 1.0), 17)
-        total = mixed_norm(rho, 6.0, 2.0)
+        times = np.linspace(0.0, 1.0, 17)
+        rho = density_field(geom, 8, fam, lam, 3.0, times)
+        total = mixed_norm(rho, times, 6.0, 2.0, geom.cell_volume)
         per_member = []
         for j in range(5):
             rho_j = density_field(geom, 8, fam[j:j + 1], np.ones(1), 3.0,
-                                  (0.0, 1.0), 17)
-            per_member.append(mixed_norm(rho_j, 6.0, 2.0))
+                                  times)
+            per_member.append(mixed_norm(rho_j, times, 6.0, 2.0,
+                                         geom.cell_volume))
         assert total <= max(per_member) * (1 + 1e-10)
 
     @staticmethod

@@ -7,7 +7,6 @@ from strichartz_lab.errors import (CapacityError, InvalidInputError,
                                    NumericFailureError)
 from strichartz_lab.geometry import (
     BandFlow,
-    SpaceTimeField,
     torus,
     waveguide,
 )
@@ -15,7 +14,6 @@ from strichartz_lab.kernels import KernelQuery, kernel_exp_sum
 from strichartz_lab.norms import lq_norm
 from strichartz_lab.ons import lambda_family
 from strichartz_lab.schatten import (
-    DiscreteOperator,
     build_extension_matrix,
     duality_check,
     factored_sobolev_schatten_norm,
@@ -35,35 +33,44 @@ def random_matrix(shape, seed):
 
 class TestSingularValues:
     def test_identity(self):
-        s = singular_values(DiscreteOperator(np.eye(4)))
+        s = singular_values(np.eye(4))
         assert np.allclose(s, 1.0)
         assert len(s) == 4
 
     def test_rank_one(self):
         u = random_matrix(5, 1)
         v = random_matrix(7, 2)
-        s = singular_values(DiscreteOperator(np.outer(u, v.conj())))
+        s = singular_values(np.outer(u, v.conj()))
         assert s[0] == pytest.approx(np.linalg.norm(u) * np.linalg.norm(v))
         assert np.all(s[1:] < 1e-12 * s[0])
         assert len(s) == 5
 
     def test_against_eigen_oracle(self):
         A = random_matrix((3, 3), 3)
-        s = singular_values(DiscreteOperator(A))
+        s = singular_values(A)
         eig = np.sqrt(np.maximum(0.0, np.linalg.eigvalsh(A.conj().T @ A)))[::-1]
         assert np.max(np.abs(s - eig)) < 1e-10
 
     def test_nonincreasing(self):
-        s = singular_values(DiscreteOperator(random_matrix((8, 6), 4)))
+        s = singular_values(random_matrix((8, 6), 4))
         assert np.all(np.diff(s) <= 1e-14)
+
+
+    @pytest.mark.parametrize("A", [
+        np.array([[1.0, 0.0], [0.0, INF]]), np.ones(3),
+    ], ids=["inf-entry", "1-d"])
+    def test_rejects_non_finite_or_non_matrix(self, A):
+        # numpy's SVD returns NaN for every value of a matrix with an inf
+        with pytest.raises(InvalidInputError, match="finite 2-d matrix"):
+            singular_values(A)
 
 
 class TestSchattenNorm:
     def test_identity_hilbert_schmidt(self):
-        assert schatten_norm(DiscreteOperator(np.eye(4)), 2) == pytest.approx(2.0)
+        assert schatten_norm(np.eye(4), 2) == pytest.approx(2.0)
 
     def test_monotone_in_alpha(self):
-        A = DiscreteOperator(random_matrix((6, 6), 5))
+        A = random_matrix((6, 6), 5)
         alphas = [1, 1.5, 2, 4, 8, INF]
         norms = [schatten_norm(A, a) for a in alphas]
         assert np.all(np.diff(norms) <= 1e-12)
@@ -80,31 +87,31 @@ class TestSchattenNorm:
     def test_unitary_invariance(self):
         rng = np.random.default_rng(7)
         A = random_matrix((8, 8), 8)
-        base = [schatten_norm(DiscreteOperator(A), a) for a in (1, 2, 3, INF)]
+        base = [schatten_norm(A, a) for a in (1, 2, 3, INF)]
         for _ in range(5):
             Q, _ = np.linalg.qr(random_matrix((8, 8), int(rng.integers(1e6))))
             B = Q @ A @ Q.conj().T
-            got = [schatten_norm(DiscreteOperator(B), a) for a in (1, 2, 3, INF)]
+            got = [schatten_norm(B, a) for a in (1, 2, 3, INF)]
             assert np.max(np.abs(np.array(got) - np.array(base))) < 1e-10
 
     def test_hoelder_product_bound(self):
         for seed in range(10):
             A = random_matrix((6, 6), 100 + seed)
             B = random_matrix((6, 6), 200 + seed)
-            lhs = schatten_norm(DiscreteOperator(A @ B), 1)
-            rhs = schatten_norm(DiscreteOperator(A), 2) * \
-                schatten_norm(DiscreteOperator(B), 2)
+            lhs = schatten_norm(A @ B, 1)
+            rhs = schatten_norm(A, 2) * \
+                schatten_norm(B, 2)
             assert lhs <= rhs * (1 + 1e-10)
 
     def test_rejects_alpha_below_one(self):
         with pytest.raises(InvalidInputError):
-            schatten_norm(DiscreteOperator(np.eye(2)), 0.5)
+            schatten_norm(np.eye(2), 0.5)
 
 
 class TestSobolevSchatten:
     def test_s_zero_reduces_to_plain(self):
         geom = torus(16)
-        A = DiscreteOperator(random_matrix((16, 16), 9))
+        A = random_matrix((16, 16), 9)
         for a in (1, 2, INF):
             assert sobolev_schatten_norm(A, a, 0.0, geom) == \
                 pytest.approx(schatten_norm(A, a))
@@ -126,14 +133,14 @@ class TestSobolevSchatten:
         rng = np.random.default_rng(10)
         U = rng.standard_normal((8, 3)) + 1j * rng.standard_normal((8, 3))
         V = rng.standard_normal((8, 3)) + 1j * rng.standard_normal((8, 3))
-        A = DiscreteOperator((U @ V.conj().T) * geom.cell_volume)
+        A = (U @ V.conj().T) * geom.cell_volume
         # independent route: DFT matrix built from first principles
         freqs = np.fft.fftfreq(8, d=1.0 / 8)
         F = np.exp(-2j * np.pi * np.outer(freqs, geom.axis_coordinates(0)))
         Finv = F.conj().T / 8.0
         mult = np.diag((1.0 + freqs ** 2) ** 0.5)
         Ms = Finv @ mult @ F
-        expected = schatten_norm(DiscreteOperator(Ms @ A.matrix @ Ms), 2)
+        expected = schatten_norm(Ms @ A @ Ms, 2)
         got = sobolev_schatten_norm(A, 2, 1.0, geom)
         assert got == pytest.approx(expected, rel=1e-10)
 
@@ -145,7 +152,7 @@ class TestFactoredSobolevSchatten:
     def agree(geom, members, weights):
         n = int(np.prod(geom.grid_sizes))
         flat = members.reshape(-1, n)
-        dense = DiscreteOperator((flat.T * weights) @ flat.conj())
+        dense = (flat.T * weights) @ flat.conj()
         for alpha in (1, 4.0 / 3.0, 2, INF):
             for s in (0.0, 0.3):
                 want = sobolev_schatten_norm(dense, alpha, s, geom)
@@ -261,8 +268,8 @@ class TestExtensionMatrix:
     def test_cstar_identity(self):
         geom = torus(16)
         E = build_extension_matrix(geom, 2, (0.0, 1.0), 9, 2.0)
-        op_norm = schatten_norm(DiscreteOperator(E), INF)
-        gram_norm = schatten_norm(DiscreteOperator(E @ E.conj().T), INF)
+        op_norm = schatten_norm(E, INF)
+        gram_norm = schatten_norm(E @ E.conj().T, INF)
         assert gram_norm == pytest.approx(op_norm ** 2, rel=1e-10)
 
     def test_restriction_gram_against_double_sum(self):
@@ -345,30 +352,37 @@ class TestDualityCheck:
     def constant_weight(self, geom, time_pts, value=1.0):
         times = np.linspace(0.0, 1.0, time_pts)
         vals = np.full((time_pts,) + geom.grid_sizes, value, dtype=complex)
-        return SpaceTimeField(vals, times, geom)
+        return times, vals
 
     def test_zero_weight(self):
         geom = torus(16)
         W = self.constant_weight(geom, 9, 0.0)
-        rep = duality_check(W, 2, 4.0, 10, theta=2.0)
+        rep = duality_check(geom, *W, 2, 4.0, 10, theta=2.0)
         assert rep.operator_norm == 0.0
         assert rep.max_sampled_ratio == 0.0
 
     def test_overflowed_gram_is_numeric_failure(self):
         # |xi|^1000 overflows, so the band Gram is NaN: eigvalsh would
         # raise LinAlgError
-        W = self.constant_weight(torus(16), 9)
+        geom = torus(16)
+        W = self.constant_weight(geom, 9)
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(NumericFailureError, match="not finite"):
-            duality_check(W, 2, 4.0, 10, theta=1000.0)
+            duality_check(geom, *W, 2, 4.0, 10, theta=1000.0)
+
+    def test_rejects_complex_weight(self):
+        geom = torus(16)
+        times, vals = self.constant_weight(geom, 9)
+        with pytest.raises(InvalidInputError, match="real-valued"):
+            duality_check(geom, times, vals + 1e-3j, 2, 4.0, 10)
 
     def test_unit_weight_infinity_is_cstar(self):
         geom = torus(16)
         W = self.constant_weight(geom, 9)
-        rep = duality_check(W, 2, INF, 20, theta=2.0)
+        rep = duality_check(geom, *W, 2, INF, 20, theta=2.0)
         E = build_extension_matrix(geom, 2, (0.0, 1.0), 9, 2.0)
         assert rep.operator_norm == pytest.approx(
-            schatten_norm(DiscreteOperator(E), INF) ** 2, rel=1e-10)
+            schatten_norm(E, INF) ** 2, rel=1e-10)
         assert rep.dominance_ok
 
     def test_dominance_with_random_weight(self):
@@ -376,8 +390,8 @@ class TestDualityCheck:
         rng = np.random.default_rng(12)
         times = np.linspace(0.0, 1.0, 9)
         vals = np.abs(rng.standard_normal((9, 16))) + 0.1
-        W = SpaceTimeField(vals.astype(complex), times, geom)
-        rep = duality_check(W, 2, 4.0, 200, theta=2.0, seed=3)
+        rep = duality_check(geom, times, vals.astype(complex), 2, 4.0, 200,
+                            theta=2.0, seed=3)
         assert rep.dominance_ok
         assert 0.0 < rep.max_sampled_ratio <= rep.operator_norm * (1 + 1e-8)
 
@@ -394,16 +408,16 @@ class TestDualityCheck:
         rng = np.random.default_rng(40)
         times = np.linspace(0.0, 1.0, time_pts)
         shape = (time_pts,) + geom.grid_sizes
-        positive = SpaceTimeField(np.abs(rng.standard_normal(shape)) + 0.1,
-                                  times, geom)
-        signed = SpaceTimeField(rng.standard_normal(shape), times, geom)
+        positive = np.abs(rng.standard_normal(shape)) + 0.1
+        signed = rng.standard_normal(shape)
         E = build_extension_matrix(geom, N, (0.0, 1.0), time_pts, theta)
         gram = E @ E.conj().T
         for W in (positive, signed):
-            rep = duality_check(W, N, alpha, samples, theta=theta, seed=seed)
-            w = W.values.real.ravel()
+            rep = duality_check(geom, times, W, N, alpha, samples,
+                                theta=theta, seed=seed)
+            w = W.ravel()
             dense = schatten_norm(
-                DiscreteOperator(w[:, None] * gram * w), alpha)
+                w[:, None] * gram * w, alpha)
             assert rep.operator_norm == pytest.approx(dense, rel=1e-12)
 
             alpha_conj = 1.0 / (1.0 - 1.0 / alpha) if alpha > 1 else INF
