@@ -45,11 +45,9 @@ from .norms import (                                     # noqa: F401
 )
 from .schatten import (                                  # noqa: F401
     DualityReport,
-    build_extension_matrix,
     duality_check,
     schatten_norm,
     singular_values,
-    sobolev_schatten_norm,
     spatial_kernel_operator,
 )
 from .ons import (                                       # noqa: F401

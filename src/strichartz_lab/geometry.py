@@ -443,11 +443,10 @@ class BandFlow:
     sharp band [-N, N]^d (Nyquist rows excluded).
 
     ``xi`` (B, d) and ``phi`` (B,) list the band in C order of the
-    centered lattice, the order of every coefficient row.  The setup lists
-    the band index of each position of the band box in unshifted FFT
-    order, folds the box-origin sign and 1/cell_volume into one per-band
-    factor, and lists the distinct symbol values (phi is even), the only
-    phases evaluated.
+    centered lattice, the order of every coefficient row.  The band is a
+    box, so a row is that box in C order.  The setup keeps the box-origin
+    sign of each band mode and lists the distinct symbol values (phi is
+    even), the only phases evaluated.
 
     Blocks are sampled on ``grid`` (cell volume ``cell_volume``): the
     geometry's grid, or with ``q`` the exact grid of ``_exact_grid``.  For
@@ -464,29 +463,22 @@ class BandFlow:
     def __init__(self, geometry: GeometrySpec, N: int, theta: float,
                  q: float | None = None):
         mask = _band_mask(geometry, int(N))
-        d = geometry.dim
         self.geometry = geometry
         self.xi = np.stack([m[mask] for m in _mesh(geometry)], axis=-1)
         self.phi = fractional_symbol(geometry, theta)[mask]
-        rows = [np.flatnonzero(np.fft.ifftshift(mask.any(
-            axis=tuple(b for b in range(d) if b != a)))) for a in range(d)]
-        self._box = tuple(len(r) for r in rows)
+        # lattice position of each band mode per axis (the band is a box),
+        # and its box-origin sign
+        self._sites = np.nonzero(mask)
+        self._box = tuple(int(np.ptp(i)) + 1 for i in self._sites)
         self.grid = geometry.grid_sizes if q is None \
             else _exact_grid(geometry.grid_sizes, self._box, q)
         self.cell_volume = geometry.cell_volume * math.prod(
             g / e for g, e in zip(geometry.grid_sizes, self.grid))
-        tag = np.full(geometry.grid_sizes, -1, dtype=np.int64)
-        tag[mask] = np.arange(self.size)
-        self._order = np.fft.ifftshift(tag)[np.ix_(*rows)].ravel()
         self._levels, self._level = np.unique(self.phi, return_inverse=True)
-        self._level_u = self._level[self._order]
-        # lattice position of each band mode per axis, and its box-origin sign
-        self._sites = np.nonzero(mask)
         offset = _offset_phase(geometry)
         self._sign = np.ones(self.size) if offset is None else offset[mask]
-        self._scale_u = self._sign[self._order] / self.cell_volume
         # fullest axis first: the sparse axes stay pruned the longest
-        self._passes = sorted(range(d),
+        self._passes = sorted(range(geometry.dim),
                               key=lambda a: -self._box[a] / self.grid[a])
 
     @property
@@ -523,48 +515,55 @@ class BandFlow:
         S, T = rows.shape[0], len(times)
         k, s = self.block_shape(S, T)
         local = threading.local()
+        # per pass axis (K = box // 2): the centered band rows K.. and ..K,
+        # and the grid rows 0..K and G-K.. they fill in unshifted order; on
+        # the last axis the gap between them
+        cuts = []
+        for a in self._passes:
+            K, G = self._box[a] // 2, self.grid[a]
+            lead = (slice(None),) * (a + 2)
+            cuts.append([(lead + (slice(K, None),), lead + (slice(K + 1),)),
+                         (lead + (slice(K),), lead + (slice(G - K, G),))])
+        gap, last = lead + (slice(K + 1, G - K),), a + 2
 
-        def passes():
-            # per axis: one inverse FFT over the band rows of the axes to
-            # come, from a zero-padded (k, s, ...) buffer of its own, never
-            # in place, so its zeros outlive the block (a ragged block fills
-            # a prefix).
-            if not hasattr(local, "passes"):
-                dims, local.passes = list(self._box), []
+        def pads():
+            # pass i transforms buffer i, zero-padded on its axis, into the
+            # band rows of buffer i + 1; the last pass runs in place
+            if not hasattr(local, "pads"):
+                dims, local.pads = list(self._box), []
                 for a in self._passes:
                     dims[a] = self.grid[a]
-                    local.passes.append(
-                        (a, *np.zeros((2, k, s, *dims), np.complex128)))
-            return local.passes
+                    local.pads.append(np.zeros((k, s, *dims), np.complex128))
+            return local.pads
 
         def items():
             for ts, phase in _phase_blocks(times, self._levels, k):
-                phase = phase[:, self._level_u]
-                phase *= self._scale_u
+                phase = phase[:, self._level]
+                phase *= self._sign / self.cell_volume
+                phase = phase.reshape((len(phase), 1) + self._box)
                 for j in range(0, S, s):
                     yield ts, slice(j, min(j + s, S)), phase
 
         def block(item):
-            # n band rows: the (n + 1) // 2 lowest and n // 2 highest
-            # unshifted
             ts, ss, phase = item
-            u = rows[ss].take(self._order, axis=1) * phase[:, None]
-            u = u.reshape(u.shape[:2] + self._box)
-            at = np.s_[:u.shape[0], :u.shape[1]]
-            for a, pad, out in passes():
-                dst, src = (np.moveaxis(v, a + 2, 0) for v in (pad[at], u))
-                h = (len(src) + 1) // 2
-                dst[:h], dst[len(dst) - len(src) // 2:] = src[:h], src[h:]
-                u = np.fft.ifft(pad[at], axis=a + 2, out=out[at])
+            f = rows[ss].reshape((1, -1) + self._box)
+            bufs = [b[:len(phase), :f.shape[1]] for b in pads()]
+            bufs[-1][gap] = 0  # the last pass, in place, filled the gap
+            for c, g in cuts[0]:
+                np.multiply(f[c], phase[c], out=bufs[0][g])
+            for i, a in enumerate(self._passes[:-1]):
+                for c, g in cuts[i + 1]:
+                    np.fft.ifft(bufs[i][c], axis=a + 2, out=bufs[i + 1][g])
+            u = np.fft.ifft(bufs[-1], axis=last, out=bufs[-1])
             return ts, ss, u if reduce is None else reduce(u)
 
         return ordered_map(block, items())
 
     def gram(self, times, w) -> np.ndarray:
         """The (B, B) matrix E* diag(w) E, for E the folded extension matrix
-        of ``schatten.build_extension_matrix`` at ``times`` and a real film
-        ``w`` (T, *geometry grid), without forming E.  Two band modes pair
-        only through their index difference:
+        at ``times`` (see ``schatten``; its dense form is a test oracle)
+        and a real film ``w`` (T, *geometry grid), without forming E.  Two
+        band modes pair only through their index difference:
 
             (E* w E)_bc = sum_t c_t conj(P_t[b]) P_t[c] w^_t[k_b - k_c],
 
@@ -621,16 +620,6 @@ class GridMultiplier:
         """m(D) over the trailing grid axes; leading axes are a batch."""
         d = self.geometry.dim
         return _grid_fft(self.m * _grid_fft(values, d), d, inverse=True)
-
-    def sandwich(self, A: np.ndarray) -> np.ndarray:
-        """m(D) A m(D)* for an (n, n) matrix on flattened grid vectors."""
-        n = A.shape[0]
-        shape = (n,) + self.geometry.grid_sizes
-
-        def on_rows(X):  # X m(D)^T: m(D) applied to each row of X
-            return self(X.reshape(shape)).reshape(n, n)
-
-        return on_rows(on_rows(A.conj()).conj().T).T
 
 
 def _multiply(f: Field, centered: np.ndarray) -> Field:

@@ -119,7 +119,9 @@ def density_field(geometry: GeometrySpec, N: int, coefficients: np.ndarray,
     rho = np.zeros((len(times),) + geometry.grid_sizes)
     flow = BandFlow(geometry, N, theta)
     for ts, ss, u in flow.blocks(coefficients, times):
-        rho[ts] += np.tensordot(weights[ss], np.abs(u) ** 2, axes=(0, 1))
+        a = np.abs(u)
+        a *= a
+        rho[ts] += np.tensordot(weights[ss], a, axes=(0, 1))
     if not np.isfinite(rho).all():
         raise InvalidInputError("density film has non-finite entries")
     return rho

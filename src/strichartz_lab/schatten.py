@@ -1,5 +1,5 @@
-"""Schatten norms via singular values, the discrete extension/restriction
-pair, and the operator-vs-orthonormal-family duality check.
+"""Schatten norms via singular values, and the operator-vs-orthonormal-
+family duality check of the discrete extension/restriction pair.
 
 Weighted Hilbert spaces are realized by folding square roots of the
 quadrature weights into matrix rows and columns, so plain (unweighted)
@@ -21,7 +21,8 @@ dimension), and each family functional sum_j lambda_j ||W E q_j||^2 is
 sum_j lambda_j q_j* G q_j.  ``BandFlow.gram`` builds G from one FFT of the
 weight per time, since two band modes pair only through their lattice
 difference; no matrix grows with the time grid.  The dense extension
-matrix and the rows x rows form stay as test oracles.
+matrix, the rows x rows form and the dense Sobolev-Schatten norm are
+test oracles, kept with the tests.
 """
 
 from __future__ import annotations
@@ -32,9 +33,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import CapacityError, InvalidInputError, NumericFailureError
+from .errors import InvalidInputError, NumericFailureError
 from .geometry import BandFlow, GeometrySpec, GridMultiplier, _xi2
-from .norms import lq_norm, trapezoid_weights
+from .norms import lq_norm
 from .ons import _standard_complex, lambda_family
 
 __all__ = [
@@ -42,10 +43,8 @@ __all__ = [
     "MATRIX_CAP",
     "singular_values",
     "schatten_norm",
-    "sobolev_schatten_norm",
     "factored_sobolev_schatten_norm",
     "spatial_kernel_operator",
-    "build_extension_matrix",
     "duality_check",
 ]
 
@@ -88,22 +87,10 @@ def _bessel(geometry: GeometrySpec, s: float) -> GridMultiplier:
     return GridMultiplier(geometry, (1.0 + _xi2(geometry)) ** (s / 2.0))
 
 
-def sobolev_schatten_norm(A: np.ndarray, alpha: float, s: float,
-                          geometry: GeometrySpec) -> float:
-    """Schatten norm of <D>^s A <D>^s for an (n, n) grid operator A."""
-    n = int(np.prod(geometry.grid_sizes))
-    if np.shape(A) != (n, n):
-        raise InvalidInputError(
-            "operator must act on the spatial grid of the given geometry")
-    if s == 0.0:
-        return schatten_norm(A, alpha)
-    return schatten_norm(_bessel(geometry, s).sandwich(np.asarray(A)), alpha)
-
-
 def factored_sobolev_schatten_norm(members, weights, alpha: float, s: float,
                                    geometry: GeometrySpec) -> float:
-    """``sobolev_schatten_norm`` of sum_k w_k |v_k><v_k| from its factors:
-    rows v_k over the grid (cell volume folded in, as in the members of
+    """The Schatten norm of <D>^s A <D>^s for A = sum_k w_k |v_k><v_k|,
+    from its factors: rows v_k over the grid (cell volume folded in, as in the members of
     an ``OperatorPath``), real weights of either sign.  With F the
     rows after <D>^s and F^T = QR the operator is Q (R diag(w) R^*) Q^*,
     so its singular values are the absolute eigenvalues of that core."""
@@ -113,44 +100,6 @@ def factored_sobolev_schatten_norm(members, weights, alpha: float, s: float,
     R = np.linalg.qr(F.reshape(len(F), -1).T, mode="r")
     return float(lq_norm(np.linalg.eigvalsh((R * weights) @ R.conj().T),
                          alpha))
-
-
-# ---------------------------------------------------------------------------
-# extension / restriction
-
-
-def build_extension_matrix(geometry: GeometrySpec, N: int, interval,
-                           time_pts: int, theta: float) -> np.ndarray:
-    """Folded matrix (T * prod(grid), B) of the sampled extension operator
-    from band coefficients to space-time.
-
-    Rows run over the (t, x) grid in C order; columns over the band in the
-    order of ``BandFlow(geometry, N, theta).xi``.  The dense twin of
-    ``BandFlow.gram``, kept as its test oracle.
-    """
-    if N < 1 or int(N) != N:
-        raise InvalidInputError("band scale N must be a positive integer")
-    times = np.linspace(float(interval[0]), float(interval[1]), time_pts)
-    weights = trapezoid_weights(times)
-
-    flow = BandFlow(geometry, int(N), theta)
-    band = flow.size
-    n_space = int(np.prod(geometry.grid_sizes))
-    rows = time_pts * n_space
-    if rows * band > MATRIX_CAP:
-        raise CapacityError(
-            f"extension matrix {rows} x {band} exceeds cap {MATRIX_CAP}")
-
-    # column b at time t is U(t) of the unit coefficient at xi_b, which is
-    # dual_cell * exp(2 pi i (x.xi_b + t phi_b)); the folds then give row
-    # factors sqrt(w_t * cell_volume) and the column factor sqrt(dual_cell)
-    col_fac = 1.0 / math.sqrt(geometry.dual_cell)
-    row_fac = np.sqrt(weights * geometry.cell_volume) * col_fac
-    mat = np.empty((time_pts, n_space, band), dtype=np.complex128)
-    for ts, ss, u in flow.blocks(np.eye(band), times):
-        u = u.reshape(u.shape[:2] + (n_space,))
-        mat[ts, :, ss] = u.transpose(0, 2, 1) * row_fac[ts, None, None]
-    return mat.reshape(rows, band)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,110 @@
+"""Slow twins that only the tests call: the band flow one frame at a time
+(oracle of ``BandFlow.blocks``), the dense extension matrix (oracle of
+``BandFlow.gram`` and the duality check) and the dense Sobolev-Schatten
+norm with its multiplier sandwich (oracle of
+``schatten.factored_sobolev_schatten_norm``)."""
+
+import math
+
+import numpy as np
+
+from strichartz_lab.errors import CapacityError, InvalidInputError
+from strichartz_lab.geometry import (
+    BandFlow,
+    GeometrySpec,
+    GridMultiplier,
+    SpectrumField,
+    _band_multiplier,
+    inverse_transform,
+    propagate,
+)
+from strichartz_lab.norms import trapezoid_weights
+from strichartz_lab.schatten import MATRIX_CAP, _bessel, schatten_norm
+
+
+def collect_blocks(flow, rows, times):
+    """(T, S, *grid) film assembled from ``flow.blocks``, with a check
+    that every (time, sample) frame arrives exactly once."""
+    S, T = len(rows), len(times)
+    film = np.zeros((T, S) + flow.geometry.grid_sizes, dtype=complex)
+    seen = np.zeros((T, S), dtype=int)
+    for ts, ss, values in flow.blocks(rows, times):
+        assert values.shape == (len(range(T)[ts]), len(range(S)[ss])) \
+            + flow.geometry.grid_sizes
+        film[ts, ss] = values
+        seen[ts, ss] += 1
+    assert np.all(seen == 1)
+    return film
+
+
+def slow_flow(geometry: GeometrySpec, N: int, theta: float, rows,
+              times) -> np.ndarray:
+    """The (T, S, *grid) film of ``collect_blocks``, frame by frame: each
+    row scattered into the centered lattice, transformed back and
+    propagated."""
+    mask = _band_multiplier(geometry, N) == 1.0
+    film = np.zeros((len(times), len(rows)) + geometry.grid_sizes, complex)
+    for row, frames in zip(rows, film.swapaxes(0, 1)):
+        coef = np.zeros(geometry.grid_sizes, dtype=complex)
+        coef[mask] = row
+        f = inverse_transform(SpectrumField(coef, geometry))
+        for t, frame in zip(times, frames):
+            frame[...] = propagate(f, t, theta).values
+    return film
+
+
+def sandwich(M: GridMultiplier, A: np.ndarray) -> np.ndarray:
+    """m(D) A m(D)* for an (n, n) matrix on flattened grid vectors."""
+    n = A.shape[0]
+    shape = (n,) + M.geometry.grid_sizes
+
+    def on_rows(X):  # X m(D)^T: m(D) applied to each row of X
+        return M(X.reshape(shape)).reshape(n, n)
+
+    return on_rows(on_rows(A.conj()).conj().T).T
+
+
+def sobolev_schatten_norm(A: np.ndarray, alpha: float, s: float,
+                          geometry: GeometrySpec) -> float:
+    """Schatten norm of <D>^s A <D>^s for an (n, n) grid operator A."""
+    n = int(np.prod(geometry.grid_sizes))
+    if np.shape(A) != (n, n):
+        raise InvalidInputError(
+            "operator must act on the spatial grid of the given geometry")
+    if s == 0.0:
+        return schatten_norm(A, alpha)
+    return schatten_norm(sandwich(_bessel(geometry, s), np.asarray(A)), alpha)
+
+
+def build_extension_matrix(geometry: GeometrySpec, N: int, interval,
+                           time_pts: int, theta: float) -> np.ndarray:
+    """Folded matrix (T * prod(grid), B) of the sampled extension operator
+    from band coefficients to space-time.
+
+    Rows run over the (t, x) grid in C order; columns over the band in the
+    order of ``BandFlow(geometry, N, theta).xi``.  The dense twin of
+    ``BandFlow.gram``.
+    """
+    if N < 1 or int(N) != N:
+        raise InvalidInputError("band scale N must be a positive integer")
+    times = np.linspace(float(interval[0]), float(interval[1]), time_pts)
+    weights = trapezoid_weights(times)
+
+    flow = BandFlow(geometry, int(N), theta)
+    band = flow.size
+    n_space = int(np.prod(geometry.grid_sizes))
+    rows = time_pts * n_space
+    if rows * band > MATRIX_CAP:
+        raise CapacityError(
+            f"extension matrix {rows} x {band} exceeds cap {MATRIX_CAP}")
+
+    # column b at time t is U(t) of the unit coefficient at xi_b, which is
+    # dual_cell * exp(2 pi i (x.xi_b + t phi_b)); the folds then give row
+    # factors sqrt(w_t * cell_volume) and the column factor sqrt(dual_cell)
+    col_fac = 1.0 / math.sqrt(geometry.dual_cell)
+    row_fac = np.sqrt(weights * geometry.cell_volume) * col_fac
+    mat = np.empty((time_pts, n_space, band), dtype=np.complex128)
+    for ts, ss, u in flow.blocks(np.eye(band), times):
+        u = u.reshape(u.shape[:2] + (n_space,))
+        mat[ts, :, ss] = u.transpose(0, 2, 1) * row_fac[ts, None, None]
+    return mat.reshape(rows, band)

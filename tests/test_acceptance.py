@@ -31,9 +31,10 @@ from strichartz_lab.ons import band_dimension
 from strichartz_lab.schatten import (
     duality_check,
     schatten_norm,
-    sobolev_schatten_norm,
     spatial_kernel_operator,
 )
+
+from oracles import sobolev_schatten_norm
 
 YUKAWA = PotentialSpec("yukawa", a=1.0)
 

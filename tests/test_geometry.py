@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +24,10 @@ from strichartz_lab.geometry import (
     torus,
     waveguide,
 )
+from strichartz_lab.harness import _flow_ratios
+from strichartz_lab.ons import band_dimension
+
+from oracles import collect_blocks, sandwich, slow_flow
 
 RNG = np.random.default_rng(20260808)
 
@@ -214,21 +219,6 @@ class TestPropagate:
             assert np.max(np.abs(a.values - b.values)) < 1e-12 * max(1.0, np.max(np.abs(a.values)))
 
 
-def collect_blocks(flow, rows, times):
-    """(T, S, *grid) film assembled from ``flow.blocks``, with a check
-    that every (time, sample) frame arrives exactly once."""
-    S, T = len(rows), len(times)
-    film = np.zeros((T, S) + flow.geometry.grid_sizes, dtype=complex)
-    seen = np.zeros((T, S), dtype=int)
-    for ts, ss, values in flow.blocks(rows, times):
-        assert values.shape == (len(range(T)[ts]), len(range(S)[ss])) \
-            + flow.geometry.grid_sizes
-        film[ts, ss] = values
-        seen[ts, ss] += 1
-    assert np.all(seen == 1)
-    return film
-
-
 class TestExactGrid:
     # (grid, band box, q) -> evaluation grid; K = (box - 1) // 2 per axis
     @pytest.mark.parametrize("grid, box, q, want", [
@@ -274,7 +264,8 @@ class TestExactGrid:
         base = BandFlow(geom, 8, 2.5)
         assert np.array_equal(flow.xi, base.xi)
         assert np.array_equal(flow.phi, base.phi)
-        assert np.array_equal(flow._order, base._order)
+        assert flow._box == base._box
+        assert np.array_equal(flow._level, base._level)
 
     @pytest.mark.parametrize("geom, N", [
         (torus((16, 64)), 4),
@@ -326,11 +317,21 @@ class TestBandFlow:
         (waveguide(16, (8, 8), trunc_length=2.0), 2, 2 * 1024),
         # every row but the Nyquist one: the band wraps around it
         (torus((16, 8)), 8, 2 * 3 * 128),
+        # the shipped N = 32 waveguide in miniature: the free axis holds 31
+        # of 32 rows and goes first, the periodic one holds 9 of 16
+        (waveguide(32, 16, trunc_length=4.0), 4, None),
+        (waveguide(32, 16, trunc_length=4.0), 4, 2 * 512),
+        # 3-D: the free axis holds 7 of 8 rows and is the middle pass
+        (waveguide(8, (16, 32), trunc_length=1.0), 7, None),
+        (waveguide(8, (16, 32), trunc_length=1.0), 7, 2 * 4096),
     ], ids=["torus-1d", "torus-2d", "waveguide", "torus-1d-time-blocks",
             "torus-2d-sample-chunks", "waveguide-sample-chunks",
             "waveguide-periodic-first", "waveguide-periodic-first-chunks",
             "torus-3d", "torus-3d-chunks", "waveguide-3d",
-            "waveguide-3d-chunks", "torus-2d-full-band-time-blocks"])
+            "waveguide-3d-chunks", "torus-2d-full-band-time-blocks",
+            "waveguide-full-free-axis", "waveguide-full-free-axis-chunks",
+            "waveguide-3d-full-middle-pass",
+            "waveguide-3d-full-middle-pass-chunks"])
     def test_frames_match_slow_twin(self, geom, N, budget, monkeypatch):
         # slow twin: scatter each row into the centered lattice, transform
         # back, propagate; pointwise agreement sees the box-origin sign
@@ -350,21 +351,36 @@ class TestBandFlow:
             + 1j * rng.standard_normal((3, flow.size))
         times = [0.0, 0.3, 1.7]
         film = collect_blocks(flow, rows, times)
-        for t, frame in zip(times, film):
-            for row, u in zip(rows, frame):
-                coef = np.zeros(geom.grid_sizes, dtype=complex)
-                coef[mask] = row
-                slow = propagate(inverse_transform(SpectrumField(coef, geom)),
-                                 t, theta)
-                assert np.max(np.abs(u - slow.values)) < 1e-12
+        assert np.max(np.abs(film - slow_flow(geom, N, theta, rows,
+                                              times))) < 1e-12
+
+    def test_traced_peak_within_pass_buffers(self, monkeypatch):
+        # one frame per block: a thread holds one complex buffer per pass
+        # (the pruned ones smaller) and the real |u| of the reduction, so
+        # a serial stream stays under (16 d + 8) bytes per grid point
+        monkeypatch.setattr(geometry, "_BLOCK_ELEMENTS", 1)
+        geom, N = waveguide(256, 64, trunc_length=4.0), 2
+        rows = np.random.default_rng(7).standard_normal(
+            (20, band_dimension(geom, N))) + 0j
+        # odd q: the stream samples the config grid; the first call fills
+        # the geometry's lookup caches
+        _flow_ratios(geom, N, rows, 2.5, 5, 4.0, 3.0)
+        tracemalloc.start()
+        try:
+            _flow_ratios(geom, N, rows, 2.5, 5, 4.0, 3.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (16 * geom.dim + 8) * math.prod(geom.grid_sizes)
 
     @pytest.mark.parametrize("geom, N, passes", [
         (waveguide(32, 8, trunc_length=4.0), 4, [0, 1]),
         (waveguide(64, 8, trunc_length=1.0), 2, [1, 0]),
         (torus((8, 8, 8)), 2, [0, 1, 2]),
         (waveguide(16, (8, 8), trunc_length=2.0), 2, [1, 2, 0]),
+        (waveguide(8, (16, 32), trunc_length=1.0), 7, [1, 0, 2]),
     ], ids=["waveguide-free-first", "waveguide-periodic-first", "torus-3d",
-            "waveguide-3d"])
+            "waveguide-3d", "waveguide-3d-free-middle"])
     def test_fullest_axis_transformed_first(self, geom, N, passes):
         assert BandFlow(geom, N, 2.5)._passes == passes
 
@@ -479,7 +495,7 @@ class TestGridMultiplier:
                       for e in np.eye(n)], axis=1)
         A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         want = D @ A @ D.conj().T
-        assert np.max(np.abs(M.sandwich(A) - want)) < 1e-12 * np.max(np.abs(want))
+        assert np.max(np.abs(sandwich(M, A) - want)) < 1e-12 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("geom", [

@@ -14,14 +14,14 @@ from strichartz_lab.kernels import KernelQuery, kernel_exp_sum
 from strichartz_lab.norms import lq_norm
 from strichartz_lab.ons import lambda_family
 from strichartz_lab.schatten import (
-    build_extension_matrix,
     duality_check,
     factored_sobolev_schatten_norm,
     schatten_norm,
     singular_values,
-    sobolev_schatten_norm,
     spatial_kernel_operator,
 )
+
+from oracles import build_extension_matrix, sobolev_schatten_norm
 
 INF = math.inf
 
