@@ -442,11 +442,11 @@ class BandFlow:
     """The band-limited flow U(t) P_{<=N} on coefficient vectors of the
     sharp band [-N, N]^d (Nyquist rows excluded).
 
-    ``xi`` (B, d) and ``phi`` (B,) list the band in C order of the
-    centered lattice, the order of every coefficient row.  The band is a
-    box, so a row is that box in C order.  The setup keeps the box-origin
-    sign of each band mode and lists the distinct symbol values (phi is
-    even), the only phases evaluated.
+    ``phi`` (B,) lists the band's symbol values in C order of the centered
+    lattice, the order of every coefficient row.  The band is a box, so a
+    row is that box in C order.  The setup keeps the box-origin sign of
+    each band mode over the cell volume and lists the distinct symbol
+    values (phi is even), the only phases evaluated.
 
     Blocks are sampled on ``grid`` (cell volume ``cell_volume``): the
     geometry's grid, or with ``q`` the exact grid of ``_exact_grid``.  For
@@ -464,19 +464,18 @@ class BandFlow:
                  q: float | None = None):
         mask = _band_mask(geometry, int(N))
         self.geometry = geometry
-        self.xi = np.stack([m[mask] for m in _mesh(geometry)], axis=-1)
+        self._mask = mask
         self.phi = fractional_symbol(geometry, theta)[mask]
-        # lattice position of each band mode per axis (the band is a box),
-        # and its box-origin sign
-        self._sites = np.nonzero(mask)
-        self._box = tuple(int(np.ptp(i)) + 1 for i in self._sites)
+        self._box = tuple(int(np.ptp(i)) + 1 for i in np.nonzero(mask))
         self.grid = geometry.grid_sizes if q is None \
             else _exact_grid(geometry.grid_sizes, self._box, q)
         self.cell_volume = geometry.cell_volume * math.prod(
             g / e for g, e in zip(geometry.grid_sizes, self.grid))
         self._levels, self._level = np.unique(self.phi, return_inverse=True)
+        # the box-origin sign of each band mode over the cell volume
         offset = _offset_phase(geometry)
-        self._sign = np.ones(self.size) if offset is None else offset[mask]
+        self._scale = 1 / self.cell_volume if offset is None \
+            else offset[mask] / self.cell_volume
         # fullest axis first: the sparse axes stay pruned the longest
         self._passes = sorted(range(geometry.dim),
                               key=lambda a: -self._box[a] / self.grid[a])
@@ -493,13 +492,20 @@ class BandFlow:
         s = min(samples, max(1, _BLOCK_ELEMENTS // points))
         return min(steps, max(1, _BLOCK_ELEMENTS // (s * points))), s
 
-    def blocks(self, rows: np.ndarray, times, reduce=None, ordered_map=map):
+    def blocks(self, rows, times, reduce=None, ordered_map=map):
         """An iterator of ``(time slice, sample slice, values)``: ``values``
         (k, s, *grid) is U(times[time slice]) f on ``grid`` for the
-        rows[sample slice] of ``rows`` (S, B), the band coefficients of S
-        samples.  The
-        chunks of a time block share its phase, from ``_phase_blocks`` (one
-        exact phase per block); ``values`` is overwritten next.
+        rows[sample slice] of ``rows``, the band coefficients (S, B) of S
+        samples: an array, or a row source with ``shape`` and ``draw(n)``,
+        the next n rows (``ons.NormalRows``).  The chunks of a time block
+        share its phase, from ``_phase_blocks`` (one exact phase per
+        block); ``values`` is overwritten next.
+
+        The stream holds the shorter of its two long axes.  With fewer
+        times than samples (T < S) the items go sample-major: the phases of
+        every time block are held, and a source draws each sample chunk
+        when its first item is taken.  Otherwise they go time-major, the
+        rows drawn once.  Each sample's blocks arrive in time order.
 
         Each (time block, sample chunk) pair is one item, computed by a
         function that ``ordered_map`` applies to the items in stream order:
@@ -510,7 +516,9 @@ class BandFlow:
         computed on that thread; a map that runs items concurrently needs a
         ``reduce`` whose result does not share the buffers.
         """
-        rows = np.asarray(rows)
+        draw = getattr(rows, "draw", None)
+        if draw is None:
+            rows = np.asarray(rows)
         times = np.asarray(times, dtype=float)
         S, T = rows.shape[0], len(times)
         k, s = self.block_shape(S, T)
@@ -536,17 +544,30 @@ class BandFlow:
                     local.pads.append(np.zeros((k, s, *dims), np.complex128))
             return local.pads
 
-        def items():
+        def phases():
             for ts, phase in _phase_blocks(times, self._levels, k):
                 phase = phase[:, self._level]
-                phase *= self._sign / self.cell_volume
-                phase = phase.reshape((len(phase), 1) + self._box)
-                for j in range(0, S, s):
-                    yield ts, slice(j, min(j + s, S)), phase
+                phase *= self._scale
+                yield ts, phase.reshape((len(phase), 1) + self._box)
+
+        def chunks():
+            for j in range(0, S, s):
+                ss = slice(j, min(j + s, S))
+                yield ss, rows[ss] if draw is None else draw(ss.stop - j)
+
+        if T < S:
+            held = list(phases())
+            items = ((ts, ss, f, phase) for ss, f in chunks()
+                     for ts, phase in held)
+        else:
+            if draw is not None:
+                rows, draw = draw(S), None
+            items = ((ts, ss, f, phase) for ts, phase in phases()
+                     for ss, f in chunks())
 
         def block(item):
-            ts, ss, phase = item
-            f = rows[ss].reshape((1, -1) + self._box)
+            ts, ss, f, phase = item
+            f = f.reshape((1, -1) + self._box)
             bufs = [b[:len(phase), :f.shape[1]] for b in pads()]
             bufs[-1][gap] = 0  # the last pass, in place, filled the gap
             for c, g in cuts[0]:
@@ -557,7 +578,7 @@ class BandFlow:
             u = np.fft.ifft(bufs[-1], axis=last, out=bufs[-1])
             return ts, ss, u if reduce is None else reduce(u)
 
-        return ordered_map(block, items())
+        return ordered_map(block, items)
 
     def gram(self, times, w) -> np.ndarray:
         """The (B, B) matrix E* diag(w) E, for E the folded extension matrix
@@ -583,13 +604,15 @@ class BandFlow:
                 f"{geom.grid_sizes}, got {w.dtype} {w.shape}")
         c = trapezoid_weights(times) * (geom.cell_volume * geom.dual_cell)
         pair = 0
-        for g, i in zip(geom.grid_sizes, self._sites):
+        for g, i in zip(geom.grid_sizes, np.nonzero(self._mask)):
             pair = pair * g + (i[:, None] - i[None, :]) % g
+        offset = _offset_phase(geom)
+        sign = 1.0 if offset is None else offset[self._mask]
         B = self.size
         k = max(1, _BLOCK_ELEMENTS // max(B * B, math.prod(geom.grid_sizes)))
         out = np.zeros((B, B), dtype=np.complex128)
         for ts, phase in _phase_blocks(times, self._levels, k):
-            P = phase[:, self._level] * self._sign
+            P = phase[:, self._level] * sign
             wp = _grid_fft(w[ts], geom.dim).reshape(len(P), -1)[:, pair]
             wp *= P[:, None, :]
             out += np.einsum("tb,tbc->bc", P.conj() * c[ts, None], wp)

@@ -22,6 +22,7 @@ import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -30,14 +31,14 @@ from .config import (build_potential, check_seed, geometry_from_echo,
                      load_config, validate_config)
 from .errors import (CapacityError, ConfigError, InvalidInputError,
                      NumericFailureError)
-from .geometry import _BLOCK_ELEMENTS, BandFlow, _xi2
+from .geometry import BandFlow, _xi2
 from .hartree import (DensityState, _fixed_point_exponents, evolve,
                       fixed_point_iterate, split_step)
 from .kernels import (OscillatoryIntegral, _window_top, dispersive_sup,
                       vdc_integral_oracle)
 from .norms import (_besov_top, besov_sup_norm, classify_pair, fit_scaling,
                     frames_norm, lq_norm, predict_sigma)
-from .ons import (_standard_complex, band_dimension, generate_ons,
+from .ons import (NormalRows, band_dimension, generate_ons,
                   ons_estimate_ratio)
 from .schatten import (MATRIX_CAP, duality_check,
                        factored_sobolev_schatten_norm)
@@ -107,21 +108,32 @@ def _ons_density_state(geometry, M, band, theta, weights, seed) -> DensityState:
 
 def _flow_ratios(geometry, N, coef_rows, theta, time_pts, p, q):
     """Strichartz quotients ||U(t) f_s||_{L^p_t L^q_x} / ||f_s||_2 for a
-    batch of band coefficient vectors, reduced block by block without
-    materializing the space-time films (the time grid can be very fine),
-    on the exact grid of ``q`` (``BandFlow``).  The blocks go through the
+    batch of band coefficient vectors, an (S, B) array or a row source
+    (``BandFlow.blocks``), reduced block by block without materializing
+    the space-time films (the time grid can be very fine), on the exact
+    grid of ``q`` (``BandFlow``).  The denominators are taken chunk by
+    chunk as the stream draws the rows.  The blocks go through the
     ordered map of the cell running on this thread (``run``), so idle
     threads of a threaded run help compute them.
     """
     times = np.linspace(0.0, 1.0, time_pts)
     flow = BandFlow(geometry, N, theta, q)
-    step = max(1, _BLOCK_ELEMENTS // coef_rows.shape[1])  # rows per l2 chunk
-    l2 = np.concatenate([lq_norm(coef_rows[j:j + step], 2, geometry.dual_cell,
-                                 1) for j in range(0, len(coef_rows), step)])
+    l2 = np.empty(coef_rows.shape[0])
+    drawn = 0
+
+    def draw(n):
+        nonlocal drawn
+        f = coef_rows.draw(n) if hasattr(coef_rows, "draw") \
+            else coef_rows[drawn:drawn + n]
+        l2[drawn:drawn + n] = lq_norm(f, 2, geometry.dual_cell, 1)
+        drawn += n
+        return f
+
+    rows = SimpleNamespace(shape=coef_rows.shape, draw=draw)
     ordered_map = getattr(_cell, "map", map)
     return frames_norm(
-        lambda reduce: flow.blocks(coef_rows, times, reduce, ordered_map),
-        times, p, q, flow.cell_volume, len(coef_rows)) / l2
+        lambda reduce: flow.blocks(rows, times, reduce, ordered_map),
+        times, p, q, flow.cell_volume, len(l2)) / l2
 
 
 # ---------------------------------------------------------------------------
@@ -360,8 +372,8 @@ def _drv_strichartz_fit(echo):
                                      p["p"], p["q"])[0])
             value = raw
         else:
-            rows = _standard_complex(np.random.default_rng(seed),
-                                     p["samples"], dim)
+            rows = NormalRows(np.random.default_rng(seed), p["samples"],
+                              dim)
             ratios = _flow_ratios(geom, N, rows, p["theta"], p["time_pts"],
                                   p["p"], p["q"])
             raw = float(np.max(ratios))

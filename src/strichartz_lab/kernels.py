@@ -22,6 +22,7 @@ from __future__ import annotations
 import heapq
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -129,13 +130,15 @@ def _scaled_kernel_max(N, theta, ts, xs):
                 bins = n[b:b + nx] % nx
                 coef[rows, bins] += ph[:, b:b + nx]
                 coef[rows, -bins % nx] += ph[:, b:b + nx]
-        # coef is symmetric in n, so the forward DFT is K_N(t, j/nx)
-        k = np.fft.fft(coef, axis=1)
-        scaled = np.abs(tc[:, None]) ** (1.0 / theta) * np.abs(k)
+        # coef is symmetric in n, so the forward DFT (in place) is
+        # K_N(t, j/nx); a chunk holds coef and the real scaled |K_N|
+        scaled = np.abs(np.fft.fft(coef, axis=1, out=coef))
+        scaled *= np.abs(tc[:, None]) ** (1.0 / theta)
         i, j = np.unravel_index(np.argmax(scaled), scaled.shape)
         if scaled[i, j] > best:
             best = float(scaled[i, j])
             arg = (float(tc[i]), float(xs[j]))
+        del coef, scaled  # freed before the next chunk allocates its own
     return best, arg
 
 
@@ -194,16 +197,19 @@ def dispersive_sup(N: int, theta: float, t_grid_pts: int = 512,
 # ---------------------------------------------------------------------------
 # adaptive oscillatory quadrature
 
-_GL_LO = np.polynomial.legendre.leggauss(7)
-_GL_HI = np.polynomial.legendre.leggauss(15)
+@lru_cache(maxsize=None)
+def _gauss_legendre(n: int):
+    # numpy.polynomial (1.6 MiB of modules) loads on first use, not with
+    # the package
+    return np.polynomial.legendre.leggauss(n)
 
 
 def _panel_batch(f, lo_edges, hi_edges):
     """Gauss-Legendre 15 values and 7/15 discrepancies, one row per panel."""
     mid = 0.5 * (lo_edges + hi_edges)
     half = 0.5 * (hi_edges - lo_edges)
-    xl, wl = _GL_LO
-    xh, wh = _GL_HI
+    xl, wl = _gauss_legendre(7)
+    xh, wh = _gauss_legendre(15)
     lo = (f(mid[:, None] + half[:, None] * xl[None, :]) @ wl) * half
     hi = (f(mid[:, None] + half[:, None] * xh[None, :]) @ wh) * half
     return hi, np.abs(hi - lo)

@@ -14,6 +14,7 @@ transforms.
 
 from __future__ import annotations
 
+import copy
 import math
 
 import numpy as np
@@ -47,18 +48,35 @@ def _band_order(geometry: GeometrySpec, N: int) -> np.ndarray:
     return np.lexsort(keys)
 
 
-def _standard_complex(rng, rows, cols):
-    """A (rows, cols) matrix of standard complex normals: the real parts,
-    then the imaginary parts, each drawn in chunks of ``_BLOCK_ELEMENTS //
-    cols`` rows, so no float temporary holds a whole part.  The generator
-    draws the same stream as one ``standard_normal((rows, cols))`` per
-    part."""
-    out = np.empty((rows, cols), dtype=np.complex128)
-    step = max(1, _BLOCK_ELEMENTS // cols)
-    for part in (out.real, out.imag):
-        for j in range(0, rows, step):
-            part[j:j + step] = rng.standard_normal(part[j:j + step].shape)
-    return out
+class NormalRows:
+    """The (rows, cols) matrix of standard complex normals that one
+    ``standard_normal((rows, cols))`` per part, real parts then imaginary
+    parts, draws from ``rng``, handed out n rows at a time by ``draw``
+    (``rows`` in total; ``rng`` serves no one else until then).
+
+    A first draw of every row takes both parts from ``rng``.  A first
+    draw of fewer rows copies ``rng`` to draw the real parts, and ``rng``
+    itself skips past them, through one reused buffer of at most
+    ``_BLOCK_ELEMENTS`` floats, to draw the imaginary parts.  Either way,
+    once every row is drawn ``rng`` is where the whole matrix would leave
+    it, and a draw of n rows holds one (n, cols) float temporary."""
+
+    def __init__(self, rng, rows: int, cols: int):
+        self.shape = (rows, cols)
+        self._imag = self._real = rng
+
+    def draw(self, n: int) -> np.ndarray:
+        """The next n rows, (n, cols) complex."""
+        rows, cols = self.shape
+        if self._real is self._imag and 0 < n < rows:
+            self._real = copy.deepcopy(self._imag)
+            buf = np.empty(min(rows * cols, _BLOCK_ELEMENTS))
+            for j in range(0, rows * cols, len(buf)):
+                self._imag.standard_normal(out=buf[:rows * cols - j])
+        out = np.empty((n, cols), dtype=np.complex128)
+        out.real = self._real.standard_normal(out.shape)
+        out.imag = self._imag.standard_normal(out.shape)
+        return out
 
 
 def generate_ons(kind: str, M: int, N: int, geometry: GeometrySpec,
@@ -80,8 +98,8 @@ def generate_ons(kind: str, M: int, N: int, geometry: GeometrySpec,
             coef[j, order[j]] = 1.0 / math.sqrt(w)
         return coef
     if kind == "random-band":
-        Q, _ = np.linalg.qr(_standard_complex(np.random.default_rng(seed),
-                                              dim, M))
+        Q, _ = np.linalg.qr(
+            NormalRows(np.random.default_rng(seed), dim, M).draw(dim))
         return (Q / math.sqrt(w)).T
     raise InvalidInputError(f"unknown family kind {kind!r}")
 

@@ -36,7 +36,7 @@ import numpy as np
 from .errors import InvalidInputError, NumericFailureError
 from .geometry import BandFlow, GeometrySpec, GridMultiplier, _xi2
 from .norms import lq_norm
-from .ons import _standard_complex, lambda_family
+from .ons import NormalRows, lambda_family
 
 __all__ = [
     "DualityReport",
@@ -155,7 +155,7 @@ def duality_check(geometry: GeometrySpec, times, w, N: int, alpha: float,
     best = 0.0
     for i in range(sample_count):
         M = int(rng.integers(1, B + 1))
-        Q, _ = np.linalg.qr(_standard_complex(rng, B, M))
+        Q, _ = np.linalg.qr(NormalRows(rng, B, M).draw(B))
         lam = lambda_family(kinds[i % 3], M, alpha_conj)
         energies = np.sum(Q.conj() * (G @ Q), axis=0).real
         best = max(best, float(np.sum(lam * energies))

@@ -1,7 +1,8 @@
 """Slow twins that only the tests call: the band flow one frame at a time
-(oracle of ``BandFlow.blocks``), the dense extension matrix (oracle of
-``BandFlow.gram`` and the duality check) and the dense Sobolev-Schatten
-norm with its multiplier sandwich (oracle of
+(oracle of ``BandFlow.blocks``), the whole matrix of standard complex
+normals (oracle of ``ons.NormalRows``), the dense extension matrix
+(oracle of ``BandFlow.gram`` and the duality check) and the dense
+Sobolev-Schatten norm with its multiplier sandwich (oracle of
 ``schatten.factored_sobolev_schatten_norm``)."""
 
 import math
@@ -10,11 +11,14 @@ import numpy as np
 
 from strichartz_lab.errors import CapacityError, InvalidInputError
 from strichartz_lab.geometry import (
+    _BLOCK_ELEMENTS,
     BandFlow,
     GeometrySpec,
     GridMultiplier,
     SpectrumField,
+    _band_mask,
     _band_multiplier,
+    _mesh,
     inverse_transform,
     propagate,
 )
@@ -22,10 +26,31 @@ from strichartz_lab.norms import trapezoid_weights
 from strichartz_lab.schatten import MATRIX_CAP, _bessel, schatten_norm
 
 
+def band_frequencies(geometry: GeometrySpec, N: int) -> np.ndarray:
+    """(B, d) lattice frequencies of the band [-N, N]^d in the order of a
+    coefficient row (C order of the centered lattice)."""
+    mask = _band_mask(geometry, N)
+    return np.stack([m[mask] for m in _mesh(geometry)], axis=-1)
+
+
+def standard_complex(rng, rows, cols):
+    """A (rows, cols) matrix of standard complex normals: the real parts,
+    then the imaginary parts, each drawn in chunks of ``_BLOCK_ELEMENTS //
+    cols`` rows.  The generator draws the same stream as one
+    ``standard_normal((rows, cols))`` per part."""
+    out = np.empty((rows, cols), dtype=np.complex128)
+    step = max(1, _BLOCK_ELEMENTS // cols)
+    for part in (out.real, out.imag):
+        for j in range(0, rows, step):
+            part[j:j + step] = rng.standard_normal(part[j:j + step].shape)
+    return out
+
+
 def collect_blocks(flow, rows, times):
-    """(T, S, *grid) film assembled from ``flow.blocks``, with a check
-    that every (time, sample) frame arrives exactly once."""
-    S, T = len(rows), len(times)
+    """(T, S, *grid) film assembled from ``flow.blocks`` of ``rows``, an
+    array or a row source, with a check that every (time, sample) frame
+    arrives exactly once."""
+    S, T = rows.shape[0], len(times)
     film = np.zeros((T, S) + flow.geometry.grid_sizes, dtype=complex)
     seen = np.zeros((T, S), dtype=int)
     for ts, ss, values in flow.blocks(rows, times):
@@ -82,7 +107,7 @@ def build_extension_matrix(geometry: GeometrySpec, N: int, interval,
     from band coefficients to space-time.
 
     Rows run over the (t, x) grid in C order; columns over the band in the
-    order of ``BandFlow(geometry, N, theta).xi``.  The dense twin of
+    order of ``band_frequencies(geometry, N)``.  The dense twin of
     ``BandFlow.gram``.
     """
     if N < 1 or int(N) != N:

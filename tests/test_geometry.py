@@ -25,9 +25,9 @@ from strichartz_lab.geometry import (
     waveguide,
 )
 from strichartz_lab.harness import _flow_ratios
-from strichartz_lab.ons import band_dimension
+from strichartz_lab.ons import NormalRows, band_dimension
 
-from oracles import collect_blocks, sandwich, slow_flow
+from oracles import band_frequencies, collect_blocks, sandwich, slow_flow
 
 RNG = np.random.default_rng(20260808)
 
@@ -262,7 +262,6 @@ class TestExactGrid:
         assert flow.cell_volume == pytest.approx(8.0 / 270 / 36, rel=1e-15)
         # same band, order and phases as on the config grid
         base = BandFlow(geom, 8, 2.5)
-        assert np.array_equal(flow.xi, base.xi)
         assert np.array_equal(flow.phi, base.phi)
         assert flow._box == base._box
         assert np.array_equal(flow._level, base._level)
@@ -284,6 +283,7 @@ class TestExactGrid:
         x = np.stack([m.ravel() for m in np.meshgrid(*coords,
                                                      indexing="ij")])
         volume = geom.cell_volume * math.prod(geom.grid_sizes)
+        xi = band_frequencies(geom, N)
         rng = np.random.default_rng(5)
         rows = rng.standard_normal((3, flow.size)) \
             + 1j * rng.standard_normal((3, flow.size))
@@ -291,7 +291,7 @@ class TestExactGrid:
         for ts, ss, values in flow.blocks(rows, times):
             for t, frames in zip(times[ts], values):
                 wave = np.exp(2j * np.pi * (t * flow.phi[:, None]
-                                            + flow.xi @ x)) / volume
+                                            + xi @ x)) / volume
                 direct = (rows[ss] @ wave).reshape((-1,) + flow.grid)
                 assert np.max(np.abs(frames - direct)) \
                     < 1e-13 * np.max(np.abs(direct))
@@ -344,8 +344,8 @@ class TestBandFlow:
         assert np.array_equal(flow.phi, fractional_symbol(geom, theta)[mask])
         mesh = np.meshgrid(*map(geom.axis_frequencies, range(geom.dim)),
                            indexing="ij")
-        assert np.array_equal(flow.xi, np.stack([m[mask] for m in mesh],
-                                                axis=-1))
+        assert np.array_equal(band_frequencies(geom, N),
+                              np.stack([m[mask] for m in mesh], axis=-1))
         rng = np.random.default_rng(17)
         rows = rng.standard_normal((3, flow.size)) \
             + 1j * rng.standard_normal((3, flow.size))
@@ -372,6 +372,31 @@ class TestBandFlow:
         finally:
             tracemalloc.stop()
         assert peak < (16 * geom.dim + 8) * math.prod(geom.grid_sizes)
+
+    def test_traced_peak_holds_the_phases_not_the_batch(self, monkeypatch):
+        # fewer times than samples: the stream holds the phases of every
+        # time block and draws the rows chunk by chunk, so a serial stream
+        # with its row source stays under (16 d + 8) bytes per grid point
+        # plus 16 T B, and its peak grows with S by a few floats per
+        # sample (the whole batch would be 16 B bytes per sample)
+        monkeypatch.setattr(geometry, "_BLOCK_ELEMENTS", 1)
+        geom, N, T = waveguide(256, 64, trunc_length=4.0), 2, 5
+        B = band_dimension(geom, N)
+        bound = (16 * geom.dim + 8) * math.prod(geom.grid_sizes) + 16 * T * B
+        peaks = {}
+        for S in (100, 400):
+            # odd q: the stream samples the config grid; the first call
+            # fills the geometry's lookup caches
+            for _ in range(2):
+                tracemalloc.start()
+                try:
+                    rows = NormalRows(np.random.default_rng(S), S, B)
+                    _flow_ratios(geom, N, rows, 2.5, T, 4.0, 3.0)
+                    peaks[S] = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+        assert max(peaks.values()) < bound
+        assert peaks[400] - peaks[100] < 64 * (400 - 100)
 
     @pytest.mark.parametrize("geom, N, passes", [
         (waveguide(32, 8, trunc_length=4.0), 4, [0, 1]),

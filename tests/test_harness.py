@@ -499,6 +499,12 @@ class TestPooledStream:
                           "time_pts": 9}}
         if geometry_cfg["kind"] == "waveguide":
             cfg["params"]["estimate"] = "waveguide-single"
+            # 9 times < 40 samples: at N = 8 and 16 the batch streams
+            # sample-major in chunks of 16 rows (the band fills the exact
+            # grid of q = 4), drawn while threads take the chunks' items
+            for N in (8, 16):
+                assert BandFlow(waveguide(128, 32, trunc_length=4.0), N,
+                                2.5, 4.0).block_shape(40, 9) == (1, 16)
         outs = []
         for threads in (1, 2, 8):
             out = tmp_path / f"t{threads}"
@@ -556,17 +562,23 @@ class TestPooledStream:
         assert manifest["cells"][0]["note"] == "helper block"
 
     def test_chunked_draw_is_the_one_shot_draw(self):
-        # three chunks of 65 rows, the last one ragged
+        # three chunks of 65 rows, the last one ragged, drawn after the
+        # real parts were skipped in buffers of 65536 floats
         dim = 1000
-        step = harness._BLOCK_ELEMENTS // dim
+        step = ons._BLOCK_ELEMENTS // dim
         samples = 2 * step + 30
-        rows = ons._standard_complex(np.random.default_rng(7), samples, dim)
+        source = np.random.default_rng(7)
+        drawn = ons.NormalRows(source, samples, dim)
+        rows = np.concatenate([drawn.draw(min(step, samples - j))
+                               for j in range(0, samples, step)])
         rng = np.random.default_rng(7)
         want = np.empty((samples, dim), dtype=np.complex128)
         want.real = rng.standard_normal(want.shape)
         want.imag = rng.standard_normal(want.shape)
         assert step == 65
         assert np.array_equal(rows, want)
+        # the generator ends where the one-shot draw leaves it
+        assert source.standard_normal() == rng.standard_normal()
 
 
 class TestDrivers:

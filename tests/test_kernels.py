@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -115,6 +117,22 @@ class TestDispersiveSup:
         # up to roundoff, so the x-index may be j or its mirror
         assert t_star == ts[i]
         assert x_star in (xs[j], xs[-j % nx])
+
+    def test_sweep_holds_one_complex_and_one_real_chunk(self):
+        # each chunk of time rows is transformed and scaled in place, so
+        # the sweep holds one complex and one real (rows, nx) array
+        N, nx, theta = 16, 1024, 3.0
+        ts = np.linspace(1e-6, N ** (1 - theta), 2000)
+        xs = np.arange(nx) / nx
+        rows = 1_000_000 // (nx + N)
+        assert rows < len(ts)
+        tracemalloc.start()
+        try:
+            _scaled_kernel_max(N, theta, ts, xs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * (16 + 8) * rows * nx
 
     def test_empty_window_rejected(self):
         with pytest.raises(InvalidInputError):

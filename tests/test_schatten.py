@@ -21,7 +21,8 @@ from strichartz_lab.schatten import (
     spatial_kernel_operator,
 )
 
-from oracles import build_extension_matrix, sobolev_schatten_norm
+from oracles import (band_frequencies, build_extension_matrix,
+                     sobolev_schatten_norm)
 
 INF = math.inf
 
@@ -197,7 +198,8 @@ def extension(geom, N, interval, time_pts, theta):
     and time grid."""
     flow = BandFlow(geom, N, theta)
     E = build_extension_matrix(geom, N, interval, time_pts, theta)
-    return E, flow.xi, flow.phi, np.linspace(*interval, time_pts)
+    return E, band_frequencies(geom, N), flow.phi, \
+        np.linspace(*interval, time_pts)
 
 
 class TestExtensionMatrix:
