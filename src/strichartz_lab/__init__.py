@@ -12,9 +12,7 @@ from .errors import (                                    # noqa: F401
 )
 from .geometry import (                                  # noqa: F401
     BandFlow,
-    Field,
     GeometrySpec,
-    SpectrumField,
     eta1,
     flow_phase,
     forward_transform,
@@ -28,7 +26,6 @@ from .geometry import (                                  # noqa: F401
 )
 from .kernels import (                                   # noqa: F401
     DispersiveReport,
-    KernelQuery,
     OscillatoryIntegral,
     dispersive_sup,
     kernel_exp_sum,
@@ -63,11 +60,9 @@ from .hartree import (                                   # noqa: F401
     OperatorPath,
     PotentialSpec,
     TrajectoryRecord,
-    convolve_potential,
     duhamel_map,
     evolve,
     fixed_point_iterate,
-    free_flight,
     hartree_energy,
     split_step,
 )

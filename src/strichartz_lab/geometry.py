@@ -42,8 +42,6 @@ _BLOCK_ELEMENTS = 1 << 16
 
 __all__ = [
     "GeometrySpec",
-    "Field",
-    "SpectrumField",
     "torus",
     "waveguide",
     "eta1",
@@ -178,53 +176,17 @@ def _xi2(geometry: GeometrySpec) -> np.ndarray:
     return r2
 
 
-@dataclass(frozen=True, eq=False)
-class Field:
-    """Complex grid function on the spatial grid of a geometry."""
-
-    values: np.ndarray
-    geometry: GeometrySpec
-
-    def __post_init__(self):
-        vals = np.array(self.values, dtype=np.complex128)
-        if vals.shape != self.geometry.grid_sizes:
-            raise InvalidInputError(
-                f"field shape {vals.shape} does not match grid "
-                f"{self.geometry.grid_sizes}")
-        if not np.all(np.isfinite(vals)):
-            raise InvalidInputError("field contains non-finite entries")
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-
-    def norm_l2(self) -> float:
-        """L2(M) norm with the grid cell volume."""
-        return self.norm_lq(2)
-
-    def norm_lq(self, q: float) -> float:
-        """Lq(M) norm; q = inf is the grid max (a lower bound on the sup)."""
-        from .norms import lq_norm
-        return float(lq_norm(self.values, q, self.geometry.cell_volume))
-
-
-@dataclass(frozen=True, eq=False)
-class SpectrumField:
-    """Fourier coefficients on the centered frequency lattice."""
-
-    coefficients: np.ndarray
-    geometry: GeometrySpec
-
-    def __post_init__(self):
-        coef = np.array(self.coefficients, dtype=np.complex128)
-        if coef.shape != self.geometry.grid_sizes:
-            raise InvalidInputError(
-                f"coefficient shape {coef.shape} does not match lattice")
-        coef.setflags(write=False)
-        object.__setattr__(self, "coefficients", coef)
-
-    def norm_l2(self) -> float:
-        """Weighted little-l2 norm (dual cell measure on free axes)."""
-        from .norms import lq_norm
-        return float(lq_norm(self.coefficients, 2, self.geometry.dual_cell))
+def _grid_values(values, geometry: GeometrySpec) -> np.ndarray:
+    """``values`` as complex128 whose trailing ``dim`` axes are the grid
+    (leading axes are a batch), with finite entries only."""
+    vals = np.asarray(values, dtype=np.complex128)
+    if vals.shape[-geometry.dim:] != geometry.grid_sizes:
+        raise InvalidInputError(
+            f"grid function shape {vals.shape} does not end in the grid "
+            f"{geometry.grid_sizes}")
+    if not np.isfinite(vals).all():
+        raise InvalidInputError("grid function contains non-finite entries")
+    return vals
 
 
 # ---------------------------------------------------------------------------
@@ -268,23 +230,28 @@ def _offset_phase(geometry: GeometrySpec) -> np.ndarray | None:
     return phase
 
 
-def forward_transform(f: Field) -> SpectrumField:
-    """Fourier coefficients of a field, centered lattice ordering."""
-    coef = np.fft.fftshift(np.fft.fftn(f.values)) * f.geometry.cell_volume
-    phase = _offset_phase(f.geometry)
+def forward_transform(values, geometry: GeometrySpec) -> np.ndarray:
+    """Fourier coefficients of grid values, centered lattice ordering, over
+    the trailing grid axes."""
+    axes = tuple(range(-geometry.dim, 0))
+    coef = np.fft.fftshift(_grid_fft(_grid_values(values, geometry),
+                                     geometry.dim), axes=axes) \
+        * geometry.cell_volume
+    phase = _offset_phase(geometry)
     if phase is not None:
         coef = coef * phase
-    return SpectrumField(coef, f.geometry)
+    return coef
 
 
-def inverse_transform(s: SpectrumField) -> Field:
+def inverse_transform(coef, geometry: GeometrySpec) -> np.ndarray:
     """Adjoint of :func:`forward_transform`; exact round-trip partner."""
-    coef = s.coefficients
-    phase = _offset_phase(s.geometry)
+    coef = _grid_values(coef, geometry)
+    phase = _offset_phase(geometry)
     if phase is not None:
         coef = coef * phase
-    vals = np.fft.ifftn(np.fft.ifftshift(coef)) / s.geometry.cell_volume
-    return Field(vals, s.geometry)
+    axes = tuple(range(-geometry.dim, 0))
+    return _grid_fft(np.fft.ifftshift(coef, axes=axes), geometry.dim,
+                     inverse=True) / geometry.cell_volume
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +325,16 @@ def _phase_blocks(times, levels, k: int):
         yield slice(t, t + len(a)), phase
 
 
-def propagate(f: Field, t: float, theta: float) -> Field:
+@lru_cache(maxsize=64)
+def _flow(geometry: GeometrySpec, theta: float, t: float) -> GridMultiplier:
+    """The flow U(t) = exp(2*pi*i*t*phi(D)) as a grid multiplier, the one
+    every flow on the grid applies."""
+    return GridMultiplier(geometry, flow_phase(
+        t, fractional_symbol(geometry, theta)))
+
+
+def propagate(values, geometry: GeometrySpec, t: float,
+              theta: float) -> np.ndarray:
     """Apply the flow: multiply coefficients by exp(2*pi*i*t*phi(xi)).
 
     The phase argument ``t*phi`` is reduced mod 1 (with an exact
@@ -366,11 +342,12 @@ def propagate(f: Field, t: float, theta: float) -> Field:
     roundoff level instead of losing a dozen digits inside the complex
     exponential when ``t*phi`` is large.
     """
+    values = _grid_values(values, geometry)
     if not np.isfinite(t):
         raise InvalidInputError("propagation time must be finite")
     if t == 0.0:
-        return f
-    return _multiply(f, flow_phase(t, fractional_symbol(f.geometry, theta)))
+        return values
+    return _flow(geometry, theta, float(t))(values)
 
 
 @lru_cache(maxsize=256)
@@ -401,11 +378,12 @@ def _band_mask(geometry: GeometrySpec, N: int) -> np.ndarray:
     return mask
 
 
-def project_leq(f: Field, N: int) -> Field:
+def project_leq(values, geometry: GeometrySpec, N: int) -> np.ndarray:
     """Frequency cutoff P_{<=N}."""
     if N < 1 or int(N) != N:
         raise InvalidInputError("cutoff scale N must be a positive integer")
-    return _multiply(f, _band_multiplier(f.geometry, int(N)))
+    return GridMultiplier(geometry, _band_multiplier(geometry, int(N)))(
+        _grid_values(values, geometry))
 
 
 def _exact_grid(grid_sizes, box, q) -> tuple[int, ...]:
@@ -645,17 +623,13 @@ class GridMultiplier:
         return _grid_fft(self.m * _grid_fft(values, d), d, inverse=True)
 
 
-def _multiply(f: Field, centered: np.ndarray) -> Field:
-    """m(D) f for m on the centered lattice."""
-    return Field(GridMultiplier(f.geometry, centered)(f.values), f.geometry)
-
-
-def littlewood_paley(f: Field, k: int) -> Field:
+def littlewood_paley(values, geometry: GeometrySpec, k: int) -> np.ndarray:
     """Dyadic frequency block at scale 2**k (k = 0 is the lowest block)."""
     if k < 0 or int(k) != k:
         raise InvalidInputError("block index k must be a nonnegative integer")
     k = int(k)
     if k == 0:
-        return project_leq(f, 1)
-    return _multiply(f, _band_multiplier(f.geometry, 2 ** k)
-                     - _band_multiplier(f.geometry, 2 ** (k - 1)))
+        return project_leq(values, geometry, 1)
+    return GridMultiplier(geometry, _band_multiplier(geometry, 2 ** k)
+                          - _band_multiplier(geometry, 2 ** (k - 1)))(
+        _grid_values(values, geometry))

@@ -232,7 +232,7 @@ def _potential_besov(p, geom):
         _reject("params.potential.s",
                 f"the Besov weight 2^(k s) at the top dyadic block k = "
                 f"{k_top} is not finite, got s = {s:g}")
-    return w, besov_sup_norm(w.field(geom), s,
+    return w, besov_sup_norm(w.field(geom), geom, s,
                              float(p["potential"]["qprime"]))
 
 

@@ -11,9 +11,9 @@ weighted projector gamma = sum_j lambda_j |u_j><u_j|.
 
 Unit convention: the kinetic multiplier is phi(xi) itself (a lone mode
 e^{2 pi i n x} has energy |n|^theta), so the free flight over time t
-multiplies coefficients by exp(-i t phi(xi)).  That equals the package
-propagator at the rescaled time -t/(2 pi); ``free_flight`` pins the
-correspondence.
+multiplies coefficients by exp(-i t phi(xi)).  That is the package
+propagator at the rescaled time -t/(2 pi): ``_kinetic`` applies the same
+cached multiplier ``geometry._flow`` as ``propagate``.
 
 The fixed-point route iterates
 
@@ -36,14 +36,14 @@ import numpy as np
 from .errors import CapacityError, InvalidInputError, NumericFailureError
 from .geometry import (
     _BLOCK_ELEMENTS,
-    Field,
     GeometrySpec,
     GridMultiplier,
+    _flow,
     _grid_fft,
     _mesh,
     _xi2,
-    flow_phase,
     fractional_symbol,
+    inverse_transform,
 )
 from .norms import _duality_alpha, classify_pair, lq_norm, mixed_norm
 from .schatten import factored_sobolev_schatten_norm
@@ -54,8 +54,6 @@ __all__ = [
     "TrajectoryRecord",
     "OperatorPath",
     "FixedPointResult",
-    "convolve_potential",
-    "free_flight",
     "split_step",
     "evolve",
     "hartree_energy",
@@ -140,11 +138,9 @@ class PotentialSpec:
         mult[(first == -self.k0) & rest_zero] = 0.5
         return mult
 
-    def field(self, geometry: GeometrySpec) -> Field:
-        from .geometry import SpectrumField, inverse_transform
-        w = inverse_transform(SpectrumField(
-            self.multiplier(geometry).astype(complex), geometry))
-        return Field(w.values.real, geometry)
+    def field(self, geometry: GeometrySpec) -> np.ndarray:
+        """The real potential w on the grid."""
+        return inverse_transform(self.multiplier(geometry), geometry).real
 
 
 @lru_cache(maxsize=64)
@@ -152,29 +148,13 @@ def _potential(w: PotentialSpec, geometry: GeometrySpec) -> GridMultiplier:
     return GridMultiplier(geometry, w.multiplier(geometry))
 
 
-def convolve_potential(w: PotentialSpec, rho: Field) -> Field:
-    """w * rho via the spectral product; input and output are real."""
-    if np.max(np.abs(rho.values.imag)) > 1e-10:
-        raise InvalidInputError("density must be real-valued")
-    return Field(_potential(w, rho.geometry)(rho.values.real).real,
-                 rho.geometry)
-
-
 # ---------------------------------------------------------------------------
 # split-step evolution
 
 
-@lru_cache(maxsize=64)
 def _kinetic(geometry: GeometrySpec, theta: float, dt: float) -> GridMultiplier:
     """exp(-i dt phi(D)): the package flow at the rescaled time -dt/(2 pi)."""
-    return GridMultiplier(geometry, flow_phase(
-        -dt / (2.0 * np.pi), fractional_symbol(geometry, theta)))
-
-
-def free_flight(state: DensityState, t: float) -> DensityState:
-    """Uncoupled evolution: coefficients times exp(-i t phi(xi))."""
-    out = _kinetic(state.geometry, state.theta, t)(state.members)
-    return DensityState(out, state.weights, state.geometry, state.theta)
+    return _flow(geometry, theta, -dt / (2 * np.pi))
 
 
 def _strang(c: np.ndarray, weights: np.ndarray, half: np.ndarray,
@@ -416,16 +396,15 @@ def free_path(gamma0: DensityState, T: float, time_pts: int) -> OperatorPath:
     """Flow-conjugated initial operator: the w = 0 solution."""
     geom = gamma0.geometry
     times = np.linspace(0.0, float(T), time_pts)
-    weights, members = [], []
+    members = []
     rho = np.empty((time_pts,) + geom.grid_sizes)
     for i, t in enumerate(times):
-        st = free_flight(gamma0, float(t))
-        weights.append(st.weights.astype(float))
-        members.append(st.members.reshape(st.size, -1)
+        u = _kinetic(geom, gamma0.theta, float(t))(gamma0.members)
+        members.append(u.reshape(gamma0.size, -1)
                        * math.sqrt(geom.cell_volume))
-        rho[i] = st.density()
-    return OperatorPath(times, weights, members, geom, np.zeros(time_pts),
-                        rho)
+        rho[i] = np.tensordot(gamma0.weights, np.abs(u) ** 2, axes=(0, 0))
+    return OperatorPath(times, [gamma0.weights] * time_pts, members, geom,
+                        np.zeros(time_pts), rho)
 
 
 @dataclass(frozen=True, eq=False)

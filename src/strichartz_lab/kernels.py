@@ -30,31 +30,12 @@ from .errors import InvalidInputError, NumericFailureError
 from .geometry import _frac_product, _phase_blocks
 
 __all__ = [
-    "KernelQuery",
     "DispersiveReport",
     "OscillatoryIntegral",
     "kernel_exp_sum",
     "dispersive_sup",
     "vdc_integral_oracle",
 ]
-
-
-@dataclass(frozen=True)
-class KernelQuery:
-    """One evaluation point (t, x) of the order-N kernel."""
-
-    N: int
-    theta: float
-    t: float
-    x: float
-
-    def __post_init__(self):
-        if self.N < 1 or int(self.N) != self.N:
-            raise InvalidInputError("kernel order N must be a positive integer")
-        if self.theta < 2:
-            raise InvalidInputError("exponential-sum bounds need theta >= 2")
-        if not np.isfinite(self.t) or not np.isfinite(self.x):
-            raise InvalidInputError("(t, x) must be finite")
 
 
 @dataclass(frozen=True)
@@ -98,9 +79,15 @@ def _exp_sum_terms(N: int, theta: float, t: float, x) -> np.ndarray:
     return np.exp(2j * np.pi * phase)
 
 
-def kernel_exp_sum(q: KernelQuery) -> complex:
+def kernel_exp_sum(N: int, theta: float, t: float, x: float) -> complex:
     """sum_{n=-N}^{N} e^{2 pi i (x n + t |n|^theta)}, pairwise-accumulated."""
-    return complex(np.sum(_exp_sum_terms(q.N, q.theta, q.t, q.x), axis=-1))
+    if N < 1 or int(N) != N:
+        raise InvalidInputError("kernel order N must be a positive integer")
+    if theta < 2:
+        raise InvalidInputError("exponential-sum bounds need theta >= 2")
+    if not np.isfinite(t) or not np.isfinite(x):
+        raise InvalidInputError("(t, x) must be finite")
+    return complex(np.sum(_exp_sum_terms(N, theta, t, x), axis=-1))
 
 
 def _scaled_kernel_max(N, theta, ts, xs):

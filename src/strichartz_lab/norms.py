@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .geometry import Field, GeometrySpec, littlewood_paley
+from .geometry import GeometrySpec, littlewood_paley
 
 __all__ = [
     "SigmaPrediction",
@@ -80,8 +80,23 @@ def _lebesgue(values, q, measure, axis):
 def lq_norm(values, q: float, measure: float = 1.0, axis=None):
     """(sum |v|^q * measure)^(1/q) over ``axis`` (every axis by default);
     q = inf is the max of |v| (a lower bound on the sup for grid samples).
+
+    Where a large finite q takes |v|^q out of the float range (an inf, or
+    0 from nonzero data), the norm is recomputed as top * ||v / top||_q,
+    top the max of |v| over ``axis``; other results are the direct sum's.
     """
-    return _lebesgue(values, _check_exponent(q, "q"), measure, axis)
+    q = _check_exponent(q, "q")
+    with np.errstate(over="ignore", under="ignore"):
+        out = _lebesgue(values, q, measure, axis)
+    ok = (out > 0) & (out < math.inf)
+    if np.all(ok):
+        return out
+    a = np.abs(values)
+    top = a.max(axis=axis, keepdims=True)
+    # nan where top is 0 (zero data) or inf: those entries keep ``out``
+    with np.errstate(under="ignore", invalid="ignore"):
+        scaled = np.squeeze(top, axis) * _lebesgue(a / top, q, measure, axis)
+    return np.where(ok | np.isnan(scaled), out, scaled)[()]
 
 
 def trapezoid_weights(times) -> np.ndarray:
@@ -400,7 +415,8 @@ def _besov_top(geometry: GeometrySpec) -> int:
     return max(1, int(math.ceil(math.log2(max(xi_max, 1.0)))) + 1)
 
 
-def besov_sup_norm(w: Field, s: float, qprime: float) -> float:
+def besov_sup_norm(w, geometry: GeometrySpec, s: float,
+                   qprime: float) -> float:
     """sup_k 2^{k s} || dyadic block k of w ||_{L^{q'}}.
 
     Finite on the grid: blocks vanish once the dyadic scale dominates the
@@ -408,7 +424,8 @@ def besov_sup_norm(w: Field, s: float, qprime: float) -> float:
     """
     qprime = _check_exponent(qprime, "q'")
     best = 0.0
-    for k in range(_besov_top(w.geometry) + 1):
-        block = littlewood_paley(w, k)
-        best = max(best, 2.0 ** (k * s) * block.norm_lq(qprime))
+    for k in range(_besov_top(geometry) + 1):
+        block = littlewood_paley(w, geometry, k)
+        best = max(best, 2.0 ** (k * s) * float(
+            lq_norm(block, qprime, geometry.cell_volume)))
     return best

@@ -15,7 +15,6 @@ from strichartz_lab.geometry import (
     BandFlow,
     GeometrySpec,
     GridMultiplier,
-    SpectrumField,
     _band_mask,
     _band_multiplier,
     _mesh,
@@ -72,9 +71,9 @@ def slow_flow(geometry: GeometrySpec, N: int, theta: float, rows,
     for row, frames in zip(rows, film.swapaxes(0, 1)):
         coef = np.zeros(geometry.grid_sizes, dtype=complex)
         coef[mask] = row
-        f = inverse_transform(SpectrumField(coef, geometry))
+        f = inverse_transform(coef, geometry)
         for t, frame in zip(times, frames):
-            frame[...] = propagate(f, t, theta).values
+            frame[...] = propagate(f, geometry, t, theta)
     return film
 
 

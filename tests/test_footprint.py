@@ -13,7 +13,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-CEILING = 24850
+CEILING = 24675
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "strichartz_lab"
 

@@ -8,9 +8,7 @@ from strichartz_lab import geometry
 from strichartz_lab.errors import InvalidInputError
 from strichartz_lab.geometry import (
     BandFlow,
-    Field,
     GridMultiplier,
-    SpectrumField,
     _band_multiplier,
     _exact_grid,
     eta1,
@@ -25,6 +23,7 @@ from strichartz_lab.geometry import (
     waveguide,
 )
 from strichartz_lab.harness import _flow_ratios
+from strichartz_lab.norms import lq_norm
 from strichartz_lab.ons import NormalRows, band_dimension
 
 from oracles import band_frequencies, collect_blocks, sandwich, slow_flow
@@ -32,27 +31,35 @@ from oracles import band_frequencies, collect_blocks, sandwich, slow_flow
 RNG = np.random.default_rng(20260808)
 
 
-def direct_dft(field):
+def direct_dft(values, geom):
     """O(G^2) reference transform: a(xi) = sum_x f(x) e^{-2 pi i x.xi} dx."""
-    geom = field.geometry
     coords = [geom.axis_coordinates(ax) for ax in range(geom.dim)]
     freqs = [geom.axis_frequencies(ax) for ax in range(geom.dim)]
     xs = np.stack([m.ravel() for m in np.meshgrid(*coords, indexing="ij")])
     xis = np.stack([m.ravel() for m in np.meshgrid(*freqs, indexing="ij")])
     phase = np.exp(-2j * np.pi * (xis.T @ xs))
-    coef = (phase @ field.values.ravel()) * geom.cell_volume
+    coef = (phase @ values.ravel()) * geom.cell_volume
     return coef.reshape(geom.grid_sizes)
 
 
 def random_field(geom, seed=0):
     rng = np.random.default_rng(seed)
-    vals = rng.standard_normal(geom.grid_sizes) + 1j * rng.standard_normal(geom.grid_sizes)
-    return Field(vals, geom)
+    return rng.standard_normal(geom.grid_sizes) + 1j * rng.standard_normal(geom.grid_sizes)
 
 
 def plane_wave(geom, n):
     x = geom.axis_coordinates(0)
-    return Field(np.exp(2j * np.pi * n * x), geom)
+    return np.exp(2j * np.pi * n * x)
+
+
+def l2(values, geom):
+    """L2(M) norm of grid values with the cell volume."""
+    return lq_norm(values, 2, geom.cell_volume)
+
+
+def coef_l2(coef, geom):
+    """Weighted little-l2 norm of coefficients (dual cell on free axes)."""
+    return lq_norm(coef, 2, geom.dual_cell)
 
 
 class TestGeometrySpec:
@@ -84,48 +91,66 @@ class TestTransforms:
     def test_plane_wave_single_coefficient(self):
         geom = torus(16)
         for n in (0, 3, -5):
-            s = forward_transform(plane_wave(geom, n))
+            s = forward_transform(plane_wave(geom, n), geom)
             expected = np.zeros(16, dtype=complex)
             expected[np.where(geom.axis_frequencies(0) == n)[0][0]] = 1.0
-            assert np.max(np.abs(s.coefficients - expected)) < 1e-12
+            assert np.max(np.abs(s - expected)) < 1e-12
 
     def test_zero_field(self):
         geom = torus(8)
-        s = forward_transform(Field(np.zeros(8), geom))
-        assert np.all(s.coefficients == 0)
-        assert np.all(inverse_transform(s).values == 0)
+        s = forward_transform(np.zeros(8), geom)
+        assert np.all(s == 0)
+        assert np.all(inverse_transform(s, geom) == 0)
 
     def test_roundtrip_against_direct_oracle(self):
         geom = torus(16)
         f = random_field(geom, seed=1)
-        s = forward_transform(f)
-        assert np.max(np.abs(s.coefficients - direct_dft(f))) < 1e-12
-        back = inverse_transform(s)
-        assert np.max(np.abs(back.values - f.values)) < 1e-12
-        assert abs(s.norm_l2() - f.norm_l2()) < 1e-12 * f.norm_l2()
+        s = forward_transform(f, geom)
+        assert np.max(np.abs(s - direct_dft(f, geom))) < 1e-12
+        back = inverse_transform(s, geom)
+        assert np.max(np.abs(back - f)) < 1e-12
+        assert abs(coef_l2(s, geom) - l2(f, geom)) < 1e-12 * l2(f, geom)
 
     def test_direct_oracle_waveguide(self):
         geom = waveguide(8, 8, trunc_length=2.0)
         f = random_field(geom, seed=2)
-        s = forward_transform(f)
-        assert np.max(np.abs(s.coefficients - direct_dft(f))) < 1e-11
-        back = inverse_transform(s)
-        assert np.max(np.abs(back.values - f.values)) < 1e-12
+        s = forward_transform(f, geom)
+        assert np.max(np.abs(s - direct_dft(f, geom))) < 1e-11
+        back = inverse_transform(s, geom)
+        assert np.max(np.abs(back - f)) < 1e-12
 
     @pytest.mark.parametrize("geom", [torus(1024), waveguide(64, 64, trunc_length=8.0)])
     def test_plancherel_large(self, geom):
         f = random_field(geom, seed=3)
-        s = forward_transform(f)
-        rel = abs(s.norm_l2() - f.norm_l2()) / f.norm_l2()
+        s = forward_transform(f, geom)
+        rel = abs(coef_l2(s, geom) - l2(f, geom)) / l2(f, geom)
         assert rel < 1e-12
-        back = inverse_transform(s)
-        assert np.max(np.abs(back.values - f.values)) < 1e-12 * np.max(np.abs(f.values))
+        back = inverse_transform(s, geom)
+        assert np.max(np.abs(back - f)) < 1e-12 * np.max(np.abs(f))
 
     def test_size_mismatch_rejected(self):
-        with pytest.raises(InvalidInputError):
-            Field(np.zeros(8), torus(16))
-        with pytest.raises(InvalidInputError):
-            SpectrumField(np.zeros((4, 4)), torus(16))
+        # every public grid function checks that the trailing axes are the
+        # grid and that the entries are finite; leading axes are a batch
+        calls = [lambda v, g: forward_transform(v, g),
+                 lambda v, g: inverse_transform(v, g),
+                 lambda v, g: propagate(v, g, 0.1, 2.0),
+                 lambda v, g: propagate(v, g, 0.0, 2.0),
+                 lambda v, g: project_leq(v, g, 2),
+                 lambda v, g: littlewood_paley(v, g, 1)]
+        spiked = np.zeros((2, 16))
+        spiked[1, 3] = np.inf
+        for call in calls:
+            for v, g in [(np.zeros(8), torus(16)),
+                         (np.zeros((4, 4)), torus(16)),
+                         (np.zeros((16, 4)), torus(16)),
+                         (np.zeros((8, 16)), torus((16, 8))),
+                         (np.zeros(()), torus(16)),
+                         (np.full(16, np.nan), torus(16)),
+                         (spiked, torus(16))]:
+                with pytest.raises(InvalidInputError):
+                    call(v, g)
+            assert call(np.ones((3, 16, 8)), torus((16, 8))).shape \
+                == (3, 16, 8)
 
 
 class TestSymbol:
@@ -168,14 +193,14 @@ class TestPropagate:
         geom = torus(32)
         for n, t, theta in [(3, 0.7, 2.0), (-4, 0.11, 3.0), (5, -2.0, 2.5)]:
             f = plane_wave(geom, n)
-            out = propagate(f, t, theta)
-            expected = np.exp(2j * np.pi * t * abs(n) ** theta) * f.values
-            assert np.max(np.abs(out.values - expected)) < 1e-12
+            out = propagate(f, geom, t, theta)
+            expected = np.exp(2j * np.pi * t * abs(n) ** theta) * f
+            assert np.max(np.abs(out - expected)) < 1e-12
 
     def test_identity_at_zero(self):
         geom = torus(64)
         f = random_field(geom, seed=5)
-        assert propagate(f, 0.0, 2.0) is f
+        assert propagate(f, geom, 0.0, 2.0) is f
 
     def test_mode_by_mode_oracle(self):
         # direct summation over modes, theta = 2, band-limited data
@@ -185,14 +210,14 @@ class TestPropagate:
         coef = np.zeros(64, dtype=complex)
         band = np.abs(freqs) <= 10
         coef[band] = rng.standard_normal(band.sum()) + 1j * rng.standard_normal(band.sum())
-        f = inverse_transform(SpectrumField(coef, geom))
+        f = inverse_transform(coef, geom)
         t, theta = 0.3, 2.0
         x = geom.axis_coordinates(0)
         oracle = np.zeros(64, dtype=complex)
         for n, a in zip(freqs[band], coef[band]):
             oracle += a * np.exp(2j * np.pi * (n * x + t * abs(n) ** theta))
-        out = propagate(f, t, theta)
-        assert np.max(np.abs(out.values - oracle)) < 1e-12 * np.max(np.abs(oracle))
+        out = propagate(f, geom, t, theta)
+        assert np.max(np.abs(out - oracle)) < 1e-12 * np.max(np.abs(oracle))
 
     @pytest.mark.parametrize("theta", [0.5, 1.5, 2.0, 2.5, 3.0, 5.0])
     def test_unitarity_and_group_law(self, theta):
@@ -201,22 +226,22 @@ class TestPropagate:
         s, t = 0.21875, 0.15625
         for geom in (torus(1024), waveguide(64, 64, trunc_length=8.0)):
             f = random_field(geom, seed=11)
-            n0 = f.norm_l2()
-            g = propagate(f, s + t, theta)
-            assert abs(g.norm_l2() - n0) < 1e-12 * n0
-            two_step = propagate(propagate(f, s, theta), t, theta)
-            assert np.max(np.abs(two_step.values - g.values)) < 1e-12 * np.max(np.abs(g.values))
+            n0 = l2(f, geom)
+            g = propagate(f, geom, s + t, theta)
+            assert abs(l2(g, geom) - n0) < 1e-12 * n0
+            two_step = propagate(propagate(f, geom, s, theta), geom, t, theta)
+            assert np.max(np.abs(two_step - g)) < 1e-12 * np.max(np.abs(g))
 
     def test_rejects_nonfinite_time(self):
         with pytest.raises(InvalidInputError):
-            propagate(random_field(torus(8)), np.nan, 2.0)
+            propagate(random_field(torus(8)), torus(8), np.nan, 2.0)
 
     def test_commutes_with_cutoff(self):
         for geom in (torus(64), waveguide(16, 16, trunc_length=4.0)):
             f = random_field(geom, seed=13)
-            a = project_leq(propagate(f, 0.4, 2.5), 4)
-            b = propagate(project_leq(f, 4), 0.4, 2.5)
-            assert np.max(np.abs(a.values - b.values)) < 1e-12 * max(1.0, np.max(np.abs(a.values)))
+            a = project_leq(propagate(f, geom, 0.4, 2.5), geom, 4)
+            b = propagate(project_leq(f, geom, 4), geom, 0.4, 2.5)
+            assert np.max(np.abs(a - b)) < 1e-12 * max(1.0, np.max(np.abs(a)))
 
 
 class TestExactGrid:
@@ -496,8 +521,8 @@ class TestPhaseBlocks:
 class TestGridMultiplier:
     @staticmethod
     def slow_twin(m, values, geom):
-        coef = forward_transform(Field(values, geom)).coefficients
-        return inverse_transform(SpectrumField(m * coef, geom)).values
+        coef = forward_transform(values, geom)
+        return inverse_transform(m * coef, geom)
 
     @pytest.mark.parametrize("geom", [
         pytest.param(torus((4, 8)), id="torus-2d"),
@@ -534,80 +559,80 @@ def test_multipliers_match_transform_pair(geom):
     f = random_field(geom, seed=37)
 
     def twin(m):
-        coef = forward_transform(f).coefficients * m
-        return inverse_transform(SpectrumField(coef, geom)).values
+        return inverse_transform(forward_transform(f, geom) * m, geom)
 
     sym = fractional_symbol(geom, 2.5)
-    cases = [(propagate(f, 0.3, 2.5), twin(flow_phase(0.3, sym))),
-             (project_leq(f, 3), twin(_band_multiplier(geom, 3)))]
-    cases += [(littlewood_paley(f, k), twin(_band_multiplier(geom, 2 ** k))
+    cases = [(propagate(f, geom, 0.3, 2.5), twin(flow_phase(0.3, sym))),
+             (project_leq(f, geom, 3), twin(_band_multiplier(geom, 3)))]
+    cases += [(littlewood_paley(f, geom, k),
+               twin(_band_multiplier(geom, 2 ** k))
                - twin(_band_multiplier(geom, 2 ** (k - 1)))) for k in (1, 2)]
     for got, want in cases:
-        assert np.max(np.abs(got.values - want)) < 1e-12 * np.max(np.abs(want))
+        assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
 
 
 class TestProjectors:
     def test_mode_inside_band_unchanged(self):
         geom = torus(32)
         f = plane_wave(geom, 3)
-        out = project_leq(f, 4)
-        assert np.max(np.abs(out.values - f.values)) < 1e-13
+        out = project_leq(f, geom, 4)
+        assert np.max(np.abs(out - f)) < 1e-13
 
     def test_mode_outside_smooth_support_killed(self):
         geom = waveguide(32, 8, trunc_length=1.0)
         # mode at |xi| = 9 > 2N on the free axis
         x = geom.axis_coordinates(0)[:, None]
-        f = Field(np.exp(2j * np.pi * 9 * x) * np.ones((32, 8)), geom)
-        out = project_leq(f, 4)
-        assert np.max(np.abs(out.values)) < 1e-13
+        f = np.exp(2j * np.pi * 9 * x) * np.ones((32, 8))
+        out = project_leq(f, geom, 4)
+        assert np.max(np.abs(out)) < 1e-13
 
     def test_sharp_indicator_cutoff(self):
         geom = torus(32)
         coef = np.zeros(32, dtype=complex)
         freqs = geom.axis_frequencies(0)
         coef[np.abs(freqs) <= 8] = 1.0
-        f = inverse_transform(SpectrumField(coef, geom))
-        out_coef = forward_transform(project_leq(f, 4)).coefficients
+        f = inverse_transform(coef, geom)
+        out_coef = forward_transform(project_leq(f, geom, 4), geom)
         expected = np.where(np.abs(freqs) <= 4, 1.0, 0.0)
         assert np.max(np.abs(out_coef - expected)) < 1e-12
 
     def test_idempotent_on_torus(self):
         geom = torus(64)
         f = random_field(geom, seed=17)
-        once = project_leq(f, 8)
-        twice = project_leq(once, 8)
-        assert np.max(np.abs(once.values - twice.values)) < 1e-13
+        once = project_leq(f, geom, 8)
+        twice = project_leq(once, geom, 8)
+        assert np.max(np.abs(once - twice)) < 1e-13
 
     def test_waveguide_reprojection_consistency(self):
         # P_{<=2N} P_{<=N} = P_{<=N}: support of eta(./N) sits where eta(./2N)=1
         geom = waveguide(64, 16, trunc_length=4.0)
         f = random_field(geom, seed=19)
-        a = project_leq(f, 4)
-        b = project_leq(a, 8)
-        assert np.max(np.abs(a.values - b.values)) < 1e-12
+        a = project_leq(f, geom, 4)
+        b = project_leq(a, geom, 8)
+        assert np.max(np.abs(a - b)) < 1e-12
 
     def test_nyquist_zeroed(self):
         geom = torus(16)
         x = geom.axis_coordinates(0)
-        f = Field(np.exp(2j * np.pi * (-8) * x), geom)  # pure Nyquist mode
-        out = project_leq(f, 8)
-        assert np.max(np.abs(out.values)) < 1e-13
+        f = np.exp(2j * np.pi * (-8) * x)  # pure Nyquist mode
+        out = project_leq(f, geom, 8)
+        assert np.max(np.abs(out)) < 1e-13
 
 
 class TestLittlewoodPaley:
     def test_lowest_block_is_unit_cutoff(self):
         geom = torus(32)
         f = random_field(geom, seed=23)
-        b0 = littlewood_paley(f, 0)
-        p1 = project_leq(f, 1)
-        assert np.array_equal(b0.values, p1.values)
+        b0 = littlewood_paley(f, geom, 0)
+        p1 = project_leq(f, geom, 1)
+        assert np.array_equal(b0, p1)
 
     def test_single_mode_lands_in_unique_block(self):
         geom = torus(64)
         f = plane_wave(geom, 8)
         for k in range(6):
-            block = littlewood_paley(f, k)
-            mag = np.max(np.abs(block.values))
+            block = littlewood_paley(f, geom, k)
+            mag = np.max(np.abs(block))
             if k == 3:  # 2^{k-1} < 8 <= 2^k
                 assert mag > 0.99
             else:
@@ -615,9 +640,9 @@ class TestLittlewoodPaley:
 
     def test_zero_field_all_blocks_zero(self):
         geom = torus(16)
-        f = Field(np.zeros(16), geom)
+        f = np.zeros(16)
         for k in range(5):
-            assert np.all(littlewood_paley(f, k).values == 0)
+            assert np.all(littlewood_paley(f, geom, k) == 0)
 
     @pytest.mark.parametrize("geom", [torus(64), waveguide(32, 16, trunc_length=4.0)])
     def test_telescoping(self, geom):
@@ -625,15 +650,15 @@ class TestLittlewoodPaley:
         K = 3
         total = np.zeros(geom.grid_sizes, dtype=complex)
         for k in range(K + 1):
-            total = total + littlewood_paley(f, k).values
-        direct = project_leq(f, 2 ** K).values
+            total = total + littlewood_paley(f, geom, k)
+        direct = project_leq(f, geom, 2 ** K)
         assert np.max(np.abs(total - direct)) < 1e-13 * max(1.0, np.max(np.abs(direct)))
 
     def test_blocks_orthogonal_on_torus(self):
         geom = torus(64)
         f = random_field(geom, seed=31)
-        b2 = littlewood_paley(f, 2).values
-        b4 = littlewood_paley(f, 4).values
+        b2 = littlewood_paley(f, geom, 2)
+        b4 = littlewood_paley(f, geom, 4)
         inner = np.vdot(b2, b4) * geom.cell_volume
         assert abs(inner) < 1e-13
 

@@ -18,12 +18,11 @@ from strichartz_lab.cli import main as cli_main
 from strichartz_lab.config import load_config, schema_document, validate_config
 from strichartz_lab.errors import (ConfigError, InvalidInputError,
                                    NumericFailureError)
-from strichartz_lab.geometry import (BandFlow, SpectrumField,
-                                     _band_multiplier,
+from strichartz_lab.geometry import (BandFlow, _band_multiplier,
                                      inverse_transform, propagate, torus,
                                      waveguide)
 from strichartz_lab.harness import _flow_ratios, run
-from strichartz_lab.norms import mixed_norm
+from strichartz_lab.norms import lq_norm, mixed_norm
 from strichartz_lab.seeding import derive_cell_seed, derive_cell_seeds
 
 
@@ -356,11 +355,11 @@ class TestFlowRatios:
         for row, ratio in zip(rows, ratios):
             coef = np.zeros(geom.grid_sizes, dtype=complex)
             coef[mask] = row
-            f = inverse_transform(SpectrumField(coef, geom))
-            film = np.stack([propagate(f, t, theta).values for t in times])
+            f = inverse_transform(coef, geom)
+            film = np.stack([propagate(f, geom, t, theta) for t in times])
             assert ratio == pytest.approx(
                 mixed_norm(film, times, p, q, geom.cell_volume)
-                / f.norm_l2(), rel=1e-12)
+                / lq_norm(f, 2, geom.cell_volume), rel=1e-12)
 
     def test_memory_below_one_batch(self):
         # the stream holds a few block buffers, never a second copy of
@@ -632,6 +631,19 @@ class TestDrivers:
         # the interaction's Besov size is logged with the run
         assert res.summary["fits"]["potential_besov"] > 0
         assert all(r["potential_besov"] > 0 for r in res.rows)
+
+    def test_hartree_run_large_finite_exponents(self, tmp_path):
+        # |w|^q' and |rho|^q leave the float range at 2000; the potential's
+        # Besov norm lies between its values at q' = 1000 (1.99446) and at
+        # q' = inf (2)
+        cfg = {"experiment": "hartree-run",
+               "geometry": {"kind": "torus", "grid_sizes": [16]},
+               "params": {"T": 0.01, "dt": [0.005], "q_report": 2000,
+                          "potential": {"kind": "yukawa", "qprime": 2000}}}
+        res = run(cfg, str(tmp_path / "out"))
+        assert res.exit_code == 0
+        assert 1.9945 < res.summary["fits"]["potential_besov"] <= 2.0
+        assert all(0 < r["rho_norm_final"] < math.inf for r in res.rows)
 
     def test_fixed_point_small(self, tmp_path):
         cfg = {"experiment": "fixed-point", "seed": 9,

@@ -5,17 +5,16 @@ import weakref
 import numpy as np
 import pytest
 
-from strichartz_lab import hartree
+from strichartz_lab import geometry, hartree
 from strichartz_lab.errors import (CapacityError, InvalidInputError,
                                    NumericFailureError)
 from strichartz_lab.geometry import (
-    Field,
     GridMultiplier,
-    SpectrumField,
     fractional_symbol,
     inverse_transform,
     propagate,
     torus,
+    waveguide,
 )
 from strichartz_lab.hartree import (
     DensityState,
@@ -23,11 +22,9 @@ from strichartz_lab.hartree import (
     PotentialSpec,
     _kinetic,
     _potential,
-    convolve_potential,
     duhamel_map,
     evolve,
     fixed_point_iterate,
-    free_flight,
     free_path,
     hartree_energy,
     split_step,
@@ -47,7 +44,7 @@ def ons_state(geom, M, N, theta, weights, seed=None):
     for row in fam:
         coef = np.zeros(geom.grid_sizes, dtype=complex)
         coef[mask] = row
-        members.append(inverse_transform(SpectrumField(coef, geom)).values)
+        members.append(inverse_transform(coef, geom))
     return DensityState(np.stack(members), np.asarray(weights, dtype=float),
                         geom, theta)
 
@@ -60,35 +57,37 @@ class TestPotential:
     def test_identity_multiplier_is_noop(self):
         geom = torus(32)
         rng = np.random.default_rng(0)
-        rho = Field(np.abs(rng.standard_normal(32)), geom)
-        out = convolve_potential(PotentialSpec("identity"), rho)
-        assert np.max(np.abs(out.values - rho.values)) < 1e-12
+        rho = np.abs(rng.standard_normal(32))
+        out = _potential(PotentialSpec("identity"), geom)(rho).real
+        assert np.max(np.abs(out - rho)) < 1e-12
 
     def test_mean_only_multiplier(self):
         # a gaussian so wide that only the xi = 0 weight survives
         geom = torus(32)
         rng = np.random.default_rng(1)
-        rho = Field(np.abs(rng.standard_normal(32)), geom)
-        out = convolve_potential(PotentialSpec("gaussian", sigma_w=50.0), rho)
-        mean = np.sum(rho.values.real) * geom.cell_volume
-        assert np.max(np.abs(out.values - mean)) < 1e-12
+        rho = np.abs(rng.standard_normal(32))
+        out = _potential(PotentialSpec("gaussian", sigma_w=50.0), geom)(
+            rho).real
+        mean = np.sum(rho) * geom.cell_volume
+        assert np.max(np.abs(out - mean)) < 1e-12
 
     def test_yukawa_on_cosine(self):
         geom = torus(64)
         x = geom.axis_coordinates(0)
-        rho = Field(np.cos(2 * np.pi * x), geom)
-        out = convolve_potential(YUKAWA, rho)
+        rho = np.cos(2 * np.pi * x)
+        out = _potential(YUKAWA, geom)(rho).real
         # modes +-1 are scaled by (1 + 1)^(-1) = 1/2
-        assert np.max(np.abs(out.values - 0.5 * np.cos(2 * np.pi * x))) < 1e-12
+        assert np.max(np.abs(out - 0.5 * np.cos(2 * np.pi * x))) < 1e-12
 
     def test_multiplier_real_even(self):
         geom = torus(32)
         for spec in (YUKAWA, PotentialSpec("gaussian", sigma_w=2.0),
                      PotentialSpec("cosine", k0=3)):
-            w = spec.field(geom)
-            assert np.max(np.abs(w.values.imag)) < 1e-12
+            w = inverse_transform(spec.multiplier(geom), geom)
+            assert np.max(np.abs(w.imag)) < 1e-12
+            assert np.array_equal(spec.field(geom), w.real)
             # even: w(x) = w(-x) on the periodic grid
-            vals = w.values.real
+            vals = w.real
             assert np.max(np.abs(vals[1:] - vals[1:][::-1])) < 1e-12
 
     def test_yukawa_guard(self):
@@ -99,17 +98,11 @@ class TestPotential:
         # cosine at mode 8: single block k = 3, norm 2^{3s} / sqrt(2)
         geom = torus(64)
         w = PotentialSpec("cosine", k0=8)
-        assert besov_sup_norm(w.field(geom), 1.0, 2.0) == pytest.approx(
-            8.0 / np.sqrt(2), rel=1e-10)
-        from strichartz_lab.geometry import waveguide
+        assert besov_sup_norm(w.field(geom), geom, 1.0, 2.0) == \
+            pytest.approx(8.0 / np.sqrt(2), rel=1e-10)
         yuk = PotentialSpec("yukawa", a=1.0)
-        assert besov_sup_norm(yuk.field(waveguide(32, 8, trunc_length=4.0)),
-                              0.5, 2.0) > 0
-
-    def test_complex_density_rejected(self):
-        geom = torus(16)
-        with pytest.raises(InvalidInputError):
-            convolve_potential(YUKAWA, Field(1j * np.ones(16), geom))
+        wg = waveguide(32, 8, trunc_length=4.0)
+        assert besov_sup_norm(yuk.field(wg), wg, 0.5, 2.0) > 0
 
 
 class TestSplitStep:
@@ -118,12 +111,31 @@ class TestSplitStep:
         st = ons_state(geom, 3, 4, 2.5, [0.5, 0.3, 0.2], seed=2)
         dt = 0.01
         stepped = split_step(st, dt, ZERO)
-        free = free_flight(st, dt)
-        assert np.max(np.abs(stepped.members - free.members)) < 1e-13
+        free = _kinetic(geom, 2.5, dt)(st.members)
+        assert np.max(np.abs(stepped.members - free)) < 1e-13
         # pinned convention: free flight over dt = package flow at -dt/(2 pi)
-        for j in range(st.size):
-            via_flow = propagate(Field(st.members[j], geom), -dt / (2 * np.pi), 2.5)
-            assert np.max(np.abs(free.members[j] - via_flow.values)) < 1e-12
+        assert np.array_equal(
+            free, propagate(st.members, geom, -dt / (2 * np.pi), 2.5))
+        for u, v in zip(st.members, free):
+            assert np.array_equal(
+                propagate(u, geom, -dt / (2 * np.pi), 2.5), v)
+
+    @pytest.mark.parametrize("geom", [
+        torus(64), torus((8, 16)), waveguide(16, 8, trunc_length=3.0)],
+        ids=["1d", "2d", "waveguide"])
+    def test_kinetic_is_the_package_flow(self, geom):
+        # one multiplier: free flight over dt is propagate at -dt/(2 pi),
+        # on the (M, *grid) batch and member by member, bit for bit
+        theta, dt = 2.5, 0.037
+        rng = np.random.default_rng(5)
+        members = rng.standard_normal((3,) + geom.grid_sizes) \
+            + 1j * rng.standard_normal((3,) + geom.grid_sizes)
+        t = -dt / (2 * np.pi)
+        assert _kinetic(geom, theta, dt) is geometry._flow(geom, theta, t)
+        free = _kinetic(geom, theta, dt)(members)
+        assert np.array_equal(free, propagate(members, geom, t, theta))
+        for u, v in zip(members, free):
+            assert np.array_equal(propagate(u, geom, t, theta), v)
 
     def test_identity_at_zero_dt(self):
         geom = torus(32)
@@ -254,11 +266,16 @@ class TestEvolve:
                             5 * 3 * int(np.prod(geom.grid_sizes)))
         st = ons_state(geom, 3, 2, 2.5, [0.5, 0.3, 0.2], seed=15)
         rec = evolve(st, 0.23, 1e-2, ZERO)
+
+        def free(t):
+            return DensityState(_kinetic(geom, st.theta, t)(st.members),
+                                st.weights, geom, st.theta)
+
         for t, e in zip(rec.times, rec.energy):
-            assert e == pytest.approx(hartree_energy(free_flight(st, t), ZERO),
+            assert e == pytest.approx(hartree_energy(free(t), ZERO),
                                       rel=1e-12)
         assert np.max(np.abs(rec.final_state.members
-                             - free_flight(st, 0.23).members)) < 1e-12
+                             - free(0.23).members)) < 1e-12
 
     def test_non_finite_potential_fails_at_first_step(self, monkeypatch):
         geom = torus(32)

@@ -5,7 +5,6 @@ import pytest
 
 from strichartz_lab.errors import InvalidInputError, NumericFailureError
 from strichartz_lab.kernels import (
-    KernelQuery,
     _scaled_kernel_max,
     dispersive_sup,
     kernel_exp_sum,
@@ -15,15 +14,15 @@ from strichartz_lab.kernels import (
 
 class TestKernelExpSum:
     def test_all_phases_aligned(self):
-        assert kernel_exp_sum(KernelQuery(5, 3.0, 0.0, 0.0)) == pytest.approx(11.0)
+        assert kernel_exp_sum(5, 3.0, 0.0, 0.0) == pytest.approx(11.0)
 
     def test_alternating(self):
         for theta in (2.0, 2.5, 3.0):
-            v = kernel_exp_sum(KernelQuery(1, theta, 0.0, 0.5))
+            v = kernel_exp_sum(1, theta, 0.0, 0.5)
             assert v == pytest.approx(-1.0, abs=1e-14)
 
     def test_quarter_period_cubic(self):
-        v = kernel_exp_sum(KernelQuery(1, 3.0, 0.25, 0.0))
+        v = kernel_exp_sum(1, 3.0, 0.25, 0.0)
         assert v == pytest.approx(1.0 + 2.0j, abs=1e-14)
 
     def test_modulus_bound_and_symmetries(self):
@@ -33,11 +32,11 @@ class TestKernelExpSum:
             theta = float(rng.uniform(2.0, 4.0))
             t = float(rng.uniform(-0.5, 0.5))
             x = float(rng.uniform(0, 1))
-            v = kernel_exp_sum(KernelQuery(N, theta, t, x))
+            v = kernel_exp_sum(N, theta, t, x)
             assert abs(v) <= 2 * N + 1 + 1e-10
-            v_conj = kernel_exp_sum(KernelQuery(N, theta, -t, x))
+            v_conj = kernel_exp_sum(N, theta, -t, x)
             assert v_conj == pytest.approx(np.conj(v), abs=1e-12)
-            v_even = kernel_exp_sum(KernelQuery(N, theta, t, -x))
+            v_even = kernel_exp_sum(N, theta, t, -x)
             assert v_even == pytest.approx(v, abs=1e-12)
 
     def test_cosine_form_identity(self):
@@ -53,16 +52,20 @@ class TestKernelExpSum:
             cos_form = 1.0 + 2.0 * np.sum(
                 np.exp(2j * np.pi * t * n.astype(float) ** theta)
                 * np.cos(2 * np.pi * n * x))
-            direct = kernel_exp_sum(KernelQuery(N, theta, t, x))
+            direct = kernel_exp_sum(N, theta, t, x)
             assert abs(direct - cos_form) < 1e-12
 
     def test_query_validation(self):
         with pytest.raises(InvalidInputError):
-            KernelQuery(0, 3.0, 0.0, 0.0)
+            kernel_exp_sum(0, 3.0, 0.0, 0.0)
         with pytest.raises(InvalidInputError):
-            KernelQuery(4, 1.5, 0.0, 0.0)
+            kernel_exp_sum(2.5, 3.0, 0.0, 0.0)
         with pytest.raises(InvalidInputError):
-            KernelQuery(4, 3.0, np.inf, 0.0)
+            kernel_exp_sum(4, 1.5, 0.0, 0.0)
+        with pytest.raises(InvalidInputError):
+            kernel_exp_sum(4, 3.0, np.inf, 0.0)
+        with pytest.raises(InvalidInputError):
+            kernel_exp_sum(4, 3.0, 0.0, np.nan)
 
 
 class TestDispersiveSup:
@@ -93,7 +96,7 @@ class TestDispersiveSup:
         assert r_fine.sup_value >= r_coarse.sup_value
         # the recorded argmax realizes the sup
         t_star, x_star = r_coarse.argmax
-        k = kernel_exp_sum(KernelQuery(4, 2.5, t_star, x_star))
+        k = kernel_exp_sum(4, 2.5, t_star, x_star)
         assert abs(t_star) ** (1 / 2.5) * abs(k) == pytest.approx(
             r_coarse.sup_value, rel=1e-12)
 
@@ -107,7 +110,7 @@ class TestDispersiveSup:
         if N == 0:
             ks = np.ones((len(ts), nx))
         else:
-            ks = np.array([[abs(kernel_exp_sum(KernelQuery(N, theta, t, x)))
+            ks = np.array([[abs(kernel_exp_sum(N, theta, t, x))
                             for x in xs] for t in ts])
         scaled = ts[:, None] ** (1 / theta) * ks
         i, j = np.unravel_index(np.argmax(scaled), scaled.shape)

@@ -5,7 +5,7 @@ import pytest
 
 from strichartz_lab.errors import InvalidInputError
 from strichartz_lab.geometry import (
-    Field,
+    inverse_transform,
     propagate,
     torus,
     waveguide,
@@ -23,8 +23,8 @@ from strichartz_lab.norms import (
 INF = math.inf
 
 
-def propagated_film(f, theta, times):
-    return np.stack([propagate(f, float(t), theta).values for t in times])
+def propagated_film(f, geom, theta, times):
+    return np.stack([propagate(f, geom, float(t), theta) for t in times])
 
 
 class TestMixedNorm:
@@ -40,9 +40,9 @@ class TestMixedNorm:
     def test_unimodular_wave_scales_with_interval(self):
         geom = torus(32)
         x = geom.axis_coordinates(0)
-        f = Field(np.exp(2j * np.pi * 3 * x), geom)
+        f = np.exp(2j * np.pi * 3 * x)
         times = np.linspace(0.0, 0.5, 17)
-        F = propagated_film(f, 2.0, times)
+        F = propagated_film(f, geom, 2.0, times)
         for p in (1, 2, 4):
             assert mixed_norm(F, times, p, 6, geom.cell_volume) == \
                 pytest.approx(0.5 ** (1 / p), rel=1e-12)
@@ -91,8 +91,8 @@ class TestMixedNorm:
         pytest.param(lambda F, t, g, q: lq_norm(F, q), id="lq_norm"),
         pytest.param(lambda F, t, g, q: mixed_norm(F, t, 2, q, g.cell_volume),
                      id="mixed_norm"),
-        pytest.param(lambda F, t, g, q: Field(F[0], g).norm_lq(q),
-                     id="Field.norm_lq"),
+        pytest.param(lambda F, t, g, q: besov_sup_norm(F[0], g, 1.0, q),
+                     id="besov_sup_norm"),
     ])
     def test_rejects_exponent_below_one(self, norm, q):
         geom = torus(16)
@@ -124,6 +124,22 @@ class TestMixedNorm:
         assert np.array_equal(lq_norm(v, q, 0.25, axis=1), expected)
         assert np.array_equal(v, before)
 
+    def test_lq_norm_large_exponent_stays_in_range(self):
+        # |v|^2000 overflows at 2 and underflows at 0.5; the norm does not
+        assert lq_norm([2.0, 1.0], 2000) == pytest.approx(2.0, rel=1e-12)
+        assert lq_norm([0.5, 0.25], 2000) == pytest.approx(0.5, rel=1e-12)
+        assert lq_norm(np.zeros(4), 2000) == 0.0
+        v = np.array([[2.0, 1.0, 1.0, 1.0], [0.5, 0.25, 0.0, 0.0],
+                      [0.0, 0.0, 0.0, 0.0], [1.0, 1.0, 1.0, 1.0]])
+        got = lq_norm(v, 2000, 0.25, axis=1)
+        shrink = 0.25 ** (1 / 2000)
+        assert got == pytest.approx([2 * shrink, 0.5 * shrink, 0.0, 1.0],
+                                    rel=1e-12)
+        assert got[2] == 0.0
+        # a result in range is the direct sum's, bit for bit
+        assert got[3] == (4 * 0.25) ** (1 / 2000)
+        assert np.array_equal(lq_norm(v.T, 2000, 0.25, axis=0), got)
+
     def test_time_refinement_stability(self):
         geom = torus(64)
         rng = np.random.default_rng(6)
@@ -131,11 +147,10 @@ class TestMixedNorm:
         freqs = geom.axis_frequencies(0)
         band = np.abs(freqs) <= 8
         coef[band] = rng.standard_normal(band.sum()) + 1j * rng.standard_normal(band.sum())
-        from strichartz_lab.geometry import SpectrumField, inverse_transform
-        f = inverse_transform(SpectrumField(coef, geom))
+        f = inverse_transform(coef, geom)
         t_coarse, t_fine = np.linspace(0, 1, 129), np.linspace(0, 1, 257)
-        coarse = propagated_film(f, 2.0, t_coarse)
-        fine = propagated_film(f, 2.0, t_fine)
+        coarse = propagated_film(f, geom, 2.0, t_coarse)
+        fine = propagated_film(f, geom, 2.0, t_fine)
         for p in (2, 4, 8, INF):
             for q in (2, 4, 8, INF):
                 a = mixed_norm(coarse, t_coarse, p, q, geom.cell_volume)
@@ -308,17 +323,20 @@ class TestFitScaling:
 class TestBesovSupNorm:
     def test_constant(self):
         geom = torus(32)
-        w = Field(np.full(32, 2.5 + 0j), geom)
-        assert besov_sup_norm(w, 1.0, 2.0) == pytest.approx(2.5, rel=1e-12)
+        w = np.full(32, 2.5 + 0j)
+        assert besov_sup_norm(w, geom, 1.0, 2.0) == \
+            pytest.approx(2.5, rel=1e-12)
 
     def test_single_mode_block_weight(self):
         geom = torus(64)
         x = geom.axis_coordinates(0)
-        w = Field(np.exp(2j * np.pi * 8 * x), geom)
+        w = np.exp(2j * np.pi * 8 * x)
         # mode 8 lives in block k = 3, so the norm is 2^{3 s}
-        assert besov_sup_norm(w, 1.0, 2.0) == pytest.approx(8.0, rel=1e-12)
-        assert besov_sup_norm(w, 0.5, 2.0) == pytest.approx(2.0 ** 1.5, rel=1e-12)
+        assert besov_sup_norm(w, geom, 1.0, 2.0) == \
+            pytest.approx(8.0, rel=1e-12)
+        assert besov_sup_norm(w, geom, 0.5, 2.0) == \
+            pytest.approx(2.0 ** 1.5, rel=1e-12)
 
     def test_zero(self):
         geom = torus(16)
-        assert besov_sup_norm(Field(np.zeros(16), geom), 2.0, 4.0) == 0.0
+        assert besov_sup_norm(np.zeros(16), geom, 2.0, 4.0) == 0.0

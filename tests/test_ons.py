@@ -72,17 +72,10 @@ class TestGenerateOns:
         # unitarity: the flowed members stay orthonormal at every sample
         geom = torus(64)
         fam = generate_ons("random-band", 8, 8, geom, seed=5)
-        from strichartz_lab.geometry import SpectrumField, inverse_transform
-        from strichartz_lab.geometry import _band_multiplier
-        mask = _band_multiplier(geom, 8) == 1.0
-        fields = []
-        for row in fam:
-            coef = np.zeros(64, dtype=complex)
-            coef[mask] = row
-            fields.append(inverse_transform(SpectrumField(coef, geom)))
+        fields = list(member_fields(geom, 8, fam))
         for t in (0.0, 0.3, 0.9):
-            flowed = [propagate(f, t, 2.5) for f in fields]
-            gram = np.array([[np.vdot(a.values, b.values) * geom.cell_volume
+            flowed = [propagate(f, geom, t, 2.5) for f in fields]
+            gram = np.array([[np.vdot(a, b) * geom.cell_volume
                               for b in flowed] for a in flowed])
             assert np.max(np.abs(gram - np.eye(8))) < 1e-10
 
@@ -184,22 +177,21 @@ class TestDensityField:
         chunked = density_field(geom, N, fam, lam, 2.5, times)
         assert np.max(np.abs(chunked - whole)) <= 1e-12 * np.max(np.abs(whole))
         # and the single-chunk sum is the per-member sum
-        slow = sum(w * np.abs(np.stack([propagate(f, t, 2.5).values
+        slow = sum(w * np.abs(np.stack([propagate(f, geom, t, 2.5)
                                         for t in np.linspace(0, 1, 9)])) ** 2
                    for w, f in zip(lam, member_fields(geom, N, fam)))
         assert np.max(np.abs(whole - slow)) <= 1e-12 * np.max(np.abs(slow))
 
 
 def member_fields(geom, N, fam):
-    """The members of a family on band N as fields, through the transform
-    pair."""
-    from strichartz_lab.geometry import (SpectrumField, _band_mask,
-                                         inverse_transform)
+    """The members of a family on band N as grid values, through the
+    transform pair."""
+    from strichartz_lab.geometry import _band_mask, inverse_transform
     mask = _band_mask(geom, N)
     for row in fam:
         coef = np.zeros(geom.grid_sizes, dtype=complex)
         coef[mask] = row
-        yield inverse_transform(SpectrumField(coef, geom))
+        yield inverse_transform(coef, geom)
 
 
 class TestOnsEstimateRatio:

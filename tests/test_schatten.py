@@ -10,7 +10,7 @@ from strichartz_lab.geometry import (
     torus,
     waveguide,
 )
-from strichartz_lab.kernels import KernelQuery, kernel_exp_sum
+from strichartz_lab.kernels import kernel_exp_sum
 from strichartz_lab.norms import lq_norm
 from strichartz_lab.ons import lambda_family
 from strichartz_lab.schatten import (
@@ -262,8 +262,7 @@ class TestExtensionMatrix:
             ti, xi_ = t[i // 16], x[i % 16]
             for j in range(T * 16):
                 tj, xj = t[j // 16], x[j % 16]
-                conv[i, j] = kernel_exp_sum(
-                    KernelQuery(N, theta, ti - tj, xi_ - xj))
+                conv[i, j] = kernel_exp_sum(N, theta, ti - tj, xi_ - xj)
         conv *= fold[:, None] * fold[None, :]
         assert np.max(np.abs(gram - conv)) < 1e-10
 
