@@ -315,7 +315,7 @@ def _phase_blocks(times, levels, k: int):
         s = a - times[t]
         v = s - a
         eps = (s - m[:len(a)] * h) + ((a - (s - v)) - (times[t] + v))
-        gap = np.abs(eps).max() * np.abs(levels).max()
+        gap = np.abs(eps).max() * np.abs(levels).max(initial=0)
         if gap > 2.0 ** -28:
             phase = flow_phase(a[:, None], levels)
         else:

@@ -251,8 +251,8 @@ def _drv_kernel_sweep(echo):
     _check_cap("params.x_grid_pts", "refined space row",
                p["x_grid_pts"] * scale)
     # the largest N-sized array is the phase table of the levels
-    # arange(1, N + 1) ** theta: 2 x N once a time chunk of the sweep is
-    # one row (N >= 5 * 10^5), far below the cap for smaller N
+    # arange(1, N + 1) ** theta: 2 x N once a time block of the sweep is
+    # one row (nx + N >= _BLOCK_ELEMENTS), far below the cap for smaller N
     _check_cap("params.N", "phase table", 2 * max(p["N"]))
     for th in p["theta"]:
         for n in p["N"]:

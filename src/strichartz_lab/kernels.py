@@ -15,6 +15,11 @@ The sweep evaluates each time row by one DFT on the uniform grid;
 ``kernel_exp_sum`` keeps the pairwise sum (2N+1 unit-magnitude terms with
 heavy cancellation) as the oracle.  The sweep grids refine by midpoint
 insertion so that a refined sup can never drop below a coarser one.
+
+Both streams work within ``geometry._BLOCK_ELEMENTS``: the sweep takes
+its times in blocks of ``_BLOCK_ELEMENTS // (nx + N)`` rows, one DFT
+block at a time, and the quadrature evaluates its first batch of panels
+in slices of ``_BLOCK_ELEMENTS // 16`` panels of 15 nodes.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InvalidInputError, NumericFailureError
-from .geometry import _frac_product, _phase_blocks
+from .geometry import _BLOCK_ELEMENTS, _frac_product, _phase_blocks
 
 __all__ = [
     "DispersiveReport",
@@ -96,36 +101,30 @@ def _scaled_kernel_max(N, theta, ts, xs):
     ``xs`` must be the uniform grid ``arange(nx) / nx``: each row
     K_N(t, .) is then one length-nx DFT of the coefficients
     e^{2 pi i t n^theta}, placed at n mod nx and folded when 2N+1 > nx.
+    The rows run in blocks of ``_BLOCK_ELEMENTS // (nx + N)`` times.
     """
-    if N == 0:
-        vals = np.abs(ts) ** (1.0 / theta)
-        i = int(np.argmax(vals))
-        return float(vals[i]), (float(ts[i]), float(xs[0]))
     nx = len(xs)
     n = np.arange(1, N + 1)
-    best = -1.0
-    arg = (float(ts[0]), float(xs[0]))
-    chunk = max(1, 1_000_000 // (nx + N))
-    for lo in range(0, len(ts), chunk):
-        tc = ts[lo:lo + chunk]
-        coef = np.zeros((len(tc), nx), dtype=complex)
+    best, arg = -1.0, None
+    for rows, ph in _phase_blocks(ts, n ** theta,
+                                  max(1, _BLOCK_ELEMENTS // (nx + N))):
+        coef = np.zeros((len(ph), nx), dtype=complex)
         coef[:, 0] = 1.0
         # within one block of nx consecutive n the bins n mod nx are
         # distinct, so each += hits every bin at most once
-        for rows, ph in _phase_blocks(tc, n ** theta, int(len(tc) ** 0.5) + 1):
-            for b in range(0, N, nx):
-                bins = n[b:b + nx] % nx
-                coef[rows, bins] += ph[:, b:b + nx]
-                coef[rows, -bins % nx] += ph[:, b:b + nx]
+        for b in range(0, N, nx):
+            bins = n[b:b + nx] % nx
+            for c in (bins, -bins % nx):
+                coef[:, c] += ph[:, b:b + nx]
         # coef is symmetric in n, so the forward DFT (in place) is
-        # K_N(t, j/nx); a chunk holds coef and the real scaled |K_N|
+        # K_N(t, j/nx); a block holds coef and the real scaled |K_N|
         scaled = np.abs(np.fft.fft(coef, axis=1, out=coef))
-        scaled *= np.abs(tc[:, None]) ** (1.0 / theta)
+        scaled *= np.abs(ts[rows, None]) ** (1.0 / theta)
         i, j = np.unravel_index(np.argmax(scaled), scaled.shape)
         if scaled[i, j] > best:
             best = float(scaled[i, j])
-            arg = (float(tc[i]), float(xs[j]))
-        del coef, scaled  # freed before the next chunk allocates its own
+            arg = (float(ts[rows][i]), float(xs[j]))
+        del coef, scaled  # freed before the next block allocates its own
     return best, arg
 
 
@@ -157,28 +156,23 @@ def dispersive_sup(N: int, theta: float, t_grid_pts: int = 512,
         raise InvalidInputError(
             f"empty window: t_min = {t_min} >= N^(1-theta) = {top}")
 
-    def grids(level):
-        nt = (t_grid_pts - 1) * 2 ** level + 1
+    def sweep(level):
         nx = x_grid_pts * 2 ** level
-        return np.linspace(t_min, top, nt), np.arange(nx) / nx
+        ts = np.linspace(t_min, top, (t_grid_pts - 1) * 2 ** level + 1)
+        return (*_scaled_kernel_max(N, theta, ts, np.arange(nx) / nx),
+                len(ts) * nx)
 
-    ts, xs = grids(0)
-    sup0, arg0 = _scaled_kernel_max(N, theta, ts, xs)
-    if not check_refinement:
-        return DispersiveReport((t_min, top), sup0, arg0,
-                                len(ts) * len(xs), False)
-    ts, xs = grids(1)
-    sup1, arg1 = _scaled_kernel_max(N, theta, ts, xs)
-    refined = False
-    if abs(sup1 - sup0) >= 0.02 * sup0:
-        warnings.warn(
-            f"dispersive sup moved {abs(sup1 - sup0) / sup0:.1%} under grid "
-            f"doubling at N={N}, theta={theta}; refining once more")
-        refined = True
-        ts, xs = grids(2)
-        sup1, arg1 = _scaled_kernel_max(N, theta, ts, xs)
-    return DispersiveReport((t_min, top), sup1, arg1,
-                            len(ts) * len(xs), refined)
+    sup0, arg, samples = sweep(0)
+    sup, refined = sup0, False
+    if check_refinement:
+        sup, arg, samples = sweep(1)
+        refined = abs(sup - sup0) >= 0.02 * sup0
+        if refined:
+            warnings.warn(
+                f"dispersive sup moved {abs(sup - sup0) / sup0:.1%} under "
+                f"grid doubling at N={N}, theta={theta}; refining once more")
+            sup, arg, samples = sweep(2)
+    return DispersiveReport((t_min, top), sup, arg, samples, refined)
 
 
 # ---------------------------------------------------------------------------
@@ -191,14 +185,13 @@ def _gauss_legendre(n: int):
     return np.polynomial.legendre.leggauss(n)
 
 
-def _panel_batch(f, lo_edges, hi_edges):
-    """Gauss-Legendre 15 values and 7/15 discrepancies, one row per panel."""
-    mid = 0.5 * (lo_edges + hi_edges)
-    half = 0.5 * (hi_edges - lo_edges)
-    xl, wl = _gauss_legendre(7)
-    xh, wh = _gauss_legendre(15)
-    lo = (f(mid[:, None] + half[:, None] * xl[None, :]) @ wl) * half
-    hi = (f(mid[:, None] + half[:, None] * xh[None, :]) @ wh) * half
+def _panel_batch(f, edges):
+    """Gauss-Legendre 15 values and 7/15 discrepancies, one per panel
+    between consecutive ``edges``."""
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    lo, hi = ((f(mid[:, None] + half[:, None] * x) @ w) * half
+              for x, w in map(_gauss_legendre, (7, 15)))
     return hi, np.abs(hi - lo)
 
 
@@ -229,21 +222,23 @@ def vdc_integral_oracle(theta: float, x: float, t: float, p: int, b: float,
     phase_span = 2 * np.pi * (abs(lin) * b + abs(t) * b ** theta)
     n0 = int(min(8192, max(8, phase_span / 4.0)))
     edges = np.linspace(0.0, b, n0 + 1)
-    vals, errs = _panel_batch(f, edges[:-1], edges[1:])
+    # the first batch in slices of at most _BLOCK_ELEMENTS nodes
+    step = _BLOCK_ELEMENTS // 16
+    vals, errs = map(np.concatenate, zip(*[
+        _panel_batch(f, edges[i:i + step + 1]) for i in range(0, n0, step)]))
     total = complex(np.sum(vals))
     total_err = float(np.sum(errs))
-    heap = [(-errs[i], edges[i], edges[i + 1], vals[i]) for i in range(n0)]
+    heap = list(zip(-errs, edges[:-1], edges[1:], vals))
     heapq.heapify(heap)
     panels = n0
     while total_err > tol and panels < max_panels:
         neg_e, a0, b0, v0 = heapq.heappop(heap)
         mid = 0.5 * (a0 + b0)
-        sub = np.array([a0, mid])
-        v, e = _panel_batch(f, sub, np.array([mid, b0]))
+        v, e = _panel_batch(f, np.array([a0, mid, b0]))
         total += complex(v[0] + v[1] - v0)
         total_err += float(e[0] + e[1]) + neg_e
-        heapq.heappush(heap, (-e[0], a0, mid, v[0]))
-        heapq.heappush(heap, (-e[1], mid, b0, v[1]))
+        for item in zip(-e, (a0, mid), (mid, b0), v):
+            heapq.heappush(heap, item)
         panels += 1
     envelope = abs(t) ** (-1.0 / theta)
     result = OscillatoryIntegral(complex(total), float(total_err),

@@ -89,7 +89,7 @@ def lq_norm(values, q: float, measure: float = 1.0, axis=None):
     with np.errstate(over="ignore", under="ignore"):
         out = _lebesgue(values, q, measure, axis)
     ok = (out > 0) & (out < math.inf)
-    if np.all(ok):
+    if ok.all():
         return out
     a = np.abs(values)
     top = a.max(axis=axis, keepdims=True)
@@ -138,18 +138,42 @@ def frames_norm(stream, times, p: float, q: float, measure: float,
     grids integrate exactly, so the norm equals the config grid's to
     roundoff.  Other axes and exponents keep the config grid, and config
     grids stay powers of two.
+
+    At a large finite exponent, where a direct sum leaves the float range
+    (an inf, or 0 from nonzero data), the space norm is ``lq_norm``'s
+    rescaled one and the time norm top * (sum w (g / top)^p)^(1/p), top
+    the sample's largest space norm g; results in range are the direct
+    sums'.
     """
     p = _check_exponent(p, "p")
     q = _check_exponent(q, "q")
     weights = trapezoid_weights(times)
+    # while each block adds terms in (0, max / T] to every sample, the
+    # direct sum stays in range; from the first block that does not on,
+    # (g / top)^p is summed as well, top the running max of g, starting
+    # from top^p = the direct sum so far
+    big = np.finfo(float).max / len(times)
     acc = np.zeros(batch)
+    top = rest = None
     for ts, ss, g in stream(
-            lambda u: _lebesgue(u, q, measure, tuple(range(2, u.ndim)))):
+            lambda u: lq_norm(u, q, measure, tuple(range(2, u.ndim)))):
         if p == math.inf:
             acc[ss] = np.maximum(acc[ss], g.max(axis=0))
-        else:
-            acc[ss] += weights[ts] @ _abs_pow(g, p)
-    return acc if p == math.inf else acc ** (1.0 / p)
+            continue
+        with np.errstate(over="ignore"):
+            d = weights[ts] @ _abs_pow(g.copy(), p)
+        if rest is None and not 0 < d.min() <= d.max() <= big:
+            top, rest = acc ** (1 / p), np.sign(acc)
+        if rest is not None:
+            m = np.maximum(top[ss], g.max(axis=0))
+            s = m + (m == 0)
+            rest[ss] = rest[ss] * (top[ss] / s) ** p \
+                + weights[ts] @ (g / s) ** p
+            top[ss] = m
+        acc[ss] += d
+    out = acc if p == math.inf else acc ** (1.0 / p)
+    return out if rest is None else np.where(
+        (out > 0) & (out < math.inf), out, top * rest ** (1 / p))
 
 
 def mixed_norm(film, times, p: float, q: float, measure: float) -> float:

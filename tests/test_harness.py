@@ -645,6 +645,20 @@ class TestDrivers:
         assert 1.9945 < res.summary["fits"]["potential_besov"] <= 2.0
         assert all(0 < r["rho_norm_final"] < math.inf for r in res.rows)
 
+    def test_strichartz_fit_large_finite_exponents(self, tmp_path):
+        # |U(t) f|^2000 leaves the float range in space and in time; the
+        # Dirichlet quotient stays finite and the slope is fitted
+        cfg = {"experiment": "strichartz-fit",
+               "geometry": {"kind": "torus", "grid_sizes": [32]},
+               "params": {"theta": 2.0, "p": 2000, "q": 2000,
+                          "N": [2, 4, 8], "family": "dirichlet"}}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = run(cfg, str(tmp_path / "out"))
+        assert res.exit_code == 0
+        assert all(0 < r["max_ratio_raw"] < math.inf for r in res.rows)
+        assert math.isfinite(res.summary["fits"]["slope_raw"])
+
     def test_fixed_point_small(self, tmp_path):
         cfg = {"experiment": "fixed-point", "seed": 9,
                "params": {"members": 2, "band": 2, "weights": [0.6, 0.4],

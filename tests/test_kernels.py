@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from strichartz_lab.errors import InvalidInputError, NumericFailureError
+from strichartz_lab import kernels
+from strichartz_lab.geometry import _BLOCK_ELEMENTS
 from strichartz_lab.kernels import (
+    _exp_sum_terms,
     _scaled_kernel_max,
     dispersive_sup,
     kernel_exp_sum,
@@ -122,12 +125,13 @@ class TestDispersiveSup:
         assert x_star in (xs[j], xs[-j % nx])
 
     def test_sweep_holds_one_complex_and_one_real_chunk(self):
-        # each chunk of time rows is transformed and scaled in place, so
-        # the sweep holds one complex and one real (rows, nx) array
+        # each block of _BLOCK_ELEMENTS // (nx + N) time rows is transformed
+        # and scaled in place, so the sweep holds one complex and one real
+        # (rows, nx) array
         N, nx, theta = 16, 1024, 3.0
         ts = np.linspace(1e-6, N ** (1 - theta), 2000)
         xs = np.arange(nx) / nx
-        rows = 1_000_000 // (nx + N)
+        rows = _BLOCK_ELEMENTS // (nx + N)
         assert rows < len(ts)
         tracemalloc.start()
         try:
@@ -136,6 +140,44 @@ class TestDispersiveSup:
         finally:
             tracemalloc.stop()
         assert peak < 1.25 * (16 + 8) * rows * nx
+
+    @pytest.mark.parametrize("rows", [None, 3])
+    def test_sweep_over_many_blocks_matches_pairwise_oracle(self, rows,
+                                                            monkeypatch):
+        # 2000 times span 3 blocks of the package's size, or 667 of 3 rows;
+        # the oracle is kernel_exp_sum's pairwise sum, taken over a row
+        N, nx, theta = 8, 64, 3.0
+        if rows is not None:
+            monkeypatch.setattr(kernels, "_BLOCK_ELEMENTS", rows * (nx + N))
+        ts = np.linspace(1e-6, N ** (1 - theta), 2000)
+        xs = np.arange(nx) / nx
+        assert len(ts) > 2 * (kernels._BLOCK_ELEMENTS // (nx + N))
+        ks = np.abs([np.sum(_exp_sum_terms(N, theta, t, xs), axis=-1)
+                     for t in ts])
+        scaled = ts[:, None] ** (1 / theta) * ks
+        i, j = np.unravel_index(np.argmax(scaled), scaled.shape)
+        sup, (t_star, x_star) = _scaled_kernel_max(N, theta, ts, xs)
+        assert sup == pytest.approx(scaled[i, j], rel=1e-12)
+        assert t_star == ts[i]
+        assert x_star in (xs[j], xs[-j % nx])
+
+    def test_time_repeated_in_two_blocks_reports_the_first(self,
+                                                          monkeypatch):
+        # the maximizing time sits in the first block and again in the
+        # third; the non-uniform grid takes flow_phase at each time, so both
+        # copies give the same row, and the later one must not displace the
+        # first: the sweep reports what the first block alone reports
+        N, nx, theta = 8, 64, 3.0
+        monkeypatch.setattr(kernels, "_BLOCK_ELEMENTS", 4 * (nx + N))
+        xs = np.arange(nx) / nx
+        grid = np.linspace(1e-6, N ** (1 - theta), 64)
+        _, (t_star, _) = _scaled_kernel_max(N, theta, grid, xs)
+        ts = np.array([grid[3], t_star, grid[9], grid[20],
+                       grid[5], grid[7], grid[30], grid[2],
+                       grid[11], t_star, grid[1], grid[40]])
+        first = _scaled_kernel_max(N, theta, ts[:4], xs)
+        assert _scaled_kernel_max(N, theta, ts, xs) == first
+        assert first[1][0] == t_star
 
     def test_empty_window_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -185,6 +227,29 @@ class TestVdcOracle:
         best = exc.value.best
         assert best is not None
         assert np.isfinite(best.error_estimate)
+
+    def test_first_batch_in_slices_is_one_batch(self, monkeypatch):
+        # t = 1000 starts from n0 = 8192 panels (8192 x 15 nodes); the
+        # slices of _BLOCK_ELEMENTS // 16 panels give the unsliced batch's
+        # result exactly, while the traced peak follows the slice, not n0
+        kernels._gauss_legendre(7), kernels._gauss_legendre(15)
+
+        def traced():
+            tracemalloc.start()
+            try:
+                res = vdc_integral_oracle(3.0, 0.0, 1000.0, 0, 2.0)
+                return res, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        res, peak = traced()
+        monkeypatch.setattr(kernels, "_BLOCK_ELEMENTS", 16 * 8192)
+        whole, whole_peak = traced()
+        assert res.value == whole.value
+        assert res.error_estimate == whole.error_estimate
+        assert res.panels == whole.panels > 8192
+        # the heap of 8192 panel tuples takes about 1.4 MiB of the bound
+        bound = 3 * 16 * _BLOCK_ELEMENTS
+        assert peak < bound < whole_peak
 
     def test_noninteger_theta(self):
         res = vdc_integral_oracle(2.5, 0.2, 3.0, 1, 2.0)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from strichartz_lab.norms import (
     besov_sup_norm,
     classify_pair,
     fit_scaling,
+    frames_norm,
     lq_norm,
     mixed_norm,
     predict_sigma,
@@ -139,6 +141,49 @@ class TestMixedNorm:
         # a result in range is the direct sum's, bit for bit
         assert got[3] == (4 * 0.25) ** (1 / 2000)
         assert np.array_equal(lq_norm(v.T, 2000, 0.25, axis=0), got)
+
+    def test_mixed_norm_large_exponents_stay_in_range(self):
+        # constant films at 5 times on 8 cells of 1/8: the space norm is the
+        # constant, and so is the time norm over the unit interval
+        times = np.linspace(0.0, 1.0, 5)
+        films = [(2.0, 2000, 2), (0.25, 600, 2), (2.0, 2, 2000)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for c, p, q in films:
+                got = mixed_norm(np.full((5, 8), c), times, p, q, 1 / 8)
+                assert got == pytest.approx(c, rel=1e-12)
+            assert mixed_norm(np.zeros((5, 8)), times, 2000, 2000, 1 / 8) == 0
+            # a zero first frame drops its trapezoid weight 1/8
+            film = np.full((5, 8), 2.0)
+            film[0] = 0.0
+            assert mixed_norm(film, times, 2000, 2000, 1 / 8) == \
+                pytest.approx(2 * 0.875 ** (1 / 2000), rel=1e-12)
+
+    def test_mixed_norm_in_range_is_the_direct_sum(self):
+        # a result the direct sums keep in range is theirs, bit for bit,
+        # beside a sample whose direct sum leaves the range
+        rng = np.random.default_rng(5)
+        times = np.linspace(0.0, 1.0, 7)
+        film = rng.standard_normal((7, 2, 16))
+        film[:, 1] *= 1e3
+        g = lq_norm(film, 4.0, 1 / 16, axis=2)
+        direct = (trapezoid_weights(times) @ g ** 6.0) ** (1 / 6)
+
+        def stream(reduce):
+            return [(slice(0, 3), slice(None), reduce(film[:3])),
+                    (slice(3, 7), slice(None), reduce(film[3:]))]
+        got = frames_norm(stream, times, 6.0, 4.0, 1 / 16, batch=2)
+        w = trapezoid_weights(times)
+        acc = np.zeros(2)
+        for ts in (slice(0, 3), slice(3, 7)):
+            acc += w[ts] @ g[ts] ** 6.0
+        assert np.array_equal(got, acc ** (1 / 6))
+        assert got == pytest.approx(direct, rel=1e-13)
+        huge = frames_norm(stream, times, 600.0, 4.0, 1 / 16, batch=2)
+        assert np.all(np.isfinite(huge)) and np.all(huge > 0)
+        assert huge == pytest.approx(
+            [np.max(g[:, k]) * (w @ (g[:, k] / np.max(g[:, k])) ** 600.0)
+             ** (1 / 600) for k in range(2)], rel=1e-12)
 
     def test_time_refinement_stability(self):
         geom = torus(64)
