@@ -74,7 +74,21 @@ def _lebesgue(values, q, measure, axis):
     a = np.abs(values)
     if q == math.inf:
         return a.max(axis=axis)
-    return (np.sum(_abs_pow(a, q), axis=axis) * measure) ** (1.0 / q)
+    try:
+        with np.errstate(over="raise", under="raise"):
+            return (np.sum(_abs_pow(a, q), axis=axis) * measure) ** (1 / q)
+    except FloatingPointError:
+        a = np.abs(values)
+    # a power left the float range on the way: the direct sum where it is
+    # still in range, else top * ||v / top||_q (nan where top is 0 or inf,
+    # which keeps the direct sum)
+    top = a.max(axis=axis, keepdims=True)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        scaled, out = ((np.sum(_abs_pow(b, q), axis=axis) * measure)
+                       ** (1 / q) for b in (a / top, a))
+        scaled *= np.squeeze(top, axis)
+    ok = (out > 0) & (out < math.inf)
+    return np.where(ok | np.isnan(scaled), out, scaled)[()]
 
 
 def lq_norm(values, q: float, measure: float = 1.0, axis=None):
@@ -85,18 +99,7 @@ def lq_norm(values, q: float, measure: float = 1.0, axis=None):
     0 from nonzero data), the norm is recomputed as top * ||v / top||_q,
     top the max of |v| over ``axis``; other results are the direct sum's.
     """
-    q = _check_exponent(q, "q")
-    with np.errstate(over="ignore", under="ignore"):
-        out = _lebesgue(values, q, measure, axis)
-    ok = (out > 0) & (out < math.inf)
-    if ok.all():
-        return out
-    a = np.abs(values)
-    top = a.max(axis=axis, keepdims=True)
-    # nan where top is 0 (zero data) or inf: those entries keep ``out``
-    with np.errstate(under="ignore", invalid="ignore"):
-        scaled = np.squeeze(top, axis) * _lebesgue(a / top, q, measure, axis)
-    return np.where(ok | np.isnan(scaled), out, scaled)[()]
+    return _lebesgue(values, _check_exponent(q, "q"), measure, axis)
 
 
 def trapezoid_weights(times) -> np.ndarray:
@@ -141,39 +144,37 @@ def frames_norm(stream, times, p: float, q: float, measure: float,
 
     At a large finite exponent, where a direct sum leaves the float range
     (an inf, or 0 from nonzero data), the space norm is ``lq_norm``'s
-    rescaled one and the time norm top * (sum w (g / top)^p)^(1/p), top
-    the sample's largest space norm g; results in range are the direct
-    sums'.
+    rescaled one; from the first block whose time power leaves the range,
+    each block's (w^(1/p) g) also joins a running time norm through the
+    same rescale, used where the direct time sum reads inf or 0.  Results
+    in range are the direct sums'.
     """
     p = _check_exponent(p, "p")
     q = _check_exponent(q, "q")
     weights = trapezoid_weights(times)
-    # while each block adds terms in (0, max / T] to every sample, the
-    # direct sum stays in range; from the first block that does not on,
-    # (g / top)^p is summed as well, top the running max of g, starting
-    # from top^p = the direct sum so far
-    big = np.finfo(float).max / len(times)
     acc = np.zeros(batch)
-    top = rest = None
+    norm = None
     for ts, ss, g in stream(
-            lambda u: lq_norm(u, q, measure, tuple(range(2, u.ndim)))):
+            lambda u: _lebesgue(u, q, measure, tuple(range(2, u.ndim)))):
         if p == math.inf:
             acc[ss] = np.maximum(acc[ss], g.max(axis=0))
             continue
-        with np.errstate(over="ignore"):
-            d = weights[ts] @ _abs_pow(g.copy(), p)
-        if rest is None and not 0 < d.min() <= d.max() <= big:
-            top, rest = acc ** (1 / p), np.sign(acc)
-        if rest is not None:
-            m = np.maximum(top[ss], g.max(axis=0))
-            s = m + (m == 0)
-            rest[ss] = rest[ss] * (top[ss] / s) ** p \
-                + weights[ts] @ (g / s) ** p
-            top[ss] = m
-        acc[ss] += d
+        if norm is None:
+            try:
+                with np.errstate(over="raise", under="raise"):
+                    acc[ss] = acc[ss] + weights[ts] @ _abs_pow(g.copy(), p)
+                continue
+            except FloatingPointError:
+                # from this block on, also carry the time norms, each
+                # block joined to them by _lebesgue's rescale
+                norm = acc ** (1 / p)
+        norm[ss] = _lebesgue(
+            np.vstack([norm[ss], g * weights[ts, None] ** (1 / p)]), p, 1, 0)
+        with np.errstate(over="ignore", under="ignore"):
+            acc[ss] += weights[ts] @ _abs_pow(g, p)
     out = acc if p == math.inf else acc ** (1.0 / p)
-    return out if rest is None else np.where(
-        (out > 0) & (out < math.inf), out, top * rest ** (1 / p))
+    return out if norm is None else np.where(
+        (out > 0) & (out < math.inf), out, norm)
 
 
 def mixed_norm(film, times, p: float, q: float, measure: float) -> float:

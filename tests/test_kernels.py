@@ -231,7 +231,8 @@ class TestVdcOracle:
     def test_first_batch_in_slices_is_one_batch(self, monkeypatch):
         # t = 1000 starts from n0 = 8192 panels (8192 x 15 nodes); the
         # slices of _BLOCK_ELEMENTS // 16 panels give the unsliced batch's
-        # result exactly, while the traced peak follows the slice, not n0
+        # result exactly, while the traced peak follows the slice, not n0;
+        # the node cache is warmed so neither traced run loads its modules
         kernels._gauss_legendre(7), kernels._gauss_legendre(15)
 
         def traced():

@@ -114,6 +114,8 @@ class TestMixedNorm:
         # the in-place squarings repeat the formula's operations in order
         rng = np.random.default_rng(11)
         v = rng.standard_normal((5, 64)) + 1j * rng.standard_normal((5, 64))
+        # half of the last row's powers underflow, its sum does not
+        v[4, ::2] *= 1e-200
         before = v.copy()
         a = np.abs(v)
         if q == INF:
@@ -161,29 +163,31 @@ class TestMixedNorm:
 
     def test_mixed_norm_in_range_is_the_direct_sum(self):
         # a result the direct sums keep in range is theirs, bit for bit,
-        # beside a sample whose direct sum leaves the range
-        rng = np.random.default_rng(5)
+        # beside a sample whose direct sum leaves the range; the third
+        # sample's first block underflows at p = 6, its whole sum does not
+        rng = np.random.default_rng(8)
         times = np.linspace(0.0, 1.0, 7)
-        film = rng.standard_normal((7, 2, 16))
+        film = rng.standard_normal((7, 3, 16))
         film[:, 1] *= 1e3
+        film[:3, 2] *= 1e-100
         g = lq_norm(film, 4.0, 1 / 16, axis=2)
         direct = (trapezoid_weights(times) @ g ** 6.0) ** (1 / 6)
 
         def stream(reduce):
             return [(slice(0, 3), slice(None), reduce(film[:3])),
                     (slice(3, 7), slice(None), reduce(film[3:]))]
-        got = frames_norm(stream, times, 6.0, 4.0, 1 / 16, batch=2)
+        got = frames_norm(stream, times, 6.0, 4.0, 1 / 16, batch=3)
         w = trapezoid_weights(times)
-        acc = np.zeros(2)
+        acc = np.zeros(3)
         for ts in (slice(0, 3), slice(3, 7)):
             acc += w[ts] @ g[ts] ** 6.0
         assert np.array_equal(got, acc ** (1 / 6))
         assert got == pytest.approx(direct, rel=1e-13)
-        huge = frames_norm(stream, times, 600.0, 4.0, 1 / 16, batch=2)
+        huge = frames_norm(stream, times, 600.0, 4.0, 1 / 16, batch=3)
         assert np.all(np.isfinite(huge)) and np.all(huge > 0)
         assert huge == pytest.approx(
             [np.max(g[:, k]) * (w @ (g[:, k] / np.max(g[:, k])) ** 600.0)
-             ** (1 / 600) for k in range(2)], rel=1e-12)
+             ** (1 / 600) for k in range(3)], rel=1e-12)
 
     def test_time_refinement_stability(self):
         geom = torus(64)
