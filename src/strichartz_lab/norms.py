@@ -69,6 +69,12 @@ def _abs_pow(a, q):
     return a ** q
 
 
+def _in_range(s):
+    # a sum of powers is kept where it is a normal float: a subnormal one
+    # has lost bits, 0 and inf have lost all of them
+    return (s >= np.finfo(float).tiny) & (s < math.inf)
+
+
 def _lebesgue(values, q, measure, axis):
     # lq_norm with the exponent already checked, for use once per frame
     a = np.abs(values)
@@ -84,20 +90,21 @@ def _lebesgue(values, q, measure, axis):
     # which keeps the direct sum)
     top = a.max(axis=axis, keepdims=True)
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        scaled, out = ((np.sum(_abs_pow(b, q), axis=axis) * measure)
-                       ** (1 / q) for b in (a / top, a))
-        scaled *= np.squeeze(top, axis)
-    ok = (out > 0) & (out < math.inf)
-    return np.where(ok | np.isnan(scaled), out, scaled)[()]
+        scaled, out = (np.sum(_abs_pow(b, q), axis=axis) * measure
+                       for b in (a / top, a))
+        scaled = scaled ** (1 / q) * np.squeeze(top, axis)
+    return np.where(_in_range(out) | np.isnan(scaled), out ** (1 / q),
+                    scaled)[()]
 
 
 def lq_norm(values, q: float, measure: float = 1.0, axis=None):
     """(sum |v|^q * measure)^(1/q) over ``axis`` (every axis by default);
     q = inf is the max of |v| (a lower bound on the sup for grid samples).
 
-    Where a large finite q takes |v|^q out of the float range (an inf, or
-    0 from nonzero data), the norm is recomputed as top * ||v / top||_q,
-    top the max of |v| over ``axis``; other results are the direct sum's.
+    Where a large finite q takes the sum of |v|^q out of the normal float
+    range (an inf, a subnormal, or 0 from nonzero data), the norm is
+    recomputed as top * ||v / top||_q, top the max of |v| over ``axis``;
+    other results are the direct sum's.
     """
     return _lebesgue(values, _check_exponent(q, "q"), measure, axis)
 
@@ -142,12 +149,12 @@ def frames_norm(stream, times, p: float, q: float, measure: float,
     roundoff.  Other axes and exponents keep the config grid, and config
     grids stay powers of two.
 
-    At a large finite exponent, where a direct sum leaves the float range
-    (an inf, or 0 from nonzero data), the space norm is ``lq_norm``'s
-    rescaled one; from the first block whose time power leaves the range,
-    each block's (w^(1/p) g) also joins a running time norm through the
-    same rescale, used where the direct time sum reads inf or 0.  Results
-    in range are the direct sums'.
+    At a large finite exponent, where a direct sum leaves the normal float
+    range (an inf, a subnormal, or 0 from nonzero data), the space norm is
+    ``lq_norm``'s rescaled one; from the first block whose time power
+    leaves the range, each block's (w^(1/p) g) also joins a running time
+    norm through the same rescale, used where the direct time sum does.
+    Results in range are the direct sums'.
     """
     p = _check_exponent(p, "p")
     q = _check_exponent(q, "q")
@@ -173,8 +180,7 @@ def frames_norm(stream, times, p: float, q: float, measure: float,
         with np.errstate(over="ignore", under="ignore"):
             acc[ss] += weights[ts] @ _abs_pow(g, p)
     out = acc if p == math.inf else acc ** (1.0 / p)
-    return out if norm is None else np.where(
-        (out > 0) & (out < math.inf), out, norm)
+    return out if norm is None else np.where(_in_range(acc), out, norm)
 
 
 def mixed_norm(film, times, p: float, q: float, measure: float) -> float:

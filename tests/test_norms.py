@@ -109,13 +109,15 @@ class TestMixedNorm:
             mixed_norm(np.ones((3, 16)), np.linspace(0.0, 1.0, 5), p, 2,
                        geom.cell_volume)
 
-    @pytest.mark.parametrize("q", [2, 3, 4, 8, INF])
-    def test_lq_norm_bit_identical_to_power_formula(self, q):
-        # the in-place squarings repeat the formula's operations in order
+    @staticmethod
+    def _power_formula_case(q, underflow):
+        # the in-place squarings repeat the formula's operations in order;
+        # with ``underflow``, half of the last row's powers underflow (its
+        # sum does not), so the whole call takes the flagged path
         rng = np.random.default_rng(11)
         v = rng.standard_normal((5, 64)) + 1j * rng.standard_normal((5, 64))
-        # half of the last row's powers underflow, its sum does not
-        v[4, ::2] *= 1e-200
+        if underflow:
+            v[4, ::2] *= 1e-200
         before = v.copy()
         a = np.abs(v)
         if q == INF:
@@ -127,6 +129,14 @@ class TestMixedNorm:
             expected = (np.sum(power, axis=1) * 0.25) ** (1.0 / q)
         assert np.array_equal(lq_norm(v, q, 0.25, axis=1), expected)
         assert np.array_equal(v, before)
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 8, INF])
+    def test_lq_norm_bit_identical_to_power_formula(self, q):
+        self._power_formula_case(q, underflow=False)
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 8, INF])
+    def test_lq_norm_flagged_path_bit_identical_to_power_formula(self, q):
+        self._power_formula_case(q, underflow=True)
 
     def test_lq_norm_large_exponent_stays_in_range(self):
         # |v|^2000 overflows at 2 and underflows at 0.5; the norm does not
@@ -160,6 +170,19 @@ class TestMixedNorm:
             film[0] = 0.0
             assert mixed_norm(film, times, 2000, 2000, 1 / 8) == \
                 pytest.approx(2 * 0.875 ** (1 / 2000), rel=1e-12)
+
+    def test_subnormal_sums_are_rescaled(self):
+        # at q = 600 these powers sum to a subnormal float, which keeps only
+        # a few bits: the norms are the rescaled ones, not the direct sums'
+        v = np.random.default_rng(0).uniform(0.99, 1.0, 8) * 2 ** (-1060 / 600)
+        top = v.max()
+        assert np.sum(v ** 600.0) < np.finfo(float).tiny
+        assert lq_norm(v, 600) == pytest.approx(
+            top * np.sum((v / top) ** 600.0) ** (1 / 600), rel=1e-14)
+        c = 0.9999 * 2 ** (-1062 / 600)
+        film = np.full((5, 8), c)
+        assert mixed_norm(film, np.linspace(0.0, 1.0, 5), 600, 2, 1 / 8) == \
+            pytest.approx(c, rel=1e-14)
 
     def test_mixed_norm_in_range_is_the_direct_sum(self):
         # a result the direct sums keep in range is theirs, bit for bit,
