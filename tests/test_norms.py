@@ -153,12 +153,20 @@ class TestMixedNorm:
         # a result in range is the direct sum's, bit for bit
         assert got[3] == (4 * 0.25) ** (1 / 2000)
         assert np.array_equal(lq_norm(v.T, 2000, 0.25, axis=0), got)
+        # these powers sum to a subnormal float, which keeps only a few bits
+        v = np.random.default_rng(0).uniform(0.99, 1.0, 8) * 2 ** (-1060 / 600)
+        top = v.max()
+        assert np.sum(v ** 600.0) < np.finfo(float).tiny
+        assert lq_norm(v, 600) == pytest.approx(
+            top * np.sum((v / top) ** 600.0) ** (1 / 600), rel=1e-14)
 
     def test_mixed_norm_large_exponents_stay_in_range(self):
         # constant films at 5 times on 8 cells of 1/8: the space norm is the
-        # constant, and so is the time norm over the unit interval
+        # constant, and so is the time norm over the unit interval; the
+        # last film's time sum is a subnormal float
         times = np.linspace(0.0, 1.0, 5)
-        films = [(2.0, 2000, 2), (0.25, 600, 2), (2.0, 2, 2000)]
+        films = [(2.0, 2000, 2), (0.25, 600, 2), (2.0, 2, 2000),
+                 (0.9999 * 2 ** (-1062 / 600), 600, 2)]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for c, p, q in films:
@@ -170,19 +178,6 @@ class TestMixedNorm:
             film[0] = 0.0
             assert mixed_norm(film, times, 2000, 2000, 1 / 8) == \
                 pytest.approx(2 * 0.875 ** (1 / 2000), rel=1e-12)
-
-    def test_subnormal_sums_are_rescaled(self):
-        # at q = 600 these powers sum to a subnormal float, which keeps only
-        # a few bits: the norms are the rescaled ones, not the direct sums'
-        v = np.random.default_rng(0).uniform(0.99, 1.0, 8) * 2 ** (-1060 / 600)
-        top = v.max()
-        assert np.sum(v ** 600.0) < np.finfo(float).tiny
-        assert lq_norm(v, 600) == pytest.approx(
-            top * np.sum((v / top) ** 600.0) ** (1 / 600), rel=1e-14)
-        c = 0.9999 * 2 ** (-1062 / 600)
-        film = np.full((5, 8), c)
-        assert mixed_norm(film, np.linspace(0.0, 1.0, 5), 600, 2, 1 / 8) == \
-            pytest.approx(c, rel=1e-14)
 
     def test_mixed_norm_in_range_is_the_direct_sum(self):
         # a result the direct sums keep in range is theirs, bit for bit,
