@@ -27,8 +27,8 @@ __all__ = ["EXPERIMENT_KINDS", "validate_config", "load_config",
 
 @dataclass(frozen=True)
 class _Opt:
-    typ: str                     # int | float | num | bool | str | list-int |
-                                 # list-num | list-str | list-pair | obj
+    typ: str                     # int | num | bool | str | list-int |
+                                 # list-num | list-pair | obj
     default: Any = None
     required: bool = False
     choices: tuple | None = None  # for a list-pair: allowed pair names
@@ -175,8 +175,6 @@ _GEOMETRY_DEFAULTS = {
 def _type_ok(value, typ: str) -> bool:
     if typ == "int":
         return isinstance(value, int) and not isinstance(value, bool)
-    if typ == "float":
-        return isinstance(value, float)
     if typ == "num":  # an int beyond the float range is no number here
         return isinstance(value, float) or (
             _type_ok(value, "int") and abs(value) <= sys.float_info.max)

@@ -37,7 +37,7 @@ from .hartree import (DensityState, _fixed_point_exponents, evolve,
 from .kernels import (OscillatoryIntegral, _window_top, dispersive_sup,
                       vdc_integral_oracle)
 from .norms import (_besov_top, besov_sup_norm, classify_pair, fit_scaling,
-                    frames_norm, lq_norm, predict_sigma)
+                    lq_norm, predict_sigma, trapezoid_weights)
 from .ons import (NormalRows, band_dimension, generate_ons,
                   ons_estimate_ratio)
 from .schatten import (MATRIX_CAP, duality_check,
@@ -115,9 +115,17 @@ def _flow_ratios(geometry, N, coef_rows, theta, time_pts, p, q):
     chunk as the stream draws the rows.  The blocks go through the
     ordered map of the cell running on this thread (``run``), so idle
     threads of a threaded run help compute them.
+
+    Each block's space norms g (k, s) are taken where the block is
+    computed, by ``lq_norm`` with the stream's ``cell_volume``.  In stream
+    order each sample's running time norm then joins its block's
+    w^(1/p) g, w the trapezoid weights, as one more ``lq_norm`` over time
+    (its rescale keeps large exponents in range), so the norms do not
+    depend on which thread computed a block.
     """
     times = np.linspace(0.0, 1.0, time_pts)
     flow = BandFlow(geometry, N, theta, q)
+    w = trapezoid_weights(times) ** (1 / p)
     l2 = np.empty(coef_rows.shape[0])
     drawn = 0
 
@@ -130,10 +138,13 @@ def _flow_ratios(geometry, N, coef_rows, theta, time_pts, p, q):
         return f
 
     rows = SimpleNamespace(shape=coef_rows.shape, draw=draw)
-    ordered_map = getattr(_cell, "map", map)
-    return frames_norm(
-        lambda reduce: flow.blocks(rows, times, reduce, ordered_map),
-        times, p, q, flow.cell_volume, len(l2)) / l2
+    space = tuple(range(2, len(flow.grid) + 2))
+    norm = np.zeros(len(l2))
+    for ts, ss, g in flow.blocks(
+            rows, times, lambda u: lq_norm(u, q, flow.cell_volume, space),
+            getattr(_cell, "map", map)):
+        norm[ss] = lq_norm(np.vstack([norm[ss], g * w[ts, None]]), p, axis=0)
+    return norm / l2
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +312,8 @@ def _drv_vdc_oracle(echo):
 
     if not np.all(np.abs(p["t"]) >= 1e-12):
         _reject("params.t", "need every |t| >= 1e-12")
+    if p["theta"] * math.log(p["b"]) >= math.log(sys.float_info.max):
+        _reject("params.b", "b ** theta exceeds the float range")
 
     def run_cell(cell, seed):
         # the oracle returns only a value within tol; a stalled one raises

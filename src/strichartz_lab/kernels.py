@@ -25,6 +25,8 @@ in slices of ``_BLOCK_ELEMENTS // 16`` panels of 15 nodes.
 from __future__ import annotations
 
 import heapq
+import math
+import sys
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -211,6 +213,8 @@ def vdc_integral_oracle(theta: float, x: float, t: float, p: int, b: float,
                                 "t**(-1/theta) envelope")
     if theta < 2:
         raise InvalidInputError("oracle phase requires theta >= 2")
+    if theta * math.log(b) >= math.log(sys.float_info.max):
+        raise InvalidInputError("b ** theta exceeds the float range")
     if int(p) != p:
         raise InvalidInputError("frequency shift p must be an integer")
 

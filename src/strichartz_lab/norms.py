@@ -10,6 +10,11 @@ Exponent conventions: Lebesgue exponents are floats in [1, inf] with
 
 and a pair may satisfy several at once (e.g. the density and theta lines
 cross at theta = 2); the classifier reports every identity that holds.
+
+A space-time norm L^p_t L^q_x is two ``lq_norm`` calls: the frames'
+L^q_x norms g_t, then the l^p norm of w_t^(1/p) g_t over time, w_t the
+trapezoid weights (``mixed_norm``; ``harness._flow_ratios`` joins a
+streamed film's blocks the same way).
 """
 
 from __future__ import annotations
@@ -27,7 +32,6 @@ __all__ = [
     "ScalingFit",
     "lq_norm",
     "trapezoid_weights",
-    "frames_norm",
     "mixed_norm",
     "classify_pair",
     "predict_sigma",
@@ -75,8 +79,16 @@ def _in_range(s):
     return (s >= np.finfo(float).tiny) & (s < math.inf)
 
 
-def _lebesgue(values, q, measure, axis):
-    # lq_norm with the exponent already checked, for use once per frame
+def lq_norm(values, q: float, measure: float = 1.0, axis=None):
+    """(sum |v|^q * measure)^(1/q) over ``axis`` (every axis by default);
+    q = inf is the max of |v| (a lower bound on the sup for grid samples).
+
+    Where a large finite q takes the sum of |v|^q out of the normal float
+    range (an inf, a subnormal, or 0 from nonzero data), the norm is
+    recomputed as top * ||v / top||_q, top the max of |v| over ``axis``;
+    other results are the direct sum's.
+    """
+    q = _check_exponent(q, "q")
     a = np.abs(values)
     if q == math.inf:
         return a.max(axis=axis)
@@ -97,18 +109,6 @@ def _lebesgue(values, q, measure, axis):
                     scaled)[()]
 
 
-def lq_norm(values, q: float, measure: float = 1.0, axis=None):
-    """(sum |v|^q * measure)^(1/q) over ``axis`` (every axis by default);
-    q = inf is the max of |v| (a lower bound on the sup for grid samples).
-
-    Where a large finite q takes the sum of |v|^q out of the normal float
-    range (an inf, a subnormal, or 0 from nonzero data), the norm is
-    recomputed as top * ||v / top||_q, top the max of |v| over ``axis``;
-    other results are the direct sum's.
-    """
-    return _lebesgue(values, _check_exponent(q, "q"), measure, axis)
-
-
 def trapezoid_weights(times) -> np.ndarray:
     """Trapezoid weights of a time grid: at least two times, strictly
     increasing and uniform to 1e-9 relative (plus 1e-15)."""
@@ -127,72 +127,17 @@ def trapezoid_weights(times) -> np.ndarray:
     return w
 
 
-def frames_norm(stream, times, p: float, q: float, measure: float,
-                batch: int = 1):
-    """L^p_t L^q_x norms (batch,) of a batch of samples, reduced block by
-    block as they arrive: Riemann sum in space with cell ``measure``,
-    trapezoid in time; either exponent may be inf, realized as a max.
-
-    ``stream(reduce)`` yields ``(time slice, sample slice, reduce(values))``
-    for blocks ``values`` (k, s, *grid), as ``BandFlow.blocks(rows, times,
-    reduce)`` does: ``reduce`` is the Lebesgue sum over the grid axes, so
-    it runs wherever a block is computed and only the (k, s) space norms
-    come back.  They are added in stream order, so the norms do not depend
-    on which thread computed a block.
-
-    ``measure`` is the cell volume of the grid the blocks were sampled on,
-    ``BandFlow.cell_volume``.  A stream built with an even integer q
-    samples each axis whose config size G exceeds q K (K the band's
-    largest index there) on the smallest even 5-smooth size above q K:
-    |u|^q is a trigonometric polynomial of index at most q K, which both
-    grids integrate exactly, so the norm equals the config grid's to
-    roundoff.  Other axes and exponents keep the config grid, and config
-    grids stay powers of two.
-
-    At a large finite exponent, where a direct sum leaves the normal float
-    range (an inf, a subnormal, or 0 from nonzero data), the space norm is
-    ``lq_norm``'s rescaled one; from the first block whose time power
-    leaves the range, each block's (w^(1/p) g) also joins a running time
-    norm through the same rescale, used where the direct time sum does.
-    Results in range are the direct sums'.
-    """
-    p = _check_exponent(p, "p")
-    q = _check_exponent(q, "q")
-    weights = trapezoid_weights(times)
-    acc = np.zeros(batch)
-    norm = None
-    for ts, ss, g in stream(
-            lambda u: _lebesgue(u, q, measure, tuple(range(2, u.ndim)))):
-        if p == math.inf:
-            acc[ss] = np.maximum(acc[ss], g.max(axis=0))
-            continue
-        if norm is None:
-            try:
-                with np.errstate(over="raise", under="raise"):
-                    acc[ss] = acc[ss] + weights[ts] @ _abs_pow(g.copy(), p)
-                continue
-            except FloatingPointError:
-                # from this block on, also carry the time norms, each
-                # block joined to them by _lebesgue's rescale
-                norm = acc ** (1 / p)
-        norm[ss] = _lebesgue(
-            np.vstack([norm[ss], g * weights[ts, None] ** (1 / p)]), p, 1, 0)
-        with np.errstate(over="ignore", under="ignore"):
-            acc[ss] += weights[ts] @ _abs_pow(g, p)
-    out = acc if p == math.inf else acc ** (1.0 / p)
-    return out if norm is None else np.where(_in_range(acc), out, norm)
-
-
 def mixed_norm(film, times, p: float, q: float, measure: float) -> float:
     """L^p_t L^q_x norm of a film (T, *grid) sampled at ``times`` on a grid
-    of cell volume ``measure``: one ``frames_norm`` block."""
+    of cell volume ``measure``: the l^p norm over time of the frames' L^q_x
+    norms, each weighted by w_t^(1/p) for the trapezoid weights w_t; either
+    exponent may be inf, realized as a max (the weights become 1)."""
+    p = _check_exponent(p, "p")
     film = np.asarray(film)
     if len(film) != len(times):
         raise InvalidInputError(f"{len(film)} frames for {len(times)} times")
-
-    def stream(reduce):
-        return [(slice(None), slice(None), reduce(film[:, None]))]
-    return float(frames_norm(stream, times, p, q, measure)[0])
+    g = lq_norm(film, q, measure, tuple(range(1, film.ndim)))
+    return float(lq_norm(g * trapezoid_weights(times) ** (1 / p), p))
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from strichartz_lab import geometry, harness, kernels, norms, ons
+from strichartz_lab import geometry, harness, kernels, ons
 from strichartz_lab.cli import main as cli_main
 from strichartz_lab.config import load_config, schema_document, validate_config
 from strichartz_lab.errors import (ConfigError, InvalidInputError,
@@ -331,8 +331,10 @@ class TestFlowRatios:
             "waveguide-3d", "waveguide-3d-chunks", "torus-3d-chunks",
             "torus-2d-exact-grid", "waveguide-exact-grid",
             "waveguide-exact-grid-chunks"])
+    # p = 600: the time sums leave the float range, so each block joins the
+    # running time norms through lq_norm's rescale
     @pytest.mark.parametrize("p, q", [(8, 8), (4, 4), (6, 2), (math.inf, 4),
-                                      (4, math.inf)])
+                                      (4, math.inf), (600, 4)])
     def test_matches_materialized_film(self, geom, N, budget, kept, p, q,
                                        monkeypatch):
         # slow twin: scatter each row into the centered lattice, transform
@@ -520,7 +522,7 @@ class TestPooledStream:
         # at its first block until a helper has raised.
         in_cell = threading.local()
         helper_raised = threading.Event()
-        lebesgue = norms._lebesgue
+        lebesgue = harness.lq_norm
         driver = harness._DRIVERS["strichartz-fit"]
 
         def flagged(echo):
@@ -534,7 +536,7 @@ class TestPooledStream:
                     in_cell.on = False
             return header, cells, cell, finalize
 
-        def reduce(values, q, measure, axis):
+        def reduce(values, q, measure=1.0, axis=None):
             if isinstance(axis, tuple) and axis[0] == 2:  # a block's sum
                 if getattr(in_cell, "on", False):
                     helper_raised.wait(timeout=30)
@@ -544,7 +546,7 @@ class TestPooledStream:
             return lebesgue(values, q, measure, axis)
 
         monkeypatch.setitem(harness._DRIVERS, "strichartz-fit", flagged)
-        monkeypatch.setattr(norms, "_lebesgue", reduce)
+        monkeypatch.setattr(harness, "lq_norm", reduce)
         cfg = {"experiment": "strichartz-fit", "seed": 3,
                "geometry": {"kind": "torus", "grid_sizes": [512]},
                "params": {"theta": 2.0, "p": 4.0, "q": 4.0, "N": [64],
@@ -1057,6 +1059,11 @@ class TestCli:
                      id="vdc-theta-below-2"),
         pytest.param("vdc-oracle", {"theta": math.inf}, "params.theta",
                      id="vdc-theta-infinite"),
+        # the phase's b ** theta overflows a float
+        pytest.param("vdc-oracle", {"b": 1e200, "t": [10.0]}, "params.b",
+                     id="vdc-b-power-overflow"),
+        pytest.param("vdc-oracle", {"theta": 1e5}, "params.b",
+                     id="vdc-theta-power-overflow"),
         pytest.param("kernel-sweep", {"theta": [math.inf]}, "params.theta",
                      id="kernel-theta-infinite"),
         pytest.param("vdc-oracle", {"b": 1}, "params.b", id="vdc-b-one"),

@@ -220,6 +220,11 @@ class TestVdcOracle:
         with pytest.raises(InvalidInputError):
             vdc_integral_oracle(3.0, 0.3, 1e-14, 0, 2.0)
 
+    @pytest.mark.parametrize("theta, b", [(3.0, 1e200), (1e5, 2.0)])
+    def test_phase_power_overflow_rejected(self, theta, b):
+        with pytest.raises(InvalidInputError, match="float range"):
+            vdc_integral_oracle(theta, 0.0, 10.0, 0, b)
+
     def test_budget_exhaustion_carries_best_estimate(self):
         with pytest.raises(NumericFailureError) as exc:
             vdc_integral_oracle(3.0, 0.0, 5000.0, 0, 2.0, tol=1e-15,

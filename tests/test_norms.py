@@ -15,7 +15,6 @@ from strichartz_lab.norms import (
     besov_sup_norm,
     classify_pair,
     fit_scaling,
-    frames_norm,
     lq_norm,
     mixed_norm,
     predict_sigma,
@@ -180,29 +179,20 @@ class TestMixedNorm:
                 pytest.approx(2 * 0.875 ** (1 / 2000), rel=1e-12)
 
     def test_mixed_norm_in_range_is_the_direct_sum(self):
-        # a result the direct sums keep in range is theirs, bit for bit,
-        # beside a sample whose direct sum leaves the range; the third
-        # sample's first block underflows at p = 6, its whole sum does not
+        # a result the direct sums keep in range is theirs to roundoff; at
+        # p = 6 the third sample's first frames underflow, its whole sum
+        # does not, and at p = 600 the second sample's sum overflows
         rng = np.random.default_rng(8)
         times = np.linspace(0.0, 1.0, 7)
         film = rng.standard_normal((7, 3, 16))
         film[:, 1] *= 1e3
         film[:3, 2] *= 1e-100
         g = lq_norm(film, 4.0, 1 / 16, axis=2)
-        direct = (trapezoid_weights(times) @ g ** 6.0) ** (1 / 6)
-
-        def stream(reduce):
-            return [(slice(0, 3), slice(None), reduce(film[:3])),
-                    (slice(3, 7), slice(None), reduce(film[3:]))]
-        got = frames_norm(stream, times, 6.0, 4.0, 1 / 16, batch=3)
         w = trapezoid_weights(times)
-        acc = np.zeros(3)
-        for ts in (slice(0, 3), slice(3, 7)):
-            acc += w[ts] @ g[ts] ** 6.0
-        assert np.array_equal(got, acc ** (1 / 6))
-        assert got == pytest.approx(direct, rel=1e-13)
-        huge = frames_norm(stream, times, 600.0, 4.0, 1 / 16, batch=3)
-        assert np.all(np.isfinite(huge)) and np.all(huge > 0)
+        got, huge = ([mixed_norm(film[:, k], times, p, 4.0, 1 / 16)
+                      for k in range(3)] for p in (6.0, 600.0))
+        assert got == pytest.approx((w @ g ** 6.0) ** (1 / 6), rel=1e-13)
+        assert np.all(np.isfinite(huge)) and np.all(np.array(huge) > 0)
         assert huge == pytest.approx(
             [np.max(g[:, k]) * (w @ (g[:, k] / np.max(g[:, k])) ** 600.0)
              ** (1 / 600) for k in range(3)], rel=1e-12)
