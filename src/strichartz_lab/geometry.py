@@ -450,11 +450,10 @@ class BandFlow:
         self.cell_volume = geometry.cell_volume * math.prod(
             g / e for g, e in zip(geometry.grid_sizes, self.grid))
         self._levels, self._level = np.unique(self.phi, return_inverse=True)
-        # the box-origin sign of each band mode (1.0 on a torus), and the
-        # same over the cell volume
+        # the box-origin sign of each band mode over the cell volume
         offset = _offset_phase(geometry)
-        self._sign = 1.0 if offset is None else offset[mask]
-        self._scale = self._sign / self.cell_volume
+        self._scale = 1 / self.cell_volume if offset is None \
+            else offset[mask] / self.cell_volume
         # fullest axis first: the sparse axes stay pruned the longest
         self._passes = sorted(range(geometry.dim),
                               key=lambda a: -self._box[a] / self.grid[a])
@@ -585,11 +584,12 @@ class BandFlow:
         pair = 0
         for g, i in zip(geom.grid_sizes, np.nonzero(self._mask)):
             pair = pair * g + (i[:, None] - i[None, :]) % g
+        sign = np.sign(self._scale)  # the box-origin sign, 1.0 on a torus
         B = self.size
         k = max(1, _BLOCK_ELEMENTS // max(B * B, math.prod(geom.grid_sizes)))
         out = np.zeros((B, B), dtype=np.complex128)
         for ts, phase in _phase_blocks(times, self._levels, k):
-            P = phase[:, self._level] * self._sign
+            P = phase[:, self._level] * sign
             wp = _grid_fft(w[ts], geom.dim).reshape(len(P), -1)[:, pair]
             wp *= P[:, None, :]
             out += np.einsum("tb,tbc->bc", P.conj() * c[ts, None], wp)

@@ -125,7 +125,8 @@ def _flow_ratios(geometry, N, coef_rows, theta, time_pts, p, q):
     """
     times = np.linspace(0.0, 1.0, time_pts)
     flow = BandFlow(geometry, N, theta, q)
-    w = trapezoid_weights(times) ** (1 / p)
+    w = trapezoid_weights(times)
+    w **= 1 / p  # in place: no third time-grid array
     l2 = np.empty(coef_rows.shape[0])
     drawn = 0
 
@@ -138,10 +139,10 @@ def _flow_ratios(geometry, N, coef_rows, theta, time_pts, p, q):
         return f
 
     rows = SimpleNamespace(shape=coef_rows.shape, draw=draw)
-    space = tuple(range(2, len(flow.grid) + 2))
     norm = np.zeros(len(l2))
     for ts, ss, g in flow.blocks(
-            rows, times, lambda u: lq_norm(u, q, flow.cell_volume, space),
+            rows, times, lambda u: lq_norm(u, q, flow.cell_volume,
+                                           tuple(range(2, u.ndim))),
             getattr(_cell, "map", map)):
         norm[ss] = lq_norm(np.vstack([norm[ss], g * w[ts, None]]), p, axis=0)
     return norm / l2

@@ -13,7 +13,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-CEILING = 24426
+CEILING = 24424
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "strichartz_lab"
 
