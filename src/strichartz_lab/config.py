@@ -70,11 +70,11 @@ _SCHEMAS: dict[str, dict[str, _Opt]] = {
     },
     "vdc-oracle": {
         "theta": _Opt("num", 3.0, min=2, finite=True),
-        "x": _Opt("num", 0.0),
+        "x": _Opt("num", 0.0, finite=True),
         "p": _Opt("int", 0, finite=True),
         "b": _Opt("num", 2.0, min=1, strict=True),
         "t": _Opt("list-num", [10.0, 100.0, 1000.0], finite=True),
-        "tol": _Opt("num", 1e-8),
+        "tol": _Opt("num", 1e-8, **_POSITIVE),
         "max_ratio": _Opt("num", 2.0),
     },
     "strichartz-fit": {

@@ -315,6 +315,10 @@ def _drv_vdc_oracle(echo):
         _reject("params.t", "need every |t| >= 1e-12")
     if p["theta"] * math.log(p["b"]) >= math.log(sys.float_info.max):
         _reject("params.b", "b ** theta exceeds the float range")
+    if not math.isfinite(2 * math.pi * (abs(p["x"] - p["p"]) * p["b"] + max(
+            map(abs, p["t"])) * p["b"] ** p["theta"])):
+        _reject("params.x", "phase span 2 pi (|x - p| b + |t| b^theta) "
+                "exceeds the float range")
 
     def run_cell(cell, seed):
         # the oracle returns only a value within tol; a stalled one raises

@@ -18,8 +18,13 @@ insertion so that a refined sup can never drop below a coarser one.
 
 Both streams work within ``geometry._BLOCK_ELEMENTS``: the sweep takes
 its times in blocks of ``_BLOCK_ELEMENTS // (nx + N)`` rows, one DFT
-block at a time, and the quadrature evaluates its first batch of panels
-in slices of ``_BLOCK_ELEMENTS // 16`` panels of 15 nodes.
+block at a time, and folds each run of nx frequencies into the DFT bins
+with slice adds.  The quadrature evaluates its first batch of panels in
+slices of ``_BLOCK_ELEMENTS // 16`` panels of 15 nodes, and then the
+halves of up to ``_BLOCK_ELEMENTS // 512`` of its largest panels at a
+time (at most 256 halves, a few hundred KiB with their node values),
+ahead of the greedy loop that splits one panel at a time in the order
+of a one-panel loop.
 """
 
 from __future__ import annotations
@@ -112,12 +117,15 @@ def _scaled_kernel_max(N, theta, ts, xs):
                                   max(1, _BLOCK_ELEMENTS // (nx + N))):
         coef = np.zeros((len(ph), nx), dtype=complex)
         coef[:, 0] = 1.0
-        # within one block of nx consecutive n the bins n mod nx are
-        # distinct, so each += hits every bin at most once
+        # n = b+1..b+k of a block of nx consecutive n land in bins 1..k
+        # and nx-1..nx-k; the last n of a full block, b+nx, lands in bin 0
+        # from both sides
         for b in range(0, N, nx):
-            bins = n[b:b + nx] % nx
-            for c in (bins, -bins % nx):
-                coef[:, c] += ph[:, b:b + nx]
+            k = min(N - b, nx - 1)
+            for side in (slice(1, k + 1), slice(-1, -k - 1, -1)):
+                coef[:, side] += ph[:, b:b + k]
+                if k < N - b:
+                    coef[:, 0] += ph[:, b + k]
         # coef is symmetric in n, so the forward DFT (in place) is
         # K_N(t, j/nx); a block holds coef and the real scaled |K_N|
         scaled = np.abs(np.fft.fft(coef, axis=1, out=coef))
@@ -187,14 +195,13 @@ def _gauss_legendre(n: int):
     return np.polynomial.legendre.leggauss(n)
 
 
-def _panel_batch(f, edges):
+def _panel_batch(f, lo, hi):
     """Gauss-Legendre 15 values and 7/15 discrepancies, one per panel
-    between consecutive ``edges``."""
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    lo, hi = ((f(mid[:, None] + half[:, None] * x) @ w) * half
-              for x, w in map(_gauss_legendre, (7, 15)))
-    return hi, np.abs(hi - lo)
+    [lo, hi] of the arrays of ends."""
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    g7, g15 = ((f(mid[:, None] + half[:, None] * x) @ w) * half
+               for x, w in map(_gauss_legendre, (7, 15)))
+    return g15, np.abs(g15 - g7)
 
 
 def vdc_integral_oracle(theta: float, x: float, t: float, p: int, b: float,
@@ -204,7 +211,10 @@ def vdc_integral_oracle(theta: float, x: float, t: float, p: int, b: float,
 
     Panels split until the summed Gauss-Legendre 7/15 discrepancy drops
     below ``tol``; exceeding the panel budget raises a numeric failure
-    carrying the best estimate.
+    carrying the best estimate.  The panel of largest discrepancy splits
+    first; a panel whose halves are not yet evaluated has them evaluated
+    in one batch with those of the next ``_BLOCK_ELEMENTS // 512 - 1``
+    largest, each panel's halves once, and the splits read them in turn.
     """
     if not b > 1:
         raise InvalidInputError("upper limit b must exceed 1")
@@ -217,32 +227,56 @@ def vdc_integral_oracle(theta: float, x: float, t: float, p: int, b: float,
         raise InvalidInputError("b ** theta exceeds the float range")
     if int(p) != p:
         raise InvalidInputError("frequency shift p must be an integer")
+    if not tol > 0:
+        raise InvalidInputError("tol must be positive")
 
     lin = x - p
+    phase_span = 2 * np.pi * (abs(lin) * b + abs(t) * b ** theta)
+    if not math.isfinite(phase_span):
+        raise InvalidInputError("phase span 2 pi (|x - p| b + |t| b^theta) "
+                                "exceeds the float range")
 
     def f(s):
         return np.exp(2j * np.pi * (lin * s + t * s ** theta))
 
-    phase_span = 2 * np.pi * (abs(lin) * b + abs(t) * b ** theta)
     n0 = int(min(8192, max(8, phase_span / 4.0)))
     edges = np.linspace(0.0, b, n0 + 1)
+    lo, hi = edges[:-1], edges[1:]
     # the first batch in slices of at most _BLOCK_ELEMENTS nodes
     step = _BLOCK_ELEMENTS // 16
     vals, errs = map(np.concatenate, zip(*[
-        _panel_batch(f, edges[i:i + step + 1]) for i in range(0, n0, step)]))
+        _panel_batch(f, lo[i:i + step], hi[i:i + step])
+        for i in range(0, n0, step)]))
     total = complex(np.sum(vals))
     total_err = float(np.sum(errs))
-    heap = list(zip(-errs, edges[:-1], edges[1:], vals))
+    heap = list(zip((-errs).tolist(), lo.tolist(), hi.tolist(),
+                    vals.tolist()))
     heapq.heapify(heap)
+    halves = {}     # panel ends (a, b) -> heap entries of its two halves
     panels = n0
     while total_err > tol and panels < max_panels:
         neg_e, a0, b0, v0 = heapq.heappop(heap)
-        mid = 0.5 * (a0 + b0)
-        v, e = _panel_batch(f, np.array([a0, mid, b0]))
-        total += complex(v[0] + v[1] - v0)
-        total_err += float(e[0] + e[1]) + neg_e
-        for item in zip(-e, (a0, mid), (mid, b0), v):
-            heapq.heappush(heap, item)
+        if (a0, b0) not in halves:
+            # this panel and the next largest not yet evaluated; those are
+            # popped and pushed back, and as the entries are distinct the
+            # heap's pop order stays the same
+            nxt = [heapq.heappop(heap)
+                   for _ in heap[:_BLOCK_ELEMENTS // 512 - 1]]
+            for h in nxt:
+                heapq.heappush(heap, h)
+            todo = [(a0, b0)] + [h[1:3] for h in nxt if h[1:3] not in halves]
+            lo, hi = np.array(todo).T
+            mid = 0.5 * (lo + hi)
+            ends = np.r_[lo, mid], np.r_[mid, hi]
+            v, e = _panel_batch(f, *ends)
+            split = list(zip((-e).tolist(), *(z.tolist() for z in ends),
+                             v.tolist()))
+            halves.update(zip(todo, zip(split, split[len(todo):])))
+        left, right = halves.pop((a0, b0))
+        total += left[3] + right[3] - v0
+        total_err += (-left[0] - right[0]) + neg_e
+        heapq.heappush(heap, left)
+        heapq.heappush(heap, right)
         panels += 1
     envelope = abs(t) ** (-1.0 / theta)
     result = OscillatoryIntegral(complex(total), float(total_err),

@@ -3,13 +3,19 @@
 normals (oracle of ``ons.NormalRows``), the dense extension matrix
 (oracle of ``BandFlow.gram`` and the duality check) and the dense
 Sobolev-Schatten norm with its multiplier sandwich (oracle of
-``schatten.factored_sobolev_schatten_norm``)."""
+``schatten.factored_sobolev_schatten_norm``) and the quadrature that
+splits one panel per evaluation (oracle of ``kernels.vdc_integral_oracle``)."""
 
+import heapq
 import math
 
 import numpy as np
 
-from strichartz_lab.errors import CapacityError, InvalidInputError
+from strichartz_lab.errors import (
+    CapacityError,
+    InvalidInputError,
+    NumericFailureError,
+)
 from strichartz_lab.geometry import (
     _BLOCK_ELEMENTS,
     BandFlow,
@@ -21,6 +27,7 @@ from strichartz_lab.geometry import (
     inverse_transform,
     propagate,
 )
+from strichartz_lab.kernels import OscillatoryIntegral, _panel_batch
 from strichartz_lab.norms import trapezoid_weights
 from strichartz_lab.schatten import MATRIX_CAP, _bessel, schatten_norm
 
@@ -132,3 +139,38 @@ def build_extension_matrix(geometry: GeometrySpec, N: int, interval,
         u = u.reshape(u.shape[:2] + (n_space,))
         mat[ts, :, ss] = u.transpose(0, 2, 1) * row_fac[ts, None, None]
     return mat.reshape(rows, band)
+
+
+def vdc_one_panel(theta, x, t, p, b, tol=1e-8, max_panels=60_000):
+    """``vdc_integral_oracle`` evaluating the two halves of each panel it
+    splits, one panel per ``_panel_batch`` call; the inputs are taken as
+    valid."""
+    lin = x - p
+
+    def f(s):
+        return np.exp(2j * np.pi * (lin * s + t * s ** theta))
+
+    phase_span = 2 * np.pi * (abs(lin) * b + abs(t) * b ** theta)
+    n0 = int(min(8192, max(8, phase_span / 4.0)))
+    edges = np.linspace(0.0, b, n0 + 1)
+    vals, errs = _panel_batch(f, edges[:-1], edges[1:])
+    total = complex(np.sum(vals))
+    total_err = float(np.sum(errs))
+    heap = list(zip(-errs, edges[:-1], edges[1:], vals))
+    heapq.heapify(heap)
+    panels = n0
+    while total_err > tol and panels < max_panels:
+        neg_e, a0, b0, v0 = heapq.heappop(heap)
+        mid = 0.5 * (a0 + b0)
+        v, e = _panel_batch(f, np.array([a0, mid]), np.array([mid, b0]))
+        total += complex(v[0] + v[1] - v0)
+        total_err += float(e[0] + e[1]) + neg_e
+        for item in zip(-e, (a0, mid), (mid, b0), v):
+            heapq.heappush(heap, item)
+        panels += 1
+    result = OscillatoryIntegral(complex(total), float(total_err),
+                                 abs(t) ** (-1.0 / theta), panels)
+    if total_err > tol:
+        raise NumericFailureError("oscillatory quadrature stalled",
+                                  best=result)
+    return result

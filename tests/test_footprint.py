@@ -13,7 +13,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-CEILING = 24424
+CEILING = 24786
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "strichartz_lab"
 

@@ -1064,6 +1064,21 @@ class TestCli:
                      id="vdc-b-power-overflow"),
         pytest.param("vdc-oracle", {"theta": 1e5}, "params.b",
                      id="vdc-theta-power-overflow"),
+        # total_err > NaN is false, so a NaN tol would pass at once
+        pytest.param("vdc-oracle", {"tol": math.nan}, "params.tol",
+                     id="vdc-tol-nan"),
+        pytest.param("vdc-oracle", {"tol": 0}, "params.tol",
+                     id="vdc-tol-zero"),
+        pytest.param("vdc-oracle", {"tol": -1.0}, "params.tol",
+                     id="vdc-tol-negative"),
+        pytest.param("vdc-oracle", {"x": math.inf}, "params.x",
+                     id="vdc-x-infinite"),
+        # the phase span 2 pi (|x - p| b + |t| b^theta) overflows a float;
+        # the one check of the span reports it under params.x
+        pytest.param("vdc-oracle", {"x": 1e308}, "params.x",
+                     id="vdc-x-phase-overflow"),
+        pytest.param("vdc-oracle", {"t": [10.0, 1e308]}, "params.x",
+                     id="vdc-t-phase-overflow"),
         pytest.param("kernel-sweep", {"theta": [math.inf]}, "params.theta",
                      id="kernel-theta-infinite"),
         pytest.param("vdc-oracle", {"b": 1}, "params.b", id="vdc-b-one"),

@@ -1,10 +1,12 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from oracles import vdc_one_panel
 from strichartz_lab.errors import InvalidInputError, NumericFailureError
-from strichartz_lab import kernels
+from strichartz_lab import geometry, kernels
 from strichartz_lab.geometry import _BLOCK_ELEMENTS
 from strichartz_lab.kernels import (
     _exp_sum_terms,
@@ -179,6 +181,35 @@ class TestDispersiveSup:
         assert _scaled_kernel_max(N, theta, ts, xs) == first
         assert first[1][0] == t_star
 
+    @pytest.mark.parametrize("N, nx", [(63, 64), (64, 64), (65, 64),
+                                       (200, 64)])
+    def test_slice_fold_matches_fancy_index_fold(self, N, nx, monkeypatch):
+        # N = 64 and 200 end in a full block of nx, whose last n lands in
+        # bin 0 from both sides; 65 and 200 wrap past one block
+        theta = 3.0
+        ts = np.linspace(1e-6, N ** (1 - theta), 7)
+        xs = np.arange(nx) / nx
+        phases, folded, fft = [], [], np.fft.fft
+
+        def recorded_phases(*args):
+            for rows, ph in geometry._phase_blocks(*args):
+                phases.append(ph.copy())
+                yield rows, ph
+
+        def recorded_fft(a, *args, **kwargs):
+            folded.append(a.copy())
+            return fft(a, *args, **kwargs)
+        monkeypatch.setattr(kernels, "_phase_blocks", recorded_phases)
+        monkeypatch.setattr(np.fft, "fft", recorded_fft)
+        _scaled_kernel_max(N, theta, ts, xs)
+        monkeypatch.undo()
+        assert len(phases) == len(folded) == 1
+        assert np.array_equal(folded[0], fancy_index_fold(phases[0], nx))
+        ks = [[kernel_exp_sum(N, theta, t, x) for x in xs] for t in ts]
+        # to 1e-12 of the sum's 2N+1 unit-magnitude terms
+        np.testing.assert_allclose(np.fft.fft(folded[0], axis=1), ks,
+                                   rtol=0, atol=1e-12 * (2 * N + 1))
+
     def test_empty_window_rejected(self):
         with pytest.raises(InvalidInputError):
             dispersive_sup(8, 3.0, t_min=1.0)
@@ -186,6 +217,20 @@ class TestDispersiveSup:
     def test_grid_floor(self):
         with pytest.raises(InvalidInputError):
             dispersive_sup(8, 3.0, t_grid_pts=32)
+
+
+def fancy_index_fold(ph, nx):
+    """The (rows, nx) DFT coefficients of the phases ``ph`` of n = 1..N:
+    1 at bin 0, and each n added at bins n mod nx and -n mod nx by
+    fancy-index ``+=``, one block of nx consecutive n at a time."""
+    n = np.arange(1, ph.shape[1] + 1)
+    coef = np.zeros((len(ph), nx), dtype=complex)
+    coef[:, 0] = 1.0
+    for b in range(0, len(n), nx):
+        bins = n[b:b + nx] % nx
+        for c in (bins, -bins % nx):
+            coef[:, c] += ph[:, b:b + nx]
+    return coef
 
 
 def simpson_reference(theta, x, t, p, b, n=200_001):
@@ -256,6 +301,73 @@ class TestVdcOracle:
         # the heap of 8192 panel tuples takes about 1.4 MiB of the bound
         bound = 3 * 16 * _BLOCK_ELEMENTS
         assert peak < bound < whole_peak
+
+    @pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0])
+    def test_nonpositive_tol_rejected(self, tol):
+        # total_err > NaN is false: a NaN tol would report a pass at once
+        with pytest.raises(InvalidInputError, match="tol"):
+            vdc_integral_oracle(3.0, 0.0, 1000.0, 0, 2.0, tol=tol)
+
+    @pytest.mark.parametrize("x, t", [(1e308, 10.0), (math.inf, 10.0),
+                                      (0.0, 1e308)])
+    def test_phase_span_overflow_rejected(self, x, t):
+        with pytest.raises(InvalidInputError, match="phase span"):
+            vdc_integral_oracle(3.0, x, t, 0, 2.0)
+
+    @pytest.mark.parametrize("args", [
+        (3.0, 0.0, 1000.0, 0, 2.0),
+        (2.5, 0.2, 3.0, 1, 2.0),
+        (2.7, 0.3, -50.0, 2, 2.5),
+        (3.0, 57.3, -200.0, -4, 2.0),
+        (2.2, 1234.5, 30.0, 0, 3.0),
+    ])
+    def test_batched_splits_match_one_panel_twin(self, args):
+        # the greedy loop splits the same panels in the same order, so the
+        # sums agree to the bit
+        res, twin = vdc_integral_oracle(*args), vdc_one_panel(*args)
+        assert (res.value, res.error_estimate, res.panels) == \
+            (twin.value, twin.error_estimate, twin.panels)
+
+    def test_stalled_best_matches_one_panel_twin(self):
+        # n0 = 29 panels, then 171 splits in many batches: new halves
+        # often outrank the rest of a batch
+        args = (2.5, 0.2, 3.0, 1, 2.0, 1e-15, 200)
+        bests = []
+        for quad in (vdc_integral_oracle, vdc_one_panel):
+            with pytest.raises(NumericFailureError) as exc:
+                quad(*args)
+            bests.append(exc.value.best)
+        assert bests[0] == bests[1]
+        assert bests[0].panels == 200
+
+    def test_splits_evaluate_in_batches(self, monkeypatch):
+        # t = 1000 splits 4530 panels; one _panel_batch call per split
+        # would make 4532 calls
+        calls = []
+        panel_batch = kernels._panel_batch
+
+        def counted(*args):
+            calls.append(1)
+            return panel_batch(*args)
+        monkeypatch.setattr(kernels, "_panel_batch", counted)
+        assert vdc_integral_oracle(3.0, 0.0, 1000.0, 0, 2.0).panels == 12722
+        assert len(calls) < 100
+
+    def test_no_panel_evaluated_twice(self, monkeypatch):
+        # at tol = 1e-15 the discrepancies are roundoff, so new halves
+        # outrank the rest of their batch at almost every split; a batch
+        # evaluates only the panels whose halves it does not hold yet
+        seen = []
+        panel_batch = kernels._panel_batch
+
+        def recorded(f, lo, hi):
+            seen.extend(zip(lo.tolist(), hi.tolist()))
+            return panel_batch(f, lo, hi)
+        monkeypatch.setattr(kernels, "_panel_batch", recorded)
+        res = vdc_integral_oracle(2.5, 0.2, 3.0, 1, 2.0, tol=1e-15)
+        assert res.panels == vdc_one_panel(2.5, 0.2, 3.0, 1, 2.0,
+                                           tol=1e-15).panels
+        assert len(set(seen)) == len(seen)
 
     def test_noninteger_theta(self):
         res = vdc_integral_oracle(2.5, 0.2, 3.0, 1, 2.0)
