@@ -63,8 +63,6 @@ from .hartree import (                                   # noqa: F401
     duhamel_map,
     evolve,
     fixed_point_iterate,
-    hartree_energy,
-    split_step,
 )
 from .seeding import derive_cell_seed, derive_cell_seeds  # noqa: F401
 from .config import load_config, schema_document, validate_config  # noqa: F401

@@ -45,7 +45,7 @@ _GEOMETRY_SCHEMA = {
     "kind": _Opt("str", required=True, choices=("torus", "waveguide")),
     "grid_sizes": _Opt("list-int", required=True),
     "n_free": _Opt("int", 0),
-    "trunc_length": _Opt("num", 1.0),
+    "trunc_length": _Opt("num", 1.0, finite=True),
 }
 
 _POTENTIAL_SCHEMA = {
@@ -123,7 +123,7 @@ _SCHEMAS: dict[str, dict[str, _Opt]] = {
     "hartree-run": {
         "theta": _Opt("list-num", [2.0, 3.0], **_POSITIVE),
         "members": _Opt("int", 4),
-        "band": _Opt("int", 2, finite=True),
+        "band": _Opt("int", 2, min=1, finite=True),
         "weights": _Opt("list-num", [0.4, 0.3, 0.2, 0.1]),
         "potential": _Opt("obj", {"kind": "yukawa"}),
         "T": _Opt("num", 1.0, **_POSITIVE),
@@ -137,7 +137,7 @@ _SCHEMAS: dict[str, dict[str, _Opt]] = {
     "fixed-point": {
         "theta": _Opt("num", 2.0, **_POSITIVE),
         "members": _Opt("int", 4),
-        "band": _Opt("int", 4, finite=True),
+        "band": _Opt("int", 4, min=1, finite=True),
         "weights": _Opt("list-num", [0.4, 0.3, 0.2, 0.1]),
         "target_norm": _Opt("num", 0.1, **_POSITIVE),
         "potential": _Opt("obj", {"kind": "yukawa"}),

@@ -93,8 +93,13 @@ class GeometrySpec:
             if not (1 <= self.n_free < len(self.grid_sizes)):
                 raise InvalidInputError(
                     "waveguide needs 1 <= n free axes < d")
-            if not (self.trunc_length > 0):
-                raise InvalidInputError("truncation length must be positive")
+            L = self.trunc_length
+            # the largest free frequency (G/2)/L must be a float too
+            if not (0 < L < math.inf
+                    and max(self.grid_sizes[:self.n_free]) / 2 / L < math.inf):
+                raise InvalidInputError(
+                    f"truncation length must be positive and finite, with "
+                    f"a finite largest free frequency (G/2)/L, got L = {L:g}")
 
     @property
     def dim(self) -> int:
@@ -352,7 +357,10 @@ def propagate(values, geometry: GeometrySpec, t: float,
 
 @lru_cache(maxsize=256)
 def _band_multiplier(geometry: GeometrySpec, N: int) -> np.ndarray:
-    """Cutoff multiplier at scale N; sharp on torus, smooth on waveguide."""
+    """Cutoff multiplier at scale N >= 1; sharp on torus, smooth on
+    waveguide."""
+    if not N >= 1:
+        raise InvalidInputError(f"cutoff scale N must be at least 1, got {N}")
     mult = np.ones((), dtype=float)
     smooth = geometry.n_free > 0
     for ax in range(geometry.dim):

@@ -33,7 +33,7 @@ from .errors import (CapacityError, ConfigError, InvalidInputError,
                      NumericFailureError)
 from .geometry import BandFlow, _xi2
 from .hartree import (DensityState, _fixed_point_exponents, evolve,
-                      fixed_point_iterate, split_step)
+                      fixed_point_iterate)
 from .kernels import (OscillatoryIntegral, _window_top, dispersive_sup,
                       vdc_integral_oracle)
 from .norms import (_besov_top, besov_sup_norm, classify_pair, fit_scaling,
@@ -652,12 +652,10 @@ def _drv_fixed_point(echo):
         nodes = result.path.times
         h = nodes[1] - nodes[0]
         sub = max(1, int(round(h / p["cross_check_dt"])))
-        dt = h / sub
         cur = st
         worst = 0.0
         for i in range(1, len(nodes)):
-            for _ in range(sub):
-                cur = split_step(cur, dt, potential)
+            cur = evolve(cur, h, h / sub, potential).final_state
             diff = cur.density() - result.path.rho[i]
             worst = max(worst, float(lq_norm(diff, 2, geom.cell_volume)))
         ratios = [r for _, r in result.iterates if r is not None]

@@ -1,6 +1,6 @@
-"""Finite-rank mean-field dynamics: a structure-preserving split-step
-integrator and the integral-equation fixed-point map, plus conservation
-diagnostics.
+"""Finite-rank mean-field dynamics: ``evolve``, the one time stepper (a
+structure-preserving split-step integrator with conservation diagnostics
+at every step), and the integral-equation fixed-point map.
 
 The evolved system couples M orbitals through their weighted density:
 
@@ -54,9 +54,7 @@ __all__ = [
     "TrajectoryRecord",
     "OperatorPath",
     "FixedPointResult",
-    "split_step",
     "evolve",
-    "hartree_energy",
     "duhamel_map",
     "fixed_point_iterate",
 ]
@@ -169,24 +167,6 @@ def _strang(c: np.ndarray, weights: np.ndarray, half: np.ndarray,
     return half * _grid_fft(v * np.exp(-1j * dt * potential(rho).real), d)
 
 
-def split_step(state: DensityState, dt: float, w: PotentialSpec) -> DensityState:
-    """One Strang step: half kinetic, full potential phase, half kinetic.
-
-    Both sub-steps are unimodular multipliers in their own bases, so each
-    member's mass and the family Gram matrix are conserved to roundoff.
-    """
-    if dt < 0:
-        raise InvalidInputError("step size must be nonnegative")
-    if dt == 0.0:
-        return state
-    geom = state.geometry
-    c = _strang(_grid_fft(state.members, geom.dim), state.weights,
-                _kinetic(geom, state.theta, 0.5 * dt).m, _potential(w, geom),
-                dt)
-    return DensityState(_grid_fft(c, geom.dim, inverse=True), state.weights,
-                        geom, state.theta)
-
-
 def _energies(c: np.ndarray, state: DensityState, w: PotentialSpec):
     """Energies (k,) and densities (k, *grid) of k states given by their
     coefficients c (k, M, *grid) and the weights of ``state``; both terms
@@ -201,12 +181,6 @@ def _energies(c: np.ndarray, state: DensityState, w: PotentialSpec):
                              * np.abs(_grid_fft(rho, geom.dim)) ** 2,
                              axis=axes)
     return (kinetic + potential) * (geom.cell_volume / rho[0].size), rho
-
-
-def hartree_energy(state: DensityState, w: PotentialSpec) -> float:
-    """E = sum_j lambda_j <u_j, phi(D) u_j> + (1/2) int (w * rho) rho."""
-    c = _grid_fft(state.members[None], state.geometry.dim)
-    return float(_energies(c, state, w)[0][0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -238,7 +212,8 @@ def evolve(state: DensityState, T: float, dt: float, w: PotentialSpec,
     """Split-step trajectory with diagnostics recorded at every step.
 
     The state is held as Fourier coefficients; the diagnostics are
-    computed per block of at most ``_BLOCK_ELEMENTS`` stored entries.
+    computed per block of at most ``_BLOCK_ELEMENTS`` stored entries and
+    at most the run's ``steps + 1`` states.
     """
     if not (T > 0 and dt > 0):
         raise InvalidInputError("need positive horizon and step")
@@ -253,7 +228,7 @@ def evolve(state: DensityState, T: float, dt: float, w: PotentialSpec,
     mass = np.empty((steps + 1, M))
     gram_dev, energy, rho_norm = np.empty((3, steps + 1))
     gram0 = state.gram()
-    k = max(1, _BLOCK_ELEMENTS // state.members.size)
+    k = max(1, min(steps + 1, _BLOCK_ELEMENTS // state.members.size))
     block = np.empty((k,) + state.members.shape, np.complex128)
 
     def flush(stop):

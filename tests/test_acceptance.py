@@ -22,7 +22,6 @@ from strichartz_lab.hartree import (
     PotentialSpec,
     evolve,
     fixed_point_iterate,
-    split_step,
 )
 from strichartz_lab.kernels import dispersive_sup, vdc_integral_oracle
 from strichartz_lab.norms import fit_scaling, lq_norm
@@ -263,13 +262,12 @@ class TestCriterion9FixedPointContraction:
             and (len(result.iterates) >= 6 or result.converged)
 
         nodes = result.path.times
-        sub = int(round((nodes[1] - nodes[0]) / 1e-3))
-        dt = (nodes[1] - nodes[0]) / sub
+        h = nodes[1] - nodes[0]
+        sub = int(round(h / 1e-3))
         cur = st
         worst = 0.0
         for i in range(1, len(nodes)):
-            for _ in range(sub):
-                cur = split_step(cur, dt, YUKAWA)
+            cur = evolve(cur, h, h / sub, YUKAWA).final_state
             diff = cur.density() - result.path.rho[i]
             worst = max(worst, float(np.sqrt(np.sum(diff ** 2)
                                              * geom.cell_volume)))

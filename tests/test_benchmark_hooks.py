@@ -70,3 +70,6 @@ def test_traced_run_reaches_every_patched_name():
     assert counts["hartree.fixed_point.iterations"] == \
         codes["fixed-point"][1]
     assert calls["hartree.duhamel"] == codes["fixed-point"][1]
+    # the span on harness.evolve is guarded, so a rename would read 0: the
+    # cross-check advances through it once between each two of the 6 nodes
+    assert calls["hartree.evolve"] == 5

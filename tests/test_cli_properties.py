@@ -75,9 +75,6 @@ def now_and_then(strategy, *values):
         .flatmap(lambda s: s)
 
 
-# potentials with their Besov metadata s and q' and the Gaussian width
-# sigma_w around their bounds: q' < 1, and an s or sigma_w whose Besov
-# weight 2^(k s) or Gaussian exponent sigma_w^2 |xi|^2 / 2 overflows
 # the geometries of the band sweeps, by grid: tori, and a waveguide with
 # one free axis on which the torus estimates do not apply
 def geometry_of(grid):
@@ -91,6 +88,27 @@ GRIDS = st.sampled_from([[16], [32], [16, 8]])
 ESTIMATES = now_and_then(st.none(), *sorted(SIGMA_SELECTORS))
 
 
+def torus_of(grid):
+    return {"kind": "torus", "grid_sizes": grid}
+
+
+TORUS_8, TORUS_16 = torus_of([8]), torus_of([16])
+# the mean-field geometries: tori, and waveguides with one free axis whose
+# length spans the float range, so that at the short end the largest free
+# frequency (G/2)/L overflows
+MEAN_FIELD_GEOMETRIES = st.sampled_from([[8], [16], [4, 4]]).map(torus_of) \
+    | st.builds(lambda grid, e: {"kind": "waveguide", "grid_sizes": grid,
+                                 "n_free": 1, "trunc_length": 10.0 ** e},
+                st.sampled_from([[16, 8], [8, 4]]), st.floats(-308.0, 308.0))
+# the shortest and longest truncation lengths of the draw
+TINY_WAVEGUIDE, HUGE_WAVEGUIDE = (
+    {"kind": "waveguide", "grid_sizes": [16, 8], "n_free": 1,
+     "trunc_length": L} for L in (1e-308, 1e308))
+
+
+# potentials with their Besov metadata s and q' and the Gaussian width
+# sigma_w around their bounds: q' < 1, and an s or sigma_w whose Besov
+# weight 2^(k s) or Gaussian exponent sigma_w^2 |xi|^2 / 2 overflows
 POTENTIALS = st.fixed_dictionaries(
     {"kind": st.sampled_from(["yukawa", "gaussian", "cosine", "zero"])},
     optional={"s": now_and_then(st.floats(-2.0, 2.0), 1e300, math.inf),
@@ -189,7 +207,7 @@ FIXED_POINT = dict(members=4, band=4, time_pts=26, iterations=6, q=None,
 
 
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
-@given(grid=st.sampled_from([[8], [16], [4, 4]]),
+@given(geometry=MEAN_FIELD_GEOMETRIES,
        members=st.integers(1, 4) | st.integers(1, 4) | st.integers(0, 6),
        band=st.integers(1, 3) | st.integers(1, 3) | st.integers(0, 4),
        time_pts=bounded("fixed-point", "time_pts", 8),
@@ -204,29 +222,34 @@ FIXED_POINT = dict(members=4, band=4, time_pts=26, iterations=6, q=None,
            .filter(lambda dt: not 0 < dt < 0.01), 5e-324, 1e-300),
        potential=POTENTIALS)
 # 4M = 12 eigendirections on an 8-point grid
-@example(grid=[8], **{**FIXED_POINT, "members": 3, "band": 2, "time_pts": 4,
-                      "iterations": 2})
+@example(geometry=TORUS_8, **{**FIXED_POINT, "members": 3, "band": 2,
+                            "time_pts": 4, "iterations": 2})
 # a symbol that overflows, and cross-checks of inf and 2e297 split steps
-@example(grid=[16], **{**FIXED_POINT, "theta": 1000.0})
-@example(grid=[16], **{**FIXED_POINT, "cross_check_dt": 5e-324})
-@example(grid=[16], **{**FIXED_POINT, "cross_check_dt": 1e-300})
+@example(geometry=TORUS_16, **{**FIXED_POINT, "theta": 1000.0})
+@example(geometry=TORUS_16, **{**FIXED_POINT, "cross_check_dt": 5e-324})
+@example(geometry=TORUS_16, **{**FIXED_POINT, "cross_check_dt": 1e-300})
 # a band and a cosine frequency beyond the float range
-@example(grid=[16], **{**FIXED_POINT, "band": 10 ** 400})
-@example(grid=[16], **{**FIXED_POINT,
-                       "potential": {"kind": "cosine", "k0": 10 ** 400}})
-def test_fixed_point_cli_contract(grid, members, band, time_pts, iterations,
-                                  q, theta, T, cross_check_dt, potential):
+@example(geometry=TORUS_16, **{**FIXED_POINT, "band": 10 ** 400})
+@example(geometry=TORUS_16, **{**FIXED_POINT,
+                             "potential": {"kind": "cosine", "k0": 10 ** 400}})
+# the shortest and longest free axes, at the 2-D density-line exponent
+@example(geometry=TINY_WAVEGUIDE, **{**FIXED_POINT, "q": 4 / 3})
+@example(geometry=HUGE_WAVEGUIDE, **{**FIXED_POINT, "q": 4 / 3})
+def test_fixed_point_cli_contract(geometry, members, band, time_pts,
+                                  iterations, q, theta, T, cross_check_dt,
+                                  potential):
     # q = None draws the density-line exponent at p = 4 (q = 2 in 1-D,
     # 4/3 in 2-D), so that some examples run end to end; one
     # nonincreasing weight per member
     run_contract({"experiment": "fixed-point",
-                  "geometry": {"kind": "torus", "grid_sizes": grid},
+                  "geometry": geometry,
                   "params": {"members": members, "band": band,
                              "weights": [0.4 / (j + 1)
                                          for j in range(members)],
                              "time_pts": time_pts, "iterations": iterations,
                              "p": 4.0,
-                             "q": q or (2.0 if len(grid) == 1 else 4 / 3),
+                             "q": q or (2.0 if len(geometry["grid_sizes"]) == 1
+                                        else 4 / 3),
                              "theta": theta, "T": T,
                              "cross_check_dt": cross_check_dt,
                              "potential": potential}})
@@ -321,7 +344,7 @@ def test_duality_check_cli_contract(geometry, N, alpha, theta, time_pts,
 
 
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
-@given(grid=st.sampled_from([[8], [16], [4, 4]]),
+@given(geometry=MEAN_FIELD_GEOMETRIES,
        members=st.integers(1, 3) | st.integers(0, 5),
        band=st.integers(1, 2) | st.integers(0, 4),
        theta=st.lists(now_and_then(bounded("hartree-run", "theta", 4.0),
@@ -333,24 +356,29 @@ def test_duality_check_cli_contract(geometry, N, alpha, theta, time_pts,
        potential=POTENTIALS)
 # a symbol that overflows; a Besov exponent q' < 1, and a Gaussian
 # exponent and a Besov weight that overflow
-@example(grid=[16], members=4, band=2, theta=[1000.0], T=0.05, dt=[0.01],
-         q_report=2.0, potential={"kind": "yukawa"})
-@example(grid=[16], members=4, band=2, theta=[2.0], T=0.05, dt=[0.01],
+@example(geometry=TORUS_16, members=4, band=2, theta=[1000.0], T=0.05,
+         dt=[0.01], q_report=2.0, potential={"kind": "yukawa"})
+@example(geometry=TORUS_16, members=4, band=2, theta=[2.0], T=0.05, dt=[0.01],
          q_report=2.0, potential={"kind": "yukawa", "qprime": 0.5})
-@example(grid=[16], members=4, band=2, theta=[2.0], T=0.05, dt=[0.01],
+@example(geometry=TORUS_16, members=4, band=2, theta=[2.0], T=0.05, dt=[0.01],
          q_report=2.0, potential={"kind": "gaussian", "sigma_w": 1e300})
-@example(grid=[16], members=4, band=2, theta=[2.0], T=0.05, dt=[0.01],
+@example(geometry=TORUS_16, members=4, band=2, theta=[2.0], T=0.05, dt=[0.01],
          q_report=2.0, potential={"kind": "yukawa", "s": 1e300})
 # a band and a cosine frequency beyond the float range
-@example(grid=[16], members=4, band=10 ** 400, theta=[2.0], T=0.05,
+@example(geometry=TORUS_16, members=4, band=10 ** 400, theta=[2.0], T=0.05,
          dt=[0.01], q_report=2.0, potential={"kind": "yukawa"})
-@example(grid=[16], members=4, band=2, theta=[2.0], T=0.05, dt=[0.01],
+@example(geometry=TORUS_16, members=4, band=2, theta=[2.0], T=0.05, dt=[0.01],
          q_report=2.0, potential={"kind": "cosine", "k0": 10 ** 400})
-def test_hartree_run_cli_contract(grid, members, band, theta, T, dt,
+# the shortest and longest free axes
+@example(geometry=TINY_WAVEGUIDE, members=1, band=2, theta=[2.0], T=0.05,
+         dt=[0.01], q_report=2.0, potential={"kind": "yukawa"})
+@example(geometry=HUGE_WAVEGUIDE, members=1, band=2, theta=[2.0], T=0.05,
+         dt=[0.01], q_report=2.0, potential={"kind": "yukawa"})
+def test_hartree_run_cli_contract(geometry, members, band, theta, T, dt,
                                   q_report, potential):
     # one nonincreasing weight per member
     run_contract({"experiment": "hartree-run",
-                  "geometry": {"kind": "torus", "grid_sizes": grid},
+                  "geometry": geometry,
                   "params": {"members": members, "band": band,
                              "weights": [0.4 / (j + 1)
                                          for j in range(members)],

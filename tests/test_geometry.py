@@ -70,8 +70,13 @@ class TestGeometrySpec:
             torus(2)  # too small
         with pytest.raises(InvalidInputError):
             torus((8, 8, 8, 8))  # d > 3
-        with pytest.raises(InvalidInputError):
-            waveguide(8, 8, trunc_length=-1.0)
+        # a free axis needs a positive finite length L whose largest
+        # frequency (G/2)/L is finite
+        for L in (-1.0, 0.0, math.inf, math.nan, 1e-308):
+            with pytest.raises(InvalidInputError):
+                waveguide(8, 8, trunc_length=L)
+        assert waveguide(8, 8, trunc_length=1e308).axis_frequencies(0)[0] \
+            == -4e-308
 
     def test_lattice_symmetric_up_to_nyquist(self):
         for geom in (torus(16), waveguide(16, 8, trunc_length=4.0)):
@@ -572,6 +577,14 @@ def test_multipliers_match_transform_pair(geom):
 
 
 class TestProjectors:
+    @pytest.mark.parametrize("geom", [torus(16), waveguide(16, 8)],
+                             ids=["torus", "waveguide"])
+    def test_cutoff_below_one_rejected(self, geom):
+        # the smooth cutoff eta1(xi / N) is even in N and divides by it
+        for N in (0, -1):
+            with pytest.raises(InvalidInputError):
+                _band_multiplier(geom, N)
+
     def test_mode_inside_band_unchanged(self):
         geom = torus(32)
         f = plane_wave(geom, 3)

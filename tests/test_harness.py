@@ -893,6 +893,25 @@ class TestCli:
                                                      kind, params, field):
         self.assert_rejected(tmp_path, capsys, kind, params, field)
 
+    @pytest.mark.parametrize("kind, params", [
+        pytest.param("hartree-run", {"T": 0.05, "dt": [0.01]}, id="hartree"),
+        pytest.param("fixed-point", {"q": 4 / 3}, id="fixed-point"),
+    ])
+    @pytest.mark.parametrize("length, field", [
+        # the largest free frequency 8 / 1e-308 overflows
+        pytest.param(1e-308, "geometry", id="tiny"),
+        pytest.param(math.inf, "geometry.trunc_length", id="infinite"),
+    ])
+    def test_waveguide_length_exits_2_no_artifacts(self, tmp_path, capsys,
+                                                   kind, params, length,
+                                                   field):
+        self.assert_rejected(
+            tmp_path, capsys, kind,
+            {"members": 1, "weights": [1.0], **params},
+            f"config error: {field}:",
+            geometry={"kind": "waveguide", "grid_sizes": [16, 8],
+                      "n_free": 1, "trunc_length": length})
+
     @pytest.mark.parametrize("kind, params, field", [
         pytest.param("strichartz-fit", {"family": "random", "time_pts": 1},
                      "params.time_pts", id="fit-one-time"),
@@ -1341,10 +1360,11 @@ class TestCli:
                              "params.N", grid=[8192])
 
     def assert_rejected(self, tmp_path, capsys, kind, params, field,
-                        grid=(16,)):
+                        grid=(16,), geometry=None):
         path = self.write_cfg(tmp_path, {
             "experiment": kind,
-            "geometry": {"kind": "torus", "grid_sizes": list(grid)},
+            "geometry": geometry or {"kind": "torus",
+                                     "grid_sizes": list(grid)},
             "params": params})
         out_dir = tmp_path / "out"
         code = cli_main([kind, "--config", path, "--out", str(out_dir)])

@@ -26,8 +26,6 @@ from strichartz_lab.hartree import (
     evolve,
     fixed_point_iterate,
     free_path,
-    hartree_energy,
-    split_step,
 )
 from strichartz_lab.norms import besov_sup_norm, lq_norm
 from strichartz_lab.ons import generate_ons
@@ -105,12 +103,22 @@ class TestPotential:
         assert besov_sup_norm(yuk.field(wg), wg, 0.5, 2.0) > 0
 
 
+def strang(state, dt, w):
+    """The state after one Strang step of ``evolve``."""
+    return evolve(state, dt, dt, w).final_state
+
+
+def energy(state, w):
+    """The energy of ``state``: the first entry of ``evolve``'s record."""
+    return evolve(state, 1e-3, 1e-3, w).energy[0]
+
+
 class TestSplitStep:
     def test_zero_potential_is_free_flight(self):
         geom = torus(64)
         st = ons_state(geom, 3, 4, 2.5, [0.5, 0.3, 0.2], seed=2)
         dt = 0.01
-        stepped = split_step(st, dt, ZERO)
+        stepped = strang(st, dt, ZERO)
         free = _kinetic(geom, 2.5, dt)(st.members)
         assert np.max(np.abs(stepped.members - free)) < 1e-13
         # pinned convention: free flight over dt = package flow at -dt/(2 pi)
@@ -137,11 +145,6 @@ class TestSplitStep:
         for u, v in zip(members, free):
             assert np.array_equal(propagate(u, geom, t, theta), v)
 
-    def test_identity_at_zero_dt(self):
-        geom = torus(32)
-        st = ons_state(geom, 2, 4, 2.0, [0.6, 0.4], seed=3)
-        assert split_step(st, 0.0, YUKAWA) is st
-
     def test_local_order_via_step_halving(self):
         # single member: one dt step vs two dt/2 steps -> O(dt^3) local gap
         geom = torus(64)
@@ -149,8 +152,8 @@ class TestSplitStep:
         w = PotentialSpec("cosine", k0=1)
         gaps = []
         for dt in (2e-2, 1e-2, 5e-3):
-            one = split_step(st, dt, w)
-            two = split_step(split_step(st, dt / 2, w), dt / 2, w)
+            one = strang(st, dt, w)
+            two = evolve(st, dt, dt / 2, w).final_state
             gaps.append(np.max(np.abs(one.members - two.members)))
         # halving dt shrinks the local gap by ~8
         assert gaps[0] / gaps[1] > 6.0
@@ -159,9 +162,7 @@ class TestSplitStep:
     def test_mass_and_gram_exactly_conserved(self):
         geom = torus(64)
         st = ons_state(geom, 4, 6, 2.0, [0.4, 0.3, 0.2, 0.1], seed=5)
-        cur = st
-        for _ in range(100):
-            cur = split_step(cur, 1e-2, YUKAWA)
+        cur = evolve(st, 1.0, 1e-2, YUKAWA).final_state
         assert np.max(np.abs(np.diag(cur.gram() - st.gram()))) < 1e-12
         assert np.linalg.norm(cur.gram() - st.gram(), ord=2) < 1e-10
 
@@ -173,13 +174,13 @@ class TestEnergy:
         for n, theta in [(1, 2.0), (3, 3.0), (2, 2.5)]:
             st = DensityState(np.exp(2j * np.pi * n * x)[None], [1.0],
                               geom, theta)
-            assert hartree_energy(st, ZERO) == pytest.approx(
-                abs(n) ** theta, rel=1e-12)
+            assert energy(st, ZERO) == pytest.approx(abs(n) ** theta,
+                                                     rel=1e-12)
 
     def test_zero_weights_zero_energy(self):
         geom = torus(32)
         st = ons_state(geom, 2, 4, 2.0, [0.0, 0.0], seed=6)
-        assert hartree_energy(st, YUKAWA) == pytest.approx(0.0, abs=1e-14)
+        assert energy(st, YUKAWA) == pytest.approx(0.0, abs=1e-14)
 
     def test_against_direct_quadrature_oracle(self):
         geom = torus(16)
@@ -200,7 +201,7 @@ class TestEnergy:
             conv += (1 + xi ** 2) ** -1.0 * c * np.exp(2j * np.pi * xi * x)
         potential = 0.5 * np.sum(conv.real * rho) * geom.cell_volume
         expected = kinetic + potential
-        assert hartree_energy(st, YUKAWA) == pytest.approx(expected, rel=1e-10)
+        assert energy(st, YUKAWA) == pytest.approx(expected, rel=1e-10)
 
 
 def stepwise_evolve(state, T, dt, w, q_report=2.0):
@@ -271,9 +272,13 @@ class TestEvolve:
             return DensityState(_kinetic(geom, st.theta, t)(st.members),
                                 st.weights, geom, st.theta)
 
+        # with w = 0 the energy is the kinetic one, here in physical space
+        phi = GridMultiplier(geom, fractional_symbol(geom, st.theta))
+        axes = tuple(range(1, geom.dim + 1))
         for t, e in zip(rec.times, rec.energy):
-            assert e == pytest.approx(hartree_energy(free(t), ZERO),
-                                      rel=1e-12)
+            u = free(t).members
+            kinetic = st.weights @ np.sum(u.conj() * phi(u), axis=axes).real
+            assert e == pytest.approx(kinetic * geom.cell_volume, rel=1e-12)
         assert np.max(np.abs(rec.final_state.members
                              - free(0.23).members)) < 1e-12
 
@@ -331,6 +336,19 @@ class TestEvolve:
             tracemalloc.stop()
         assert peak < 0.5 * steps * st.members.size * 16
 
+    def test_short_run_block_sized_to_the_run(self):
+        # a 2-step run holds a block of its 3 states (48 KiB), not the
+        # _BLOCK_ELEMENTS block (1 MiB)
+        geom = torus((16, 16))
+        st = ons_state(geom, 4, 4, 2.0, [0.4, 0.3, 0.2, 0.1], seed=19)
+        tracemalloc.start()
+        try:
+            evolve(st, 2e-2, 1e-2, YUKAWA)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 1024
+
     def test_free_flow_diagnostics_static(self):
         # lattice-mode members are flow eigenfunctions: every diagnostic,
         # density profile included, is time-translation invariant
@@ -371,8 +389,10 @@ class TestEvolve:
     def test_step_mismatch_rejected(self):
         geom = torus(32)
         st = ons_state(geom, 1, 2, 2.0, [1.0])
-        with pytest.raises(InvalidInputError):
-            evolve(st, 0.05, 0.2, YUKAWA)
+        # a step that does not divide T, and no positive step or horizon
+        for T, dt in ((0.05, 0.2), (0.05, 0.0), (0.05, -1e-2), (0.0, 1e-2)):
+            with pytest.raises(InvalidInputError):
+                evolve(st, T, dt, YUKAWA)
 
 
 def path_matrix(path, i):
@@ -697,12 +717,11 @@ class TestFixedPoint:
         st = ons_state(geom, 2, 3, 2.0, [0.06, 0.04], seed=18)
         T, nt = 0.05, 11
         result = fixed_point_iterate(st, YUKAWA, T, 6, 4.0, 2.0, time_pts=nt)
-        dt = T / ((nt - 1) * 20)
+        h = T / (nt - 1)
         cur = st
         worst = 0.0
         for i in range(1, nt):
-            for _ in range(20):
-                cur = split_step(cur, dt, YUKAWA)
+            cur = evolve(cur, h, h / 20, YUKAWA).final_state
             diff = cur.density() - result.path.rho[i]
             worst = max(worst, np.sqrt(np.sum(diff ** 2) * geom.cell_volume))
         assert worst < 1e-4
